@@ -30,21 +30,17 @@ from .linalg import Matrix
 from .lr import check_lr, check_lemma14, sample_triples
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _defect_json(defect):
     if isinstance(defect, Matrix):
-        return [[_frac_str(x) for x in row] for row in defect.row_list()]
-    return [_frac_str(x) for x in defect]
+        return [[str(x) for x in row] for row in defect.row_list()]
+    return [str(x) for x in defect]
 
 
 def _defect_text(defect) -> str:
     if isinstance(defect, Matrix):
         rows = defect.row_list()
-        return "[" + "; ".join("(" + ", ".join(map(_frac_str, r)) + ")" for r in rows) + "]"
-    return "(" + ", ".join(map(_frac_str, defect)) + ")"
+        return "[" + "; ".join("(" + ", ".join(map(str, r)) + ")" for r in rows) + "]"
+    return "(" + ", ".join(map(str, defect)) + ")"
 
 
 def _violation_json(v) -> dict:
@@ -77,10 +73,6 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _load(path: str):
-    return parse_file(path)
-
-
 def _load_with_product(path: str):
     g, p = parse_file(path)
     if p is None:
@@ -99,7 +91,7 @@ def _parse_coords(text: str, dim: int, flag: str):
 
 
 def cmd_validate(args) -> int:
-    g, _ = _load(args.file)
+    g, _ = parse_file(args.file)
     ok, violations = validate_lie(g)
     if args.json:
         _emit_json(
@@ -118,7 +110,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    g, _ = _load(args.file)
+    g, _ = parse_file(args.file)
     rep = series(g)
     lower = [s.dim for s in rep.lower_central]
     derived = [s.dim for s in rep.derived]
@@ -206,7 +198,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_two_gen(args) -> int:
-    g, _ = _load(args.file)
+    g, _ = parse_file(args.file)
     x = _parse_coords(args.x, g.dim, "--x")
     y = _parse_coords(args.y, g.dim, "--y")
     p = two_generator_lr(g, x, y)

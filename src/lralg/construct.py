@@ -119,29 +119,25 @@ def _complement_algebra(split: SplitDecomposition) -> LieAlgebra:
     """Bracket of the complement subalgebra in its own coordinates.
 
     Each complement vector is a standard basis vector at a free
-    coordinate plus a correction inside g_infinity, so coefficients can
-    be read off at the free coordinates after reducing; the residual
-    must vanish exactly or the complement was not closed.
+    coordinate of g_infinity plus a correction inside it, so the
+    bracket is the one induced on the quotient by g_infinity; the
+    residual of each bracket against those coefficients must vanish
+    exactly or the complement was not closed.
     """
     g = split.algebra
     ginf = Subspace.from_vectors(g.dim, split.g_infinity_basis)
-    free = [c for c in range(g.dim) if c not in set(ginf.pivots)]
-    m = len(split.complement_basis)
-    tensor = [[zero_vector(m) for _ in range(m)] for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            w = g.bracket(split.complement_basis[a], split.complement_basis[b])
-            r = ginf.reduce(w)
-            coords = tuple(r[f] for f in free)
-            residual = list(w)
-            for c, v in zip(coords, split.complement_basis):
+    n_alg = LieAlgebra(g.quotient_tensor(ginf))
+    comp = split.complement_basis
+    for a in range(len(comp)):
+        for b in range(len(comp)):
+            residual = list(g.bracket(comp[a], comp[b]))
+            for c, v in zip(n_alg.brackets[a][b], comp):
                 if c:
                     for t in range(g.dim):
                         residual[t] -= c * v[t]
             if any(residual):
                 raise InternalConsistencyError("complement is not closed under the bracket")
-            tensor[a][b] = coords
-    return LieAlgebra(tensor)
+    return n_alg
 
 
 def lift_product(split: SplitDecomposition, q: Product) -> Product:

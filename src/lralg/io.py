@@ -119,18 +119,35 @@ def parse_data(obj: Any, source: str = "input") -> tuple[LieAlgebra, Product | N
     return algebra, product
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def parse_file(path: str) -> tuple[LieAlgebra, Product | None]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from None
     try:
-        obj = json.loads(text)
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    try:
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FileFormatError(f"{path}: invalid JSON: nested too deeply") from None
     return parse_data(obj, source=path)
 
 

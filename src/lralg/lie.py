@@ -1,10 +1,10 @@
 """Lie algebras over the rationals, given by structure constants.
 
-A LieAlgebra stores the full bracket tensor c[i][j][k], meaning
-[e_i, e_j] = sum_k c[i][j][k] e_k.  Construction does not validate the
-axioms; validate_lie reports violations and operations whose contracts
-require a Lie algebra call it first (the result is cached on the
-instance).
+A LieAlgebra is a linalg.Bilinear whose tensor, exposed as brackets,
+means [e_i, e_j] = sum_k c[i][j][k] e_k.  Construction does not
+validate the axioms; validate_lie reports violations and operations
+whose contracts require a Lie algebra call it first (the result is
+cached on the instance).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import (
     NotTwoStepSolvableError,
 )
 from .linalg import (
+    Bilinear,
     Matrix,
     Subspace,
     Vector,
@@ -31,8 +32,6 @@ from .linalg import (
     vector,
     zero_vector,
 )
-
-Tensor = tuple[tuple[Vector, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -49,29 +48,16 @@ class Violation:
         return f"{self.identity} at ({where})"
 
 
-def _freeze_tensor(dim: int, entries) -> Tensor:
-    t = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            row.append(tuple(to_fraction(x) for x in entries[i][j]))
-            if len(row[-1]) != dim:
-                raise DimensionMismatchError("tensor slice of wrong length")
-        t.append(tuple(row))
-    return tuple(t)
-
-
-class LieAlgebra:
-    __slots__ = ("dim", "brackets", "basis_names", "_valid")
+class LieAlgebra(Bilinear):
+    __slots__ = ("basis_names", "_valid")
+    _kind = "algebra"
+    brackets = Bilinear.tensor  # the structure tensor under its Lie name
 
     def __init__(self, brackets, basis_names=None):
-        entries = [[list(v) for v in row] for row in brackets]
-        dim = len(entries)
-        self.dim = dim
-        self.brackets = _freeze_tensor(dim, entries)
+        super().__init__(brackets)
         if basis_names is not None:
             basis_names = tuple(str(s) for s in basis_names)
-            if len(basis_names) != dim:
+            if len(basis_names) != self.dim:
                 raise DimensionMismatchError("one basis name per basis vector")
         self.basis_names = basis_names
         self._valid = None
@@ -83,17 +69,13 @@ class LieAlgebra:
         Indices are 0-based; the antisymmetric counterparts are filled
         in automatically.
         """
-        t = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        full = {}
         for (i, j), comps in pairs.items():
             if not (0 <= i < j < dim):
                 raise DimensionMismatchError(f"bracket pair ({i}, {j}) needs 0 <= i < j < dim")
-            for k, val in comps.items():
-                if not 0 <= k < dim:
-                    raise DimensionMismatchError(f"component index {k} out of range")
-                v = to_fraction(val)
-                t[i][j][k] = v
-                t[j][i][k] = -v
-        return cls(t, basis_names)
+            full[(i, j)] = comps
+            full[(j, i)] = {k: -to_fraction(v) for k, v in comps.items()}
+        return cls(cls._dense(dim, full), basis_names)
 
     def name(self, i: int) -> str:
         if self.basis_names is not None:
@@ -101,24 +83,7 @@ class LieAlgebra:
         return f"e{i + 1}"
 
     def bracket(self, x, y) -> Vector:
-        xv, yv = vector(x), vector(y)
-        n = self.dim
-        if len(xv) != n or len(yv) != n:
-            raise DimensionMismatchError("vector length differs from algebra dimension")
-        out = [Fraction(0)] * n
-        for i, xi in enumerate(xv):
-            if not xi:
-                continue
-            ci = self.brackets[i]
-            for j, yj in enumerate(yv):
-                if not yj:
-                    continue
-                row = ci[j]
-                s = xi * yj
-                for k in range(n):
-                    if row[k]:
-                        out[k] += s * row[k]
-        return tuple(out)
+        return self.apply(x, y)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieAlgebra):
@@ -131,9 +96,6 @@ class LieAlgebra:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __repr__(self) -> str:
-        return f"LieAlgebra(dim={self.dim})"
-
     def ensure_valid(self) -> None:
         if self._valid is None:
             ok, violations = validate_lie(self)
@@ -145,20 +107,6 @@ class LieAlgebra:
             raise InvalidLieAlgebraError("structure constants fail the Lie axioms")
 
 
-def _bracket_std(g: LieAlgebra, i: int, w) -> Vector:
-    """[e_i, w] for a standard basis vector e_i."""
-    n = g.dim
-    out = [Fraction(0)] * n
-    ci = g.brackets[i]
-    for j, wj in enumerate(w):
-        if wj:
-            row = ci[j]
-            for k in range(n):
-                if row[k]:
-                    out[k] += wj * row[k]
-    return tuple(out)
-
-
 def validate_lie(g: LieAlgebra) -> tuple[bool, list[Violation]]:
     """Check antisymmetry and the Jacobi identity on all basis tuples.
 
@@ -167,19 +115,26 @@ def validate_lie(g: LieAlgebra) -> tuple[bool, list[Violation]]:
     """
     n = g.dim
     c = g.brackets
+    std = standard_basis(n)
     violations: list[Violation] = []
     zero = zero_vector(n)
+    # Identities whose bracket slices all vanish hold trivially.
+    nonzero = [[any(v) for v in row] for row in c]
     for i in range(n):
         for j in range(i, n):
+            if not (nonzero[i][j] or nonzero[j][i]):
+                continue
             defect = tuple(a + b for a, b in zip(c[i][j], c[j][i]))
             if any(defect):
                 violations.append(Violation("antisymmetry", (i, j), defect))
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                d1 = _bracket_std(g, i, c[j][k])
-                d2 = _bracket_std(g, j, c[k][i])
-                d3 = _bracket_std(g, k, c[i][j])
+                if not (nonzero[j][k] or nonzero[k][i] or nonzero[i][j]):
+                    continue
+                d1 = g.apply(std[i], c[j][k])
+                d2 = g.apply(std[j], c[k][i])
+                d3 = g.apply(std[k], c[i][j])
                 defect = tuple(a + b + d for a, b, d in zip(d1, d2, d3))
                 if defect != zero:
                     violations.append(Violation("jacobi", (i, j, k), defect))
@@ -190,21 +145,7 @@ def validate_lie(g: LieAlgebra) -> tuple[bool, list[Violation]]:
 
 def ad(g: LieAlgebra, x) -> Matrix:
     """Adjoint operator of x: the matrix of y -> [x, y]."""
-    xv = vector(x)
-    if len(xv) != g.dim:
-        raise DimensionMismatchError("vector length differs from algebra dimension")
-    n = g.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, xi in enumerate(xv):
-        if not xi:
-            continue
-        ci = g.brackets[i]
-        for j in range(n):
-            row = ci[j]
-            for k in range(n):
-                if row[k]:
-                    rows[k][j] += xi * row[k]
-    return Matrix(rows)
+    return g.operator(x)
 
 
 def bracket_of_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
@@ -293,15 +234,11 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix, Matrix
     g.ensure_valid()
     if ideal.ambient_dim != g.dim:
         raise DimensionMismatchError("ideal ambient dimension differs from algebra")
+    bad = g.escape(ideal)
+    if bad is not None:
+        raise NotAnIdealError(f"[{g.name(bad[1])}, ideal basis vector] leaves the subspace")
     n = g.dim
     std = standard_basis(n)
-    for b in ideal.basis:
-        for i in range(n):
-            img = _bracket_std(g, i, b)
-            if not ideal.contains(img):
-                raise NotAnIdealError(
-                    f"[{g.name(i)}, ideal basis vector] leaves the subspace"
-                )
     free = [c for c in range(n) if c not in set(ideal.pivots)]
     q = len(free)
     proj_cols = []
@@ -310,16 +247,10 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix, Matrix
         proj_cols.append([r[f] for f in free])
     projection = Matrix.from_columns(proj_cols) if q else Matrix.zeros(0, n)
     section = Matrix.from_columns([std[f] for f in free]) if q else Matrix.zeros(n, 0)
-
-    tensor = [[zero_vector(q) for _ in range(q)] for _ in range(q)]
-    for a in range(q):
-        for b in range(q):
-            w = g.bracket(std[free[a]], std[free[b]])
-            tensor[a][b] = projection.apply(w)
     names = None
     if g.basis_names is not None:
         names = tuple(g.basis_names[f] for f in free)
-    return LieAlgebra(tensor, names), projection, section
+    return LieAlgebra(g.quotient_tensor(ideal), names), projection, section
 
 
 @dataclass(frozen=True)

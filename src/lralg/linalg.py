@@ -38,7 +38,7 @@ def to_fraction(x) -> Fraction:
 
 
 def vector(xs) -> Vector:
-    return tuple(to_fraction(x) for x in xs)
+    return tuple(map(to_fraction, xs))
 
 
 def zero_vector(n: int) -> Vector:
@@ -588,3 +588,114 @@ def fitting_split_family(ms) -> FittingSplit:
     for part in v0_parts:
         v_0 = subspace_sum(v_0, part)
     return FittingSplit(running, v_0, _projection_onto(running, v_0))
+
+
+Tensor = tuple[tuple[Vector, ...], ...]
+
+
+class Bilinear:
+    """Bilinear map on Q^dim given by structure constants.
+
+    tensor[i][j][k] is the coefficient of e_k in e_i . e_j.  The dense
+    tensor is kept for indexing, hashing and emission; the loops below
+    visit only the nonzero constants of each pair (i, j), the form of
+    GAP's structure-constant tables (de Graaf, Lie Algebras: Theory and
+    Algorithms, 2000).  LieAlgebra and Product are the subclasses;
+    _kind names the one at hand in error messages.
+    """
+
+    __slots__ = ("dim", "tensor", "_nz")
+    _kind = "bilinear map"
+
+    def __init__(self, tensor):
+        t = tuple(tuple(map(vector, row)) for row in tensor)
+        n = len(t)
+        if any(len(row) != n or any(len(v) != n for v in row) for row in t):
+            raise DimensionMismatchError(f"{self._kind} tensor must be dim x dim x dim")
+        self.dim = n
+        self.tensor = t
+        # _nz[i * dim + j] lists the (k, tensor[i][j][k]) with a nonzero value.
+        self._nz = tuple(tuple((k, c) for k, c in enumerate(v) if c) for row in t for v in row)
+
+    @classmethod
+    def _dense(cls, dim: int, pairs) -> list:
+        """Nested lists of the tensor given by a sparse {(i, j): {k: value}}
+        map, 0-based; absent constants are zero."""
+        t = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        for (i, j), comps in pairs.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise DimensionMismatchError(f"{cls._kind} pair ({i}, {j}) out of range")
+            for k, val in comps.items():
+                if not 0 <= k < dim:
+                    raise DimensionMismatchError(f"component index {k} out of range")
+                t[i][j][k] = to_fraction(val)
+        return t
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(dim={self.dim})"
+
+    def _vector(self, x) -> Vector:
+        v = vector(x)
+        if len(v) != self.dim:
+            raise DimensionMismatchError(f"vector length differs from {self._kind} dimension")
+        return v
+
+    def apply(self, x, y) -> Vector:
+        """x . y"""
+        xv, yv = self._vector(x), self._vector(y)
+        n, nz = self.dim, self._nz
+        ys = [(j, yj) for j, yj in enumerate(yv) if yj]
+        out = [Fraction(0)] * n
+        for i, xi in enumerate(xv):
+            if xi:
+                base = i * n
+                for j, yj in ys:
+                    s = xi * yj
+                    for k, c in nz[base + j]:
+                        out[k] += s * c
+        return tuple(out)
+
+    def operator(self, x, right: bool = False) -> Matrix:
+        """Matrix of y -> x . y, or of y -> y . x when right is set."""
+        xv = self._vector(x)
+        n, nz = self.dim, self._nz
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i, xi in enumerate(xv):
+            if xi:
+                for j in range(n):
+                    for k, c in nz[j * n + i] if right else nz[i * n + j]:
+                        rows[k][j] += xi * c
+        return Matrix(rows)
+
+    def escape(self, s: Subspace, both_sides: bool = False) -> tuple[str, int] | None:
+        """First place where s fails to absorb the map, or None.
+
+        For each basis vector b of s and each i in turn, e_i . b must lie
+        in s (else ("left", i)) and, with both_sides, so must b . e_i
+        (else ("right", i)).
+        """
+        std = standard_basis(self.dim)
+        for b in s.basis:
+            for i, e in enumerate(std):
+                if not s.contains(self.apply(e, b)):
+                    return "left", i
+                if both_sides and not s.contains(self.apply(b, e)):
+                    return "right", i
+        return None
+
+    def quotient_tensor(self, s: Subspace) -> Tensor:
+        """Tensor induced on the non-pivot coordinates of s.
+
+        The basis of the quotient by s is the image of the standard
+        basis vectors at those coordinates; meaningful when escape(s)
+        is None.
+        """
+        pivots = set(s.pivots)
+        free = [c for c in range(self.dim) if c not in pivots]
+        t = self.tensor
+
+        def coords(v) -> Vector:
+            r = s.reduce(v)
+            return tuple(r[f] for f in free)
+
+        return tuple(tuple(coords(t[a][b]) for b in free) for a in free)

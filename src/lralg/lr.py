@@ -1,6 +1,6 @@
 """Products on a vector space and the LR identities.
 
-A Product stores the full table p[i][j][k], meaning
+A Product is a linalg.Bilinear whose tensor, exposed as table, means
 e_i * e_j = sum_k p[i][j][k] e_k.  The two LR identities are
 
     x * (y * z) = y * (x * z)        (left multiplications commute)
@@ -24,14 +24,13 @@ from .errors import (
 )
 from .lie import LieAlgebra, Violation, series
 from .linalg import (
+    Bilinear,
     Matrix,
     Subspace,
     Vector,
     is_nilpotent_operator,
     standard_basis,
-    to_fraction,
     vector,
-    zero_vector,
 )
 
 LR_LEFT = "x(yz) = y(xz)"
@@ -39,56 +38,26 @@ LR_RIGHT = "(xy)z = (xz)y"
 COMPATIBILITY = "xy - yx = [x,y]"
 
 
-class Product:
-    __slots__ = ("dim", "table")
+class Product(Bilinear):
+    __slots__ = ()
+    _kind = "product"
+    table = Bilinear.tensor  # the structure tensor under its product name
 
     def __init__(self, table):
-        entries = [[tuple(to_fraction(x) for x in v) for v in row] for row in table]
-        dim = len(entries)
-        for row in entries:
-            if len(row) != dim or any(len(v) != dim for v in row):
-                raise DimensionMismatchError("product table must be dim x dim x dim")
-        self.dim = dim
-        self.table = tuple(tuple(row) for row in entries)
+        super().__init__(table)
 
     @classmethod
     def from_entries(cls, dim: int, pairs) -> "Product":
         """Build from a sparse {(i, j): {k: value}} map, 0-based, no
         symmetry assumed."""
-        t = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), comps in pairs.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise DimensionMismatchError(f"product pair ({i}, {j}) out of range")
-            for k, val in comps.items():
-                if not 0 <= k < dim:
-                    raise DimensionMismatchError(f"component index {k} out of range")
-                t[i][j][k] = to_fraction(val)
-        return cls(t)
+        return cls(cls._dense(dim, pairs))
 
     @classmethod
     def zero(cls, dim: int) -> "Product":
-        z = zero_vector(dim)
-        return cls(tuple(tuple(z for _ in range(dim)) for _ in range(dim)))
+        return cls.from_entries(dim, {})
 
     def evaluate(self, x, y) -> Vector:
-        xv, yv = vector(x), vector(y)
-        n = self.dim
-        if len(xv) != n or len(yv) != n:
-            raise DimensionMismatchError("vector length differs from product dimension")
-        out = [Fraction(0)] * n
-        for i, xi in enumerate(xv):
-            if not xi:
-                continue
-            ti = self.table[i]
-            for j, yj in enumerate(yv):
-                if not yj:
-                    continue
-                row = ti[j]
-                s = xi * yj
-                for k in range(n):
-                    if row[k]:
-                        out[k] += s * row[k]
-        return tuple(out)
+        return self.apply(x, y)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Product):
@@ -97,46 +66,15 @@ class Product:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __repr__(self) -> str:
-        return f"Product(dim={self.dim})"
-
 
 def left_op(p: Product, x) -> Matrix:
     """Matrix of y -> x * y."""
-    xv = vector(x)
-    if len(xv) != p.dim:
-        raise DimensionMismatchError("vector length differs from product dimension")
-    n = p.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, xi in enumerate(xv):
-        if not xi:
-            continue
-        ti = p.table[i]
-        for j in range(n):
-            row = ti[j]
-            for k in range(n):
-                if row[k]:
-                    rows[k][j] += xi * row[k]
-    return Matrix(rows)
+    return p.operator(x)
 
 
 def right_op(p: Product, x) -> Matrix:
     """Matrix of y -> y * x."""
-    xv = vector(x)
-    if len(xv) != p.dim:
-        raise DimensionMismatchError("vector length differs from product dimension")
-    n = p.dim
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        tj = p.table[j]
-        for m, xm in enumerate(xv):
-            if not xm:
-                continue
-            row = tj[m]
-            for k in range(n):
-                if row[k]:
-                    rows[k][j] += xm * row[k]
-    return Matrix(rows)
+    return p.operator(x, right=True)
 
 
 def _basis_ops(p: Product) -> tuple[list[Matrix], list[Matrix]]:
@@ -375,19 +313,7 @@ def quotient_product(g: LieAlgebra, p: Product, ideal: Subspace) -> Product:
     """
     if g.dim != p.dim or ideal.ambient_dim != p.dim:
         raise DimensionMismatchError("algebra, product and ideal dimensions differ")
-    n = p.dim
-    std = standard_basis(n)
-    for b in ideal.basis:
-        for i in range(n):
-            if not ideal.contains(p.evaluate(std[i], b)):
-                raise NotTwoSidedIdealError("subspace is not stable under left products")
-            if not ideal.contains(p.evaluate(b, std[i])):
-                raise NotTwoSidedIdealError("subspace is not stable under right products")
-    free = [c for c in range(n) if c not in set(ideal.pivots)]
-    q = len(free)
-    table = [[zero_vector(q) for _ in range(q)] for _ in range(q)]
-    for a in range(q):
-        for b in range(q):
-            w = ideal.reduce(p.table[free[a]][free[b]])
-            table[a][b] = tuple(w[f] for f in free)
-    return Product(table)
+    bad = p.escape(ideal, both_sides=True)
+    if bad is not None:
+        raise NotTwoSidedIdealError(f"subspace is not stable under {bad[0]} products")
+    return Product(p.quotient_tensor(ideal))

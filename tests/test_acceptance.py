@@ -14,6 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
+import lralg
 from lralg.catalog import (
     diag_solvable,
     filiform,
@@ -564,7 +565,8 @@ def test_criterion_8_lift_quotient_round_trip():
 
 
 def test_criterion_9_cli_contract(tmp_path):
-    env = dict(os.environ)
+    # the child runs in tmp_path, so a relative PYTHONPATH would not resolve
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lralg.__file__)))
 
     def cli(*argv, cwd=None):
         return subprocess.run(

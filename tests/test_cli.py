@@ -1,11 +1,13 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import lralg
 from lralg.cli import main
 from lralg.io import parse_file
 
@@ -295,6 +297,22 @@ class TestContract:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"dim": 2, "dim": 3}',
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"dim": 1, "basis": ["\xff"]}',
+        ],
+    )
+    def test_unusable_bytes_are_code_2(self, capsys, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -320,10 +338,12 @@ class TestContract:
         assert first == second
 
     def test_entry_point_subprocess(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(lralg.__file__))
         out = subprocess.run(
             [sys.executable, "-m", "lralg", "--version"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=root),
         )
         assert out.returncode == 0
         assert out.stdout.startswith("lralg ")

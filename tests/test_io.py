@@ -169,6 +169,27 @@ class TestParseFile:
             parse_file(str(path))
         assert "line" in str(err.value) and "column" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "raw,fragment",
+        [
+            (b'{"dim": 2, "dim": 3}', "duplicate key 'dim'"),
+            (b'{"dim": 2, "brackets": [{"i": 1, "j": 2, "v": {"2": "1", "2": "3"}}]}',
+             "duplicate key '2'"),
+            (b'{"dim": 2, "brackets": [{"i": 1, "i": 1, "j": 2, "v": {}}]}', "duplicate key 'i'"),
+            (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+            (b'{"a": ' * 100_000 + b"1" + b"}" * 100_000, "nested too deeply"),
+            (b'{"dim": 2, "basis": ["\xff", "b"]}', "not UTF-8"),
+            (b'{"dim": ' + b"1" * 5000 + b"}", "invalid JSON"),
+        ],
+    )
+    def test_rejected_bytes(self, tmp_path, raw, fragment):
+        path = tmp_path / "in.json"
+        path.write_bytes(raw)
+        with pytest.raises(FileFormatError) as err:
+            parse_file(str(path))
+        assert fragment in str(err.value)
+        assert str(path) in str(err.value)
+
     def test_happy_path(self, tmp_path):
         path = tmp_path / "ok.json"
         path.write_text('{"dim": 1}')

@@ -139,12 +139,16 @@ def test_backend_selected():
 
 
 def test_env_override_forces_python(tmp_path, monkeypatch):
+    import os
     import subprocess
     import sys
 
+    import lralg
+
+    root = os.path.dirname(os.path.dirname(lralg.__file__))
     out = subprocess.run(
         [sys.executable, "-c", "from lralg._kernels import BACKEND; print(BACKEND)"],
-        env={"LRALG_KERNELS": "py", "PATH": "/usr/bin:/bin"},
+        env={"LRALG_KERNELS": "py", "PATH": "/usr/bin:/bin", "PYTHONPATH": root},
         capture_output=True,
         text=True,
     )
