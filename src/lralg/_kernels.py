@@ -1,4 +1,4 @@
-"""Pure Python integer matrix kernels.
+"""Integer matrix kernels.
 
 These are the hot inner loops of the library: multiplication and row
 reduction of matrices held as flat lists of Python ints.  A rational
@@ -7,8 +7,9 @@ so the kernels never see fractions.  Row reduction is insensitive to a
 global scalar factor, which is why working on the numerators alone is
 enough.
 
-The compiled twin in _ckernels.pyx implements the same three functions
-with identical semantics; lralg._kernels picks one at import time.
+lralg.linalg calls them as attributes of this module (K.mat_mul and so
+on), never through a copied binding, so a tracer that replaces the
+module attributes sees every call.  No kernel calls another one.
 """
 
 from math import gcd

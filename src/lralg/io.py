@@ -10,6 +10,7 @@ so emitting what was parsed reproduces the bytes.
 from __future__ import annotations
 
 import json
+import os
 import re
 from fractions import Fraction
 from typing import Any
@@ -18,7 +19,14 @@ from .errors import FileFormatError
 from .lie import LieAlgebra
 from .lr import Product
 
-_RATIONAL = re.compile(r"^-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?$")
+# Both are used with fullmatch: "$" would also match before a trailing
+# newline and let "1\n" through.
+_RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
+_INDEX_KEY = re.compile(r"[1-9][0-9]*")
+
+# The tensors are dense, so dim costs dim**3 entries before any other
+# check can run; a larger dim is rejected before anything is allocated.
+MAX_DIM = 128
 
 _TOP_KEYS = {"dim", "basis", "brackets", "product"}
 _ENTRY_KEYS = {"i", "j", "v"}
@@ -28,17 +36,32 @@ def _fail(path: str, message: str) -> None:
     raise FileFormatError(f"{path}: {message}")
 
 
+def _show(value: Any) -> str:
+    """repr of an input value for a diagnostic.
+
+    Python refuses to print an int of more than 4300 digits, which a
+    decoded object (not a parsed file) can hold.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        return "a value too long to print"
+
+
 def _parse_rational(text: Any, path: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL.match(text):
-        _fail(path, f"expected a rational string like '3' or '-1/2', got {text!r}")
-    return Fraction(text)
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        _fail(path, f"expected a rational string like '3' or '-1/2', got {_show(text)}")
+    try:
+        return Fraction(text)
+    except ValueError:
+        _fail(path, f"rational with {len(text)} characters has too many digits")
 
 
 def _parse_index(value: Any, dim: int, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        _fail(path, f"expected an integer, got {value!r}")
+        _fail(path, f"expected an integer, got {_show(value)}")
     if not 1 <= value <= dim:
-        _fail(path, f"index {value} out of range 1..{dim}")
+        _fail(path, f"index {_show(value)} out of range 1..{dim}")
     return value - 1
 
 
@@ -47,11 +70,12 @@ def _parse_values(obj: Any, dim: int, path: str) -> dict[int, Fraction]:
         _fail(path, "expected an object mapping indices to rationals")
     out: dict[int, Fraction] = {}
     for key, raw in obj.items():
-        if not re.match(r"^[1-9][0-9]*$", key):
+        if not _INDEX_KEY.fullmatch(key):
             _fail(f"{path}.{key}", "keys must be positive integers written as strings")
+        # Compare lengths first: int() refuses very long digit strings.
+        if len(key) > len(str(dim)) or int(key) > dim:
+            _fail(f"{path}.{key}", f"index {key} out of range 1..{dim}")
         k = int(key)
-        if k > dim:
-            _fail(f"{path}.{key}", f"index {k} out of range 1..{dim}")
         out[k - 1] = _parse_rational(raw, f"{path}.{key}")
     return out
 
@@ -95,7 +119,9 @@ def parse_data(obj: Any, source: str = "input") -> tuple[LieAlgebra, Product | N
         _fail(source, "missing key 'dim'")
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        _fail(f"{source}.dim", f"expected a positive integer, got {dim!r}")
+        _fail(f"{source}.dim", f"expected a positive integer, got {_show(dim)}")
+    if dim > MAX_DIM:
+        _fail(f"{source}.dim", f"dimension {_show(dim)} exceeds the supported maximum {MAX_DIM}")
 
     names = None
     if "basis" in obj:
@@ -179,6 +205,18 @@ def format_algebra(algebra: LieAlgebra, product: Product | None = None) -> str:
 
 
 def emit_file(path: str, algebra: LieAlgebra, product: Product | None = None) -> None:
+    """Write the canonical text to path atomically.
+
+    The text goes to a new file next to path, which then replaces path,
+    so a failed write leaves any earlier file at path as it was.
+    """
     text = format_algebra(algebra, product)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

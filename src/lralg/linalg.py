@@ -3,8 +3,8 @@
 Matrices are stored as flat integer arrays with one positive common
 denominator; gcd(content, denominator) = 1, so the representation of a
 rational matrix is canonical and equality is structural.  All heavy
-loops (multiplication, row reduction) run in the integer kernels
-selected by lralg._kernels.
+loops (multiplication, row reduction) run in the integer kernels of
+lralg._kernels.
 
 Vectors at the API boundary are tuples of fractions.Fraction.
 Subspaces carry their reduced row echelon basis, which again makes

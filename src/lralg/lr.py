@@ -147,7 +147,7 @@ def check_complete(p: Product) -> bool:
     Requires the right multiplications to commute; then nilpotency of
     the basis operators already covers all linear combinations.
     """
-    lmats, rmats = _basis_ops(p)
+    rmats = [right_op(p, e) for e in standard_basis(p.dim)]
     n = p.dim
     for i in range(n):
         for j in range(i + 1, n):

@@ -9,7 +9,7 @@ import pytest
 
 import lralg
 from lralg.cli import main
-from lralg.io import parse_file
+from lralg.io import MAX_DIM, parse_file
 
 
 def run(capsys, *argv):
@@ -303,6 +303,17 @@ class TestContract:
             b'{"dim": 2, "dim": 3}',
             b"[" * 100_000 + b"]" * 100_000,
             b'{"dim": 1, "basis": ["\xff"]}',
+            b'{"dim": %d}' % (MAX_DIM + 1),
+            b'{"dim": 2, "brackets": [{"i": 1, "j": 2, "v": {"1\\n": "1"}}]}',
+            b'{"dim": 2, "brackets": [{"i": 1, "j": 2, "v": {"2": "3\\n"}}]}',
+            pytest.param(
+                b'{"dim": 2, "brackets": [{"i": 1, "j": 2, "v": {"' + b"1" * 5000 + b'": "1"}}]}',
+                id="5000-digit-key",
+            ),
+            pytest.param(
+                b'{"dim": 2, "brackets": [{"i": 1, "j": 2, "v": {"2": "' + b"1" * 5000 + b'"}}]}',
+                id="5000-digit-rational",
+            ),
         ],
     )
     def test_unusable_bytes_are_code_2(self, capsys, tmp_path, raw):

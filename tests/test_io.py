@@ -2,13 +2,16 @@
 and diagnostics that name the offending field."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lralg.catalog import known_lr, known_lr_names
 from lralg.errors import FileFormatError
-from lralg.io import emit_file, format_algebra, parse_data, parse_file
+from lralg.io import MAX_DIM, emit_file, format_algebra, parse_data, parse_file
 from lralg.lie import LieAlgebra
 from lralg.lr import Product
 
@@ -89,6 +92,26 @@ class TestParseErrors:
                 "duplicate",
             ),
             (17, "top level"),
+            ({"dim": MAX_DIM + 1}, "supported maximum"),
+            ({"dim": 10**5000}, "supported maximum"),
+            ({"dim": [-(10**5000)]}, "positive integer"),
+            ({"dim": 2, "brackets": [{"i": 10**5000, "j": 2, "v": {}}]}, "out of range"),
+            ({"dim": 2, "brackets": [{"i": 1, "j": 2, "v": {"2": [10**5000]}}]}, "rational"),
+            ({"dim": 2, "brackets": [{"i": 1, "j": 2, "v": {"1\n": "1"}}]}, "positive integers"),
+            (
+                {"dim": 2, "brackets": [{"i": 1, "j": 2, "v": {"1": "1", "1\n": "5"}}]},
+                "positive integers",
+            ),
+            ({"dim": 2, "brackets": [{"i": 1, "j": 2, "v": {"2": "3\n"}}]}, "rational"),
+            ({"dim": 2, "brackets": [{"i": 1, "j": 2, "v": {"1" * 5000: "1"}}]}, "out of range"),
+            (
+                {"dim": 2, "brackets": [{"i": 1, "j": 2, "v": {"2": "1" * 5000}}]},
+                "too many digits",
+            ),
+            (
+                {"dim": 2, "product": [{"i": 1, "j": 2, "v": {"2": "1/" + "1" * 5000}}]},
+                "too many digits",
+            ),
         ],
     )
     def test_diagnostics(self, obj, fragment):
@@ -104,6 +127,48 @@ class TestParseErrors:
                 "input.json",
             )
         assert "input.json.brackets[0].v.1" in str(err.value)
+
+
+# Objects shaped almost like a valid file, with arbitrary JSON-like
+# values in some fields.  Dims, keys and rationals are drawn from lists
+# where valid values outnumber invalid ones, so that parsing often gets
+# as far as the components.  Ints past Python's 4300-digit limit are in
+# test_diagnostics only: hypothesis cannot print them.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_near_values = st.dictionaries(
+    st.sampled_from(["1", "2", "3", "1", "2", "3", "0", "01", "1\n", "1" * 5000]),
+    st.sampled_from(["1", "-1/2", "2/4", "1/0", "3\n", "1.5", "1" * 5000, "1/" + "1" * 5000])
+    | _json,
+    max_size=3,
+)
+
+
+def _near_entries(pairs):
+    entry = st.builds(lambda ij, v: {"i": ij[0], "j": ij[1], "v": v}, pairs, _near_values)
+    return st.lists(entry, max_size=3)
+
+
+_near_file = st.fixed_dictionaries(
+    {"dim": st.sampled_from([0, MAX_DIM + 1, True, "3", 1, 2, 3, 3, 3, 3, 3, 3])},
+    optional={
+        "brackets": _near_entries(st.sampled_from([(1, 2), (1, 3), (2, 3), (2, 1)])),
+        "product": _near_entries(st.tuples(st.integers(1, 3), st.integers(1, 3))) | _json,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_file)
+def test_parse_data_raises_only_file_format_errors(obj):
+    try:
+        parse_data(obj, "fuzz")
+    except FileFormatError:
+        pass
 
 
 class TestEmit:
@@ -154,6 +219,29 @@ class TestRoundTrip:
         emit_file(str(path), g)
         g2, p2 = parse_file(str(path))
         assert g2 == g and p2 is None
+
+
+class TestEmitFile:
+    def test_replaces_existing_file(self, tmp_path):
+        g, p = known_lr("r2-completed")
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old")
+        emit_file(str(path), g, p)
+        assert path.read_text(encoding="utf-8") == format_algebra(g, p)
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_failed_write_keeps_target(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        g, p = known_lr("r2-completed")
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            emit_file(str(path), g, p)
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.json"]
 
 
 class TestParseFile:
