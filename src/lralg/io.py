@@ -36,14 +36,21 @@ def _fail(path: str, message: str) -> None:
     raise FileFormatError(f"{path}: {message}")
 
 
+def _clip(text: str) -> str:
+    """Input text for a diagnostic: text over 20 characters is cut to
+    its first 10 and its length, so a huge key or value cannot flood
+    stderr."""
+    return text if len(text) <= 20 else f"{text[:10]}...({len(text)} chars)"
+
+
 def _show(value: Any) -> str:
-    """repr of an input value for a diagnostic.
+    """repr of an input value for a diagnostic, clipped.
 
     Python refuses to print an int of more than 4300 digits, which a
     decoded object (not a parsed file) can hold.
     """
     try:
-        return repr(value)
+        return _clip(repr(value))
     except ValueError:
         return "a value too long to print"
 
@@ -70,13 +77,14 @@ def _parse_values(obj: Any, dim: int, path: str) -> dict[int, Fraction]:
         _fail(path, "expected an object mapping indices to rationals")
     out: dict[int, Fraction] = {}
     for key, raw in obj.items():
+        here = f"{path}.{_clip(key)}"
         if not _INDEX_KEY.fullmatch(key):
-            _fail(f"{path}.{key}", "keys must be positive integers written as strings")
+            _fail(here, "keys must be positive integers written as strings")
         # Compare lengths first: int() refuses very long digit strings.
         if len(key) > len(str(dim)) or int(key) > dim:
-            _fail(f"{path}.{key}", f"index {key} out of range 1..{dim}")
+            _fail(here, f"index {_clip(key)} out of range 1..{dim}")
         k = int(key)
-        out[k - 1] = _parse_rational(raw, f"{path}.{key}")
+        out[k - 1] = _parse_rational(raw, here)
     return out
 
 
@@ -93,7 +101,7 @@ def _parse_entries(
             _fail(here, "expected an object with keys i, j, v")
         extra = set(entry) - _ENTRY_KEYS
         if extra:
-            _fail(here, f"unknown keys {sorted(extra)}")
+            _fail(here, f"unknown keys {[_clip(k) for k in sorted(extra)]}")
         missing = _ENTRY_KEYS - set(entry)
         if missing:
             _fail(here, f"missing keys {sorted(missing)}")
@@ -114,7 +122,7 @@ def parse_data(obj: Any, source: str = "input") -> tuple[LieAlgebra, Product | N
         _fail(source, "top level must be an object")
     extra = set(obj) - _TOP_KEYS
     if extra:
-        _fail(source, f"unknown keys {sorted(extra)}")
+        _fail(source, f"unknown keys {[_clip(k) for k in sorted(extra)]}")
     if "dim" not in obj:
         _fail(source, "missing key 'dim'")
     dim = obj["dim"]
@@ -149,7 +157,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     obj: dict[str, Any] = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
+            raise ValueError(f"duplicate key {_clip(repr(key))}")
         obj[key] = value
     return obj
 

@@ -24,6 +24,8 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _scale_fractions,
+    _to_vector,
     complement,
     solve,
     standard_basis,
@@ -111,33 +113,37 @@ def validate_lie(g: LieAlgebra) -> tuple[bool, list[Violation]]:
     """Check antisymmetry and the Jacobi identity on all basis tuples.
 
     Returns (ok, violations); each violation carries the basis indices
-    and the defect vector.
+    and the defect vector.  The sums run on the integer constants
+    g._inz; a defect becomes Fractions only when it is nonzero.
     """
-    n = g.dim
-    c = g.brackets
-    std = standard_basis(n)
+    n, inz, den = g.dim, g._inz, g._den
     violations: list[Violation] = []
-    zero = zero_vector(n)
     # Identities whose bracket slices all vanish hold trivially.
-    nonzero = [[any(v) for v in row] for row in c]
     for i in range(n):
         for j in range(i, n):
-            if not (nonzero[i][j] or nonzero[j][i]):
+            ij, ji = inz[i * n + j], inz[j * n + i]
+            if not (ij or ji):
                 continue
-            defect = tuple(a + b for a, b in zip(c[i][j], c[j][i]))
-            if any(defect):
-                violations.append(Violation("antisymmetry", (i, j), defect))
+            out = [0] * n
+            for k, c in ij + ji:
+                out[k] += c
+            if any(out):
+                violations.append(Violation("antisymmetry", (i, j), _to_vector(out, den)))
+    # [e_a, [e_b, e_c]] summed over the cyclic shifts of (i, j, k), times den**2.
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if not (nonzero[j][k] or nonzero[k][i] or nonzero[i][j]):
+                cyclic = ((i, j, k), (j, k, i), (k, i, j))
+                if not any(inz[b * n + c] for _, b, c in cyclic):
                     continue
-                d1 = g.apply(std[i], c[j][k])
-                d2 = g.apply(std[j], c[k][i])
-                d3 = g.apply(std[k], c[i][j])
-                defect = tuple(a + b + d for a, b, d in zip(d1, d2, d3))
-                if defect != zero:
-                    violations.append(Violation("jacobi", (i, j, k), defect))
+                out = [0] * n
+                for a, b, c in cyclic:
+                    base = a * n
+                    for m, x in inz[b * n + c]:
+                        for t, y in inz[base + m]:
+                            out[t] += x * y
+                if any(out):
+                    violations.append(Violation("jacobi", (i, j, k), _to_vector(out, den * den)))
     ok = not violations
     g._valid = ok
     return ok, violations
@@ -149,11 +155,33 @@ def ad(g: LieAlgebra, x) -> Matrix:
 
 
 def bracket_of_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    """Span of all [u, v] with u in a, v in b."""
+    """Span of all [u, v] with u in a, v in b.
+
+    The basis vectors are scaled to integers and multiplied through the
+    integer constants g._inz; each product is a positive multiple of
+    [u, v], which leaves the span unchanged.
+    """
     if a.ambient_dim != g.dim or b.ambient_dim != g.dim:
         raise DimensionMismatchError("subspace ambient dimension differs from algebra")
-    vecs = [g.bracket(u, v) for u in a.basis for v in b.basis]
-    return Subspace.from_vectors(g.dim, vecs)
+    n, inz = g.dim, g._inz
+
+    def sparse(s: Subspace) -> list[list[tuple[int, int]]]:
+        return [[(i, x) for i, x in enumerate(_scale_fractions(u)[0]) if x] for u in s.basis]
+
+    us = sparse(a)
+    vs = us if b is a else sparse(b)
+    rows = []
+    for u in us:
+        for v in vs:
+            out = [0] * n
+            for i, x in u:
+                base = i * n
+                for j, y in v:
+                    s = x * y
+                    for k, c in inz[base + j]:
+                        out[k] += s * c
+            rows.append(out)
+    return Subspace._from_int_rows(n, rows)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,13 @@ rational matrix is canonical and equality is structural.  All heavy
 loops (multiplication, row reduction) run in the integer kernels of
 lralg._kernels.
 
-Vectors at the API boundary are tuples of fractions.Fraction.
+Structure tensors (Bilinear) keep their nonzero constants a second
+time as integer numerators over one common denominator, and the hot
+paths above the kernels (operators, spans of products, identity
+checks) run on those integers.  Fractions appear only at the edge:
+vectors at the API boundary are tuples of fractions.Fraction, and so
+are subspace bases and the defects of failed identities.
+
 Subspaces carry their reduced row echelon basis, which again makes
 equality structural: two subspaces are equal iff their bases are
 identical.
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import _kernels as K
 from .errors import (
@@ -38,7 +44,10 @@ def to_fraction(x) -> Fraction:
 
 
 def vector(xs) -> Vector:
-    return tuple(map(to_fraction, xs))
+    v = tuple(xs)
+    if set(map(type, v)) <= {Fraction}:
+        return v
+    return tuple(map(to_fraction, v))
 
 
 def zero_vector(n: int) -> Vector:
@@ -49,15 +58,20 @@ def standard_basis(n: int) -> list[Vector]:
     return [tuple(Fraction(1 if j == i else 0) for j in range(n)) for i in range(n)]
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+_ZERO = Fraction(0)
+
+
+def _to_vector(nums, den: int) -> Vector:
+    """The Fractions x / den for integer numerators x (the edge where
+    integer results leave the layer); zeros share one instance."""
+    return tuple(Fraction(x, den) if x else _ZERO for x in nums)
 
 
 def _scale_fractions(entries) -> tuple[list[int], int]:
     """Common-denominator form of a flat Fraction sequence."""
-    den = 1
-    for e in entries:
-        den = _lcm(den, e.denominator)
+    den = lcm(*{e.denominator for e in entries})
+    if den == 1:
+        return [e.numerator for e in entries], 1
     return [e.numerator * (den // e.denominator) for e in entries], den
 
 
@@ -139,6 +153,18 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self._num)
 
+    def commutes(self, other: "Matrix") -> bool:
+        """True iff self * other == other * self.
+
+        Both products carry the same denominator, so their numerator
+        lists are compared directly.
+        """
+        n = self.rows
+        if not (self.is_square and other.shape == self.shape):
+            raise DimensionMismatchError(f"commutator of {self.shape} and {other.shape}")
+        a, b = self._num, other._num
+        return K.mat_mul(a, b, n, n, n) == K.mat_mul(b, a, n, n, n)
+
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -146,13 +172,11 @@ class Matrix:
         return Fraction(self._num[i * self.cols + j], self._den)
 
     def row(self, i: int) -> Vector:
-        d = self._den
         base = i * self.cols
-        return tuple(Fraction(self._num[base + j], d) for j in range(self.cols))
+        return _to_vector(self._num[base:base + self.cols], self._den)
 
     def column(self, j: int) -> Vector:
-        d = self._den
-        return tuple(Fraction(self._num[i * self.cols + j], d) for i in range(self.rows))
+        return _to_vector(self._num[j::self.cols], self._den)
 
     def row_list(self) -> list[Vector]:
         return [self.row(i) for i in range(self.rows)]
@@ -224,8 +248,7 @@ class Matrix:
                     a = num[i * cols + j]
                     if a:
                         out[i] += a * x
-        d = self._den * vden
-        return tuple(Fraction(x, d) for x in out)
+        return _to_vector(out, self._den * vden)
 
     def transpose(self) -> "Matrix":
         num = [0] * (self.rows * self.cols)
@@ -311,14 +334,29 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors_) -> "Subspace":
-        vecs = [vector(v) for v in vectors_]
-        for v in vecs:
+        rows = []
+        for v in vectors_:
+            v = vector(v)
             if len(v) != ambient_dim:
                 raise DimensionMismatchError("vector length differs from ambient dimension")
-        if not vecs:
+            rows.append(_scale_fractions(v)[0])
+        return cls._from_int_rows(ambient_dim, rows)
+
+    @classmethod
+    def _from_int_rows(cls, ambient_dim: int, rows: list[list[int]]) -> "Subspace":
+        """Span of integer rows of length ambient_dim, zero rows allowed.
+
+        Row reduction ignores the scale of each row, so one kernel rref
+        of the nonzero rows gives the basis; Fractions are built only
+        for the rank rows it returns.
+        """
+        rows = [r for r in rows if any(r)]
+        if not rows:
             return cls(ambient_dim, (), ())
-        reduced, pivots, rank = Matrix(vecs).rref()
-        return cls(ambient_dim, tuple(reduced.row(i) for i in range(rank)), pivots)
+        num, den, pivots = K.rref([x for r in rows for x in r], len(rows), ambient_dim)
+        n = ambient_dim
+        basis = tuple(_to_vector(num[t * n:(t + 1) * n], den) for t in range(len(pivots)))
+        return cls(ambient_dim, basis, pivots)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -570,10 +608,7 @@ def fitting_split_family(ms) -> FittingSplit:
             raise DimensionMismatchError("family members must be square of equal size")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            a, b = mats[i], mats[j]
-            ab = K.mat_mul(a._num, b._num, n, n, n)
-            ba = K.mat_mul(b._num, a._num, n, n, n)
-            if ab != ba:
+            if not mats[i].commutes(mats[j]):
                 raise NonCommutingFamilyError(f"operators {i} and {j} do not commute")
 
     running = Subspace.full(n)
@@ -602,9 +637,16 @@ class Bilinear:
     GAP's structure-constant tables (de Graaf, Lie Algebras: Theory and
     Algorithms, 2000).  LieAlgebra and Product are the subclasses;
     _kind names the one at hand in error messages.
+
+    Both lists are built once.  _nz[i * dim + j] holds the pairs
+    (k, tensor[i][j][k]) with a nonzero Fraction value; _inz holds the
+    same pairs with the value times _den, the lcm of all denominators,
+    so an integer.  operator, and the span and identity checks in lie,
+    work on _inz and turn results into Fractions only when they leave:
+    a Matrix, a Subspace basis or the defect of a violation.
     """
 
-    __slots__ = ("dim", "tensor", "_nz")
+    __slots__ = ("dim", "tensor", "_nz", "_inz", "_den")
     _kind = "bilinear map"
 
     def __init__(self, tensor):
@@ -614,8 +656,11 @@ class Bilinear:
             raise DimensionMismatchError(f"{self._kind} tensor must be dim x dim x dim")
         self.dim = n
         self.tensor = t
-        # _nz[i * dim + j] lists the (k, tensor[i][j][k]) with a nonzero value.
-        self._nz = tuple(tuple((k, c) for k, c in enumerate(v) if c) for row in t for v in row)
+        self._nz = nz = tuple(tuple((k, c) for k, c in enumerate(v) if c) for row in t for v in row)
+        self._den = den = lcm(*{c.denominator for pairs in nz for _, c in pairs})
+        self._inz = tuple(
+            tuple((k, c.numerator * (den // c.denominator)) for k, c in pairs) for pairs in nz
+        )
 
     @classmethod
     def _dense(cls, dim: int, pairs) -> list:
@@ -657,15 +702,15 @@ class Bilinear:
 
     def operator(self, x, right: bool = False) -> Matrix:
         """Matrix of y -> x . y, or of y -> y . x when right is set."""
-        xv = self._vector(x)
-        n, nz = self.dim, self._nz
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i, xi in enumerate(xv):
+        xnum, xden = _scale_fractions(self._vector(x))
+        n, inz = self.dim, self._inz
+        num = [0] * (n * n)
+        for i, xi in enumerate(xnum):
             if xi:
                 for j in range(n):
-                    for k, c in nz[j * n + i] if right else nz[i * n + j]:
-                        rows[k][j] += xi * c
-        return Matrix(rows)
+                    for k, c in inz[j * n + i] if right else inz[i * n + j]:
+                        num[k * n + j] += xi * c
+        return Matrix._raw(n, n, num, xden * self._den)
 
     def escape(self, s: Subspace, both_sides: bool = False) -> tuple[str, int] | None:
         """First place where s fails to absorb the map, or None.

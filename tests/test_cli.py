@@ -324,6 +324,35 @@ class TestContract:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            pytest.param(
+                b'{"dim": 2, "brackets": [{"i": 1, "j": 2, "v": {"' + b"1" * 5000 + b'": "1"}}]}',
+                id="5000-digit-key",
+            ),
+            pytest.param(
+                b'{"dim": 2, "brackets": [{"i": 1, "j": 2, "v": {"' + b"x" * 5000 + b'": "1"}}]}',
+                id="5000-letter-key",
+            ),
+            pytest.param(b'{"dim": 2, "' + b"x" * 5000 + b'": 1}', id="5000-letter-unknown-key"),
+            pytest.param(
+                b'{"dim": 2, "' + b"x" * 5000 + b'": 1, "' + b"x" * 5000 + b'": 1}',
+                id="5000-letter-duplicate-key",
+            ),
+            pytest.param(
+                b'{"dim": 2, "brackets": [{"i": 1, "j": 2, "v": {"2": "' + b"1" * 5000 + b'x"}}]}',
+                id="5000-character-value",
+            ),
+        ],
+    )
+    def test_long_input_gives_short_diagnostic(self, capsys, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert len(err.encode()) < 300
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
