@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .catalog import known_lr, known_lr_names, named_algebra
@@ -24,7 +23,7 @@ from .errors import (
     PreconditionError,
     UnknownFixtureError,
 )
-from .io import emit_file, parse_file
+from .io import _parse_rational, emit_file, parse_file
 from .lie import series, is_two_step_solvable, validate_lie
 from .linalg import Matrix
 from .lr import check_lr, check_lemma14, sample_triples
@@ -84,10 +83,7 @@ def _parse_coords(text: str, dim: int, flag: str):
     parts = [s.strip() for s in text.split(",")]
     if len(parts) != dim:
         raise FileFormatError(f"{flag}: expected {dim} comma-separated rationals")
-    try:
-        return tuple(Fraction(s) for s in parts)
-    except (ValueError, ZeroDivisionError):
-        raise FileFormatError(f"{flag}: bad rational in {text!r}") from None
+    return tuple(_parse_rational(s, flag) for s in parts)
 
 
 def cmd_validate(args) -> int:

@@ -18,17 +18,17 @@ from .errors import (
     InvalidLieAlgebraError,
     NotAnIdealError,
     NotTwoStepSolvableError,
+    PreconditionError,
 )
 from .linalg import (
     Bilinear,
     Matrix,
     Subspace,
     Vector,
-    _scale_fractions,
     _to_vector,
     complement,
+    restrict_operator,
     solve,
-    standard_basis,
     subspace_sum,
     to_fraction,
     vector,
@@ -157,16 +157,16 @@ def ad(g: LieAlgebra, x) -> Matrix:
 def bracket_of_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of all [u, v] with u in a, v in b.
 
-    The basis vectors are scaled to integers and multiplied through the
-    integer constants g._inz; each product is a positive multiple of
-    [u, v], which leaves the span unchanged.
+    The integer rows of both bases are multiplied through the integer
+    constants g._inz; each product is a positive multiple of [u, v],
+    which leaves the span unchanged.
     """
     if a.ambient_dim != g.dim or b.ambient_dim != g.dim:
         raise DimensionMismatchError("subspace ambient dimension differs from algebra")
     n, inz = g.dim, g._inz
 
     def sparse(s: Subspace) -> list[list[tuple[int, int]]]:
-        return [[(i, x) for i, x in enumerate(_scale_fractions(u)[0]) if x] for u in s.basis]
+        return [[(i, x) for i, x in enumerate(u) if x] for u in s.rows._int_rows()]
 
     us = sparse(a)
     vs = us if b is a else sparse(b)
@@ -257,7 +257,8 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix, Matrix
 
     The quotient basis is the image of the standard basis vectors at
     the non-pivot coordinates of the ideal; the section maps them back,
-    so projection * section is the identity on the quotient.
+    so projection * section is the identity on the quotient.  Column j
+    of the projection is ideal.reduce(e_j) read at those coordinates.
     """
     g.ensure_valid()
     if ideal.ambient_dim != g.dim:
@@ -265,20 +266,13 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix, Matrix
     bad = g.escape(ideal)
     if bad is not None:
         raise NotAnIdealError(f"[{g.name(bad[1])}, ideal basis vector] leaves the subspace")
-    n = g.dim
-    std = standard_basis(n)
-    free = [c for c in range(n) if c not in set(ideal.pivots)]
-    q = len(free)
-    proj_cols = []
-    for j in range(n):
-        r = ideal.reduce(std[j])
-        proj_cols.append([r[f] for f in free])
-    projection = Matrix.from_columns(proj_cols) if q else Matrix.zeros(0, n)
-    section = Matrix.from_columns([std[f] for f in free]) if q else Matrix.zeros(n, 0)
+    comp = complement(ideal)
+    u = comp.rows  # unit rows at the free coordinates; complement(comp) at the pivots
+    projection = u - u * ideal.rows.transpose() * complement(comp).rows
     names = None
     if g.basis_names is not None:
-        names = tuple(g.basis_names[f] for f in free)
-    return LieAlgebra(g.quotient_tensor(ideal), names), projection, section
+        names = tuple(g.basis_names[f] for f in comp.pivots)
+    return LieAlgebra(g.quotient_tensor(ideal), names), projection, u.transpose()
 
 
 @dataclass(frozen=True)
@@ -315,17 +309,10 @@ class SplitDecomposition:
 
 def _phi_matrix(g: LieAlgebra, w, ginf: Subspace) -> Matrix:
     """Matrix of x -> [w, x] restricted to ginf, in ginf coordinates."""
-    k = ginf.dim
-    if k == 0:
-        return Matrix.zeros(0, 0)
-    cols = []
-    for b in ginf.basis:
-        img = g.bracket(w, b)
-        coords = ginf.coordinates(img)
-        if coords is None:
-            raise InternalConsistencyError("bracket left the stabilized term")
-        cols.append(coords)
-    return Matrix.from_columns(cols)
+    try:
+        return restrict_operator(g.operator(w), ginf)
+    except PreconditionError:
+        raise InternalConsistencyError("bracket left the stabilized term") from None
 
 
 def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
@@ -353,8 +340,7 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     free = list(comp.pivots)
     q = len(free)
     k = ginf.dim
-    std = standard_basis(n)
-    w_basis = [std[f] for f in free]
+    w_basis = list(comp.basis)
     phi_w = [_phi_matrix(g, w, ginf) for w in w_basis]
 
     # Correction tau: W -> g_infinity making {w + tau(w)} bracket-closed.

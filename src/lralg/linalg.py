@@ -6,16 +6,18 @@ rational matrix is canonical and equality is structural.  All heavy
 loops (multiplication, row reduction) run in the integer kernels of
 lralg._kernels.
 
-Structure tensors (Bilinear) keep their nonzero constants a second
-time as integer numerators over one common denominator, and the hot
-paths above the kernels (operators, spans of products, identity
-checks) run on those integers.  Fractions appear only at the edge:
-vectors at the API boundary are tuples of fractions.Fraction, and so
-are subspace bases and the defects of failed identities.
+A Subspace holds its reduced row echelon basis as such a Matrix, the
+kernel's rref as it comes, which again makes equality structural: two
+subspaces are equal iff their bases are identical.  Kernels, images,
+sums, intersections, membership and restriction of operators are
+Matrix algebra on those integer rows.
 
-Subspaces carry their reduced row echelon basis, which again makes
-equality structural: two subspaces are equal iff their bases are
-identical.
+Structure tensors (Bilinear) keep their nonzero constants as integer
+numerators over one common denominator, and products, operators, spans
+of products and identity checks run on those integers.  Fractions
+appear only at the edge: vectors at the API boundary are tuples of
+fractions.Fraction, and so are Subspace.basis and the defects of
+failed identities.
 """
 
 from __future__ import annotations
@@ -73,6 +75,14 @@ def _scale_fractions(entries) -> tuple[list[int], int]:
     if den == 1:
         return [e.numerator for e in entries], 1
     return [e.numerator * (den // e.denominator) for e in entries], den
+
+
+def _scaled(vec, n: int, what: str) -> tuple[list[int], int]:
+    """Common-denominator form of an input vector that must have length n."""
+    v = vector(vec)
+    if len(v) != n:
+        raise DimensionMismatchError(f"vector length differs from {what} dimension")
+    return _scale_fractions(v)
 
 
 class Matrix:
@@ -180,6 +190,11 @@ class Matrix:
 
     def row_list(self) -> list[Vector]:
         return [self.row(i) for i in range(self.rows)]
+
+    def _int_rows(self) -> list[list[int]]:
+        """The rows as lists of integer numerators over _den."""
+        c = self.cols
+        return [self._num[i * c:(i + 1) * c] for i in range(self.rows)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -325,21 +340,19 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
 class Subspace:
     """Linear subspace given by its reduced row echelon basis.
 
-    The basis is canonical, so == compares subspaces, not just bases.
+    rows holds that basis as a dim x ambient_dim Matrix, the kernel's
+    rref as it comes.  It is canonical, so == compares subspaces, not
+    just bases; Matrix is unhashable, so __hash__ reads its numerators.
+    basis gives the rows as Fraction tuples.
     """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    rows: Matrix
     pivots: tuple[int, ...]
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors_) -> "Subspace":
-        rows = []
-        for v in vectors_:
-            v = vector(v)
-            if len(v) != ambient_dim:
-                raise DimensionMismatchError("vector length differs from ambient dimension")
-            rows.append(_scale_fractions(v)[0])
+        rows = [_scaled(v, ambient_dim, "ambient")[0] for v in vectors_]
         return cls._from_int_rows(ambient_dim, rows)
 
     @classmethod
@@ -347,37 +360,51 @@ class Subspace:
         """Span of integer rows of length ambient_dim, zero rows allowed.
 
         Row reduction ignores the scale of each row, so one kernel rref
-        of the nonzero rows gives the basis; Fractions are built only
-        for the rank rows it returns.
+        of the nonzero rows gives the basis.
         """
         rows = [r for r in rows if any(r)]
         if not rows:
-            return cls(ambient_dim, (), ())
-        num, den, pivots = K.rref([x for r in rows for x in r], len(rows), ambient_dim)
+            return cls.zero(ambient_dim)
         n = ambient_dim
-        basis = tuple(_to_vector(num[t * n:(t + 1) * n], den) for t in range(len(pivots)))
-        return cls(ambient_dim, basis, pivots)
+        num, den, pivots = K.rref([x for r in rows for x in r], len(rows), n)
+        return cls(n, Matrix._raw(len(pivots), n, num[:len(pivots) * n], den), pivots)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, (), ())
+        return cls(ambient_dim, Matrix.zeros(0, ambient_dim), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        basis = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(ambient_dim))
-            for i in range(ambient_dim)
-        )
-        return cls(ambient_dim, basis, tuple(range(ambient_dim)))
+        return cls(ambient_dim, Matrix.identity(ambient_dim), tuple(range(ambient_dim)))
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.rows._den, tuple(self.rows._num)))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        return tuple(self.rows.row_list())
 
     def basis_matrix(self) -> Matrix:
-        if not self.basis:
-            return Matrix.zeros(0, self.ambient_dim)
-        return Matrix(self.basis)
+        return self.rows
+
+    def _remainder(self, vnum: list[int]) -> list[int]:
+        """rows._den times the remainder of the integer vector vnum; row t
+        is taken vnum[pivots[t]] times, since the other rows vanish there."""
+        n, rnum, rden = self.ambient_dim, self.rows._num, self.rows._den
+        out = [x * rden for x in vnum]
+        for t, p in enumerate(self.pivots):
+            c = vnum[p]
+            if c:
+                base = t * n
+                for j in range(n):
+                    a = rnum[base + j]
+                    if a:
+                        out[j] -= c * a
+        return out
 
     def reduce(self, vec) -> Vector:
         """Remainder of vec after eliminating all pivot coordinates.
@@ -385,19 +412,11 @@ class Subspace:
         vec minus the remainder lies in the subspace; the remainder has
         zeros at every pivot position.
         """
-        v = list(vector(vec))
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatchError("vector length differs from ambient dimension")
-        for b, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c:
-                for j in range(self.ambient_dim):
-                    if b[j]:
-                        v[j] -= c * b[j]
-        return tuple(v)
+        vnum, vden = _scaled(vec, self.ambient_dim, "ambient")
+        return _to_vector(self._remainder(vnum), vden * self.rows._den)
 
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        return not any(self._remainder(_scaled(vec, self.ambient_dim, "ambient")[0]))
 
     def coordinates(self, vec) -> Vector | None:
         """Coefficients of vec in the RREF basis, or None if outside."""
@@ -409,42 +428,33 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimensions differ")
-        return all(self.contains(b) for b in other.basis)
+        return not any(any(self._remainder(r)) for r in other.rows._int_rows())
 
     def from_coordinates(self, coords) -> Vector:
         """Ambient vector with the given coefficients in the RREF basis."""
         cs = vector(coords)
         if len(cs) != self.dim:
             raise DimensionMismatchError("coordinate length differs from subspace dimension")
-        out = [Fraction(0)] * self.ambient_dim
-        for c, b in zip(cs, self.basis):
-            if c:
-                for j in range(self.ambient_dim):
-                    if b[j]:
-                        out[j] += c * b[j]
-        return tuple(out)
+        return self.rows.transpose().apply(cs)
 
 
 def kernel(m: Matrix) -> Subspace:
     """Null space of m, a subspace of the domain."""
-    reduced, pivots, rank = m.rref()
     n = m.cols
-    pivot_set = set(pivots)
+    num, den, pivots = K.rref(m._num, m.rows, n)
     vecs = []
-    for j in range(n):
-        if j in pivot_set:
-            continue
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
+    for j in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[j] = den
         for t, p in enumerate(pivots):
-            v[p] = -reduced[t, j]
+            v[p] = -num[t * n + j]
         vecs.append(v)
-    return Subspace.from_vectors(n, vecs)
+    return Subspace._from_int_rows(n, vecs)
 
 
 def image(m: Matrix) -> Subspace:
     """Column space of m, a subspace of the codomain."""
-    return Subspace.from_vectors(m.rows, [m.column(j) for j in range(m.cols)])
+    return Subspace._from_int_rows(m.rows, [m._num[j::m.cols] for j in range(m.cols)])
 
 
 def solve(m: Matrix, b) -> Vector | None:
@@ -478,7 +488,7 @@ def solve(m: Matrix, b) -> Vector | None:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
-    return Subspace.from_vectors(a.ambient_dim, list(a.basis) + list(b.basis))
+    return Subspace._from_int_rows(a.ambient_dim, a.rows._int_rows() + b.rows._int_rows())
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -486,62 +496,57 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 
     x in both spans means x = sum c_i a_i = sum d_j b_j; the pairs
     (c, d) with sum c_i a_i - sum d_j b_j = 0 form the kernel of the
-    matrix whose columns are the a_i and the negated b_j.
+    matrix whose columns are the a_i and the negated b_j.  Integer
+    numerators serve as a_i and b_j: a rescaled row rescales its kernel
+    coordinate inversely, so x = (c, d) * [a_i; 0] stays the same.
     """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient_dim)
-    cols = [list(v) for v in a.basis] + [[-x for x in v] for v in b.basis]
-    coeff = Matrix.from_columns(cols)
-    vecs = []
-    for kv in kernel(coeff).basis:
-        x = [Fraction(0)] * a.ambient_dim
-        for i, c in enumerate(kv[: a.dim]):
-            if c:
-                for j in range(a.ambient_dim):
-                    x[j] += c * a.basis[i][j]
-        vecs.append(x)
-    return Subspace.from_vectors(a.ambient_dim, vecs)
+    n, k = a.ambient_dim, a.dim + b.dim
+    anum = a.rows._num
+    stacked = Matrix._raw(k, n, anum + [-x for x in b.rows._num], 1)
+    coeffs = kernel(stacked.transpose()).rows
+    xs = coeffs * Matrix._raw(k, n, anum + [0] * (b.dim * n), 1)
+    return Subspace._from_int_rows(n, xs._int_rows())
 
 
 def complement(s: Subspace) -> Subspace:
     """Standard-basis complement: coordinate vectors at non-pivot positions."""
     n = s.ambient_dim
     pivot_set = set(s.pivots)
-    vecs = [
-        tuple(Fraction(1 if j == c else 0) for j in range(n))
-        for c in range(n)
-        if c not in pivot_set
-    ]
     free = tuple(c for c in range(n) if c not in pivot_set)
-    return Subspace(n, tuple(vecs), free)
+    units = [int(j == c) for c in free for j in range(n)]
+    return Subspace(n, Matrix._raw(len(free), n, units, 1), free)
 
 
 def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
     """Matrix of m on an invariant subspace, in the RREF basis of s.
 
-    Raises PreconditionError if s is not invariant under m.
+    The columns of m * B (B the basis as columns) have their coordinates
+    in the pivot rows.  Raises PreconditionError if s is not invariant
+    under m, that is if B times those coordinates differs from m * B.
     """
     if not m.is_square or m.rows != s.ambient_dim:
         raise DimensionMismatchError("operator does not act on the ambient space")
-    k = s.dim
-    cols = []
-    for b in s.basis:
-        img = m.apply(b)
-        coords = tuple(img[p] for p in s.pivots)
-        if s.from_coordinates(coords) != img:
-            raise PreconditionError("subspace is not invariant under the operator")
-        cols.append(coords)
-    if k == 0:
-        return Matrix.zeros(0, 0)
-    return Matrix.from_columns(cols)
+    b = s.rows.transpose()
+    images = m * b
+    rows = images._int_rows()
+    coords = Matrix._raw(s.dim, s.dim, [x for p in s.pivots for x in rows[p]], images._den)
+    if b * coords != images:
+        raise PreconditionError("subspace is not invariant under the operator")
+    return coords
 
 
 def _embed(coord_space: Subspace, host: Subspace) -> Subspace:
-    """Map a subspace of host-coordinates back into the ambient space."""
-    vecs = [host.from_coordinates(c) for c in coord_space.basis]
-    return Subspace.from_vectors(host.ambient_dim, vecs)
+    """Map a subspace of host-coordinates back into the ambient space.
+
+    The product of the two RREFs is the RREF of the result, with pivots
+    host.pivots[q] for q in coord_space.pivots.
+    """
+    pivots = tuple(host.pivots[q] for q in coord_space.pivots)
+    return Subspace(host.ambient_dim, coord_space.rows * host.rows, pivots)
 
 
 def is_nilpotent_operator(m: Matrix) -> bool:
@@ -566,15 +571,16 @@ class FittingSplit:
 
 
 def _projection_onto(v_n: Subspace, v_0: Subspace) -> Matrix:
+    """target * basis**-1, basis with the rows of v_n and v_0 as columns
+    and target with v_n's and zeros; scaling a column of both alike (to
+    integer numerators) leaves the product unchanged."""
     n = v_n.ambient_dim
-    cols = [list(b) for b in v_n.basis] + [list(b) for b in v_0.basis]
-    if len(cols) != n:
+    if v_n.dim + v_0.dim != n:
         raise PreconditionError("subspaces do not decompose the ambient space")
-    basis_mat = Matrix.from_columns(cols)
-    target = Matrix.from_columns(
-        [list(b) for b in v_n.basis] + [[Fraction(0)] * n for _ in v_0.basis]
-    )
-    return target * basis_mat.inverse()
+    top = v_n.rows._num
+    basis = Matrix._raw(n, n, top + v_0.rows._num, 1).transpose()
+    target = Matrix._raw(n, n, top + [0] * (v_0.dim * n), 1).transpose()
+    return target * basis.inverse()
 
 
 def fitting_split_single(m: Matrix) -> FittingSplit:
@@ -619,9 +625,7 @@ def fitting_split_family(ms) -> FittingSplit:
         sub = fitting_split_single(restrict_operator(m, running))
         v0_parts.append(_embed(sub.v_0, running))
         running = _embed(sub.v_n, running)
-    v_0 = Subspace.zero(n)
-    for part in v0_parts:
-        v_0 = subspace_sum(v_0, part)
+    v_0 = Subspace._from_int_rows(n, [r for part in v0_parts for r in part.rows._int_rows()])
     return FittingSplit(running, v_0, _projection_onto(running, v_0))
 
 
@@ -638,15 +642,15 @@ class Bilinear:
     Algorithms, 2000).  LieAlgebra and Product are the subclasses;
     _kind names the one at hand in error messages.
 
-    Both lists are built once.  _nz[i * dim + j] holds the pairs
-    (k, tensor[i][j][k]) with a nonzero Fraction value; _inz holds the
-    same pairs with the value times _den, the lcm of all denominators,
-    so an integer.  operator, and the span and identity checks in lie,
-    work on _inz and turn results into Fractions only when they leave:
-    a Matrix, a Subspace basis or the defect of a violation.
+    _inz[i * dim + j] holds the pairs (k, tensor[i][j][k] * _den) for
+    the nonzero constants, where _den is the lcm of all denominators,
+    so every value is an integer; the list is built once.  apply,
+    operator, and the span and identity checks in lie, work on _inz and
+    turn results into Fractions only when they leave: a vector, a
+    Matrix or the defect of a violation.
     """
 
-    __slots__ = ("dim", "tensor", "_nz", "_inz", "_den")
+    __slots__ = ("dim", "tensor", "_inz", "_den")
     _kind = "bilinear map"
 
     def __init__(self, tensor):
@@ -656,10 +660,10 @@ class Bilinear:
             raise DimensionMismatchError(f"{self._kind} tensor must be dim x dim x dim")
         self.dim = n
         self.tensor = t
-        self._nz = nz = tuple(tuple((k, c) for k, c in enumerate(v) if c) for row in t for v in row)
-        self._den = den = lcm(*{c.denominator for pairs in nz for _, c in pairs})
+        self._den = den = lcm(*{c.denominator for row in t for v in row for c in v})
         self._inz = tuple(
-            tuple((k, c.numerator * (den // c.denominator)) for k, c in pairs) for pairs in nz
+            tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(v) if c)
+            for row in t for v in row
         )
 
     @classmethod
@@ -679,30 +683,29 @@ class Bilinear:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
 
-    def _vector(self, x) -> Vector:
-        v = vector(x)
-        if len(v) != self.dim:
-            raise DimensionMismatchError(f"vector length differs from {self._kind} dimension")
-        return v
-
     def apply(self, x, y) -> Vector:
         """x . y"""
-        xv, yv = self._vector(x), self._vector(y)
-        n, nz = self.dim, self._nz
-        ys = [(j, yj) for j, yj in enumerate(yv) if yj]
-        out = [Fraction(0)] * n
-        for i, xi in enumerate(xv):
+        xnum, xden = _scaled(x, self.dim, self._kind)
+        ynum, yden = _scaled(y, self.dim, self._kind)
+        n, inz = self.dim, self._inz
+        ys = [(j, yj) for j, yj in enumerate(ynum) if yj]
+        out = [0] * n
+        for i, xi in enumerate(xnum):
             if xi:
                 base = i * n
                 for j, yj in ys:
                     s = xi * yj
-                    for k, c in nz[base + j]:
+                    for k, c in inz[base + j]:
                         out[k] += s * c
-        return tuple(out)
+        return _to_vector(out, xden * yden * self._den)
 
     def operator(self, x, right: bool = False) -> Matrix:
         """Matrix of y -> x . y, or of y -> y . x when right is set."""
-        xnum, xden = _scale_fractions(self._vector(x))
+        xnum, xden = _scaled(x, self.dim, self._kind)
+        return Matrix._raw(self.dim, self.dim, self._int_operator(xnum, right), xden * self._den)
+
+    def _int_operator(self, xnum: list[int], right: bool) -> list[int]:
+        """Flat numerators of operator(x) over _den, for integer x."""
         n, inz = self.dim, self._inz
         num = [0] * (n * n)
         for i, xi in enumerate(xnum):
@@ -710,21 +713,24 @@ class Bilinear:
                 for j in range(n):
                     for k, c in inz[j * n + i] if right else inz[i * n + j]:
                         num[k * n + j] += xi * c
-        return Matrix._raw(n, n, num, xden * self._den)
+        return num
 
     def escape(self, s: Subspace, both_sides: bool = False) -> tuple[str, int] | None:
         """First place where s fails to absorb the map, or None.
 
         For each basis vector b of s and each i in turn, e_i . b must lie
         in s (else ("left", i)) and, with both_sides, so must b . e_i
-        (else ("right", i)).
+        (else ("right", i)).  Those products are column i of the right
+        and of the left operator of b, built from the integer rows of s.
         """
-        std = standard_basis(self.dim)
-        for b in s.basis:
-            for i, e in enumerate(std):
-                if not s.contains(self.apply(e, b)):
+        n = self.dim
+        for b in s.rows._int_rows():
+            left = self._int_operator(b, True)
+            right = self._int_operator(b, False) if both_sides else None
+            for i in range(n):
+                if any(s._remainder(left[i::n])):
                     return "left", i
-                if both_sides and not s.contains(self.apply(b, e)):
+                if both_sides and any(s._remainder(right[i::n])):
                     return "right", i
         return None
 

@@ -124,7 +124,7 @@ def check_lr(g: LieAlgebra, p: Product) -> LrReport:
     compatible = True
     for i in range(n):
         for j in range(i + 1, n):
-            if not (p._nz[i * n + j] or p._nz[j * n + i] or g._nz[i * n + j]):
+            if not (p._inz[i * n + j] or p._inz[j * n + i] or g._inz[i * n + j]):
                 continue
             defect = tuple(
                 p.table[i][j][k] - p.table[j][i][k] - g.brackets[i][j][k] for k in range(n)

@@ -1,7 +1,18 @@
 """Prints a one-line verdict per acceptance criterion at the end of any
-run that touched tests/test_acceptance.py."""
+run that touched tests/test_acceptance.py.
 
+The suite writes no bytecode: pytest loads this file before any test
+module imports lralg, and the subprocess tests copy os.environ.  Caches
+left in src/ would change the start-up time the pipeline benchmark
+measures on the checkout.
+"""
+
+import os
 import re
+import sys
+
+sys.dont_write_bytecode = True
+os.environ.setdefault("PYTHONDONTWRITEBYTECODE", "1")
 
 _results: dict[int, tuple[str, str]] = {}
 

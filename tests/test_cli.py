@@ -213,14 +213,22 @@ class TestTwoGen:
         assert code == 2
         assert "--x" in err
 
-    def test_bad_rational(self, capsys, fixture_file, tmp_path):
+    # Coordinates follow the file grammar: no exponents, decimals or
+    # underscores, and no numerator past Python's digit limit.
+    @pytest.mark.parametrize(
+        "coord", ["oops", "1e5", "0.5", "1_0", "7" * 5000],
+        ids=["word", "exponent", "decimal", "underscore", "5000-digits"],
+    )
+    def test_bad_rational(self, capsys, fixture_file, tmp_path, coord):
         path = fixture_file("r2")
         code, _, err = run(
             capsys,
-            "two-gen", path, "--x", "1,oops", "--y", "0,1",
+            "two-gen", path, "--x", f"1,{coord}", "--y", "0,1",
             "-o", str(tmp_path / "x.json"),
         )
         assert code == 2
+        assert "--x" in err
+        assert len(err.encode()) < 300
 
 
 class TestCatalog:

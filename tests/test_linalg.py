@@ -139,6 +139,15 @@ class TestSubspace:
         b = Subspace.from_vectors(2, [(3, 0), (0, "1/5")])
         assert a == b
 
+    def test_value_semantics(self):
+        a = Subspace.from_vectors(3, [(1, 2, 0), (0, 0, 1)])
+        b = Subspace.from_vectors(3, [(2, 4, 3), ("1/2", 1, "-1/3")])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, Subspace.full(3), Subspace.zero(3)}) == 3
+        assert isinstance(a.basis, tuple)
+        assert all(isinstance(v, tuple) and all(type(x) is F for x in v) for v in a.basis)
+        assert a.basis_matrix() == Matrix(a.basis)
+
     def test_contains_and_coordinates(self):
         s = Subspace.from_vectors(3, [(1, 0, 1), (0, 1, 1)])
         assert s.contains((2, 3, 5))

@@ -4,21 +4,39 @@ Metamorphic: answers must not depend on the basis.  A change of basis
 is applied to the raw structure constants with plain Fraction
 arithmetic, so the oracle does not lean on the products it checks.
 
-Oracle: operators, spans and Jacobi defects, which the library computes
-on integer numerators over a common denominator, must match a
-test-local computation on Fractions.
+Oracle: operators, spans, subspace algebra and Jacobi defects, which
+the library computes on integer numerators over a common denominator,
+must match a test-local computation on Fractions.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from lralg.catalog import diag_solvable, filiform, known_lr, known_lr_names
 from lralg.construct import complete_any, two_generator_lr
 from lralg.errors import PreconditionError
-from lralg.lie import LieAlgebra, bracket_of_subspaces, is_two_step_solvable, series, validate_lie
-from lralg.linalg import Matrix, Subspace, standard_basis
+from lralg.lie import (
+    LieAlgebra,
+    bracket_of_subspaces,
+    is_two_step_solvable,
+    quotient,
+    series,
+    validate_lie,
+)
+from lralg.linalg import (
+    Matrix,
+    Subspace,
+    complement,
+    image,
+    kernel,
+    restrict_operator,
+    standard_basis,
+    subspace_intersection,
+    subspace_sum,
+)
 from lralg.lr import Product, check_lr
 
 FIXTURES = [f for f in map(known_lr, known_lr_names()) if f[0].dim <= 6]
@@ -91,6 +109,12 @@ def test_basis_change_invariance(data):
 
     assert flags(g2, p2) == flags(g, p)
     assert series_dims(g2) == series_dims(g)
+    # The ideals are no longer coordinate subspaces; the projection must
+    # vanish on each one and invert the section.
+    for ideal in series(g2).lower_central:
+        _, proj, section = quotient(g2, ideal)
+        assert proj * section == Matrix.identity(g2.dim - ideal.dim)
+        assert all(not any(proj.apply(v)) for v in ideal.basis)
 
     lr, compatible, _ = flags(g, p)
     if lr and compatible and is_two_step_solvable(g):
@@ -147,6 +171,34 @@ def fraction_rref(rows, n):
     return tuple(tuple(row) for row in m[: len(pivots)]), tuple(pivots)
 
 
+def fraction_null(rows, n):
+    """Null space of the given rows, in the form fraction_rref returns."""
+    basis, pivots = fraction_rref(rows, n)
+    vecs = []
+    for j in range(n):
+        if j not in pivots:
+            v = [Fraction(0)] * n
+            v[j] = Fraction(1)
+            for r, p in zip(basis, pivots):
+                v[p] = -r[j]
+            vecs.append(v)
+    return fraction_rref(vecs, n)
+
+
+def fraction_apply(rows, v):
+    return tuple(sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in rows)
+
+
+def fraction_combination(coeffs, vectors, n):
+    return tuple(
+        sum((c * v[j] for c, v in zip(coeffs, vectors)), Fraction(0)) for j in range(n)
+    )
+
+
+def space(s):
+    return s.basis, s.pivots
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_integer_paths_match_fraction_oracle(data):
@@ -173,6 +225,46 @@ def test_integer_paths_match_fraction_oracle(data):
         assert (s.basis, s.pivots) == fraction_rref(prods, n)
 
     e = standard_basis(n)
+    assert space(subspace_sum(a, b)) == fraction_rref(va + vb, n)
+    # x lies in a and b iff the null vectors of both annihilate it.
+    annihilators = fraction_null(va, n)[0] + fraction_null(vb, n)[0]
+    assert space(subspace_intersection(a, b)) == fraction_null(annihilators, n)
+    assert a.contains_subspace(b) == (len(fraction_rref(va + vb, n)[1]) == a.dim)
+    assert space(complement(a)) == fraction_rref([e[c] for c in range(n) if c not in a.pivots], n)
+
+    basis, pivots = fraction_rref(va, n)
+    y = data.draw(vecs)
+    rem = tuple(
+        y[j] - sum((y[p] * r[j] for r, p in zip(basis, pivots)), Fraction(0)) for j in range(n)
+    )
+    assert a.reduce(y) == rem
+    assert a.contains(y) == (not any(rem))
+    assert a.coordinates(y) == (None if any(rem) else tuple(y[p] for p in pivots))
+    cs = data.draw(st.lists(sparse_rational, min_size=a.dim, max_size=a.dim))
+    z = fraction_combination(cs, basis, n)
+    assert a.from_coordinates(cs) == z
+    assert a.contains(z) and a.coordinates(z) == tuple(cs)
+
+    mrows = data.draw(st.lists(vecs, min_size=n, max_size=n))
+    m = Matrix(mrows)
+    assert space(kernel(m)) == fraction_null(mrows, n)
+    assert space(image(m)) == fraction_rref(list(zip(*mrows)), n)
+    # The Krylov span of y is invariant under m; a usually is not.
+    krylov = [y]
+    for _ in range(n - 1):
+        krylov.append(fraction_apply(mrows, krylov[-1]))
+    for rows in (krylov, va):
+        basis, pivots = fraction_rref(rows, n)
+        images = [fraction_apply(mrows, v) for v in basis]
+        coords = [tuple(im[p] for p in pivots) for im in images]
+        invariant = all(fraction_combination(c, basis, n) == im for c, im in zip(coords, images))
+        assert invariant or rows is va
+        if invariant:
+            assert restrict_operator(m, Subspace.from_vectors(n, rows)) == Matrix(list(zip(*coords)))
+        else:
+            with pytest.raises(PreconditionError):
+                restrict_operator(m, Subspace.from_vectors(n, rows))
+
     expected = []
     for i in range(n):
         for j in range(i, n):
