@@ -41,7 +41,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    fitting_split_family,
+    _fitting_split_commuting,
     standard_basis,
     vector,
     zero_vector,
@@ -87,7 +87,9 @@ def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
     The left multiplications commute; project onto the component where
     they all act nilpotently and premultiply: the completed product is
     (proj x) * y.  If p was already complete the projection is the
-    identity and the product is returned unchanged.
+    identity and the product is returned unchanged.  check_lr has just
+    certified the left identity, so the Fitting step takes the left
+    multiplications as commuting without testing them again.
     """
     g.ensure_valid()
     if not series(g).nilpotent:
@@ -99,7 +101,7 @@ def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
         )
     n = g.dim
     std = standard_basis(n)
-    fit = fitting_split_family([left_op(p, e) for e in std])
+    fit = _fitting_split_commuting([left_op(p, e) for e in std])
     table = []
     for i in range(n):
         x = fit.proj_n.column(i)

@@ -601,14 +601,13 @@ def fitting_split_single(m: Matrix) -> FittingSplit:
 def fitting_split_family(ms) -> FittingSplit:
     """Joint Fitting decomposition of a pairwise commuting family.
 
-    v_n is the largest subspace on which every operator is nilpotent,
-    computed by splitting off the invertible part of each operator in
-    turn; the leftover is the intersection of the generalized kernels.
+    Checks that the operators are square of one size and commute
+    pairwise (NonCommutingFamilyError names the first pair that does
+    not), then runs _fitting_split_commuting, the unchecked core for
+    callers that know the family commutes.
     """
     mats = list(ms)
-    if not mats:
-        raise DimensionMismatchError("empty operator family")
-    n = mats[0].rows
+    n = mats[0].rows if mats else 0
     for m in mats:
         if not m.is_square or m.rows != n:
             raise DimensionMismatchError("family members must be square of equal size")
@@ -616,7 +615,20 @@ def fitting_split_family(ms) -> FittingSplit:
         for j in range(i + 1, len(mats)):
             if not mats[i].commutes(mats[j]):
                 raise NonCommutingFamilyError(f"operators {i} and {j} do not commute")
+    return _fitting_split_commuting(mats)
 
+
+def _fitting_split_commuting(mats: list[Matrix]) -> FittingSplit:
+    """Joint Fitting decomposition of square operators of one size that
+    commute pairwise, which is assumed, not checked.
+
+    v_n is the largest subspace on which every operator is nilpotent,
+    computed by splitting off the invertible part of each operator in
+    turn; the leftover is the intersection of the generalized kernels.
+    """
+    if not mats:
+        raise DimensionMismatchError("empty operator family")
+    n = mats[0].rows
     running = Subspace.full(n)
     v0_parts: list[Subspace] = []
     for m in mats:

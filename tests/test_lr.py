@@ -5,14 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from lralg import _kernels
 from lralg.catalog import (
     abelian,
+    filiform,
     fixture_expectations,
     heisenberg,
     known_lr,
     known_lr_names,
     r2,
 )
+from lralg.construct import two_generator_lr
 from lralg.errors import (
     DimensionMismatchError,
     NotLrProductError,
@@ -327,6 +330,43 @@ class TestQuotientProduct:
                 w = p.table[free[a]][free[b]]
                 reduced = center.reduce(w)
                 assert q.table[a][b] == tuple(reduced[f] for f in free)
+
+
+class TestNoOperatorProducts:
+    """The certificates read products of products of the structure
+    constants; a dense operator product coming back into them shows up
+    as a kernel call, whatever the timing."""
+
+    @pytest.fixture
+    def mat_mul_calls(self, monkeypatch):
+        calls = []
+        real = _kernels.mat_mul
+
+        def counted(*args):
+            calls.append(args[2:])
+            return real(*args)
+
+        monkeypatch.setattr(_kernels, "mat_mul", counted)
+        return calls
+
+    def test_check_lr_and_check_complete(self, mat_mul_calls):
+        g = filiform(24)
+        e = standard_basis(24)
+        p = two_generator_lr(g, e[0], e[1])
+        mat_mul_calls.clear()
+        rep = check_lr(g, p)
+        assert rep.is_lr and rep.is_compatible and rep.is_complete
+        assert check_complete(p)
+        assert mat_mul_calls == []
+
+    def test_lemma14_outside_the_samples(self, mat_mul_calls):
+        e = standard_basis(12)
+        p = two_generator_lr(filiform(12), e[0], e[1])
+        mat_mul_calls.clear()
+        assert check_lemma14(p) == []
+        assert mat_mul_calls == []
+        assert check_lemma14(p, sample_triples(12, 1, seed=1)) == []
+        assert mat_mul_calls
 
 
 def test_constants_are_distinct():

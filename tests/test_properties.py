@@ -6,7 +6,9 @@ arithmetic, so the oracle does not lean on the products it checks.
 
 Oracle: operators, spans, subspace algebra and Jacobi defects, which
 the library computes on integer numerators over a common denominator,
-must match a test-local computation on Fractions.
+must match a test-local computation on Fractions.  The LR certificates,
+which the library reads from products of products of structure
+constants, must match the dense operator-matrix checks they replaced.
 """
 
 from fractions import Fraction
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from lralg.catalog import diag_solvable, filiform, known_lr, known_lr_names
+from lralg import lr
+from lralg.catalog import abelian, diag_solvable, filiform, known_lr, known_lr_names
 from lralg.construct import complete_any, two_generator_lr
 from lralg.errors import PreconditionError
 from lralg.lie import (
@@ -31,13 +34,25 @@ from lralg.linalg import (
     Subspace,
     complement,
     image,
+    is_nilpotent_operator,
     kernel,
     restrict_operator,
     standard_basis,
     subspace_intersection,
     subspace_sum,
 )
-from lralg.lr import Product, check_lr
+from lralg.lr import (
+    COMPATIBILITY,
+    LEMMA_IDENTITIES,
+    LR_LEFT,
+    LR_RIGHT,
+    Product,
+    check_complete,
+    check_lr,
+    left_op,
+    right_op,
+    two_of_three,
+)
 
 FIXTURES = [f for f in map(known_lr, known_lr_names()) if f[0].dim <= 6]
 
@@ -284,3 +299,107 @@ def test_integer_paths_match_fraction_oracle(data):
     ok, violations = validate_lie(g)
     assert ok == (not expected)
     assert [(v.identity, v.indices, v.defect) for v in violations] == expected
+
+
+def dense_lr_violations(p):
+    """The dense check: basis operator matrices, their pairwise
+    commutators, and each nonzero column k of the commutator of i < j."""
+    e = standard_basis(p.dim)
+    out = []
+    for identity, op in ((LR_LEFT, left_op), (LR_RIGHT, right_op)):
+        mats = [op(p, x) for x in e]
+        for i in range(p.dim):
+            for j in range(i + 1, p.dim):
+                d = mats[i] * mats[j] - mats[j] * mats[i]
+                for k in range(p.dim):
+                    if any(d.column(k)):
+                        out.append((identity, (i, j, k), d.column(k)))
+    return out
+
+
+def dense_lemma_violations(p):
+    """The dense basis identities of Lemma 14: operator products of
+    basis vectors and of the products e_j e_k, compared as matrices."""
+    n, e = p.dim, standard_basis(p.dim)
+    ls = [left_op(p, x) for x in e]
+    rs = [right_op(p, x) for x in e]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for which, a, b in (
+                (0, ls[i] * rs[j], right_op(p, p.table[i][j])),
+                (1, rs[i] * ls[j], left_op(p, p.table[j][i])),
+            ):
+                if a != b:
+                    out.append((LEMMA_IDENTITIES[which], (i, j), a - b))
+    for j in range(n):
+        for k in range(n):
+            w = p.table[j][k]
+            if not any(w):
+                continue
+            for i in range(n):
+                checks = (
+                    (2, ls[i] * right_op(p, w), right_op(p, p.evaluate(e[i], w))),
+                    (3, rs[i] * left_op(p, w), left_op(p, p.evaluate(w, e[i]))),
+                    (4, ls[i] * left_op(p, w), left_op(p, p.evaluate(e[j], p.table[i][k]))),
+                    (5, rs[i] * right_op(p, w), right_op(p, p.evaluate(p.table[j][i], e[k]))),
+                )
+                for which, a, b in checks:
+                    if a != b:
+                        out.append((LEMMA_IDENTITIES[which], (i, j, k), a - b))
+    return out
+
+
+def triples(violations):
+    return [(v.identity, v.indices, v.defect) for v in violations]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_lr_certificates_match_dense_operator_checks(data):
+    """Mostly failing inputs: arbitrary constants, antisymmetric or not."""
+    n = data.draw(st.integers(1, 4))
+    p = Product(data.draw(mixed_tensor(n)))
+    dense = dense_lr_violations(p)
+    compatibility = [
+        (COMPATIBILITY, (i, j), tuple(a - b for a, b in zip(p.table[i][j], p.table[j][i])))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if p.table[i][j] != p.table[j][i]
+    ]
+    rep = check_lr(abelian(n), p)
+    assert triples(rep.violations) == dense + compatibility
+    assert rep.is_lr == (not dense)
+
+    rights = [right_op(p, x) for x in standard_basis(n)]
+    nilpotent = all(map(is_nilpotent_operator, rights))
+    if any(v[0] == LR_RIGHT for v in dense):
+        assert rep.is_complete is False
+        with pytest.raises(PreconditionError):
+            check_complete(p)
+    else:
+        assert rep.is_complete == check_complete(p) == nilpotent
+
+    # Past the gate of check_lemma14 the basis identities hold by the
+    # lemma; off it they must still be the dense operator identities.
+    assert triples(lr._lemma_violations(lr._Contraction(p))) == dense_lemma_violations(p)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_completeness_chain_is_nilpotency(data):
+    """LR inputs, in the basis they come in or after a change of basis."""
+    g, p = data.draw(algebra_and_product())
+    if data.draw(st.booleans()):
+        m, minv = data.draw(invertible(g.dim))
+        g = LieAlgebra(change_basis(g.brackets, m, minv))
+        p = Product(change_basis(p.table, m, minv))
+    rep = check_lr(g, p)
+    assume(rep.is_lr)
+    e = standard_basis(p.dim)
+    rights = all(is_nilpotent_operator(right_op(p, x)) for x in e)
+    lefts = all(is_nilpotent_operator(left_op(p, x)) for x in e)
+    assert rep.is_complete == check_complete(p) == rights
+    if rep.is_compatible:
+        t = two_of_three(g, p)
+        assert (t.left_nilpotent, t.right_nilpotent) == (lefts, rights)
