@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     DimensionMismatchError,
@@ -40,11 +41,10 @@ from .linalg import (
     FittingSplit,
     Matrix,
     Subspace,
-    Vector,
     _fitting_split_commuting,
+    _scale_fractions,
     standard_basis,
     vector,
-    zero_vector,
 )
 from .lr import (
     Product,
@@ -81,6 +81,52 @@ def _witness(new: Product, old: Product) -> ContainmentWitness:
     return ContainmentWitness(new_span, old_span, old_span.contains_subspace(new_span))
 
 
+def _sparse_columns(m: Matrix) -> list[list[tuple[int, int]]]:
+    """The nonzero (row, numerator) pairs of each column of a square m."""
+    n, num = m.cols, m._num
+    return [[(a, num[a * n + i]) for a in range(n) if num[a * n + i]] for i in range(n)]
+
+
+def _transport(inz, n: int, first: Matrix, second: Matrix, out: Matrix) -> tuple[list, int]:
+    """Integer constants of (x, y) -> out p(first x, second y), for the
+    bilinear map p on Q^n with integer constants inz in _inz's layout.
+
+    Returns the constants, in that layout with nonzero numerators only,
+    and the factor first._den * second._den * out._den by which their
+    denominator exceeds p's.  The first argument is contracted for all
+    pairs at once, then the second, then the output, so a dense change
+    of basis costs O(n^4) products of integers.
+    """
+    firsts, seconds, outs = _sparse_columns(first), _sparse_columns(second), _sparse_columns(out)
+    rows = []
+    for i in range(n):
+        # half[b] = p(first e_i, e_b), as nonzero (c, numerator) pairs
+        half: list = [None] * n
+        for a, x in firsts[i]:
+            base = a * n
+            for b in range(n):
+                w = inz[base + b]
+                if w:
+                    acc = half[b]
+                    if acc is None:
+                        acc = half[b] = [0] * n
+                    for c, v in w:
+                        acc[c] += x * v
+        half = [[(c, v) for c, v in enumerate(acc) if v] if acc else () for acc in half]
+        for j in range(n):
+            mid = [0] * n
+            for b, y in seconds[j]:
+                for c, v in half[b]:
+                    mid[c] += y * v
+            res = [0] * n
+            for c, z in enumerate(mid):
+                if z:
+                    for k, t in outs[c]:
+                        res[k] += t * z
+            rows.append([(k, v) for k, v in enumerate(res) if v])
+    return rows, first._den * second._den * out._den
+
+
 def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
     """Turn an LR-structure on a nilpotent algebra into a complete one.
 
@@ -89,7 +135,8 @@ def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
     (proj x) * y.  If p was already complete the projection is the
     identity and the product is returned unchanged.  check_lr has just
     certified the left identity, so the Fitting step takes the left
-    multiplications as commuting without testing them again.
+    multiplications as commuting without testing them again.  The
+    table p(proj e_i, e_j) is contracted from p's integer constants.
     """
     g.ensure_valid()
     if not series(g).nilpotent:
@@ -100,13 +147,10 @@ def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
             f"input is not an LR-structure, first violation: {report.violations[0]}"
         )
     n = g.dim
-    std = standard_basis(n)
-    fit = _fitting_split_commuting([left_op(p, e) for e in std])
-    table = []
-    for i in range(n):
-        x = fit.proj_n.column(i)
-        table.append(tuple(p.evaluate(x, std[j]) for j in range(n)))
-    completed = Product(tuple(table))
+    fit = _fitting_split_commuting([left_op(p, e) for e in standard_basis(n)])
+    ident = Matrix.identity(n)
+    rows, scale = _transport(p._inz, n, fit.proj_n, ident, ident)
+    completed = Product._from_int(n, rows, p._den * scale)
 
     witness = _witness(completed, p)
     if not witness.holds:
@@ -147,8 +191,10 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
 
     In the adapted basis (g_infinity first) the product is
     (a, x) . (b, y) = (phi(x) b, x . y); the result is transported back
-    to the original coordinates.  Requires phi to vanish on all
-    products of q; when q is complete the lift is checked to be
+    to the original coordinates: the table C p_ad(C^-1 e_i, C^-1 e_j),
+    for C the change of basis, is contracted on integers from the
+    constants of q and the numerators of phi.  Requires phi to vanish
+    on all products of q; when q is complete the lift is checked to be
     complete as well.
     """
     g = split.algebra
@@ -174,33 +220,28 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
                     "the action does not vanish on a product of complement elements"
                 )
 
-    zero = zero_vector(n)
-    adapted = [[zero for _ in range(n)] for _ in range(n)]
+    # The adapted product: e_{k+a} e_t = phi_a e_t for t < k, and
+    # e_{k+a} e_{k+b} = q(e_a, e_b) shifted past g_infinity.
+    den = lcm(q._den, *(pa._den for pa in split.phi))
+    adapted: list = [()] * (n * n)
     for a in range(m):
         pa = split.phi[a]
+        s = den // pa._den
         for t in range(k):
-            col = pa.column(t)
-            adapted[k + a][t] = tuple(col) + zero_vector(m)
+            col = pa._num[t::k]
+            adapted[(k + a) * n + t] = [(r, c * s) for r, c in enumerate(col) if c]
+        s = den // q._den
         for b in range(m):
-            adapted[k + a][k + b] = zero_vector(k) + tuple(q.table[a][b])
-    p_ad = Product(tuple(tuple(row) for row in adapted))
-
+            adapted[(k + a) * n + k + b] = [(k + c, v * s) for c, v in q._inz[a * m + b]]
     change = split.change_of_basis
     inv = change.inverse()
-    std = standard_basis(n)
-    cols = [inv.column(i) for i in range(n)]
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(change.apply(p_ad.evaluate(cols[i], cols[j])))
-        table.append(tuple(row))
-    lifted = Product(tuple(table))
+    rows, scale = _transport(adapted, n, inv, inv, change)
+    lifted = Product._from_int(n, rows, den * scale)
 
     post = check_lr(g, lifted)
     if not (post.is_lr and post.is_compatible):
         raise InternalConsistencyError("lifted product fails the LR identities")
-    if check_complete(q) and not post.is_complete:
+    if rep.is_complete and not post.is_complete:
         raise InternalConsistencyError("lift of a complete product is not complete")
     return lifted
 
@@ -291,6 +332,40 @@ def lr_for_g3(g: LieAlgebra) -> Product:
     return lifted
 
 
+def _scan_order(n: int):
+    """(0, 0), then the pairs (k, l) with 0 <= k <= n and 1 <= l <= n
+    in order of (k + l, l, k)."""
+    yield 0, 0
+    for total in range(1, 2 * n + 1):
+        for l in range(max(1, total - n), min(total, n) + 1):
+            yield total - l, l
+
+
+def _echelon_add(echelon: list[tuple[int, list[int]]], u: list[int]) -> bool:
+    """Add the integer vector u to the echelon rows if it is independent
+    of them, and say whether it was.
+
+    Each row is stored with its pivot, the first nonzero coordinate of
+    what is left of it after the rows before it are eliminated; so the
+    later rows vanish at every earlier pivot, and eliminating the rows
+    in order leaves zeros at all pivots.
+    """
+    w = u
+    for p, r in echelon:
+        c = w[p]
+        if c:
+            a = r[p]
+            w = [a * x - c * y for x, y in zip(w, r)]
+            g = gcd(*w)
+            if g > 1:
+                w = [x // g for x in w]
+    pivot = next((j for j, x in enumerate(w) if x), None)
+    if pivot is None:
+        return False
+    echelon.append((pivot, w))
+    return True
+
+
 def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     """LR-structure on a two-step solvable algebra generated by x and y.
 
@@ -304,6 +379,15 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     (so L(y) = ad(y)); the identities and compatibility are verified on
     the result.  Completeness is NOT asserted; chain with complete_any
     when a complete structure is required.
+
+    The scan is lazy: each candidate is one integer bracket of the one
+    before it in its chain, formed when the scan reaches it, reduced
+    against one growing echelon basis, and the scan stops at n vectors.
+    Those n vectors are independent brackets of x and y, which proves
+    that x and y generate g; only a scan that falls short computes the
+    generated subalgebra, to tell a non-generating pair from an
+    internal failure.  The operator of a candidate is formed only once
+    the candidate is kept, and the table is summed on integers.
     """
     g.ensure_valid()
     if not is_two_step_solvable(g):
@@ -312,62 +396,83 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     n = g.dim
     if len(xv) != n or len(yv) != n:
         raise DimensionMismatchError("generator length differs from algebra dimension")
-    if subalgebra_generated(g, [xv, yv]).dim != n:
-        raise NotGeneratedError("the two elements do not generate the algebra")
 
     ad_x = ad(g, xv)
     ad_y = ad(g, yv)
+    cols_x, cols_y = _sparse_columns(ad_x), _sparse_columns(ad_y)
 
-    # candidates[(k, l)] = (vector ad(y)^k ad(x)^l y, operator
-    # ad(y)^k ad(x)^l ad(y)); (0, 0) is y itself.
-    chain_vec = {0: yv}
-    chain_op = {0: ad_y}
-    for l in range(1, n + 1):
-        chain_vec[l] = ad_x.apply(chain_vec[l - 1])
-        chain_op[l] = ad_x * chain_op[l - 1]
-    candidates: dict[tuple[int, int], tuple[Vector, Matrix]] = {}
-    for l in range(0, n + 1):
-        v, op = chain_vec[l], chain_op[l]
-        for k in range(0, n + 1):
-            candidates[(k, l)] = (v, op)
-            v = ad_y.apply(v)
-            op = ad_y * op
+    def step(kl: tuple[int, int]) -> tuple[tuple[int, int], Matrix, list]:
+        """The pair before kl in its chain, and the operator leading from
+        it to kl with its sparse columns: ad(y) from (k - 1, l), ad(x)
+        from (0, l - 1)."""
+        k, l = kl
+        return ((k - 1, l), ad_y, cols_y) if k else ((0, l - 1), ad_x, cols_x)
 
-    order = [(0, 0)] + sorted(
-        ((k, l) for k in range(n + 1) for l in range(1, n + 1)),
-        key=lambda kl: (kl[0] + kl[1], kl[1], kl[0]),
-    )
-
-    selected: list[tuple[Vector, Matrix]] = []
-    span = Subspace.zero(n)
-    def try_add(vec: Vector, op: Matrix) -> None:
-        nonlocal span
-        if span.dim < n and not span.contains(vec):
-            selected.append((vec, op))
-            span = Subspace.from_vectors(n, [s[0] for s in selected])
-
-    try_add(xv, Matrix.zeros(n, n))
-    for kl in order:
-        if span.dim == n:
+    # vectors[(k, l)] = (u, d): ad(y)^k ad(x)^l y = u / d in lowest terms.
+    # selected holds (u, d, (k, l)) per kept vector, (k, l) None for x.
+    xnum, xden = _scale_fractions(xv)
+    vectors = {(0, 0): _scale_fractions(yv)}
+    selected = []
+    echelon: list[tuple[int, list[int]]] = []
+    if _echelon_add(echelon, xnum):
+        selected.append((xnum, xden, None))
+    for kl in _scan_order(n):
+        if len(echelon) == n:
             break
-        try_add(*candidates[kl])
-    if span.dim != n:
+        if kl not in vectors:
+            before, m, cols = step(kl)
+            pu, pd = vectors[before]
+            u = [0] * n
+            for j, c in enumerate(pu):
+                if c:
+                    for i, a in cols[j]:
+                        u[i] += a * c
+            d = pd * m._den
+            h = gcd(*u, d)
+            vectors[kl] = ([c // h for c in u], d // h) if h > 1 else (u, d)
+        u, d = vectors[kl]
+        if _echelon_add(echelon, u):
+            selected.append((u, d, kl))
+    if len(echelon) != n:
+        if subalgebra_generated(g, [xv, yv]).dim != n:
+            raise NotGeneratedError("the two elements do not generate the algebra")
         raise InternalConsistencyError("candidate vectors do not span the algebra")
 
-    basis_mat = Matrix.from_columns([list(v) for v, _ in selected])
-    inv = basis_mat.inverse()
-    std = standard_basis(n)
-    table = []
+    # ops[(k, l)] = ad(y)^k ad(x)^l ad(y), formed along the same chains.
+    ops = {(0, 0): ad_y}
+
+    def op(kl: tuple[int, int]) -> Matrix:
+        path = []
+        while kl not in ops:
+            path.append(kl)
+            kl = step(kl)[0]
+        m = ops[kl]
+        for kl in reversed(path):
+            m = ops[kl] = step(kl)[1] * m
+        return m
+
+    # With B = U diag(1/d_s) the basis (U the integer columns u_s),
+    # L(e_i) = sum_s (B^-1)[s, i] op_s = sum_s d_s (U^-1)[s, i] op_s.
+    uinv = Matrix._raw(n, n, [u[i] for i in range(n) for u, _, _ in selected], 1).inverse()
+    terms = [(s, d, op(kl)) for s, (_, d, kl) in enumerate(selected) if kl is not None]
+    den = lcm(*(m._den for _, _, m in terms))
+    sparse = [
+        (s, d * (den // m._den), [(t, a) for t, a in enumerate(m._num) if a])
+        for s, d, m in terms
+    ]
+    rows = []
     for i in range(n):
-        coeffs = inv.apply(std[i])
-        acc = None
-        for c, (_, op) in zip(coeffs, selected):
+        acc = [0] * (n * n)
+        for s, w, entries in sparse:
+            c = uinv._num[s * n + i]
             if c:
-                term = op * c
-                acc = term if acc is None else acc + term
-        l_i = acc if acc is not None else Matrix.zeros(n, n)
-        table.append(tuple(l_i.column(j) for j in range(n)))
-    p = Product(tuple(table))
+                c *= w
+                for t, a in entries:
+                    acc[t] += c * a
+        # acc[k * n + j] is entry (k, j) of L(e_i), component k of e_i e_j
+        for j in range(n):
+            rows.append([(k, acc[k * n + j]) for k in range(n) if acc[k * n + j]])
+    p = Product._from_int(n, rows, uinv._den * den)
 
     post = check_lr(g, p)
     if not (post.is_lr and post.is_compatible):

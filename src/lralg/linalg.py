@@ -659,7 +659,9 @@ class Bilinear:
     so every value is an integer; the list is built once.  apply,
     operator, and the span and identity checks in lie, work on _inz and
     turn results into Fractions only when they leave: a vector, a
-    Matrix or the defect of a violation.
+    Matrix or the defect of a violation.  Constructions that compute
+    their constants on integers build the map with _from_int, which
+    takes _inz and a denominator instead of a Fraction tensor.
     """
 
     __slots__ = ("dim", "tensor", "_inz", "_den")
@@ -677,6 +679,45 @@ class Bilinear:
             tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(v) if c)
             for row in t for v in row
         )
+
+    @classmethod
+    def _from_int(cls, dim: int, inz, den: int) -> "Bilinear":
+        """The map whose constants tensor[i][j][k] are c / den for the
+        pairs (k, c) of inz[i * dim + j], in _inz's layout; every c is
+        a nonzero integer and den > 0.
+
+        gcd(den, every c) is divided out, which leaves _den the lcm of
+        the reduced denominators, as __init__ computes it.  Only for
+        subclasses that hold no state beyond Bilinear's.
+        """
+        g = den
+        for w in inz:
+            for _, c in w:
+                g = gcd(g, c)
+            if g == 1:
+                break
+        if g > 1:
+            inz = [[(k, c // g) for k, c in w] for w in inz]
+            den //= g
+        zero = zero_vector(dim)
+        tensor = []
+        for i in range(dim):
+            row = []
+            for w in inz[i * dim:(i + 1) * dim]:
+                if w:
+                    v = list(zero)
+                    for k, c in w:
+                        v[k] = Fraction(c, den)
+                    row.append(tuple(v))
+                else:
+                    row.append(zero)
+            tensor.append(tuple(row))
+        b = object.__new__(cls)
+        b.dim = dim
+        b.tensor = tuple(tensor)
+        b._inz = tuple(tuple(w) for w in inz)
+        b._den = den
+        return b
 
     @classmethod
     def _dense(cls, dim: int, pairs) -> list:

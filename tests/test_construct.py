@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from lralg import _kernels, construct
 from lralg.catalog import (
     abelian,
     diag_solvable,
@@ -276,3 +277,51 @@ class TestTwoGenerator:
         p = two_generator_lr(g, x, y)
         assert left_op(p, x).is_zero
         assert left_op(p, y) == ad(g, y)
+
+    def test_scan_order_is_total_then_l_then_k(self):
+        # The table does not depend on which candidates the scan keeps
+        # (L is well defined on their span), so only this pins the order.
+        for n in range(5):
+            pairs = [(k, l) for k in range(n + 1) for l in range(1, n + 1)]
+            expected = [(0, 0)] + sorted(pairs, key=lambda kl: (kl[0] + kl[1], kl[1], kl[0]))
+            assert list(construct._scan_order(n)) == expected
+
+
+class TestTwoGeneratorWork:
+    """Counts of work, not times: the candidate scan is lazy and the
+    generated subalgebra is computed only when the scan falls short."""
+
+    def count(self, monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_filiform24_forms_few_operator_products(self, monkeypatch):
+        # the eager candidate table took 649 products here
+        g = filiform(24)
+        e = standard_basis(24)
+        calls = self.count(monkeypatch, _kernels, "mat_mul")
+        two_generator_lr(g, e[0], e[1])
+        assert 0 < len(calls) <= 24
+
+    def test_generating_pair_skips_subalgebra(self, monkeypatch):
+        calls = self.count(monkeypatch, construct, "subalgebra_generated")
+        for g, x, y in (
+            (filiform(6), standard_basis(6)[0], standard_basis(6)[1]),
+            (diag_solvable([1, 2]), (1, 0, 0), (0, 1, 1)),
+            (heisenberg(), (1, 0, 0), (0, 1, 0)),
+        ):
+            two_generator_lr(g, x, y)
+        assert calls == []
+
+    def test_short_scan_checks_generation_once(self, monkeypatch):
+        calls = self.count(monkeypatch, construct, "subalgebra_generated")
+        with pytest.raises(NotGeneratedError):
+            two_generator_lr(heisenberg(), (1, 0, 0), (0, 0, 1))
+        assert len(calls) == 1

@@ -9,6 +9,10 @@ the library computes on integer numerators over a common denominator,
 must match a test-local computation on Fractions.  The LR certificates,
 which the library reads from products of products of structure
 constants, must match the dense operator-matrix checks they replaced.
+The two-generator construction, which scans its candidates lazily and
+sums its table on integers, must match the eager Fraction algorithm it
+replaced, and Bilinear._from_int must build what Bilinear.__init__
+builds from the same constants.
 """
 
 from fractions import Fraction
@@ -20,16 +24,19 @@ from hypothesis import strategies as st
 from lralg import lr
 from lralg.catalog import abelian, diag_solvable, filiform, known_lr, known_lr_names
 from lralg.construct import complete_any, two_generator_lr
-from lralg.errors import PreconditionError
+from lralg.errors import InternalConsistencyError, NotGeneratedError, PreconditionError
 from lralg.lie import (
     LieAlgebra,
+    ad,
     bracket_of_subspaces,
     is_two_step_solvable,
     quotient,
     series,
+    subalgebra_generated,
     validate_lie,
 )
 from lralg.linalg import (
+    Bilinear,
     Matrix,
     Subspace,
     complement,
@@ -403,3 +410,127 @@ def test_completeness_chain_is_nilpotency(data):
     if rep.is_compatible:
         t = two_of_three(g, p)
         assert (t.left_nilpotent, t.right_nilpotent) == (lefts, rights)
+
+
+def eager_two_generator_table(g, x, y):
+    """The two-generator table as first computed: the generation check
+    up front, every candidate vector and operator formed before the
+    scan, the span rebuilt from all kept vectors on every accept, and
+    L(e_i) summed as Fraction matrices."""
+    n = g.dim
+    if subalgebra_generated(g, [x, y]).dim != n:
+        raise NotGeneratedError("the two elements do not generate the algebra")
+    ad_x, ad_y = ad(g, x), ad(g, y)
+    chain = [(tuple(y), ad_y)]
+    for _ in range(n):
+        v, op = chain[-1]
+        chain.append((ad_x.apply(v), ad_x * op))
+    candidates = {}
+    for l, (v, op) in enumerate(chain):
+        for k in range(n + 1):
+            candidates[(k, l)] = (v, op)
+            v, op = ad_y.apply(v), ad_y * op
+    order = [(0, 0)] + sorted(
+        ((k, l) for k in range(n + 1) for l in range(1, n + 1)),
+        key=lambda kl: (kl[0] + kl[1], kl[1], kl[0]),
+    )
+    selected = []
+    span = Subspace.zero(n)
+    for vec, op in [(tuple(x), Matrix.zeros(n, n))] + [candidates[kl] for kl in order]:
+        if span.dim < n and not span.contains(vec):
+            selected.append((vec, op))
+            span = Subspace.from_vectors(n, [v for v, _ in selected])
+    if len(selected) != n:
+        raise InternalConsistencyError("candidate vectors do not span the algebra")
+    inv = Matrix.from_columns([v for v, _ in selected]).inverse()
+    table = []
+    for i, ei in enumerate(standard_basis(n)):
+        acc = Matrix.zeros(n, n)
+        for c, (_, op) in zip(inv.apply(ei), selected):
+            acc = acc + op * c
+        table.append([acc.column(j) for j in range(n)])
+    return Product(table).table
+
+
+@st.composite
+def two_generator_input(draw):
+    """filiform 3..8 or diag-solvable of dim <= 7 after a random change of
+    basis, with the catalog's generating pair carried along or a random
+    pair of sparse vectors, about half of which do not generate."""
+    if draw(st.booleans()):
+        g = filiform(draw(st.integers(3, 8)))
+        x, y = standard_basis(g.dim)[:2]
+    else:
+        weights = draw(
+            st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=6, unique=True)
+        )
+        g = diag_solvable(weights)
+        x, y = standard_basis(g.dim)[0], (0,) + (1,) * len(weights)
+    n = g.dim
+    m, minv = draw(invertible(n))
+    g = LieAlgebra(change_basis(g.brackets, m, minv))
+    if draw(st.booleans()):
+        x, y = (tuple(sum(r[a] * v[a] for a in range(n)) for r in minv) for v in (x, y))
+    else:
+        x, y = (draw(st.lists(sparse_rational, min_size=n, max_size=n)) for _ in range(2))
+    return g, x, y
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_two_generator_matches_eager_algorithm(data):
+    g, x, y = data.draw(two_generator_input())
+    try:
+        expected = eager_two_generator_table(g, x, y)
+    except (NotGeneratedError, InternalConsistencyError) as exc:
+        with pytest.raises(type(exc)):
+            two_generator_lr(g, x, y)
+    else:
+        assert two_generator_lr(g, x, y).table == expected
+
+
+def assert_from_int_matches_init(n, inz, den):
+    tensor = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k, c in inz[i * n + j]:
+                tensor[i][j][k] = Fraction(c, den)
+    for cls in (Bilinear, Product):
+        built, expected = cls._from_int(n, inz, den), cls(tensor)
+        assert type(built) is cls
+        assert built.dim == expected.dim == n
+        assert built.tensor == expected.tensor
+        assert built._inz == expected._inz
+        assert built._den == expected._den
+    assert Product._from_int(n, inz, den) == Product(tensor)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_from_int_matches_fraction_constructor(data):
+    """Random sparse numerators over a denominator that shares a drawn
+    factor with every one of them, so that the gcd step has work."""
+    n = data.draw(st.integers(0, 3))
+    factor = data.draw(st.integers(1, 6))
+    den = factor * data.draw(st.integers(1, 12))
+    inz = []
+    for _ in range(n * n):
+        ks = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        inz.append([(k, factor * data.draw(st.integers(-9, 9).filter(bool))) for k in sorted(ks)])
+    assert_from_int_matches_init(n, inz, den)
+
+
+@pytest.mark.parametrize(
+    "n, inz, den",
+    [
+        (0, [], 1),
+        (0, [], 6),
+        (1, [[]], 5),
+        (1, [[(0, 4)]], 6),
+        (2, [[], [], [], []], 6),
+        (2, [[(0, 6)], [], [(1, -9)], [(0, 3), (1, 12)]], 15),
+    ],
+    ids=["dim0", "dim0-den", "dim1-zero", "dim1-shared-factor", "all-zero", "shared-factor"],
+)
+def test_from_int_edge_cases(n, inz, den):
+    assert_from_int_matches_init(n, inz, den)
