@@ -63,10 +63,7 @@ def free_two_step(gens: int) -> LieAlgebra:
 
 
 def _half_table(g: LieAlgebra) -> Product:
-    half = Fraction(1, 2)
-    return Product(
-        tuple(tuple(tuple(half * x for x in v) for v in row) for row in g.brackets)
-    )
+    return Product._from_int(g.dim, g._inz, 2 * g._den)
 
 
 def _filiform_shift(n: int) -> tuple[LieAlgebra, Product]:

@@ -42,13 +42,13 @@ from .linalg import (
     Matrix,
     Subspace,
     _fitting_split_commuting,
+    _int_row,
     _scale_fractions,
     standard_basis,
     vector,
 )
 from .lr import (
     Product,
-    check_complete,
     check_lr,
     left_op,
     product_span,
@@ -172,15 +172,15 @@ def _complement_algebra(split: SplitDecomposition) -> LieAlgebra:
     """
     g = split.algebra
     ginf = Subspace.from_vectors(g.dim, split.g_infinity_basis)
-    n_alg = LieAlgebra(g.quotient_tensor(ginf))
-    comp = split.complement_basis
-    for a in range(len(comp)):
-        for b in range(len(comp)):
+    n_alg = LieAlgebra._from_int(*g._quotient(ginf))
+    comp, m = split.complement_basis, n_alg.dim
+    for a in range(m):
+        for b in range(m):
             residual = list(g.bracket(comp[a], comp[b]))
-            for c, v in zip(n_alg.brackets[a][b], comp):
-                if c:
-                    for t in range(g.dim):
-                        residual[t] -= c * v[t]
+            for c, x in n_alg._inz[a * m + b]:
+                coeff = Fraction(x, n_alg._den)
+                for t, v in enumerate(comp[c]):
+                    residual[t] -= coeff * v
             if any(residual):
                 raise InternalConsistencyError("complement is not closed under the bracket")
     return n_alg
@@ -212,13 +212,10 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
         raise NotLrProductError(
             f"product on the complement is not an LR-structure: {rep.violations[0]}"
         )
-    for a in range(m):
-        for b in range(m):
-            prod = q.table[a][b]
-            if any(prod) and not split.phi_of(prod).is_zero:
-                raise PhiNotZeroError(
-                    "the action does not vanish on a product of complement elements"
-                )
+    # phi is linear, so it vanishes on a product iff on its numerators.
+    for w in q._inz:
+        if w and not split.phi_of(_int_row(w, m)).is_zero:
+            raise PhiNotZeroError("the action does not vanish on a product of complement elements")
 
     # The adapted product: e_{k+a} e_t = phi_a e_t for t < k, and
     # e_{k+a} e_{k+b} = q(e_a, e_b) shifted past g_infinity.
@@ -293,11 +290,7 @@ def half_bracket(g: LieAlgebra) -> Product:
     g2 = bracket_of_subspaces(g, full, full)
     if bracket_of_subspaces(g, full, g2).dim != 0:
         raise NotTwoStepNilpotentError("the third lower central term does not vanish")
-    half = Fraction(1, 2)
-    table = tuple(
-        tuple(tuple(half * x for x in v) for v in row) for row in g.brackets
-    )
-    p = Product(table)
+    p = Product._from_int(g.dim, g._inz, 2 * g._den)
     rep = check_lr(g, p)
     if not (rep.is_lr and rep.is_compatible and rep.is_complete):
         raise InternalConsistencyError("half bracket fails its certificate")
@@ -309,8 +302,8 @@ def lr_for_g3(g: LieAlgebra) -> Product:
     the third one.
 
     Splits off g_infinity, takes the half bracket on the two-step
-    nilpotent quotient and lifts it back; completeness of the result is
-    asserted, not assumed.
+    nilpotent quotient and lifts it back.  half_bracket certifies the
+    half bracket complete, so lift_product certifies the lift complete.
     """
     g.ensure_valid()
     if not is_two_step_solvable(g):
@@ -326,10 +319,7 @@ def lr_for_g3(g: LieAlgebra) -> Product:
     split = split_metabelian(g)
     n_alg = _complement_algebra(split)
     hb = half_bracket(n_alg)
-    lifted = lift_product(split, hb)
-    if not check_complete(lifted):
-        raise InternalConsistencyError("lift of the half bracket is not complete")
-    return lifted
+    return lift_product(split, hb)
 
 
 def _scan_order(n: int):

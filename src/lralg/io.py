@@ -17,6 +17,7 @@ from typing import Any
 
 from .errors import FileFormatError
 from .lie import LieAlgebra
+from .linalg import Bilinear
 from .lr import Product
 
 # Both are used with fullmatch: "$" would also match before a trailing
@@ -24,8 +25,9 @@ from .lr import Product
 _RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
 _INDEX_KEY = re.compile(r"[1-9][0-9]*")
 
-# The tensors are dense, so dim costs dim**3 entries before any other
-# check can run; a larger dim is rejected before anything is allocated.
+# Only nonzero constants are stored, so memory is not what limits dim:
+# the checks that every command runs grow as dim**3 to dim**4 in time.
+# A larger dim is rejected before anything is built.
 MAX_DIM = 128
 
 _TOP_KEYS = {"dim", "basis", "brackets", "product"}
@@ -185,20 +187,15 @@ def parse_file(path: str) -> tuple[LieAlgebra, Product | None]:
     return parse_data(obj, source=path)
 
 
-def _entry_list(table, ordered_only: bool) -> list[dict[str, Any]]:
-    dim = len(table)
+def _entry_list(b: Bilinear, ordered_only: bool) -> list[dict[str, Any]]:
+    """The nonzero constants of b as file entries, by (i, j) and then k."""
+    n, den = b.dim, b._den
     out = []
-    for i in range(dim):
-        for j in range(dim):
-            if ordered_only and not i < j:
-                continue
-            values = {
-                str(k + 1): str(table[i][j][k])
-                for k in range(dim)
-                if table[i][j][k]
-            }
-            if values:
-                out.append({"i": i + 1, "j": j + 1, "v": values})
+    for ij, w in enumerate(b._inz):
+        i, j = divmod(ij, n)
+        if w and not (ordered_only and i >= j):
+            values = {str(k + 1): str(Fraction(c, den)) for k, c in w}
+            out.append({"i": i + 1, "j": j + 1, "v": values})
     return out
 
 
@@ -206,9 +203,9 @@ def format_algebra(algebra: LieAlgebra, product: Product | None = None) -> str:
     obj: dict[str, Any] = {"dim": algebra.dim}
     if algebra.basis_names is not None:
         obj["basis"] = list(algebra.basis_names)
-    obj["brackets"] = _entry_list(algebra.brackets, ordered_only=True)
+    obj["brackets"] = _entry_list(algebra, ordered_only=True)
     if product is not None:
-        obj["product"] = _entry_list(product.table, ordered_only=False)
+        obj["product"] = _entry_list(product, ordered_only=False)
     return json.dumps(obj, indent=2) + "\n"
 
 

@@ -1,10 +1,10 @@
 """Lie algebras over the rationals, given by structure constants.
 
-A LieAlgebra is a linalg.Bilinear whose tensor, exposed as brackets,
-means [e_i, e_j] = sum_k c[i][j][k] e_k.  Construction does not
-validate the axioms; validate_lie reports violations and operations
-whose contracts require a Lie algebra call it first (the result is
-cached on the instance).
+A LieAlgebra is a linalg.Bilinear whose constants c[i][j][k], read as
+Fractions through brackets, mean [e_i, e_j] = sum_k c[i][j][k] e_k.
+Construction does not validate the axioms; validate_lie reports
+violations and operations whose contracts require a Lie algebra call
+it first (the result is cached on the instance).
 """
 
 from __future__ import annotations
@@ -53,13 +53,18 @@ class Violation:
 class LieAlgebra(Bilinear):
     __slots__ = ("basis_names", "_valid")
     _kind = "algebra"
-    brackets = Bilinear.tensor  # the structure tensor under its Lie name
+    brackets = Bilinear.tensor  # the Fraction view under its Lie name
 
     def __init__(self, brackets, basis_names=None):
-        super().__init__(brackets)
+        super().__init__(brackets, basis_names)
+
+    def _fill(self, dim: int, inz, den: int, basis_names=None) -> None:
+        """Bilinear._fill, then the basis names; the axioms are checked
+        later, by ensure_valid."""
+        super()._fill(dim, inz, den)
         if basis_names is not None:
             basis_names = tuple(str(s) for s in basis_names)
-            if len(basis_names) != self.dim:
+            if len(basis_names) != dim:
                 raise DimensionMismatchError("one basis name per basis vector")
         self.basis_names = basis_names
         self._valid = None
@@ -77,7 +82,7 @@ class LieAlgebra(Bilinear):
                 raise DimensionMismatchError(f"bracket pair ({i}, {j}) needs 0 <= i < j < dim")
             full[(i, j)] = comps
             full[(j, i)] = {k: -to_fraction(v) for k, v in comps.items()}
-        return cls(cls._dense(dim, full), basis_names)
+        return cls._from_sparse(dim, full, basis_names)
 
     def name(self, i: int) -> str:
         if self.basis_names is not None:
@@ -92,7 +97,8 @@ class LieAlgebra(Bilinear):
             return NotImplemented
         return (
             self.dim == other.dim
-            and self.brackets == other.brackets
+            and self._den == other._den
+            and self._inz == other._inz
             and self.basis_names == other.basis_names
         )
 
@@ -272,7 +278,7 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix, Matrix
     names = None
     if g.basis_names is not None:
         names = tuple(g.basis_names[f] for f in comp.pivots)
-    return LieAlgebra(g.quotient_tensor(ideal), names), projection, u.transpose()
+    return LieAlgebra._from_int(*g._quotient(ideal), names), projection, u.transpose()
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ subspaces are equal iff their bases are identical.  Kernels, images,
 sums, intersections, membership and restriction of operators are
 Matrix algebra on those integer rows.
 
-Structure tensors (Bilinear) keep their nonzero constants as integer
-numerators over one common denominator, and products, operators, spans
-of products and identity checks run on those integers.  Fractions
+Structure tensors (Bilinear) store only their nonzero constants, as
+integer numerators over one common denominator; products, operators,
+quotients, spans of products and identity checks run on those integers,
+and the Fraction tensor is a view built on first read.  Fractions
 appear only at the edge: vectors at the API boundary are tuples of
 fractions.Fraction, and so are Subspace.basis and the defects of
 failed identities.
@@ -67,6 +68,14 @@ def _to_vector(nums, den: int) -> Vector:
     """The Fractions x / den for integer numerators x (the edge where
     integer results leave the layer); zeros share one instance."""
     return tuple(Fraction(x, den) if x else _ZERO for x in nums)
+
+
+def _int_row(pairs, n: int) -> list[int]:
+    """The integer row of length n with the given nonzero (k, x) pairs."""
+    row = [0] * n
+    for k, x in pairs:
+        row[k] = x
+    return row
 
 
 def _scale_fractions(entries) -> tuple[list[int], int]:
@@ -641,55 +650,73 @@ def _fitting_split_commuting(mats: list[Matrix]) -> FittingSplit:
     return FittingSplit(running, v_0, _projection_onto(running, v_0))
 
 
-Tensor = tuple[tuple[Vector, ...], ...]
-
-
 class Bilinear:
     """Bilinear map on Q^dim given by structure constants.
 
-    tensor[i][j][k] is the coefficient of e_k in e_i . e_j.  The dense
-    tensor is kept for indexing, hashing and emission; the loops below
-    visit only the nonzero constants of each pair (i, j), the form of
-    GAP's structure-constant tables (de Graaf, Lie Algebras: Theory and
-    Algorithms, 2000).  LieAlgebra and Product are the subclasses;
-    _kind names the one at hand in error messages.
+    The constants are stored once, as integers over one common
+    denominator: _inz[i * dim + j] lists the pairs (k, c) for which
+    c / _den is the nonzero coefficient of e_k in e_i . e_j, with k
+    ascending, and gcd(_den, every c) = 1.  That form is canonical, so
+    == compares it directly.  The loops below visit only those
+    constants, the form of GAP's structure-constant tables (de Graaf,
+    Lie Algebras: Theory and Algorithms, 2000), and turn results into
+    Fractions only when they leave: a vector, a Matrix or the defect of
+    a violation.  LieAlgebra and Product are the subclasses; _kind
+    names the one at hand in error messages.
 
-    _inz[i * dim + j] holds the pairs (k, tensor[i][j][k] * _den) for
-    the nonzero constants, where _den is the lcm of all denominators,
-    so every value is an integer; the list is built once.  apply,
-    operator, and the span and identity checks in lie, work on _inz and
-    turn results into Fractions only when they leave: a vector, a
-    Matrix or the defect of a violation.  Constructions that compute
-    their constants on integers build the map with _from_int, which
-    takes _inz and a denominator instead of a Fraction tensor.
+    Every builder ends in _fill, which puts the constants in that form:
+    __init__ from a dense tensor, _from_sparse from a sparse map, and
+    _from_int from constants computed on integers.  tensor is a
+    read-only view of nested Fraction tuples, built on first read and
+    cached in _tensor, for the API and for hashing.
     """
 
-    __slots__ = ("dim", "tensor", "_inz", "_den")
+    __slots__ = ("dim", "_inz", "_den", "_tensor")
     _kind = "bilinear map"
 
-    def __init__(self, tensor):
-        t = tuple(tuple(map(vector, row)) for row in tensor)
+    def __init__(self, tensor, *rest):
+        t = [list(map(vector, row)) for row in tensor]
         n = len(t)
         if any(len(row) != n or any(len(v) != n for v in row) for row in t):
             raise DimensionMismatchError(f"{self._kind} tensor must be dim x dim x dim")
-        self.dim = n
-        self.tensor = t
-        self._den = den = lcm(*{c.denominator for row in t for v in row for c in v})
-        self._inz = tuple(
-            tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(v) if c)
-            for row in t for v in row
-        )
+        nums, den = _scale_fractions([c for row in t for v in row for c in v])
+        inz = [[(k, x) for k, x in enumerate(nums[ij * n:ij * n + n]) if x] for ij in range(n * n)]
+        self._fill(n, inz, den, *rest)
 
     @classmethod
-    def _from_int(cls, dim: int, inz, den: int) -> "Bilinear":
+    def _from_int(cls, dim: int, inz, den: int, *rest) -> "Bilinear":
         """The map whose constants tensor[i][j][k] are c / den for the
-        pairs (k, c) of inz[i * dim + j], in _inz's layout; every c is
-        a nonzero integer and den > 0.
+        pairs (k, c) of inz[i * dim + j]; every c is a nonzero integer,
+        den > 0, and k may come in any order.  rest goes to _fill (a
+        LieAlgebra's basis names)."""
+        b = object.__new__(cls)
+        b._fill(dim, inz, den, *rest)
+        return b
 
-        gcd(den, every c) is divided out, which leaves _den the lcm of
-        the reduced denominators, as __init__ computes it.  Only for
-        subclasses that hold no state beyond Bilinear's.
-        """
+    @classmethod
+    def _from_sparse(cls, dim: int, pairs, *rest) -> "Bilinear":
+        """The map given by a sparse {(i, j): {k: value}} map, 0-based;
+        absent constants are zero."""
+        where, values = [], []
+        for (i, j), comps in pairs.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise DimensionMismatchError(f"{cls._kind} pair ({i}, {j}) out of range")
+            for k, val in comps.items():
+                if not 0 <= k < dim:
+                    raise DimensionMismatchError(f"component index {k} out of range")
+                where.append((i * dim + j, k))
+                values.append(to_fraction(val))
+        nums, den = _scale_fractions(values)
+        inz = [[] for _ in range(dim) for _ in range(dim)]
+        for (ij, k), x in zip(where, nums):
+            if x:
+                inz[ij].append((k, x))
+        return cls._from_int(dim, inz, den, *rest)
+
+    def _fill(self, dim: int, inz, den: int) -> None:
+        """Store constants given as for _from_int in canonical form: k
+        ascending in each pair and gcd(den, every c) divided out, which
+        leaves _den the lcm of the reduced denominators."""
         g = den
         for w in inz:
             for _, c in w:
@@ -699,39 +726,22 @@ class Bilinear:
         if g > 1:
             inz = [[(k, c // g) for k, c in w] for w in inz]
             den //= g
-        zero = zero_vector(dim)
-        tensor = []
-        for i in range(dim):
-            row = []
-            for w in inz[i * dim:(i + 1) * dim]:
-                if w:
-                    v = list(zero)
-                    for k, c in w:
-                        v[k] = Fraction(c, den)
-                    row.append(tuple(v))
-                else:
-                    row.append(zero)
-            tensor.append(tuple(row))
-        b = object.__new__(cls)
-        b.dim = dim
-        b.tensor = tuple(tensor)
-        b._inz = tuple(tuple(w) for w in inz)
-        b._den = den
-        return b
+        self.dim = dim
+        self._inz = tuple(tuple(sorted(w)) for w in inz)
+        self._den = den
+        self._tensor = None
 
-    @classmethod
-    def _dense(cls, dim: int, pairs) -> list:
-        """Nested lists of the tensor given by a sparse {(i, j): {k: value}}
-        map, 0-based; absent constants are zero."""
-        t = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j), comps in pairs.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise DimensionMismatchError(f"{cls._kind} pair ({i}, {j}) out of range")
-            for k, val in comps.items():
-                if not 0 <= k < dim:
-                    raise DimensionMismatchError(f"component index {k} out of range")
-                t[i][j][k] = to_fraction(val)
-        return t
+    @property
+    def tensor(self) -> tuple[tuple[Vector, ...], ...]:
+        """tensor[i][j][k], the coefficient of e_k in e_i . e_j, as
+        nested Fraction tuples; built from _inz on first read."""
+        if self._tensor is None:
+            n, inz, den = self.dim, self._inz, self._den
+            self._tensor = tuple(
+                tuple(_to_vector(_int_row(w, n), den) for w in inz[i * n:(i + 1) * n])
+                for i in range(n)
+            )
+        return self._tensor
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
@@ -787,19 +797,24 @@ class Bilinear:
                     return "right", i
         return None
 
-    def quotient_tensor(self, s: Subspace) -> Tensor:
-        """Tensor induced on the non-pivot coordinates of s.
+    def _quotient(self, s: Subspace) -> tuple[int, list, int]:
+        """The map induced on the non-pivot coordinates of s, as the
+        dim, constants and denominator that _from_int takes.
 
         The basis of the quotient by s is the image of the standard
-        basis vectors at those coordinates; meaningful when escape(s)
-        is None.
+        basis vectors at those coordinates; the constants of e_a . e_b
+        are its integer remainder against s, read there.  Meaningful
+        when escape(s) is None.
         """
+        n, inz = self.dim, self._inz
         pivots = set(s.pivots)
-        free = [c for c in range(self.dim) if c not in pivots]
-        t = self.tensor
-
-        def coords(v) -> Vector:
-            r = s.reduce(v)
-            return tuple(r[f] for f in free)
-
-        return tuple(tuple(coords(t[a][b]) for b in free) for a in free)
+        free = [c for c in range(n) if c not in pivots]
+        out = []
+        for a in free:
+            for b in free:
+                w = inz[a * n + b]
+                if w:
+                    r = s._remainder(_int_row(w, n))
+                    w = [(t, r[f]) for t, f in enumerate(free) if r[f]]
+                out.append(w)
+        return len(free), out, self._den * s.rows._den

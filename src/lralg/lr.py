@@ -1,7 +1,8 @@
 """Products on a vector space and the LR identities.
 
-A Product is a linalg.Bilinear whose tensor, exposed as table, means
-e_i * e_j = sum_k p[i][j][k] e_k.  The two LR identities are
+A Product is a linalg.Bilinear whose constants p[i][j][k], read as
+Fractions through table, mean e_i * e_j = sum_k p[i][j][k] e_k.  The
+two LR identities are
 
     x * (y * z) = y * (x * z)        (left multiplications commute)
     (x * y) * z = (x * z) * y        (right multiplications commute)
@@ -49,6 +50,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _int_row,
     _to_vector,
     vector,
 )
@@ -61,7 +63,7 @@ COMPATIBILITY = "xy - yx = [x,y]"
 class Product(Bilinear):
     __slots__ = ()
     _kind = "product"
-    table = Bilinear.tensor  # the structure tensor under its product name
+    table = Bilinear.tensor  # the Fraction view under its product name
 
     def __init__(self, table):
         super().__init__(table)
@@ -70,7 +72,7 @@ class Product(Bilinear):
     def from_entries(cls, dim: int, pairs) -> "Product":
         """Build from a sparse {(i, j): {k: value}} map, 0-based, no
         symmetry assumed."""
-        return cls(cls._dense(dim, pairs))
+        return cls._from_sparse(dim, pairs)
 
     @classmethod
     def zero(cls, dim: int) -> "Product":
@@ -82,7 +84,7 @@ class Product(Bilinear):
     def __eq__(self, other) -> bool:
         if not isinstance(other, Product):
             return NotImplemented
-        return self.dim == other.dim and self.table == other.table
+        return self.dim == other.dim and self._den == other._den and self._inz == other._inz
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -154,19 +156,11 @@ class _Contraction:
         return left, right
 
 
-def _dense(pairs, n: int) -> list[int]:
-    """The integer row of length n with the given nonzero (l, x) pairs."""
-    row = [0] * n
-    for l, x in pairs:
-        row[l] = x
-    return row
-
-
 def _difference(a: dict[int, int], b: dict[int, int], n: int, den: int) -> Vector | None:
     """(a - b) / den as a vector, None when a == b."""
     if a == b:
         return None
-    out = _dense(a.items(), n)
+    out = _int_row(a.items(), n)
     for l, x in b.items():
         out[l] -= x
     return _to_vector(out, den)
@@ -200,7 +194,7 @@ def _chain_reaches_zero(n: int, step) -> bool:
     space = Subspace.full(n)
     while space.dim:
         rows = [
-            _dense(v.items(), n)
+            _int_row(v.items(), n)
             for b in space.rows._int_rows()
             for v in step([(m, x) for m, x in enumerate(b) if x]).values()
         ]
@@ -288,13 +282,9 @@ def check_complete(p: Product) -> bool:
 
 def opposite(p: Product) -> Product:
     """The product x . y = -(y * x); swaps the roles of left and right."""
-    n = p.dim
-    return Product(
-        tuple(
-            tuple(tuple(-x for x in p.table[j][i]) for j in range(n))
-            for i in range(n)
-        )
-    )
+    n, inz = p.dim, p._inz
+    flipped = [[(k, -c) for k, c in inz[j * n + i]] for i in range(n) for j in range(n)]
+    return Product._from_int(n, flipped, p._den)
 
 
 LEMMA_IDENTITIES = (
@@ -464,7 +454,7 @@ def two_of_three(g: LieAlgebra, p: Product) -> TwoOfThree:
 def product_span(p: Product) -> Subspace:
     """Span of all products of basis vectors: one integer row per
     nonzero product, read from _inz."""
-    return Subspace._from_int_rows(p.dim, [_dense(w, p.dim) for w in p._inz if w])
+    return Subspace._from_int_rows(p.dim, [_int_row(w, p.dim) for w in p._inz if w])
 
 
 def quotient_product(g: LieAlgebra, p: Product, ideal: Subspace) -> Product:
@@ -478,4 +468,4 @@ def quotient_product(g: LieAlgebra, p: Product, ideal: Subspace) -> Product:
     bad = p.escape(ideal, both_sides=True)
     if bad is not None:
         raise NotTwoSidedIdealError(f"subspace is not stable under {bad[0]} products")
-    return Product(p.quotient_tensor(ideal))
+    return Product._from_int(*p._quotient(ideal))

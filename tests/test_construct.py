@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lralg import _kernels, construct
+from lralg import _kernels, construct, io, lr
 from lralg.catalog import (
     abelian,
     diag_solvable,
@@ -32,7 +32,7 @@ from lralg.errors import (
     PreconditionError,
 )
 from lralg.lie import LieAlgebra, split_metabelian
-from lralg.linalg import Subspace, standard_basis
+from lralg.linalg import Bilinear, Subspace, standard_basis
 from lralg.lr import Product, check_complete, check_lr, two_of_three
 
 F = Fraction
@@ -185,6 +185,22 @@ class TestLrForG3:
         with pytest.raises(NotTwoStepSolvableError):
             lr_for_g3(sl2())
 
+    def test_no_second_completeness_check(self, monkeypatch):
+        # half_bracket certifies the half bracket complete, so
+        # lift_product's own certificate covers the lift.
+        calls = []
+        original = lr.check_complete
+
+        def counted(p):
+            calls.append(p)
+            return original(p)
+
+        monkeypatch.setattr(lr, "check_complete", counted)
+        monkeypatch.setattr(construct, "check_complete", counted, raising=False)
+        for g in (r2(), heisenberg(), diag_solvable([1, 2])):
+            assert check_lr(g, lr_for_g3(g)).is_complete
+        assert calls == []
+
 
 class TestLiftProduct:
     def test_lift_preserves_completeness(self):
@@ -325,3 +341,22 @@ class TestTwoGeneratorWork:
         with pytest.raises(NotGeneratedError):
             two_generator_lr(heisenberg(), (1, 0, 0), (0, 0, 1))
         assert len(calls) == 1
+
+
+def test_cli_path_builds_no_tensor_view(monkeypatch):
+    """two-gen --complete and its emission on filiform(12): every map
+    built on the way keeps only its integer constants."""
+    built = []
+    fill = Bilinear._fill
+
+    def recorded(self, *args):
+        built.append(self)
+        fill(self, *args)
+
+    monkeypatch.setattr(Bilinear, "_fill", recorded)
+    g = filiform(12)
+    e = standard_basis(12)
+    completed = complete_any(g, two_generator_lr(g, e[0], e[1])).completed
+    assert '"product"' in io.format_algebra(g, completed)
+    assert len(built) > 3
+    assert all(b._tensor is None for b in built)

@@ -3,16 +3,18 @@
 Metamorphic: answers must not depend on the basis.  A change of basis
 is applied to the raw structure constants with plain Fraction
 arithmetic, so the oracle does not lean on the products it checks.
+The opposite product swaps the left and right LR violations.
 
 Oracle: operators, spans, subspace algebra and Jacobi defects, which
 the library computes on integer numerators over a common denominator,
 must match a test-local computation on Fractions.  The LR certificates,
 which the library reads from products of products of structure
-constants, must match the dense operator-matrix checks they replaced.
-The two-generator construction, which scans its candidates lazily and
-sums its table on integers, must match the eager Fraction algorithm it
-replaced, and Bilinear._from_int must build what Bilinear.__init__
-builds from the same constants.
+constants, must match the dense operator-matrix checks they replaced,
+and the quotients, read from integer remainders, the Fraction table
+they replaced.  The two-generator construction, which scans its
+candidates lazily and sums its table on integers, must match the eager
+Fraction algorithm it replaced, and every builder of Bilinear must
+store the same canonical constants.
 """
 
 from fractions import Fraction
@@ -57,6 +59,7 @@ from lralg.lr import (
     check_complete,
     check_lr,
     left_op,
+    quotient_product,
     right_op,
     two_of_three,
 )
@@ -111,6 +114,21 @@ def change_basis(t, m, minv):
     return out
 
 
+def fraction_quotient_tensor(t, s):
+    """The table induced on the non-pivot coordinates of the subspace s,
+    in Fractions: the remainder of each t[a][b] against the RREF basis
+    of s, read at those coordinates."""
+    n = len(t)
+    free = [c for c in range(n) if c not in s.pivots]
+
+    def coords(v):
+        r = [v[j] - sum((v[p] * b[j] for b, p in zip(s.basis, s.pivots)), Fraction(0))
+             for j in range(n)]
+        return tuple(r[f] for f in free)
+
+    return tuple(tuple(coords(t[a][b]) for b in free) for a in free)
+
+
 def flags(g, p):
     rep = check_lr(g, p)
     return rep.is_lr, rep.is_compatible, rep.is_complete
@@ -134,12 +152,16 @@ def test_basis_change_invariance(data):
     # The ideals are no longer coordinate subspaces; the projection must
     # vanish on each one and invert the section.
     for ideal in series(g2).lower_central:
-        _, proj, section = quotient(g2, ideal)
+        q, proj, section = quotient(g2, ideal)
         assert proj * section == Matrix.identity(g2.dim - ideal.dim)
         assert all(not any(proj.apply(v)) for v in ideal.basis)
+        assert q.brackets == fraction_quotient_tensor(g2.brackets, ideal)
 
     lr, compatible, _ = flags(g, p)
     if lr and compatible and is_two_step_solvable(g):
+        for h, r in ((g, p), (g2, p2)):
+            ginf = series(h).g_infinity
+            assert quotient_product(h, r, ginf).table == fraction_quotient_tensor(r.table, ginf)
         cert, cert2 = complete_any(g, p), complete_any(g2, p2)
         assert flags(g2, cert2.completed) == (True, True, True)
         fitting = (cert.fitting.v_n.dim, cert.fitting.v_0.dim)
@@ -392,6 +414,22 @@ def test_lr_certificates_match_dense_operator_checks(data):
     assert triples(lr._lemma_violations(lr._Contraction(p))) == dense_lemma_violations(p)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_opposite_swaps_left_and_right_violations(data):
+    """x . y = -(y * x) turns the right identity at (i, j, k) into the
+    left one at the same indices, with the same defect, and the other
+    way round; compatibility with the abelian bracket is kept."""
+    n = data.draw(st.integers(1, 4))
+    p = Product(data.draw(mixed_tensor(n)))
+    g = abelian(n)
+    rep, rep_op = check_lr(g, p), check_lr(g, lr.opposite(p))
+    swap = {LR_LEFT: LR_RIGHT, LR_RIGHT: LR_LEFT}
+    swapped = {(swap[v.identity], v.indices, v.defect) for v in rep.violations if v.identity in swap}
+    assert swapped == {(v.identity, v.indices, v.defect) for v in rep_op.violations if v.identity in swap}
+    assert rep_op.is_compatible == rep.is_compatible
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_completeness_chain_is_nilpotency(data):
@@ -489,35 +527,60 @@ def test_two_generator_matches_eager_algorithm(data):
         assert two_generator_lr(g, x, y).table == expected
 
 
-def assert_from_int_matches_init(n, inz, den):
+def assert_builders_agree(n, inz, den, factor=1):
+    """Every builder of the map with constants c / den, for the pairs
+    (k, c) of inz[i * n + j] in any order of k, stores the same
+    canonical _inz and _den, and reads back the same tensor."""
     tensor = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    sparse = {}
     for i in range(n):
         for j in range(n):
             for k, c in inz[i * n + j]:
                 tensor[i][j][k] = Fraction(c, den)
-    for cls in (Bilinear, Product):
+                sparse.setdefault((i, j), {})[k] = Fraction(c, den)
+    for cls in (Bilinear, LieAlgebra, Product):
         built, expected = cls._from_int(n, inz, den), cls(tensor)
         assert type(built) is cls
         assert built.dim == expected.dim == n
         assert built.tensor == expected.tensor
         assert built._inz == expected._inz
         assert built._den == expected._den
-    assert Product._from_int(n, inz, den) == Product(tensor)
+    names = tuple(f"b{i}" for i in range(n))
+    g = LieAlgebra._from_int(n, inz, den, names)
+    assert (g.basis_names, g._valid) == (names, None)
+    assert g == LieAlgebra(tensor, names) != LieAlgebra(tensor)
+    p = Product(tensor)
+    scaled = [[(k, c * factor) for k, c in w] for w in inz]
+    for q in (
+        Product.from_entries(n, sparse),
+        Product._from_int(n, scaled, den * factor),
+        lr.opposite(lr.opposite(p)),
+    ):
+        assert (q._inz, q._den) == (p._inz, p._den)
+        assert q == p and q.tensor == p.tensor
+    return p
 
 
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_from_int_matches_fraction_constructor(data):
     """Random sparse numerators over a denominator that shares a drawn
-    factor with every one of them, so that the gcd step has work."""
+    factor with every one of them, so that the gcd step has work, with
+    k in drawn order, so that the sort has work; every builder must
+    agree, and == must agree with comparing the tensors."""
     n = data.draw(st.integers(0, 3))
     factor = data.draw(st.integers(1, 6))
     den = factor * data.draw(st.integers(1, 12))
     inz = []
     for _ in range(n * n):
         ks = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-        inz.append([(k, factor * data.draw(st.integers(-9, 9).filter(bool))) for k in sorted(ks)])
-    assert_from_int_matches_init(n, inz, den)
+        inz.append([(k, factor * data.draw(st.integers(-9, 9).filter(bool))) for k in ks])
+    p = assert_builders_agree(n, inz, den, data.draw(st.integers(1, 5)))
+    # Without one pair, which may be empty: equal or not.
+    drop = data.draw(st.integers(0, max(n * n - 1, 0)))
+    q = Product._from_int(n, [[] if ij == drop else w for ij, w in enumerate(inz)], den)
+    assert (p == q) == (p.tensor == q.tensor)
+    assert (p == q) == (not inz or not inz[drop])
 
 
 @pytest.mark.parametrize(
@@ -533,4 +596,4 @@ def test_from_int_matches_fraction_constructor(data):
     ids=["dim0", "dim0-den", "dim1-zero", "dim1-shared-factor", "all-zero", "shared-factor"],
 )
 def test_from_int_edge_cases(n, inz, den):
-    assert_from_int_matches_init(n, inz, den)
+    assert_builders_agree(n, inz, den, factor=3)
