@@ -8,9 +8,9 @@ each fixture and say exactly which checks should pass or fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import PreconditionError, UnknownFixtureError
+from .errors import FileFormatError, PreconditionError, UnknownFixtureError
+from .io import MAX_DIM, _parse_rational, _show
 from .lie import LieAlgebra
 from .lr import COMPATIBILITY, LR_LEFT, LR_RIGHT, Product
 from .linalg import to_fraction
@@ -252,16 +252,27 @@ def named_algebra(name: str, arg: str | None = None) -> LieAlgebra:
     """Parametrized catalog lookup used by the command line.
 
     abelian, filiform and free-two-step take an integer; diag-solvable
-    takes comma-separated rational weights; heisenberg and r2 take
-    nothing.
+    takes comma-separated rational weights in the file format's grammar;
+    heisenberg and r2 take nothing.  A family member whose dimension
+    would exceed io.MAX_DIM, which no command could read back, is
+    rejected before it is built.
     """
-    def as_int() -> int:
+    def bounded(dim: int) -> None:
+        if dim > MAX_DIM:
+            raise PreconditionError(
+                f"{name} {_show(arg)} exceeds the supported maximum dimension {MAX_DIM}"
+            )
+
+    def as_int(dim_of=lambda n: n) -> int:
+        """The integer parameter; dim_of gives the family's dimension."""
         if arg is None:
             raise PreconditionError(f"{name} needs an integer parameter")
         try:
-            return int(arg)
+            n = int(arg)
         except ValueError:
-            raise PreconditionError(f"{name} needs an integer parameter, got {arg!r}") from None
+            raise PreconditionError(f"{name} needs an integer parameter, got {_show(arg)}") from None
+        bounded(dim_of(n))
+        return n
 
     def no_arg() -> None:
         if arg is not None:
@@ -280,11 +291,13 @@ def named_algebra(name: str, arg: str | None = None) -> LieAlgebra:
     if name == "diag-solvable":
         if arg is None:
             raise PreconditionError("diag-solvable needs comma-separated weights")
+        parts = arg.split(",")
+        bounded(len(parts) + 1)
         try:
-            weights = [Fraction(part) for part in arg.split(",")]
-        except (ValueError, ZeroDivisionError):
-            raise PreconditionError(f"bad weight list {arg!r}") from None
+            weights = [_parse_rational(w, f"weight {i + 1}") for i, w in enumerate(parts)]
+        except FileFormatError as exc:
+            raise PreconditionError(f"bad weight list: {exc}") from None
         return diag_solvable(weights)
     if name == "free-two-step":
-        return free_two_step(as_int())
+        return free_two_step(as_int(lambda n: n + max(n, 0) * (n - 1) // 2))
     raise UnknownFixtureError(name)

@@ -12,7 +12,6 @@ InternalConsistencyError rather than producing an unverified product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
@@ -31,7 +30,6 @@ from .lie import (
     SplitDecomposition,
     ad,
     bracket_of_subspaces,
-    quotient,
     series,
     split_metabelian,
     subalgebra_generated,
@@ -44,13 +42,11 @@ from .linalg import (
     _fitting_split_commuting,
     _int_row,
     _scale_fractions,
-    standard_basis,
     vector,
 )
 from .lr import (
     Product,
     check_lr,
-    left_op,
     product_span,
     quotient_product,
 )
@@ -147,7 +143,8 @@ def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
             f"input is not an LR-structure, first violation: {report.violations[0]}"
         )
     n = g.dim
-    fit = _fitting_split_commuting([left_op(p, e) for e in standard_basis(n)])
+    lefts = [p._int_operator(u, False) for u in Matrix.identity(n)._int_rows()]
+    fit = _fitting_split_commuting([Matrix._raw(n, n, a, p._den) for a in lefts])
     ident = Matrix.identity(n)
     rows, scale = _transport(p._inz, n, fit.proj_n, ident, ident)
     completed = Product._from_int(n, rows, p._den * scale)
@@ -159,31 +156,6 @@ def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
     if not (post.is_lr and post.is_compatible and post.is_complete):
         raise InternalConsistencyError("completed product fails its own certificate")
     return CompletionCertificate(p, completed, fit, witness)
-
-
-def _complement_algebra(split: SplitDecomposition) -> LieAlgebra:
-    """Bracket of the complement subalgebra in its own coordinates.
-
-    Each complement vector is a standard basis vector at a free
-    coordinate of g_infinity plus a correction inside it, so the
-    bracket is the one induced on the quotient by g_infinity; the
-    residual of each bracket against those coefficients must vanish
-    exactly or the complement was not closed.
-    """
-    g = split.algebra
-    ginf = Subspace.from_vectors(g.dim, split.g_infinity_basis)
-    n_alg = LieAlgebra._from_int(*g._quotient(ginf))
-    comp, m = split.complement_basis, n_alg.dim
-    for a in range(m):
-        for b in range(m):
-            residual = list(g.bracket(comp[a], comp[b]))
-            for c, x in n_alg._inz[a * m + b]:
-                coeff = Fraction(x, n_alg._den)
-                for t, v in enumerate(comp[c]):
-                    residual[t] -= coeff * v
-            if any(residual):
-                raise InternalConsistencyError("complement is not closed under the bracket")
-    return n_alg
 
 
 def lift_product(split: SplitDecomposition, q: Product) -> Product:
@@ -198,15 +170,15 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
     complete as well.
     """
     g = split.algebra
-    k = len(split.g_infinity_basis)
-    m = len(split.complement_basis)
+    k = split.g_infinity.dim
+    m = split.complement.rows
     n = k + m
     if q.dim != m:
         raise DimensionMismatchError("product dimension differs from the complement")
     if g.dim != n:
         raise InternalConsistencyError("split dimensions do not add up")
 
-    n_alg = _complement_algebra(split)
+    n_alg = split.complement_algebra
     rep = check_lr(n_alg, q)
     if not (rep.is_lr and rep.is_compatible):
         raise NotLrProductError(
@@ -268,10 +240,8 @@ def complete_any(g: LieAlgebra, p: Product) -> CompletionCertificate:
         raise InternalConsistencyError("the span of products is not abelian")
 
     split = split_metabelian(g)
-    ginf = Subspace.from_vectors(g.dim, split.g_infinity_basis)
-    q0 = quotient_product(g, p, ginf)
-    n_alg, _, _ = quotient(g, ginf)
-    inner = complete_nilpotent(n_alg, q0)
+    q0 = quotient_product(g, p, split.g_infinity)
+    inner = complete_nilpotent(split.complement_algebra, q0)
     lifted = lift_product(split, inner.completed)
 
     witness = _witness(lifted, p)
@@ -317,9 +287,7 @@ def lr_for_g3(g: LieAlgebra) -> Product:
             "the stabilized lower central term differs from the third one"
         )
     split = split_metabelian(g)
-    n_alg = _complement_algebra(split)
-    hb = half_bracket(n_alg)
-    return lift_product(split, hb)
+    return lift_product(split, half_bracket(split.complement_algebra))
 
 
 def _scan_order(n: int):

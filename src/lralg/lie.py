@@ -10,7 +10,7 @@ it first (the result is cached on the instance).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DimensionMismatchError,
@@ -25,6 +25,8 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _int_row,
+    _scale_fractions,
     _to_vector,
     complement,
     restrict_operator,
@@ -32,7 +34,6 @@ from .linalg import (
     subspace_sum,
     to_fraction,
     vector,
-    zero_vector,
 )
 
 
@@ -160,6 +161,11 @@ def ad(g: LieAlgebra, x) -> Matrix:
     return g.operator(x)
 
 
+def _sparse_rows(m: Matrix) -> list[list[tuple[int, int]]]:
+    """The nonzero (column, numerator) pairs of each row of m."""
+    return [[(i, x) for i, x in enumerate(r) if x] for r in m._int_rows()]
+
+
 def bracket_of_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of all [u, v] with u in a, v in b.
 
@@ -169,25 +175,9 @@ def bracket_of_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """
     if a.ambient_dim != g.dim or b.ambient_dim != g.dim:
         raise DimensionMismatchError("subspace ambient dimension differs from algebra")
-    n, inz = g.dim, g._inz
-
-    def sparse(s: Subspace) -> list[list[tuple[int, int]]]:
-        return [[(i, x) for i, x in enumerate(u) if x] for u in s.rows._int_rows()]
-
-    us = sparse(a)
-    vs = us if b is a else sparse(b)
-    rows = []
-    for u in us:
-        for v in vs:
-            out = [0] * n
-            for i, x in u:
-                base = i * n
-                for j, y in v:
-                    s = x * y
-                    for k, c in inz[base + j]:
-                        out[k] += s * c
-            rows.append(out)
-    return Subspace._from_int_rows(n, rows)
+    us = _sparse_rows(a.rows)
+    vs = us if b is a else _sparse_rows(b.rows)
+    return Subspace._from_int_rows(g.dim, [g._int_apply(u, v) for u in us for v in vs])
 
 
 @dataclass(frozen=True)
@@ -283,29 +273,47 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix, Matrix
 
 @dataclass(frozen=True)
 class SplitDecomposition:
-    """Splitting of a two-step solvable algebra over its stabilized
-    lower central term.
+    """Splitting g = g_infinity + complement of a two-step solvable
+    algebra over its stabilized lower central term, as series gives it.
 
-    complement_basis spans a subalgebra; phi[j] is the matrix of
-    x -> [complement_basis[j], x] on the span of g_infinity_basis, in
-    the coordinates of that basis.  change_of_basis has the adapted
-    basis (g_infinity vectors first, then the complement) as columns.
-    algebra is the algebra that was split.
+    Row j of the q x n Matrix complement is the unit vector at the j-th
+    non-pivot coordinate of g_infinity plus a correction inside it; the
+    rows span a subalgebra whose bracket in their coordinates is
+    complement_algebra (g / g_infinity on its canonical basis).  phi[j]
+    is the matrix of x -> [row j, x] on g_infinity in its RREF
+    coordinates.  change_of_basis has the adapted basis (g_infinity
+    first, then the complement) as columns.
     """
 
     algebra: "LieAlgebra"
-    g_infinity_basis: tuple[Vector, ...]
-    complement_basis: tuple[Vector, ...]
+    g_infinity: Subspace
+    complement: Matrix
     phi: tuple[Matrix, ...]
-    change_of_basis: Matrix
+    complement_algebra: "LieAlgebra"
+
+    @property
+    def g_infinity_basis(self) -> tuple[Vector, ...]:
+        return self.g_infinity.basis
+
+    @property
+    def complement_basis(self) -> tuple[Vector, ...]:
+        return tuple(self.complement.row_list())
+
+    @property
+    def change_of_basis(self) -> Matrix:
+        top, bottom, n = self.g_infinity.rows, self.complement, self.ambient_dim
+        den = lcm(top._den, bottom._den)
+        num = [x * (den // top._den) for x in top._num]
+        num += [x * (den // bottom._den) for x in bottom._num]
+        return Matrix._raw(n, n, num, den).transpose()
 
     @property
     def ambient_dim(self) -> int:
-        return self.change_of_basis.rows
+        return self.algebra.dim
 
     def phi_of(self, coords) -> Matrix:
         """phi of a complement-coordinate vector (linear combination)."""
-        k = len(self.g_infinity_basis)
+        k = self.g_infinity.dim
         acc = Matrix.zeros(k, k)
         for c, m in zip(vector(coords), self.phi):
             if c:
@@ -313,10 +321,13 @@ class SplitDecomposition:
         return acc
 
 
-def _phi_matrix(g: LieAlgebra, w, ginf: Subspace) -> Matrix:
-    """Matrix of x -> [w, x] restricted to ginf, in ginf coordinates."""
+def _phi_matrix(g: LieAlgebra, wnum: list[int], wden: int, ginf: Subspace) -> Matrix:
+    """Matrix of x -> [w, x] restricted to ginf, in ginf coordinates,
+    for w = wnum / wden with integer numerators wnum."""
+    n = g.dim
+    op = Matrix._raw(n, n, g._int_operator(wnum, False), wden * g._den)
     try:
-        return restrict_operator(g.operator(w), ginf)
+        return restrict_operator(op, ginf)
     except PreconditionError:
         raise InternalConsistencyError("bracket left the stabilized term") from None
 
@@ -326,85 +337,84 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     subalgebra.
 
     Works for two-step solvable algebras.  The complement starts from
-    the standard basis vectors at the non-pivot coordinates of
-    g_infinity and is corrected by a linear solve so that it closes
-    under the bracket; solvability of that system is guaranteed in this
-    setting, so failure raises InternalConsistencyError.
+    the unit vectors w_j at the non-pivot coordinates of g_infinity and
+    is corrected by a linear solve so that it closes under the bracket;
+    solvability of that system is guaranteed in this setting, so
+    failure raises InternalConsistencyError.  All of it runs on integer
+    numerators: the remainders of the [w_a, w_b] against g_infinity are
+    complement_algebra's constants, each block of the system is scaled
+    to integers (which leaves solve's answer unchanged), and closure is
+    checked exactly against those constants.
     """
     g.ensure_valid()
     if not is_two_step_solvable(g):
         raise NotTwoStepSolvableError("second derived algebra does not vanish")
-    rep = series(g)
-    ginf = rep.g_infinity
-    n = g.dim
+    ginf = series(g).g_infinity
+    n, inz, gden = g.dim, g._inz, g._den
     if bracket_of_subspaces(g, ginf, ginf).dim != 0:
         raise InternalConsistencyError("stabilized lower central term is not abelian")
     if bracket_of_subspaces(g, Subspace.full(n), ginf) != ginf:
         raise InternalConsistencyError("stabilized lower central term is not stable")
 
-    comp = complement(ginf)
-    free = list(comp.pivots)
-    q = len(free)
-    k = ginf.dim
-    w_basis = list(comp.basis)
-    phi_w = [_phi_matrix(g, w, ginf) for w in w_basis]
+    units = complement(ginf)
+    free = units.pivots
+    q, k = len(free), ginf.dim
+    phi_w = [_phi_matrix(g, u, 1, ginf) for u in units.rows._int_rows()]
+    n_alg = LieAlgebra._from_int(*g._quotient(ginf))
+    beta, bden = n_alg._inz, n_alg._den
 
     # Correction tau: W -> g_infinity making {w + tau(w)} bracket-closed.
     # Unknown T[j][t] = coefficient of the t-th g_infinity basis vector
     # in tau(w_j); one block of k equations per unordered pair.
-    tau = [zero_vector(k) for _ in range(q)]
+    comp = units.rows
     pairs = [(a, b) for a in range(q) for b in range(a + 1, q)]
     if k and pairs:
         nvars = q * k
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
+        eqs: list[int] = []
+        rhs: list[int] = []
         for a, b in pairs:
-            v = g.bracket(w_basis[a], w_basis[b])
-            r = ginf.reduce(v)            # component in W
-            c_ab = tuple(v[p] for p in ginf.pivots)  # g_infinity coordinates
-            beta = [r[f] for f in free]   # W coordinates of the bracket
+            pa, pb = phi_w[a], phi_w[b]
+            den = lcm(pa._den, pb._den, bden, gden)
+            sa, sb, sm = den // pa._den, den // pb._den, den // bden
+            v = _int_row(inz[free[a] * n + free[b]], n)
             for s in range(k):
-                row = [Fraction(0)] * nvars
+                row = [0] * nvars
                 for t in range(k):
-                    row[b * k + t] += phi_w[a][s, t]
-                    row[a * k + t] -= phi_w[b][s, t]
-                for mth, bm in enumerate(beta):
-                    if bm:
-                        row[mth * k + s] -= bm
-                rows.append(row)
-                rhs.append(-c_ab[s])
-        sol = solve(Matrix(rows), rhs)
+                    row[b * k + t] += pa._num[s * k + t] * sa
+                    row[a * k + t] -= pb._num[s * k + t] * sb
+                for m, x in beta[a * q + b]:
+                    row[m * k + s] -= x * sm
+                eqs += row
+                rhs.append(-v[ginf.pivots[s]] * (den // gden))
+        sol = solve(Matrix._raw(len(rhs), nvars, eqs, 1), rhs)
         if sol is None:
             raise InternalConsistencyError("complement correction system is unsolvable")
-        tau = [tuple(sol[j * k + t] for t in range(k)) for j in range(q)]
+        snum, sden = _scale_fractions(sol)
+        comp = comp + Matrix._raw(q, k, snum, sden) * ginf.rows
 
-    comp_basis = []
-    for j in range(q):
-        corr = ginf.from_coordinates(tau[j])
-        comp_basis.append(tuple(a + b for a, b in zip(w_basis[j], corr)))
-
-    comp_space = Subspace.from_vectors(n, comp_basis)
-    if comp_space.dim != q:
+    rows = comp._int_rows()
+    if Subspace._from_int_rows(n, rows).dim != q:
         raise InternalConsistencyError("corrected complement lost dimension")
-    for a in range(q):
-        for b in range(a + 1, q):
-            if not comp_space.contains(g.bracket(comp_basis[a], comp_basis[b])):
-                raise InternalConsistencyError("corrected complement is not a subalgebra")
+    # [row a, row b] over cden**2 * gden against sum_c beta[a][b][c] row c
+    # over bden * cden.
+    cden = comp._den
+    sparse = _sparse_rows(comp)
+    brackets = {}
+    for a, b in pairs:
+        br = brackets[a, b] = g._int_apply(sparse[a], sparse[b])
+        want = [0] * n
+        for c, x in beta[a * q + b]:
+            for i, y in sparse[c]:
+                want[i] += x * y
+        if any(x * bden != y * cden * gden for x, y in zip(br, want)):
+            raise InternalConsistencyError("corrected complement is not a subalgebra")
 
-    phi = tuple(_phi_matrix(g, w, ginf) for w in comp_basis)
-    for a in range(q):
-        for b in range(a + 1, q):
-            br = g.bracket(comp_basis[a], comp_basis[b])
-            lhs = phi[a] * phi[b] - phi[b] * phi[a]
-            if lhs != _phi_matrix(g, br, ginf):
-                raise InternalConsistencyError("phi is not a homomorphism")
+    phi = tuple(_phi_matrix(g, r, cden, ginf) for r in rows)
+    for a, b in pairs:
+        lhs = phi[a] * phi[b] - phi[b] * phi[a]
+        if lhs != _phi_matrix(g, brackets[a, b], cden * cden * gden, ginf):
+            raise InternalConsistencyError("phi is not a homomorphism")
 
-    cols = [list(b) for b in ginf.basis] + [list(b) for b in comp_basis]
-    change = Matrix.from_columns(cols)
     return SplitDecomposition(
-        algebra=g,
-        g_infinity_basis=ginf.basis,
-        complement_basis=tuple(comp_basis),
-        phi=phi,
-        change_of_basis=change,
+        algebra=g, g_infinity=ginf, complement=comp, phi=phi, complement_algebra=n_alg
     )

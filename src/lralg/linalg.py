@@ -750,17 +750,22 @@ class Bilinear:
         """x . y"""
         xnum, xden = _scaled(x, self.dim, self._kind)
         ynum, yden = _scaled(y, self.dim, self._kind)
-        n, inz = self.dim, self._inz
+        xs = [(i, xi) for i, xi in enumerate(xnum) if xi]
         ys = [(j, yj) for j, yj in enumerate(ynum) if yj]
+        return _to_vector(self._int_apply(xs, ys), xden * yden * self._den)
+
+    def _int_apply(self, xs, ys) -> list[int]:
+        """Numerators over _den of x . y, for x and y given by their
+        nonzero (index, integer) pairs."""
+        n, inz = self.dim, self._inz
         out = [0] * n
-        for i, xi in enumerate(xnum):
-            if xi:
-                base = i * n
-                for j, yj in ys:
-                    s = xi * yj
-                    for k, c in inz[base + j]:
-                        out[k] += s * c
-        return _to_vector(out, xden * yden * self._den)
+        for i, x in xs:
+            base = i * n
+            for j, y in ys:
+                s = x * y
+                for k, c in inz[base + j]:
+                    out[k] += s * c
+        return out
 
     def operator(self, x, right: bool = False) -> Matrix:
         """Matrix of y -> x . y, or of y -> y . x when right is set."""

@@ -271,6 +271,34 @@ class TestCatalog:
         assert code == 2
         assert "integer" in err
 
+    @pytest.mark.parametrize(
+        "name, param",
+        [
+            ("abelian", str(MAX_DIM + 1)),
+            ("filiform", str(MAX_DIM + 1)),
+            ("free-two-step", "16"),  # dimension 16 + 120
+            ("diag-solvable", ",".join(["1"] * MAX_DIM)),
+            ("diag-solvable", "1e5,1"),
+            ("diag-solvable", "0.5,1"),
+            ("diag-solvable", "1_0,1"),
+        ],
+        ids=["abelian", "filiform", "free-two-step", "diag-dim", "exponent", "decimal", "underscore"],
+    )
+    def test_param_outside_file_format(self, capsys, tmp_path, name, param):
+        # Every file catalog writes must be one the other commands read:
+        # dim at most MAX_DIM, weights in the rational grammar.
+        out_path = tmp_path / "x.json"
+        code, _, err = run(capsys, "catalog", name, param, "-o", str(out_path))
+        assert code == 2
+        assert len(err.encode()) < 300
+        assert not out_path.exists()
+
+    def test_largest_dimension_is_written(self, capsys, tmp_path):
+        out_path = tmp_path / "a.json"
+        code, _, _ = run(capsys, "catalog", "abelian", str(MAX_DIM), "-o", str(out_path))
+        assert code == 0
+        assert parse_file(str(out_path))[0].dim == MAX_DIM
+
 
 class TestLemma14:
     def test_holds(self, capsys, fixture_file):

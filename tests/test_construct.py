@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lralg import _kernels, construct, io, lr
+from lralg import _kernels, construct, io, linalg, lr
 from lralg.catalog import (
     abelian,
     diag_solvable,
@@ -360,3 +360,24 @@ def test_cli_path_builds_no_tensor_view(monkeypatch):
     assert '"product"' in io.format_algebra(g, completed)
     assert len(built) > 3
     assert all(b._tensor is None for b in built)
+
+
+def test_construction_path_scales_no_fraction_vector(monkeypatch):
+    """Split, completion and lift run on integer numerators: with the
+    Fraction-vector scaling of linalg disabled, they still succeed.
+    The two-generator products take Fraction coordinates, so they are
+    built first."""
+    diag, fil = diag_solvable([1, 2, 3]), filiform(12)
+    e = standard_basis(12)
+    cases = [
+        (diag, two_generator_lr(diag, (1, 0, 0, 0), (0, 1, 1, 1))),
+        (fil, two_generator_lr(fil, e[0], e[1])),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("a Fraction vector was scaled on the construction path")
+
+    monkeypatch.setattr(linalg, "_scaled", refuse)
+    for g, p in cases:
+        assert_complete_lr(g, complete_any(g, p).completed)
+    assert_complete_lr(r2(), lr_for_g3(r2()))

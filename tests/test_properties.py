@@ -11,10 +11,11 @@ must match a test-local computation on Fractions.  The LR certificates,
 which the library reads from products of products of structure
 constants, must match the dense operator-matrix checks they replaced,
 and the quotients, read from integer remainders, the Fraction table
-they replaced.  The two-generator construction, which scans its
-candidates lazily and sums its table on integers, must match the eager
-Fraction algorithm it replaced, and every builder of Bilinear must
-store the same canonical constants.
+they replaced.  The metabelian split, solved and checked on integers,
+must match the Fraction split it replaced.  The two-generator
+construction, which scans its candidates lazily and sums its table on
+integers, must match the eager Fraction algorithm it replaced, and
+every builder of Bilinear must store the same canonical constants.
 """
 
 from fractions import Fraction
@@ -34,6 +35,7 @@ from lralg.lie import (
     is_two_step_solvable,
     quotient,
     series,
+    split_metabelian,
     subalgebra_generated,
     validate_lie,
 )
@@ -46,6 +48,7 @@ from lralg.linalg import (
     is_nilpotent_operator,
     kernel,
     restrict_operator,
+    solve,
     standard_basis,
     subspace_intersection,
     subspace_sum,
@@ -66,14 +69,27 @@ from lralg.lr import (
 
 FIXTURES = [f for f in map(known_lr, known_lr_names()) if f[0].dim <= 6]
 
+# g_infinity is the span of the last coordinates and the complement has
+# two vectors, so the split's correction system runs (no other kind has
+# both a nonzero g_infinity and a bracket between complement vectors).
+CORRECTED = [
+    (3, {(0, 1): {2: 1}, (0, 2): {2: 1}}),
+    (4, {(0, 1): {2: 1, 3: 1}, (0, 2): {2: 1}, (0, 3): {3: 2}}),
+    (4, {(0, 1): {2: 1, 3: 1}, (0, 2): {2: 1}, (1, 3): {3: 1}}),
+]
+
 small_rational = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 1, 2, 3]))
 
 
 @st.composite
 def algebra_and_product(draw):
-    kind = draw(st.sampled_from(["fixture", "filiform", "diag"]))
+    kind = draw(st.sampled_from(["fixture", "filiform", "diag", "corrected"]))
     if kind == "fixture":
         return draw(st.sampled_from(FIXTURES))
+    if kind == "corrected":
+        g = LieAlgebra.from_brackets(*draw(st.sampled_from(CORRECTED)))
+        e = standard_basis(g.dim)
+        return g, two_generator_lr(g, e[0], e[1])
     if kind == "filiform":
         g = filiform(draw(st.integers(3, 6)))
         e = standard_basis(g.dim)
@@ -129,6 +145,45 @@ def fraction_quotient_tensor(t, s):
     return tuple(tuple(coords(t[a][b]) for b in free) for a in free)
 
 
+def fraction_split(g):
+    """split_metabelian as it was computed in Fractions: the complement
+    starts at the unit vectors w_j at the free coordinates of g_infinity
+    and is corrected inside g_infinity by one linear solve.  Returns
+    g_infinity_basis, complement_basis, phi and change_of_basis."""
+    ginf = series(g).g_infinity
+    units = complement(ginf)
+    w_basis, k, q = list(units.basis), ginf.dim, units.dim
+
+    def phi_matrix(w):
+        return restrict_operator(g.operator(w), ginf)
+
+    phi_w = [phi_matrix(w) for w in w_basis]
+    tau = [(Fraction(0),) * k for _ in range(q)]
+    pairs = [(a, b) for a in range(q) for b in range(a + 1, q)]
+    if k and pairs:
+        rows, rhs = [], []
+        for a, b in pairs:
+            v = g.bracket(w_basis[a], w_basis[b])
+            r = ginf.reduce(v)
+            beta = [r[f] for f in units.pivots]
+            for s in range(k):
+                row = [Fraction(0)] * (q * k)
+                for t in range(k):
+                    row[b * k + t] += phi_w[a][s, t]
+                    row[a * k + t] -= phi_w[b][s, t]
+                for m, bm in enumerate(beta):
+                    row[m * k + s] -= bm
+                rows.append(row)
+                rhs.append(-v[ginf.pivots[s]])
+        sol = solve(Matrix(rows), rhs)
+        tau = [sol[j * k:(j + 1) * k] for j in range(q)]
+    comp = tuple(
+        tuple(x + y for x, y in zip(w, ginf.from_coordinates(t))) for w, t in zip(w_basis, tau)
+    )
+    phi = tuple(phi_matrix(w) for w in comp)
+    return ginf.basis, comp, phi, Matrix.from_columns(list(ginf.basis) + list(comp))
+
+
 def flags(g, p):
     rep = check_lr(g, p)
     return rep.is_lr, rep.is_compatible, rep.is_complete
@@ -156,6 +211,16 @@ def test_basis_change_invariance(data):
         assert proj * section == Matrix.identity(g2.dim - ideal.dim)
         assert all(not any(proj.apply(v)) for v in ideal.basis)
         assert q.brackets == fraction_quotient_tensor(g2.brackets, ideal)
+
+    if is_two_step_solvable(g):
+        for h in (g, g2):
+            split = split_metabelian(h)
+            fields = (split.g_infinity_basis, split.complement_basis, split.phi,
+                      split.change_of_basis)
+            assert fields == fraction_split(h)
+            q = quotient(h, split.g_infinity)[0]
+            assert (split.complement_algebra._inz, split.complement_algebra._den) == (
+                q._inz, q._den)
 
     lr, compatible, _ = flags(g, p)
     if lr and compatible and is_two_step_solvable(g):
