@@ -251,9 +251,10 @@ def fixture_expectations(name: str) -> Fixture:
 def named_algebra(name: str, arg: str | None = None) -> LieAlgebra:
     """Parametrized catalog lookup used by the command line.
 
-    abelian, filiform and free-two-step take an integer; diag-solvable
-    takes comma-separated rational weights in the file format's grammar;
-    heisenberg and r2 take nothing.  A family member whose dimension
+    abelian, filiform and free-two-step take an integer in ASCII digits
+    (no sign, space or underscore), and the family checks its range;
+    diag-solvable takes comma-separated rational weights in the file
+    format's grammar; heisenberg and r2 take nothing.  A family member whose dimension
     would exceed io.MAX_DIM, which no command could read back, is
     rejected before it is built.
     """
@@ -267,7 +268,11 @@ def named_algebra(name: str, arg: str | None = None) -> LieAlgebra:
         """The integer parameter; dim_of gives the family's dimension."""
         if arg is None:
             raise PreconditionError(f"{name} needs an integer parameter")
+        # ASCII digits only: int() also takes signs, spaces, underscores
+        # and other scripts' digits, and refuses very long digit strings.
         try:
+            if not (arg.isascii() and arg.isdigit()):
+                raise ValueError(arg)
             n = int(arg)
         except ValueError:
             raise PreconditionError(f"{name} needs an integer parameter, got {_show(arg)}") from None

@@ -18,7 +18,6 @@ from .errors import (
     InvalidLieAlgebraError,
     NotAnIdealError,
     NotTwoStepSolvableError,
-    PreconditionError,
 )
 from .linalg import (
     Bilinear,
@@ -29,7 +28,6 @@ from .linalg import (
     _scale_fractions,
     _to_vector,
     complement,
-    restrict_operator,
     solve,
     subspace_sum,
     to_fraction,
@@ -281,7 +279,8 @@ class SplitDecomposition:
     rows span a subalgebra whose bracket in their coordinates is
     complement_algebra (g / g_infinity on its canonical basis).  phi[j]
     is the matrix of x -> [row j, x] on g_infinity in its RREF
-    coordinates.  change_of_basis has the adapted basis (g_infinity
+    coordinates, read from the brackets of row j with g_infinity's
+    basis rows.  change_of_basis has the adapted basis (g_infinity
     first, then the complement) as columns.
     """
 
@@ -322,14 +321,22 @@ class SplitDecomposition:
 
 
 def _phi_matrix(g: LieAlgebra, wnum: list[int], wden: int, ginf: Subspace) -> Matrix:
-    """Matrix of x -> [w, x] restricted to ginf, in ginf coordinates,
-    for w = wnum / wden with integer numerators wnum."""
-    n = g.dim
-    op = Matrix._raw(n, n, g._int_operator(wnum, False), wden * g._den)
-    try:
-        return restrict_operator(op, ginf)
-    except PreconditionError:
-        raise InternalConsistencyError("bracket left the stabilized term") from None
+    """Matrix of x -> [w, x] on ginf, in ginf's RREF coordinates, for
+    w = wnum / wden with integer numerators wnum.
+
+    Column t is [w, b_t] for b_t the t-th RREF row of ginf, read at
+    ginf's pivots, since row s is 1 at pivot s and 0 at the other
+    pivots.  A bracket with a nonzero remainder against ginf has left
+    it.
+    """
+    ws = [(i, x) for i, x in enumerate(wnum) if x]
+    cols = [g._int_apply(ws, b) for b in _sparse_rows(ginf.rows)]
+    for c in cols:
+        if any(ginf._remainder(c)):
+            raise InternalConsistencyError("bracket left the stabilized term")
+    k = ginf.dim
+    num = [cols[t][p] for p in ginf.pivots for t in range(k)]
+    return Matrix._raw(k, k, num, wden * g._den * ginf.rows._den)
 
 
 def split_metabelian(g: LieAlgebra) -> SplitDecomposition:

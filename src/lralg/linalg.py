@@ -10,7 +10,9 @@ A Subspace holds its reduced row echelon basis as such a Matrix, the
 kernel's rref as it comes, which again makes equality structural: two
 subspaces are equal iff their bases are identical.  Kernels, images,
 sums, intersections, membership and restriction of operators are
-Matrix algebra on those integer rows.
+Matrix algebra on those integer rows.  A Fitting split is the common
+kernel and the summed images of operator powers on the whole space;
+it restricts no operator to a subspace.
 
 Structure tensors (Bilinear) store only their nonzero constants, as
 integer numerators over one common denominator; products, operators,
@@ -51,10 +53,6 @@ def vector(xs) -> Vector:
     if set(map(type, v)) <= {Fraction}:
         return v
     return tuple(map(to_fraction, v))
-
-
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
 
 
 def standard_basis(n: int) -> list[Vector]:
@@ -317,30 +315,6 @@ class Matrix:
         return Matrix._raw(n, n, inv, rden)
 
 
-def _scaled_power_numerator(m: Matrix, k: int) -> list[int]:
-    """Integer matrix proportional (positive factor) to m**k.
-
-    Content is divided out after every kernel product, which keeps the
-    entries small; kernels, images and zero tests of the true power are
-    unaffected by the positive scalar.
-    """
-    n = m.rows
-    def reduce(a: list[int]) -> list[int]:
-        g = K.content(a)
-        return [x // g for x in a] if g > 1 else a
-
-    ident = Matrix.identity(n)._num
-    result = ident
-    base = reduce(list(m._num))
-    while k:
-        if k & 1:
-            result = reduce(K.mat_mul(result, base, n, n, n)) if result is not ident else base
-        if k > 1:
-            base = reduce(K.mat_mul(base, base, n, n, n))
-        k >>= 1
-    return result
-
-
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     return m.rref()
 
@@ -548,23 +522,11 @@ def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
     return coords
 
 
-def _embed(coord_space: Subspace, host: Subspace) -> Subspace:
-    """Map a subspace of host-coordinates back into the ambient space.
-
-    The product of the two RREFs is the RREF of the result, with pivots
-    host.pivots[q] for q in coord_space.pivots.
-    """
-    pivots = tuple(host.pivots[q] for q in coord_space.pivots)
-    return Subspace(host.ambient_dim, coord_space.rows * host.rows, pivots)
-
-
 def is_nilpotent_operator(m: Matrix) -> bool:
     """True iff m**dim is the zero matrix."""
     if not m.is_square:
         raise DimensionMismatchError("nilpotency of a non-square matrix")
-    if m.rows == 0:
-        return True
-    return not any(_scaled_power_numerator(m, m.rows))
+    return m.power(m.rows).is_zero
 
 
 @dataclass(frozen=True)
@@ -593,18 +555,13 @@ def _projection_onto(v_n: Subspace, v_0: Subspace) -> Matrix:
 
 
 def fitting_split_single(m: Matrix) -> FittingSplit:
-    """Fitting decomposition of one operator.
-
-    v_n is the kernel and v_0 the image of m**dim; m is nilpotent on
-    v_n and invertible on v_0.
+    """Fitting decomposition of one operator: _fitting_split_commuting
+    of the family [m].  v_n is the kernel and v_0 the image of m**dim;
+    m is nilpotent on v_n and invertible on v_0.
     """
     if not m.is_square:
         raise DimensionMismatchError("Fitting split of a non-square matrix")
-    n = m.rows
-    pw = Matrix._raw(n, n, list(_scaled_power_numerator(m, n)), 1)
-    v_n = kernel(pw)
-    v_0 = image(pw)
-    return FittingSplit(v_n, v_0, _projection_onto(v_n, v_0))
+    return _fitting_split_commuting([m])
 
 
 def fitting_split_family(ms) -> FittingSplit:
@@ -631,23 +588,20 @@ def _fitting_split_commuting(mats: list[Matrix]) -> FittingSplit:
     """Joint Fitting decomposition of square operators of one size that
     commute pairwise, which is assumed, not checked.
 
-    v_n is the largest subspace on which every operator is nilpotent,
-    computed by splitting off the invertible part of each operator in
-    turn; the leftover is the intersection of the generalized kernels.
+    By definition (de Graaf, Lie Algebras: Theory and Algorithms, 2000)
+    v_n, the Fitting null component, is the common kernel of the powers
+    m**dim, and v_0, the Fitting one component, is the sum of their
+    images.  Row and column scale leave both spans unchanged, so the
+    integer numerators of the powers serve.
     """
     if not mats:
         raise DimensionMismatchError("empty operator family")
     n = mats[0].rows
-    running = Subspace.full(n)
-    v0_parts: list[Subspace] = []
-    for m in mats:
-        if running.dim == 0:
-            break
-        sub = fitting_split_single(restrict_operator(m, running))
-        v0_parts.append(_embed(sub.v_0, running))
-        running = _embed(sub.v_n, running)
-    v_0 = Subspace._from_int_rows(n, [r for part in v0_parts for r in part.rows._int_rows()])
-    return FittingSplit(running, v_0, _projection_onto(running, v_0))
+    powers = [m.power(n) for m in mats]
+    rows = [r for p in powers for r in p._int_rows() if any(r)]
+    v_n = kernel(Matrix._raw(len(rows), n, [x for r in rows for x in r], 1))
+    v_0 = Subspace._from_int_rows(n, [p._num[j::n] for p in powers for j in range(n)])
+    return FittingSplit(v_n, v_0, _projection_onto(v_n, v_0))
 
 
 class Bilinear:

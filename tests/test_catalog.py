@@ -158,8 +158,11 @@ class TestNamedAlgebra:
             named_algebra("diag-solvable", "1,oops")
         with pytest.raises(PreconditionError):
             named_algebra("diag-solvable")
-        with pytest.raises(PreconditionError):
+        # Digit strings below a family's range get the family's message.
+        with pytest.raises(PreconditionError, match="start at dimension 3"):
             named_algebra("filiform", "2")
+        with pytest.raises(PreconditionError, match="at least 1"):
+            named_algebra("abelian", "0")
 
     def test_unknown_family(self):
         with pytest.raises(UnknownFixtureError):

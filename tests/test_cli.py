@@ -281,12 +281,18 @@ class TestCatalog:
             ("diag-solvable", "1e5,1"),
             ("diag-solvable", "0.5,1"),
             ("diag-solvable", "1_0,1"),
+            ("abelian", "1_0"),
+            ("abelian", "+5"),
+            ("abelian", " 5"),
+            ("abelian", "\u0663"),  # ARABIC-INDIC DIGIT THREE
         ],
-        ids=["abelian", "filiform", "free-two-step", "diag-dim", "exponent", "decimal", "underscore"],
+        ids=["abelian", "filiform", "free-two-step", "diag-dim", "exponent", "decimal", "underscore",
+             "int-underscore", "int-plus", "int-space", "int-non-ascii-digit"],
     )
     def test_param_outside_file_format(self, capsys, tmp_path, name, param):
         # Every file catalog writes must be one the other commands read:
-        # dim at most MAX_DIM, weights in the rational grammar.
+        # dim at most MAX_DIM, integers in ASCII digits, weights in the
+        # rational grammar.
         out_path = tmp_path / "x.json"
         code, _, err = run(capsys, "catalog", name, param, "-o", str(out_path))
         assert code == 2

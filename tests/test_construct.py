@@ -1,6 +1,7 @@
 """Constructions: completion on nilpotent algebras, the splitting
 pipeline, the half bracket, and the two-generator structure."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -381,3 +382,26 @@ def test_construction_path_scales_no_fraction_vector(monkeypatch):
     for g, p in cases:
         assert_complete_lr(g, complete_any(g, p).completed)
     assert_complete_lr(r2(), lr_for_g3(r2()))
+
+
+def test_completion_pipeline_restricts_no_operator(monkeypatch):
+    """The Fitting split and phi are read from powers and brackets on the
+    whole space: with restrict_operator refusing in every module that
+    binds it, splits, completions and lifts still succeed."""
+    diag, fil = diag_solvable([1, 2, 3]), filiform(12)
+    e = standard_basis(12)
+    cases = [
+        (diag, two_generator_lr(diag, (1, 0, 0, 0), (0, 1, 1, 1))),
+        (fil, two_generator_lr(fil, e[0], e[1])),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("an operator was restricted to a subspace")
+
+    for module in list(sys.modules.values()):
+        if module.__name__.split(".")[0] == "lralg" and hasattr(module, "restrict_operator"):
+            monkeypatch.setattr(module, "restrict_operator", refuse)
+    for g, p in cases:
+        assert_complete_lr(g, complete_any(g, p).completed)
+    assert_complete_lr(r2(), lr_for_g3(r2()))
+    assert split_metabelian(free_two_step(4)).g_infinity.dim == 0

@@ -1,20 +1,28 @@
-"""Every name a module of the package imports is used in it.
+"""Every name a module of the package imports is used in it, and every
+function or class it defines is used somewhere.
 
-Deleting a code path tends to leave its imports behind; no linter is
-part of the test run, so this check reads each module's syntax tree
-with the standard library.  __init__.py is skipped: its imports are
-the package's re-exports.
+Deleting a code path tends to leave its imports and helpers behind; no
+linter is part of the test run, so these checks read syntax trees with
+the standard library.  __init__.py is skipped: its imports are the
+package's re-exports.
 """
 
 import ast
 import os
+from collections import Counter
 
 import pytest
 
-PACKAGE = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src", "lralg")
+ROOT = os.path.dirname(os.path.dirname(__file__))
+PACKAGE = os.path.join(ROOT, "src", "lralg")
 MODULES = sorted(
     f for f in os.listdir(PACKAGE) if f.endswith(".py") and f != "__init__.py"
 )
+
+
+def parse(path: str) -> ast.Module:
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -30,9 +38,9 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    """Every name read in the module, including inside string annotations."""
-    trees = [tree]
+def string_annotations(tree: ast.AST) -> list[ast.AST]:
+    """The annotations written as strings in the tree, parsed."""
+    trees = []
     for node in ast.walk(tree):
         if isinstance(node, (ast.arg, ast.AnnAssign)):
             note = node.annotation
@@ -43,14 +51,61 @@ def used_names(tree: ast.Module) -> set[str]:
         for c in ast.walk(note) if note else ():
             if isinstance(c, ast.Constant) and isinstance(c.value, str):
                 trees.append(ast.parse(c.value, mode="eval"))
+    return trees
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every name read in the module, including inside string annotations."""
+    trees = [tree] + string_annotations(tree)
     return {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
-    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=module)
+    tree = parse(os.path.join(PACKAGE, module))
     used = used_names(tree)
     unused = [f"{name} (line {line})" for name, line in imported_names(tree).items()
               if name not in used]
     assert not unused, f"{module} imports names it never uses: {', '.join(unused)}"
+
+
+def read_names(tree: ast.AST) -> Counter:
+    """How often the tree reads each name, as a bare name, an attribute
+    or an imported name; string annotations included."""
+    names = Counter()
+    for t in [tree] + string_annotations(tree):
+        for node in ast.walk(t):
+            if isinstance(node, ast.Name):
+                names[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                names[node.attr] += 1
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_dead_definitions():
+    """A module-level function or class must be read outside its own
+    body somewhere in the package, re-exported by __init__.py, named in
+    the pipeline benchmark's TARGETS, or used by a test."""
+    trees = {m: parse(os.path.join(PACKAGE, m)) for m in MODULES}
+    in_src = sum(map(read_names, trees.values()), Counter())
+    exported = read_names(parse(os.path.join(PACKAGE, "__init__.py")))
+    layers = parse(os.path.join(ROOT, "pipebench", "layers.py"))
+    assign = next(n for n in layers.body if isinstance(n, ast.Assign)
+                  and getattr(n.targets[0], "id", None) == "TARGETS")
+    targets = {c.value for c in ast.walk(assign.value) if isinstance(c, ast.Constant)}
+    tests = os.path.join(ROOT, "tests")
+    in_tests = sum(
+        (read_names(parse(os.path.join(tests, f))) for f in os.listdir(tests) if f.endswith(".py")),
+        Counter(),
+    )
+    dead = [
+        f"{module}:{node.lineno} {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and in_src[node.name] <= read_names(node)[node.name]
+        and not (node.name in exported or node.name in targets or in_tests[node.name])
+    ]
+    assert not dead, f"definitions nothing uses: {', '.join(dead)}"

@@ -12,7 +12,9 @@ which the library reads from products of products of structure
 constants, must match the dense operator-matrix checks they replaced,
 and the quotients, read from integer remainders, the Fraction table
 they replaced.  The metabelian split, solved and checked on integers,
-must match the Fraction split it replaced.  The two-generator
+must match the Fraction split it replaced, and the joint Fitting split,
+read from operator powers on the whole space, the restrict-and-embed
+split it replaced.  The two-generator
 construction, which scans its candidates lazily and sums its table on
 integers, must match the eager Fraction algorithm it replaced, and
 every builder of Bilinear must store the same canonical constants.
@@ -44,6 +46,8 @@ from lralg.linalg import (
     Matrix,
     Subspace,
     complement,
+    fitting_split_family,
+    fitting_split_single,
     image,
     is_nilpotent_operator,
     kernel,
@@ -393,6 +397,65 @@ def test_integer_paths_match_fraction_oracle(data):
     ok, violations = validate_lie(g)
     assert ok == (not expected)
     assert [(v.identity, v.indices, v.defect) for v in violations] == expected
+
+
+def restricted_fitting_split(mats):
+    """The joint Fitting split as it was computed by restriction: each
+    operator in turn is restricted to the running nilpotent part, split
+    there by the kernel and the image of its power, and both parts are
+    mapped back; proj_n is read off in Fractions."""
+    n = mats[0].rows
+    running = Subspace.full(n)
+    v0_vectors = []
+    for m in mats:
+        if running.dim == 0:
+            break
+        r = restrict_operator(m, running)
+        pw = r.power(r.rows)
+        v0_vectors += (image(pw).rows * running.rows).row_list()
+        running = Subspace.from_vectors(n, (kernel(pw).rows * running.rows).row_list())
+    v_0 = Subspace.from_vectors(n, v0_vectors)
+    zero = (Fraction(0),) * n
+    basis = Matrix.from_columns(list(running.basis) + list(v_0.basis))
+    target = Matrix.from_columns(list(running.basis) + [zero] * v_0.dim)
+    return running, v_0, target * basis.inverse()
+
+
+@st.composite
+def commuting_family(draw):
+    """Polynomials in one matrix A, which has a nilpotent block and an
+    invertible block, after a rational change of basis."""
+    a = draw(st.integers(0, 4))
+    b = draw(st.integers(0 if a else 1, 3))
+    n = a + b
+    block = draw(invertible(b))[0] if b else []
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(a):
+        for j in range(i + 1, a):
+            d[i][j] = draw(small_rational)
+    for i in range(b):
+        d[a + i][a:] = block[i]
+    s, sinv = draw(invertible(n))
+    m = Matrix(s) * Matrix(d) * Matrix(sinv)
+    # A constant term makes a member invertible on the nilpotent block,
+    # so it is mostly left out, to keep both parts of the split nonzero.
+    constants = st.sampled_from([Fraction(0)] * 3 + [Fraction(1), Fraction(-2)])
+    family = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = [draw(constants)] + draw(st.lists(small_rational, min_size=1, max_size=3))
+        p, power = Matrix.zeros(n, n), Matrix.identity(n)
+        for c in coeffs:
+            p, power = p + c * power, power * m
+        family.append(p)
+    return family
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(family=commuting_family())
+def test_fitting_split_matches_restricted_split(family):
+    for fit, mats in ((fitting_split_family(family), family),
+                      (fitting_split_single(family[0]), family[:1])):
+        assert (fit.v_n, fit.v_0, fit.proj_n) == restricted_fitting_split(mats)
 
 
 def dense_lr_violations(p):
