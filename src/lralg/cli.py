@@ -24,9 +24,9 @@ from .errors import (
     UnknownFixtureError,
 )
 from .io import _parse_rational, emit_file, parse_file
-from .lie import series, is_two_step_solvable, validate_lie
+from .lie import series, validate_lie
 from .linalg import Matrix
-from .lr import check_lr, check_lemma14, sample_triples
+from .lr import _random_triples, check_lr, check_lemma14
 
 
 def _defect_json(defect):
@@ -110,7 +110,6 @@ def cmd_analyze(args) -> int:
     rep = series(g)
     lower = [s.dim for s in rep.lower_central]
     derived = [s.dim for s in rep.derived]
-    two_step = is_two_step_solvable(g)
     if args.json:
         _emit_json(
             {
@@ -121,7 +120,7 @@ def cmd_analyze(args) -> int:
                 "nilpotent": rep.nilpotent,
                 "solvable": rep.solvable,
                 "solvable_class": rep.solvable_class,
-                "two_step_solvable": two_step,
+                "two_step_solvable": rep.two_step_solvable,
             }
         )
     else:
@@ -134,7 +133,7 @@ def cmd_analyze(args) -> int:
             print(f"solvable: yes (class {rep.solvable_class})")
         else:
             print("solvable: no")
-        print(f"two-step solvable: {_yn(two_step)}")
+        print(f"two-step solvable: {_yn(rep.two_step_solvable)}")
     return 0
 
 
@@ -168,7 +167,8 @@ def cmd_complete(args) -> int:
     g, p = _load_with_product(args.file)
     cert = complete_any(g, p)
     changed = cert.completed != cert.original
-    ginf_dim = series(g).g_infinity.dim
+    # The Fitting split is taken on g / g_infinity.
+    ginf_dim = g.dim - cert.fitting.v_n.ambient_dim
     emit_file(args.output, g, cert.completed)
     if args.json:
         _emit_json(
@@ -260,8 +260,7 @@ def cmd_lemma14(args) -> int:
     g.ensure_valid()
     if args.samples < 0:
         raise FileFormatError("--samples: must be non-negative")
-    triples = sample_triples(p.dim, args.samples, args.seed)
-    violations = check_lemma14(p, triples)
+    violations = check_lemma14(p, _random_triples(p.dim, args.samples, args.seed))
     holds = not violations
     if args.json:
         _emit_json(

@@ -12,6 +12,7 @@ InternalConsistencyError rather than producing an unverified product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import (
@@ -42,6 +43,7 @@ from .linalg import (
     _fitting_split_commuting,
     _int_row,
     _scale_fractions,
+    _sparse_rows,
     vector,
 )
 from .lr import (
@@ -77,12 +79,6 @@ def _witness(new: Product, old: Product) -> ContainmentWitness:
     return ContainmentWitness(new_span, old_span, old_span.contains_subspace(new_span))
 
 
-def _sparse_columns(m: Matrix) -> list[list[tuple[int, int]]]:
-    """The nonzero (row, numerator) pairs of each column of a square m."""
-    n, num = m.cols, m._num
-    return [[(a, num[a * n + i]) for a in range(n) if num[a * n + i]] for i in range(n)]
-
-
 def _transport(inz, n: int, first: Matrix, second: Matrix, out: Matrix) -> tuple[list, int]:
     """Integer constants of (x, y) -> out p(first x, second y), for the
     bilinear map p on Q^n with integer constants inz in _inz's layout.
@@ -93,7 +89,7 @@ def _transport(inz, n: int, first: Matrix, second: Matrix, out: Matrix) -> tuple
     pairs at once, then the second, then the output, so a dense change
     of basis costs O(n^4) products of integers.
     """
-    firsts, seconds, outs = _sparse_columns(first), _sparse_columns(second), _sparse_columns(out)
+    firsts, seconds, outs = (_sparse_rows(m.transpose()) for m in (first, second, out))
     rows = []
     for i in range(n):
         # half[b] = p(first e_i, e_b), as nonzero (c, numerator) pairs
@@ -272,21 +268,17 @@ def lr_for_g3(g: LieAlgebra) -> Product:
     the third one.
 
     Splits off g_infinity, takes the half bracket on the two-step
-    nilpotent quotient and lifts it back.  half_bracket certifies the
-    half bracket complete, so lift_product certifies the lift complete.
+    nilpotent quotient and lifts it back.  The split's series report
+    lists the lower central terms down to g_infinity, so g_infinity is
+    the third term exactly when at most three are listed.  half_bracket
+    certifies the half bracket complete, so lift_product certifies the
+    lift complete.
     """
-    g.ensure_valid()
-    if not is_two_step_solvable(g):
-        raise NotTwoStepSolvableError("second derived algebra does not vanish")
-    rep = series(g)
-    full = Subspace.full(g.dim)
-    g2 = bracket_of_subspaces(g, full, full)
-    g3 = bracket_of_subspaces(g, full, g2)
-    if rep.g_infinity != g3:
+    split = split_metabelian(g)
+    if len(split.series.lower_central) > 3:
         raise PreconditionError(
             "the stabilized lower central term differs from the third one"
         )
-    split = split_metabelian(g)
     return lift_product(split, half_bracket(split.complement_algebra))
 
 
@@ -297,31 +289,6 @@ def _scan_order(n: int):
     for total in range(1, 2 * n + 1):
         for l in range(max(1, total - n), min(total, n) + 1):
             yield total - l, l
-
-
-def _echelon_add(echelon: list[tuple[int, list[int]]], u: list[int]) -> bool:
-    """Add the integer vector u to the echelon rows if it is independent
-    of them, and say whether it was.
-
-    Each row is stored with its pivot, the first nonzero coordinate of
-    what is left of it after the rows before it are eliminated; so the
-    later rows vanish at every earlier pivot, and eliminating the rows
-    in order leaves zeros at all pivots.
-    """
-    w = u
-    for p, r in echelon:
-        c = w[p]
-        if c:
-            a = r[p]
-            w = [a * x - c * y for x, y in zip(w, r)]
-            g = gcd(*w)
-            if g > 1:
-                w = [x // g for x in w]
-    pivot = next((j for j, x in enumerate(w) if x), None)
-    if pivot is None:
-        return False
-    echelon.append((pivot, w))
-    return True
 
 
 def two_generator_lr(g: LieAlgebra, x, y) -> Product:
@@ -340,7 +307,8 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
 
     The scan is lazy: each candidate is one integer bracket of the one
     before it in its chain, formed when the scan reaches it, reduced
-    against one growing echelon basis, and the scan stops at n vectors.
+    against the span of the kept vectors, a Subspace that grows by one
+    row reduction per kept vector, and the scan stops at n vectors.
     Those n vectors are independent brackets of x and y, which proves
     that x and y generate g; only a scan that falls short computes the
     generated subalgebra, to tell a non-generating pair from an
@@ -357,7 +325,7 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
 
     ad_x = ad(g, xv)
     ad_y = ad(g, yv)
-    cols_x, cols_y = _sparse_columns(ad_x), _sparse_columns(ad_y)
+    cols_x, cols_y = _sparse_rows(ad_x.transpose()), _sparse_rows(ad_y.transpose())
 
     def step(kl: tuple[int, int]) -> tuple[tuple[int, int], Matrix, list]:
         """The pair before kl in its chain, and the operator leading from
@@ -366,16 +334,13 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
         k, l = kl
         return ((k - 1, l), ad_y, cols_y) if k else ((0, l - 1), ad_x, cols_x)
 
-    # vectors[(k, l)] = (u, d): ad(y)^k ad(x)^l y = u / d in lowest terms.
-    # selected holds (u, d, (k, l)) per kept vector, (k, l) None for x.
-    xnum, xden = _scale_fractions(xv)
-    vectors = {(0, 0): _scale_fractions(yv)}
+    # vectors[(k, l)] = (u, d): ad(y)^k ad(x)^l y = u / d in lowest terms,
+    # and vectors[None] is x.  selected holds (u, d, key) per kept vector.
+    vectors = {None: _scale_fractions(xv), (0, 0): _scale_fractions(yv)}
     selected = []
-    echelon: list[tuple[int, list[int]]] = []
-    if _echelon_add(echelon, xnum):
-        selected.append((xnum, xden, None))
-    for kl in _scan_order(n):
-        if len(echelon) == n:
+    span = Subspace.zero(n)
+    for kl in chain([None], _scan_order(n)):
+        if span.dim == n:
             break
         if kl not in vectors:
             before, m, cols = step(kl)
@@ -389,9 +354,11 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
             h = gcd(*u, d)
             vectors[kl] = ([c // h for c in u], d // h) if h > 1 else (u, d)
         u, d = vectors[kl]
-        if _echelon_add(echelon, u):
+        r = span._remainder(u)
+        if any(r):
+            span = Subspace._from_int_rows(n, span.rows._int_rows() + [r])
             selected.append((u, d, kl))
-    if len(echelon) != n:
+    if span.dim != n:
         if subalgebra_generated(g, [xv, yv]).dim != n:
             raise NotGeneratedError("the two elements do not generate the algebra")
         raise InternalConsistencyError("candidate vectors do not span the algebra")

@@ -26,6 +26,7 @@ from .linalg import (
     Vector,
     _int_row,
     _scale_fractions,
+    _sparse_rows,
     _to_vector,
     complement,
     solve,
@@ -159,11 +160,6 @@ def ad(g: LieAlgebra, x) -> Matrix:
     return g.operator(x)
 
 
-def _sparse_rows(m: Matrix) -> list[list[tuple[int, int]]]:
-    """The nonzero (column, numerator) pairs of each row of m."""
-    return [[(i, x) for i, x in enumerate(r) if x] for r in m._int_rows()]
-
-
 def bracket_of_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of all [u, v] with u in a, v in b.
 
@@ -197,6 +193,11 @@ class SeriesReport:
     def solvable(self) -> bool:
         return self.solvable_class is not None
 
+    @property
+    def two_step_solvable(self) -> bool:
+        """True iff the second derived algebra [[g,g],[g,g]] vanishes."""
+        return self.solvable_class is not None and self.solvable_class <= 2
+
 
 def series(g: LieAlgebra) -> SeriesReport:
     g.ensure_valid()
@@ -209,8 +210,10 @@ def series(g: LieAlgebra) -> SeriesReport:
             break
         lower.append(nxt)
 
-    derived = [full]
-    while True:
+    # Both series have [g, g] as their second term; when g = [g, g] the
+    # derived series stops at g as well.
+    derived = lower[:2]
+    while len(derived) > 1:
         nxt = bracket_of_subspaces(g, derived[-1], derived[-1])
         if nxt == derived[-1]:
             break
@@ -272,23 +275,30 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix, Matrix
 @dataclass(frozen=True)
 class SplitDecomposition:
     """Splitting g = g_infinity + complement of a two-step solvable
-    algebra over its stabilized lower central term, as series gives it.
+    algebra over its stabilized lower central term.
 
-    Row j of the q x n Matrix complement is the unit vector at the j-th
-    non-pivot coordinate of g_infinity plus a correction inside it; the
-    rows span a subalgebra whose bracket in their coordinates is
+    series is the SeriesReport of g the split was taken from, and
+    g_infinity its stabilized lower central term.  Row j of the q x n
+    Matrix complement is the unit vector at the j-th non-pivot
+    coordinate of g_infinity plus a correction inside it; the rows span
+    a subalgebra whose bracket in their coordinates is
     complement_algebra (g / g_infinity on its canonical basis).  phi[j]
     is the matrix of x -> [row j, x] on g_infinity in its RREF
-    coordinates, read from the brackets of row j with g_infinity's
-    basis rows.  change_of_basis has the adapted basis (g_infinity
-    first, then the complement) as columns.
+    coordinates, read from the brackets of the unit vector with
+    g_infinity's basis rows (the correction brackets to zero there).
+    change_of_basis has the adapted basis (g_infinity first, then the
+    complement) as columns.
     """
 
     algebra: "LieAlgebra"
-    g_infinity: Subspace
+    series: SeriesReport
     complement: Matrix
     phi: tuple[Matrix, ...]
     complement_algebra: "LieAlgebra"
+
+    @property
+    def g_infinity(self) -> Subspace:
+        return self.series.g_infinity
 
     @property
     def g_infinity_basis(self) -> tuple[Vector, ...]:
@@ -343,20 +353,24 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     """Split g as a semidirect sum of g_infinity and a complement
     subalgebra.
 
-    Works for two-step solvable algebras.  The complement starts from
-    the unit vectors w_j at the non-pivot coordinates of g_infinity and
-    is corrected by a linear solve so that it closes under the bracket;
-    solvability of that system is guaranteed in this setting, so
-    failure raises InternalConsistencyError.  All of it runs on integer
-    numerators: the remainders of the [w_a, w_b] against g_infinity are
+    Works for two-step solvable algebras; one series(g) call gives both
+    that test and g_infinity, and the report is kept on the result.
+    The complement starts from the unit vectors w_j at the non-pivot
+    coordinates of g_infinity and is corrected by a linear solve so that
+    it closes under the bracket; solvability of that system is
+    guaranteed in this setting, so failure raises
+    InternalConsistencyError.  All of it runs on integer numerators: the
+    remainders of the [w_a, w_b] against g_infinity are
     complement_algebra's constants, each block of the system is scaled
     to integers (which leaves solve's answer unchanged), and closure is
-    checked exactly against those constants.
+    checked exactly against those constants.  The correction tau_j lies
+    in g_infinity, which is abelian, so [w_j + tau_j, b] = [w_j, b] for b
+    in g_infinity: phi of the unit vectors is phi of the complement.
     """
-    g.ensure_valid()
-    if not is_two_step_solvable(g):
+    rep = series(g)
+    if not rep.two_step_solvable:
         raise NotTwoStepSolvableError("second derived algebra does not vanish")
-    ginf = series(g).g_infinity
+    ginf = rep.g_infinity
     n, inz, gden = g.dim, g._inz, g._den
     if bracket_of_subspaces(g, ginf, ginf).dim != 0:
         raise InternalConsistencyError("stabilized lower central term is not abelian")
@@ -366,7 +380,7 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     units = complement(ginf)
     free = units.pivots
     q, k = len(free), ginf.dim
-    phi_w = [_phi_matrix(g, u, 1, ginf) for u in units.rows._int_rows()]
+    phi = tuple(_phi_matrix(g, u, 1, ginf) for u in units.rows._int_rows())
     n_alg = LieAlgebra._from_int(*g._quotient(ginf))
     beta, bden = n_alg._inz, n_alg._den
 
@@ -380,7 +394,7 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
         eqs: list[int] = []
         rhs: list[int] = []
         for a, b in pairs:
-            pa, pb = phi_w[a], phi_w[b]
+            pa, pb = phi[a], phi[b]
             den = lcm(pa._den, pb._den, bden, gden)
             sa, sb, sm = den // pa._den, den // pb._den, den // bden
             v = _int_row(inz[free[a] * n + free[b]], n)
@@ -399,8 +413,7 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
         snum, sden = _scale_fractions(sol)
         comp = comp + Matrix._raw(q, k, snum, sden) * ginf.rows
 
-    rows = comp._int_rows()
-    if Subspace._from_int_rows(n, rows).dim != q:
+    if Subspace._from_int_rows(n, comp._int_rows()).dim != q:
         raise InternalConsistencyError("corrected complement lost dimension")
     # [row a, row b] over cden**2 * gden against sum_c beta[a][b][c] row c
     # over bden * cden.
@@ -416,12 +429,11 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
         if any(x * bden != y * cden * gden for x, y in zip(br, want)):
             raise InternalConsistencyError("corrected complement is not a subalgebra")
 
-    phi = tuple(_phi_matrix(g, r, cden, ginf) for r in rows)
     for a, b in pairs:
         lhs = phi[a] * phi[b] - phi[b] * phi[a]
         if lhs != _phi_matrix(g, brackets[a, b], cden * cden * gden, ginf):
             raise InternalConsistencyError("phi is not a homomorphism")
 
     return SplitDecomposition(
-        algebra=g, g_infinity=ginf, complement=comp, phi=phi, complement_algebra=n_alg
+        algebra=g, series=rep, complement=comp, phi=phi, complement_algebra=n_alg
     )

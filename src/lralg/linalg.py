@@ -76,6 +76,11 @@ def _int_row(pairs, n: int) -> list[int]:
     return row
 
 
+def _sparse_rows(m: Matrix) -> list[list[tuple[int, int]]]:
+    """The nonzero (column, numerator) pairs of each row of m."""
+    return [[(i, x) for i, x in enumerate(r) if x] for r in m._int_rows()]
+
+
 def _scale_fractions(entries) -> tuple[list[int], int]:
     """Common-denominator form of a flat Fraction sequence."""
     den = lcm(*{e.denominator for e in entries})

@@ -34,6 +34,7 @@ of a matrix power per basis operator.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -407,8 +408,8 @@ def check_lemma14(p: Product, samples=()) -> list[Violation]:
     return violations
 
 
-def sample_triples(dim: int, count: int, seed: int) -> list[tuple[Vector, Vector, Vector]]:
-    """Deterministic pseudorandom triples of rational vectors."""
+def _random_triples(dim: int, count: int, seed: int) -> Iterator[tuple[Vector, Vector, Vector]]:
+    """sample_triples one at a time, so a consumer holds one triple."""
     rng = random.Random(seed)
 
     def rand_vec() -> Vector:
@@ -416,7 +417,13 @@ def sample_triples(dim: int, count: int, seed: int) -> list[tuple[Vector, Vector
             Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(dim)
         )
 
-    return [(rand_vec(), rand_vec(), rand_vec()) for _ in range(count)]
+    for _ in range(count):
+        yield rand_vec(), rand_vec(), rand_vec()
+
+
+def sample_triples(dim: int, count: int, seed: int) -> list[tuple[Vector, Vector, Vector]]:
+    """Deterministic pseudorandom triples of rational vectors."""
+    return list(_random_triples(dim, count, seed))
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,15 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import types
 
 import pytest
 
 import lralg
+from lralg import cli, lr
 from lralg.cli import main
 from lralg.io import MAX_DIM, parse_file
 
@@ -325,6 +328,31 @@ class TestLemma14:
         data = json.loads(out)
         assert data["holds"] is True
         assert data["samples"] == 5
+
+    def test_samples_are_drawn_as_they_are_checked(self, capsys, monkeypatch, fixture_file):
+        """The triples reach check_lemma14 one at a time: when it takes
+        the first one, only that triple's 3 * dim draws have been made,
+        whatever --samples asks for."""
+        path = fixture_file("heisenberg-half")
+        draws = []
+
+        class Counted(random.Random):
+            def randint(self, a, b):
+                draws.append(None)
+                return super().randint(a, b)
+
+        monkeypatch.setattr(lr, "random", types.SimpleNamespace(Random=Counted))
+        seen = []
+
+        def first_only(p, samples):
+            next(iter(samples))
+            seen.append(len(draws))
+            return []
+
+        monkeypatch.setattr(cli, "check_lemma14", first_only)
+        code, _, _ = run(capsys, "lemma14", path, "--samples", "1000")
+        assert code == 0
+        assert seen and seen[0] <= 3 * parse_file(path)[0].dim
 
 
 class TestContract:

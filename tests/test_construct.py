@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lralg import _kernels, construct, io, linalg, lr
+from lralg import _kernels, cli, construct, io, lie, linalg, lr
 from lralg.catalog import (
     abelian,
     diag_solvable,
@@ -405,3 +405,44 @@ def test_completion_pipeline_restricts_no_operator(monkeypatch):
         assert_complete_lr(g, complete_any(g, p).completed)
     assert_complete_lr(r2(), lr_for_g3(r2()))
     assert split_metabelian(free_two_step(4)).g_infinity.dim == 0
+
+
+def test_series_facts_are_computed_once(monkeypatch, tmp_path, capsys):
+    """The split hands its series report on: `lralg complete` on the
+    filiform(12) shift fixture runs series once on the input algebra
+    (and once on the complement algebra, inside the completion), and
+    lr_for_g3 reads its precondition from the split's report."""
+    calls = []
+    for name in ("series", "is_two_step_solvable", "bracket_of_subspaces"):
+        original = getattr(lie, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, args[0]))
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.split(".")[0] == "lralg" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+
+    def counts(name, on=None):
+        return sum(1 for n, g in calls if n == name and (on is None or g is on))
+
+    parsed = []
+    parse = cli.parse_file
+    monkeypatch.setattr(cli, "parse_file", lambda path: parsed.append(parse(path)) or parsed[-1])
+    fixture, out = str(tmp_path / "in.json"), str(tmp_path / "out.json")
+    assert cli.main(["catalog", "filiform12-shift", "-o", fixture]) == 0
+    calls.clear()
+    assert cli.main(["complete", fixture, "-o", out]) == 0
+    capsys.readouterr()
+    assert counts("series") == 2
+    assert counts("series", parsed[-1][0]) == 1
+    assert counts("bracket_of_subspaces") <= 33
+
+    calls.clear()
+    split_metabelian(diag_solvable([1, 2]))
+    assert counts("is_two_step_solvable") == 0
+
+    calls.clear()
+    lr_for_g3(r2())
+    assert counts("series") == 1

@@ -1,5 +1,5 @@
 """Every name a module of the package imports is used in it, and every
-function or class it defines is used somewhere.
+function, class, method or property it defines is used somewhere.
 
 Deleting a code path tends to leave its imports and helpers behind; no
 linter is part of the test run, so these checks read syntax trees with
@@ -84,10 +84,24 @@ def read_names(tree: ast.AST) -> Counter:
     return names
 
 
+def definitions(tree: ast.Module):
+    """The module-level functions and classes, and the methods and
+    properties of each class; dunder methods are left out, since the
+    interpreter calls them by protocol rather than by name."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, defs)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
 def test_no_dead_definitions():
-    """A module-level function or class must be read outside its own
-    body somewhere in the package, re-exported by __init__.py, named in
-    the pipeline benchmark's TARGETS, or used by a test."""
+    """A module-level function or class, or a method or property of a
+    class, must be read outside its own body somewhere in the package,
+    re-exported by __init__.py, named in the pipeline benchmark's
+    TARGETS, or used by a test."""
     trees = {m: parse(os.path.join(PACKAGE, m)) for m in MODULES}
     in_src = sum(map(read_names, trees.values()), Counter())
     exported = read_names(parse(os.path.join(PACKAGE, "__init__.py")))
@@ -103,9 +117,8 @@ def test_no_dead_definitions():
     dead = [
         f"{module}:{node.lineno} {node.name}"
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and in_src[node.name] <= read_names(node)[node.name]
+        for node in definitions(tree)
+        if in_src[node.name] <= read_names(node)[node.name]
         and not (node.name in exported or node.name in targets or in_tests[node.name])
     ]
     assert not dead, f"definitions nothing uses: {', '.join(dead)}"

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from lralg import lr
 from lralg.catalog import abelian, diag_solvable, filiform, known_lr, known_lr_names
-from lralg.construct import complete_any, two_generator_lr
+from lralg.construct import complete_any, complete_nilpotent, two_generator_lr
 from lralg.errors import InternalConsistencyError, NotGeneratedError, PreconditionError
 from lralg.lie import (
     LieAlgebra,
@@ -87,9 +87,11 @@ small_rational = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 1, 
 
 @st.composite
 def algebra_and_product(draw):
-    kind = draw(st.sampled_from(["fixture", "filiform", "diag", "corrected"]))
+    kind = draw(st.sampled_from(["fixture", "filiform", "diag", "corrected", "recipe"]))
     if kind == "fixture":
         return draw(st.sampled_from(FIXTURES))
+    if kind == "recipe":
+        return draw(recipe(max_dim=6))[:2]
     if kind == "corrected":
         g = LieAlgebra.from_brackets(*draw(st.sampled_from(CORRECTED)))
         e = standard_basis(g.dim)
@@ -131,6 +133,59 @@ def change_basis(t, m, minv):
                             v[k] += s * c
             row.append([sum(minv[k][l] * v[l] for l in range(n)) for k in range(n)])
         out.append(row)
+    return out
+
+
+@st.composite
+def recipe(draw, max_dim=8):
+    """An LR input built from a recipe, not taken from the catalog.
+
+    g = a + V with a = <e0, e1>, e0 e0 = e0 and e1 nil, acting on V by
+    phi(e0) = 0 and phi(e1) either 0 or an invertible Jordan block J;
+    the product is (a + v)(b + w) = ab + phi(a) w, so [e1, v] = J v.
+    When phi = 0, V may carry the componentwise idempotent product as
+    well (g is then abelian and the product commutative associative).
+    Returns g and p after a random rational change of basis, and the
+    kind: "acting" (phi(e1) = J), "idempotent" or "zero" (on V).
+    """
+    m = draw(st.integers(1, max_dim - 2))
+    n = m + 2
+    kind = draw(st.sampled_from(["acting", "idempotent", "zero"]))
+    lam = draw(st.sampled_from([Fraction(2), Fraction(3), Fraction(-1, 2)]))
+    zero = [Fraction(0)] * n
+
+    def unit(*coeffs):
+        v = list(zero)
+        for k, c in coeffs:
+            v[k] += c
+        return v
+
+    brackets = [[list(zero) for _ in range(n)] for _ in range(n)]
+    table = [[list(zero) for _ in range(n)] for _ in range(n)]
+    table[0][0] = unit((0, Fraction(1)))
+    for i in range(2, n):
+        if kind == "acting":  # J v_i = lam v_i + v_(i-1)
+            jv = unit((i, lam), *([(i - 1, Fraction(1))] if i > 2 else []))
+            table[1][i] = brackets[1][i] = jv
+            brackets[i][1] = [-x for x in jv]
+        elif kind == "idempotent":
+            table[i][i] = unit((i, Fraction(1)))
+    c, cinv = draw(invertible(n))
+    g = LieAlgebra(change_basis(brackets, c, cinv))
+    return g, Product(change_basis(table, c, cinv)), kind
+
+
+def direct_sum(s, t):
+    """The constants of the direct sum of two tensors, as a block diagonal."""
+    a, b = len(s), len(t)
+    n = a + b
+    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(a):
+        for j in range(a):
+            out[i][j][:a] = s[i][j]
+    for i in range(b):
+        for j in range(b):
+            out[a + i][a + j][a:] = t[i][j]
     return out
 
 
@@ -235,6 +290,54 @@ def test_basis_change_invariance(data):
         assert flags(g2, cert2.completed) == (True, True, True)
         fitting = (cert.fitting.v_n.dim, cert.fitting.v_0.dim)
         assert (cert2.fitting.v_n.dim, cert2.fitting.v_0.dim) == fitting
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=recipe())
+def test_recipe_inputs_complete(drawn):
+    """The Fitting split on recipe inputs: a nonzero invertible
+    component, which no catalog input above dim 2 has.  Its dimensions
+    are known from the recipe: e0 and, under the idempotent product, V
+    are invertible; the rest is nilpotent."""
+    g, p, kind = drawn
+    rep = check_lr(g, p)
+    assert rep.is_lr and rep.is_compatible
+    assert not rep.is_complete  # e0 is idempotent
+    full = Subspace.full(g.dim)
+    if kind == "acting":
+        # g_infinity = V, so the split leaves a = <e0, e1>.
+        cert = complete_any(g, p)
+        assert (cert.fitting.v_n.dim, cert.fitting.v_0.dim) == (1, 1)
+    else:
+        assert bracket_of_subspaces(g, full, full).dim == 0
+        cert = complete_nilpotent(g, p)
+        v_0 = g.dim - 1 if kind == "idempotent" else 1
+        assert (cert.fitting.v_n.dim, cert.fitting.v_0.dim) == (g.dim - v_0, v_0)
+    assert cert.fitting.v_0.dim >= 1
+    assert flags(g, cert.completed) == (True, True, True)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_recipe_direct_sum_flags_and_fitting_add(data):
+    """For g1 + g2 with p1 + p2, each part drawn from the recipe and
+    possibly completed first, the flags are the AND of the parts' and
+    complete_any's Fitting dimensions add."""
+    parts = []
+    for _ in range(2):
+        g, p, _ = data.draw(recipe(max_dim=4))
+        rep = check_lr(g, p)
+        assert rep.is_lr and rep.is_compatible
+        if data.draw(st.booleans()):
+            p = complete_any(g, p).completed
+        parts.append((g, p))
+    (g1, p1), (g2, p2) = parts
+    g = LieAlgebra(direct_sum(g1.brackets, g2.brackets))
+    p = Product(direct_sum(p1.table, p2.table))
+    assert flags(g, p) == tuple(a and b for a, b in zip(flags(g1, p1), flags(g2, p2)))
+    fits = [complete_any(h, r).fitting for h, r in parts] + [complete_any(g, p).fitting]
+    assert fits[2].v_n.dim == fits[0].v_n.dim + fits[1].v_n.dim
+    assert fits[2].v_0.dim == fits[0].v_0.dim + fits[1].v_0.dim
 
 
 mixed_rational = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5, 7]))
