@@ -10,6 +10,7 @@ errors, bad parameters, missing data).  All indices in output are
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -281,7 +282,10 @@ def cmd_lemma14(args) -> int:
     return 0 if holds else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call to main and reused
+    by every later call in the process."""
     parser = argparse.ArgumentParser(
         prog="lralg",
         description="Decide, verify and construct LR-structures on Lie algebras "

@@ -217,7 +217,9 @@ def complete_any(g: LieAlgebra, p: Product) -> CompletionCertificate:
 
     Stages: verify the input, split over the stabilized lower central
     term, push to the nilpotent quotient, complete there, lift back.
-    Each stage failure carries its own exception type.
+    Each stage failure carries its own exception type.  The two-step
+    test reads the series report that split_metabelian then gets from
+    the memo.
     """
     g.ensure_valid()
     report = check_lr(g, p)
@@ -225,7 +227,7 @@ def complete_any(g: LieAlgebra, p: Product) -> CompletionCertificate:
         raise NotLrProductError(
             f"input is not an LR-structure, first violation: {report.violations[0]}"
         )
-    if not is_two_step_solvable(g):
+    if not series(g).two_step_solvable:
         raise NotTwoStepSolvableError("second derived algebra does not vanish")
 
     # Products of products commute with each other (their pairwise

@@ -4,7 +4,9 @@ A LieAlgebra is a linalg.Bilinear whose constants c[i][j][k], read as
 Fractions through brackets, mean [e_i, e_j] = sum_k c[i][j][k] e_k.
 Construction does not validate the axioms; validate_lie reports
 violations and operations whose contracts require a Lie algebra call
-it first (the result is cached on the instance).
+it first (the result is cached on the instance).  Validity and series
+reports are also kept in linalg's memo, keyed by exact content, so an
+equal algebra built anew is not checked again.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .linalg import (
     Subspace,
     Vector,
     _int_row,
+    _memoized,
     _scale_fractions,
     _sparse_rows,
     _to_vector,
@@ -120,8 +123,16 @@ def validate_lie(g: LieAlgebra) -> tuple[bool, list[Violation]]:
 
     Returns (ok, violations); each violation carries the basis indices
     and the defect vector.  The sums run on the integer constants
-    g._inz; a defect becomes Fractions only when it is nonzero.
+    g._inz; a defect becomes Fractions only when it is nonzero.  An
+    algebra with the _content of one checked recently gets that report
+    from the memo.
     """
+    ok, violations = _memoized(("valid", g._content), _validate_lie, g)
+    g._valid = ok
+    return ok, list(violations)
+
+
+def _validate_lie(g: LieAlgebra) -> tuple[bool, tuple[Violation, ...]]:
     n, inz, den = g.dim, g._inz, g._den
     violations: list[Violation] = []
     # Identities whose bracket slices all vanish hold trivially.
@@ -150,9 +161,7 @@ def validate_lie(g: LieAlgebra) -> tuple[bool, list[Violation]]:
                             out[t] += x * y
                 if any(out):
                     violations.append(Violation("jacobi", (i, j, k), _to_vector(out, den * den)))
-    ok = not violations
-    g._valid = ok
-    return ok, violations
+    return not violations, tuple(violations)
 
 
 def ad(g: LieAlgebra, x) -> Matrix:
@@ -200,7 +209,13 @@ class SeriesReport:
 
 
 def series(g: LieAlgebra) -> SeriesReport:
+    """The SeriesReport of g; an algebra with the _content of one seen
+    recently gets that report from the memo."""
     g.ensure_valid()
+    return _memoized(("series", g._content), _series, g)
+
+
+def _series(g: LieAlgebra) -> SeriesReport:
     full = Subspace.full(g.dim)
 
     lower = [full]

@@ -702,6 +702,12 @@ class Bilinear:
             )
         return self._tensor
 
+    @property
+    def _content(self) -> tuple:
+        """(dim, _den, _inz): equal for two maps exactly when their
+        constants are, since that form is canonical."""
+        return self.dim, self._den, self._inz
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
 
@@ -782,3 +788,23 @@ class Bilinear:
                     w = [(t, r[f]) for t, f in enumerate(free) if r[f]]
                 out.append(w)
         return len(free), out, self._den * s.rows._den
+
+
+# The reports of check_lr, validate_lie and series on the last _MEMO_SIZE
+# distinct inputs, keyed by the name of the check and the _content of
+# its inputs.  A dict compares keys with ==, so a hash is never trusted
+# alone, and the stored constants are immutable, so an equal key means
+# an equal input and the same report.
+_MEMO_SIZE = 8
+_memo: dict = {}
+
+
+def _memoized(key: tuple, compute, *args):
+    """compute(*args), or the report already stored under an equal key;
+    past _MEMO_SIZE entries the oldest one is dropped."""
+    report = _memo.get(key)
+    if report is None:
+        report = _memo[key] = compute(*args)
+        if len(_memo) > _MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+    return report

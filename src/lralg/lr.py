@@ -52,6 +52,7 @@ from .linalg import (
     Subspace,
     Vector,
     _int_row,
+    _memoized,
     _to_vector,
     vector,
 )
@@ -253,10 +254,17 @@ def check_lr(g: LieAlgebra, p: Product) -> LrReport:
     every right multiplication once those commute; it is reported as
     False whenever they do not, since the notion only makes sense past
     that point.
+
+    Inputs with the _content of a pair checked recently get that report
+    from the memo; the validity and dimension checks run first.
     """
     g.ensure_valid()
     if g.dim != p.dim:
         raise DimensionMismatchError("algebra and product dimensions differ")
+    return _memoized(("lr", g._content, p._content), _check_lr, g, p)
+
+
+def _check_lr(g: LieAlgebra, p: Product) -> LrReport:
     c = _Contraction(p)
     left_violations, right_violations = _lr_violations(c)
     compatibility = _compatibility_violations(g, p)

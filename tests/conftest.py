@@ -1,5 +1,6 @@
 """Prints a one-line verdict per acceptance criterion at the end of any
-run that touched tests/test_acceptance.py.
+run that touched tests/test_acceptance.py, and empties the report memo
+before every test.
 
 The suite writes no bytecode: pytest loads this file before any test
 module imports lralg, and the subprocess tests copy os.environ.  Caches
@@ -11,8 +12,21 @@ import os
 import re
 import sys
 
+import pytest
+
 sys.dont_write_bytecode = True
 os.environ.setdefault("PYTHONDONTWRITEBYTECODE", "1")
+
+
+@pytest.fixture(autouse=True)
+def _empty_report_memo():
+    """Start every test with an empty report memo, so a test that counts
+    or forbids work inside check_lr, validate_lie or series runs that
+    work whatever ran before it."""
+    from lralg import linalg
+
+    linalg._memo.clear()
+
 
 _results: dict[int, tuple[str, str]] = {}
 

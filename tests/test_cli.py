@@ -447,6 +447,29 @@ class TestContract:
         second = run(capsys, "check-lr", path, "--json")
         assert first == second
 
+    def test_reused_parser_matches_fresh_processes(self, capsys, fixture_file):
+        """main builds its parser once per process; calls with other
+        subcommands and flags after the first print what a fresh process
+        prints."""
+        path = fixture_file("filiform12-shift")
+        root = os.path.dirname(os.path.dirname(lralg.__file__))
+        runs = [
+            ("check-lr", path, "--require-complete", "--json"),
+            ("analyze", path),
+            ("lemma14", path, "--samples", "2", "--seed", "3"),
+            ("check-lr", path),
+        ]
+        for argv in runs:
+            code, out, err = run(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "lralg", *argv],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=root),
+            )
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert cli._build_parser() is cli._build_parser()
+
     def test_entry_point_subprocess(self, tmp_path):
         root = os.path.dirname(os.path.dirname(lralg.__file__))
         out = subprocess.run(

@@ -408,12 +408,15 @@ def test_completion_pipeline_restricts_no_operator(monkeypatch):
 
 
 def test_series_facts_are_computed_once(monkeypatch, tmp_path, capsys):
-    """The split hands its series report on: `lralg complete` on the
-    filiform(12) shift fixture runs series once on the input algebra
-    (and once on the complement algebra, inside the completion), and
-    lr_for_g3 reads its precondition from the split's report."""
+    """The split hands its series report on and the memo answers repeats:
+    `lralg complete` on the filiform(12) shift fixture computes series
+    once, on the input algebra (complete_any's two-step test and the
+    split read it, and the complement algebra, equal to g since
+    g_infinity = 0, gets it from the memo), and lr_for_g3 reads its
+    precondition from the split's report.  Computations are counted as
+    calls of lie._series, the memo's misses."""
     calls = []
-    for name in ("series", "is_two_step_solvable", "bracket_of_subspaces"):
+    for name in ("_series", "is_two_step_solvable", "bracket_of_subspaces"):
         original = getattr(lie, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -435,9 +438,10 @@ def test_series_facts_are_computed_once(monkeypatch, tmp_path, capsys):
     calls.clear()
     assert cli.main(["complete", fixture, "-o", out]) == 0
     capsys.readouterr()
-    assert counts("series") == 2
-    assert counts("series", parsed[-1][0]) == 1
-    assert counts("bracket_of_subspaces") <= 33
+    assert counts("_series") == 1
+    assert counts("_series", parsed[-1][0]) == 1
+    assert counts("is_two_step_solvable") == 0
+    assert counts("bracket_of_subspaces") <= 17
 
     calls.clear()
     split_metabelian(diag_solvable([1, 2]))
@@ -445,4 +449,4 @@ def test_series_facts_are_computed_once(monkeypatch, tmp_path, capsys):
 
     calls.clear()
     lr_for_g3(r2())
-    assert counts("series") == 1
+    assert counts("_series") == 1

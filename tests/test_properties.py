@@ -14,7 +14,9 @@ and the quotients, read from integer remainders, the Fraction table
 they replaced.  The metabelian split, solved and checked on integers,
 must match the Fraction split it replaced, and the joint Fitting split,
 read from operator powers on the whole space, the restrict-and-embed
-split it replaced.  The two-generator
+split it replaced, on polynomials in one matrix and on the left
+multiplications of recipe products.  The memoized certificate reports
+must equal a fresh computation.  The two-generator
 construction, which scans its candidates lazily and sums its table on
 integers, must match the eager Fraction algorithm it replaced, and
 every builder of Bilinear must store the same canonical constants.
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from lralg import lr
+from lralg import lie, lr
 from lralg.catalog import abelian, diag_solvable, filiform, known_lr, known_lr_names
 from lralg.construct import complete_any, complete_nilpotent, two_generator_lr
 from lralg.errors import InternalConsistencyError, NotGeneratedError, PreconditionError
@@ -553,8 +555,16 @@ def commuting_family(draw):
     return family
 
 
+@st.composite
+def recipe_lefts(draw):
+    """The left multiplications of a recipe product: they commute, and
+    an idempotent or an acting Jordan block gives them a nonzero v_0."""
+    p = draw(recipe())[1]
+    return [left_op(p, e) for e in standard_basis(p.dim)]
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(family=commuting_family())
+@given(family=st.one_of(commuting_family(), recipe_lefts()))
 def test_fitting_split_matches_restricted_split(family):
     for fit, mats in ((fitting_split_family(family), family),
                       (fitting_split_single(family[0]), family[:1])):
@@ -828,3 +838,22 @@ def test_from_int_matches_fraction_constructor(data):
 )
 def test_from_int_edge_cases(n, inz, den):
     assert_builders_agree(n, inz, den, factor=3)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_memoized_reports_match_fresh_computation(data):
+    """check_lr, validate_lie and series on new objects with the same
+    constants are answered from the memo, and each answer equals the
+    report computed afresh."""
+    g, p = data.draw(algebra_and_product())
+    rep, valid, ser = check_lr(g, p), validate_lie(g), series(g)
+    h = LieAlgebra._from_int(g.dim, g._inz, g._den)
+    q = Product._from_int(p.dim, p._inz, p._den)
+    assert check_lr(h, q) is rep
+    assert series(h) is ser
+    assert validate_lie(h) == valid
+    assert rep == lr._check_lr(h, q)
+    assert ser == lie._series(h)
+    ok, violations = lie._validate_lie(h)
+    assert valid == (ok, list(violations))
