@@ -37,11 +37,11 @@ from .lie import (
     is_two_step_solvable,
 )
 from .linalg import (
+    Bilinear,
     FittingSplit,
     Matrix,
     Subspace,
     _fitting_split_commuting,
-    _int_row,
     _scale_fractions,
     _sparse_rows,
     vector,
@@ -79,36 +79,24 @@ def _witness(new: Product, old: Product) -> ContainmentWitness:
     return ContainmentWitness(new_span, old_span, old_span.contains_subspace(new_span))
 
 
-def _transport(inz, n: int, first: Matrix, second: Matrix, out: Matrix) -> tuple[list, int]:
-    """Integer constants of (x, y) -> out p(first x, second y), for the
-    bilinear map p on Q^n with integer constants inz in _inz's layout.
+def _transport(p: Bilinear, first: Matrix, second: Matrix, out: Matrix) -> tuple[list, int]:
+    """Integer constants of (x, y) -> out p(first x, second y).
 
-    Returns the constants, in that layout with nonzero numerators only,
-    and the factor first._den * second._den * out._den by which their
-    denominator exceeds p's.  The first argument is contracted for all
-    pairs at once, then the second, then the output, so a dense change
-    of basis costs O(n^4) products of integers.
+    Returns the constants, in _inz's layout with nonzero numerators
+    only, and the factor first._den * second._den * out._den by which
+    their denominator exceeds p's.  The first argument is contracted
+    for all pairs at once, then the second, then the output, so a dense
+    change of basis costs O(n^4) products of integers.
     """
+    n = p.dim
     firsts, seconds, outs = (_sparse_rows(m.transpose()) for m in (first, second, out))
     rows = []
     for i in range(n):
-        # half[b] = p(first e_i, e_b), as nonzero (c, numerator) pairs
-        half: list = [None] * n
-        for a, x in firsts[i]:
-            base = a * n
-            for b in range(n):
-                w = inz[base + b]
-                if w:
-                    acc = half[b]
-                    if acc is None:
-                        acc = half[b] = [0] * n
-                    for c, v in w:
-                        acc[c] += x * v
-        half = [[(c, v) for c, v in enumerate(acc) if v] if acc else () for acc in half]
+        half = p._times_basis(firsts[i], False)  # half[b] = p(first e_i, e_b)
         for j in range(n):
             mid = [0] * n
             for b, y in seconds[j]:
-                for c, v in half[b]:
+                for c, v in half.get(b, ()):
                     mid[c] += y * v
             res = [0] * n
             for c, z in enumerate(mid):
@@ -139,10 +127,10 @@ def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
             f"input is not an LR-structure, first violation: {report.violations[0]}"
         )
     n = g.dim
-    lefts = [p._int_operator(u, False) for u in Matrix.identity(n)._int_rows()]
+    lefts = [p._int_operator(((u, 1),), False) for u in range(n)]
     fit = _fitting_split_commuting([Matrix._raw(n, n, a, p._den) for a in lefts])
     ident = Matrix.identity(n)
-    rows, scale = _transport(p._inz, n, fit.proj_n, ident, ident)
+    rows, scale = _transport(p, fit.proj_n, ident, ident)
     completed = Product._from_int(n, rows, p._den * scale)
 
     witness = _witness(completed, p)
@@ -180,27 +168,31 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
         raise NotLrProductError(
             f"product on the complement is not an LR-structure: {rep.violations[0]}"
         )
-    # phi is linear, so it vanishes on a product iff on its numerators.
+    # den is a common denominator of q and every phi_a; phis[a] holds the
+    # numerators of phi_a over den.  phi is linear, so it vanishes on a
+    # product iff the numerators of that product, summed against phis, do.
+    den = lcm(q._den, *(pa._den for pa in split.phi))
+    phis = [[x * (den // pa._den) for x in pa._num] for pa in split.phi]
     for w in q._inz:
-        if w and not split.phi_of(_int_row(w, m)).is_zero:
+        acc = [0] * (k * k)
+        for a, c in w:
+            for t, x in enumerate(phis[a]):
+                acc[t] += c * x
+        if any(acc):
             raise PhiNotZeroError("the action does not vanish on a product of complement elements")
 
     # The adapted product: e_{k+a} e_t = phi_a e_t for t < k, and
     # e_{k+a} e_{k+b} = q(e_a, e_b) shifted past g_infinity.
-    den = lcm(q._den, *(pa._den for pa in split.phi))
     adapted: list = [()] * (n * n)
+    s = den // q._den
     for a in range(m):
-        pa = split.phi[a]
-        s = den // pa._den
         for t in range(k):
-            col = pa._num[t::k]
-            adapted[(k + a) * n + t] = [(r, c * s) for r, c in enumerate(col) if c]
-        s = den // q._den
+            adapted[(k + a) * n + t] = [(r, c) for r, c in enumerate(phis[a][t::k]) if c]
         for b in range(m):
             adapted[(k + a) * n + k + b] = [(k + c, v * s) for c, v in q._inz[a * m + b]]
     change = split.change_of_basis
     inv = change.inverse()
-    rows, scale = _transport(adapted, n, inv, inv, change)
+    rows, scale = _transport(Bilinear._from_int(n, adapted, 1), inv, inv, change)
     lifted = Product._from_int(n, rows, den * scale)
 
     post = check_lr(g, lifted)

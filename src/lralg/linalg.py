@@ -17,7 +17,10 @@ it restricts no operator to a subspace.
 Structure tensors (Bilinear) store only their nonzero constants, as
 integer numerators over one common denominator; products, operators,
 quotients, spans of products and identity checks run on those integers,
-and the Fraction tensor is a view built on first read.  Fractions
+and the Fraction tensor is a view built on first read.  Every "x times
+each basis vector" loop reads one index of those constants by row and
+by column, built on first use, through a dense reader (operator
+matrices) or a sparse one (the nonzero columns alone).  Fractions
 appear only at the edge: vectors at the API boundary are tuples of
 fractions.Fraction, and so are Subspace.basis and the defects of
 failed identities.
@@ -628,9 +631,15 @@ class Bilinear:
     _from_int from constants computed on integers.  tensor is a
     read-only view of nested Fraction tuples, built on first read and
     cached in _tensor, for the API and for hashing.
+
+    The operator of x, y -> x . y or y -> y . x, is read from _index,
+    the nonzero constants by row and by column (_by), built on first
+    use.  _int_operator writes all of its columns, for operator and
+    escape; _times_basis returns only the nonzero ones, sparse, for the
+    LR certificates and for changes of basis.
     """
 
-    __slots__ = ("dim", "_inz", "_den", "_tensor")
+    __slots__ = ("dim", "_inz", "_den", "_tensor", "_index")
     _kind = "bilinear map"
 
     def __init__(self, tensor, *rest):
@@ -689,6 +698,7 @@ class Bilinear:
         self._inz = tuple(tuple(sorted(w)) for w in inz)
         self._den = den
         self._tensor = None
+        self._index = None
 
     @property
     def tensor(self) -> tuple[tuple[Vector, ...], ...]:
@@ -735,18 +745,53 @@ class Bilinear:
     def operator(self, x, right: bool = False) -> Matrix:
         """Matrix of y -> x . y, or of y -> y . x when right is set."""
         xnum, xden = _scaled(x, self.dim, self._kind)
-        return Matrix._raw(self.dim, self.dim, self._int_operator(xnum, right), xden * self._den)
+        xs = [(i, xi) for i, xi in enumerate(xnum) if xi]
+        return Matrix._raw(self.dim, self.dim, self._int_operator(xs, right), xden * self._den)
 
-    def _int_operator(self, xnum: list[int], right: bool) -> list[int]:
-        """Flat numerators of operator(x) over _den, for integer x."""
-        n, inz = self.dim, self._inz
+    def _by(self, right: bool) -> list[list]:
+        """The nonzero constants by row, or by column when right is set:
+        entry m lists the pairs (j, _inz[m * dim + j]), or
+        (j, _inz[j * dim + m]), whose constants are nonzero.  Built on
+        first use and kept in _index."""
+        if self._index is None:
+            n = self.dim
+            rows, cols = self._index = [[] for _ in range(n)], [[] for _ in range(n)]
+            for ij, w in enumerate(self._inz):
+                if w:
+                    i, j = divmod(ij, n)
+                    rows[i].append((j, w))
+                    cols[j].append((i, w))
+        return self._index[right]
+
+    def _int_operator(self, xs, right: bool) -> list[int]:
+        """Flat numerators of operator(x) over _den, for x given by its
+        nonzero (index, integer) pairs: every column, as a dense list."""
+        n = self.dim
+        by = self._by(right)
         num = [0] * (n * n)
-        for i, xi in enumerate(xnum):
-            if xi:
-                for j in range(n):
-                    for k, c in inz[j * n + i] if right else inz[i * n + j]:
-                        num[k * n + j] += xi * c
+        for m, x in xs:
+            for j, w in by[m]:
+                for k, c in w:
+                    num[k * n + j] += x * c
         return num
+
+    def _times_basis(self, xs, right: bool) -> dict[int, tuple]:
+        """The nonzero columns of operator(x) over _den, for x given as
+        for _int_operator: {j: x . e_j}, or {j: e_j . x} when right is
+        set, each a vector in _inz's form, sorted nonzero (k, numerator)
+        pairs, so == on two columns is equality of the vectors."""
+        n = self.dim
+        by = self._by(right)
+        out: dict[int, list[int]] = {}
+        for m, x in xs:
+            for j, w in by[m]:
+                acc = out.get(j)
+                if acc is None:
+                    acc = out[j] = [0] * n
+                for k, c in w:
+                    acc[k] += x * c
+        nonzero = ((j, [(k, y) for k, y in enumerate(acc) if y]) for j, acc in out.items())
+        return {j: tuple(v) for j, v in nonzero if v}
 
     def escape(self, s: Subspace, both_sides: bool = False) -> tuple[str, int] | None:
         """First place where s fails to absorb the map, or None.
@@ -757,7 +802,7 @@ class Bilinear:
         and of the left operator of b, built from the integer rows of s.
         """
         n = self.dim
-        for b in s.rows._int_rows():
+        for b in _sparse_rows(s.rows):
             left = self._int_operator(b, True)
             right = self._int_operator(b, False) if both_sides else None
             for i in range(n):

@@ -13,7 +13,8 @@ Complete means every right multiplication is nilpotent.
 The certificates are tested on the structure constants, in the style
 of de Graaf, Lie Algebras: Theory and Algorithms (2000), not on
 operator matrices.  A sparse contraction of the integer constants _inz
-with themselves gives the products of products
+with themselves, read through the product's own index of them
+(Bilinear._times_basis), gives the products of products
 
     T[i, j, k] = e_i (e_j e_k),        S[i, j, k] = (e_i e_j) e_k,
 
@@ -53,6 +54,7 @@ from .linalg import (
     Vector,
     _int_row,
     _memoized,
+    _sparse_rows,
     _to_vector,
     vector,
 )
@@ -101,85 +103,38 @@ def right_op(p: Product, x) -> Matrix:
     return p.operator(x, right=True)
 
 
-_ZERO: dict[int, int] = {}  # the zero vector of a sparse map; never mutated
+def _column(p: Product, k: int) -> tuple[dict, dict]:
+    """Column k of L(e_i)L(e_j) and of R(e_i)R(e_j) for all i, j:
+    {(i, j): e_i (e_j e_k)} and {(i, j): (e_k e_j) e_i}, over den ** 2
+    for den = p._den and without zero entries."""
+    return tuple(
+        {(i, j): v for j, w in p._by(right)[k] for i, v in p._times_basis(w, right).items()}
+        for right in (True, False)
+    )
 
 
-def _times_basis(x, by, n: int) -> dict[int, dict[int, int]]:
-    """{i: product of x with e_i} for x given by its nonzero (m, x_m)
-    pairs; by[m] lists the nonzero (i, constants) of e_i e_m or e_m e_i,
-    which decides the side.  Each product is a sparse {l: numerator}
-    map with no zero entries, and zero products are left out, so == on
-    two maps is equality of the vectors."""
-    out: dict[int, list[int]] = {}
-    for m, c in x:
-        for i, w in by[m]:
-            acc = out.get(i)
-            if acc is None:
-                acc = out[i] = [0] * n
-            for l, d in w:
-                acc[l] += c * d
-    nonzero = ((i, {l: y for l, y in enumerate(acc) if y}) for i, acc in out.items())
-    return {i: v for i, v in nonzero if v}
-
-
-class _Contraction:
-    """The constants of p by column and by row, and the products of
-    products of basis vectors they give, on integers.
-
-    lefts(x) and rights(x) give e_i x and x e_i for every i at once; a
-    factor over den ** a comes out over den ** (a + 1), den = p._den.
-    column(k) gives column k of L(e_i)L(e_j) and of R(e_i)R(e_j) for all
-    i, j: {(i, j): e_i (e_j e_k)} and {(i, j): (e_k e_j) e_i}, over
-    den ** 2 and without zero entries.
-    """
-
-    __slots__ = ("n", "den", "inz", "_by_col", "_by_row")
-
-    def __init__(self, p: Product):
-        n, inz = p.dim, p._inz
-        self.n, self.den, self.inz = n, p._den, inz
-        self._by_col: list[list] = [[] for _ in range(n)]
-        self._by_row: list[list] = [[] for _ in range(n)]
-        for ij, w in enumerate(inz):
-            if w:
-                i, j = divmod(ij, n)
-                self._by_col[j].append((i, w))
-                self._by_row[i].append((j, w))
-
-    def lefts(self, x) -> dict[int, dict[int, int]]:
-        return _times_basis(x, self._by_col, self.n)
-
-    def rights(self, x) -> dict[int, dict[int, int]]:
-        return _times_basis(x, self._by_row, self.n)
-
-    def column(self, k: int) -> tuple[dict, dict]:
-        left = {(i, j): v for j, w in self._by_col[k] for i, v in self.lefts(w).items()}
-        right = {(i, j): v for j, w in self._by_row[k] for i, v in self.rights(w).items()}
-        return left, right
-
-
-def _difference(a: dict[int, int], b: dict[int, int], n: int, den: int) -> Vector | None:
-    """(a - b) / den as a vector, None when a == b."""
+def _difference(a, b, n: int, den: int) -> Vector | None:
+    """(a - b) / den as a vector for two sparse vectors, None when a == b."""
     if a == b:
         return None
-    out = _int_row(a.items(), n)
-    for l, x in b.items():
+    out = _int_row(a, n)
+    for l, x in b:
         out[l] -= x
     return _to_vector(out, den)
 
 
-def _lr_violations(c: _Contraction) -> tuple[list[Violation], list[Violation]]:
+def _lr_violations(p: Product) -> tuple[list[Violation], list[Violation]]:
     """Violations of the left and of the right identity, each ordered by
     (i, j, k) with i < j: the nonzero columns k of the commutators of
     the basis operators i and j.  Only one column k of the products is
     held at a time, and only pairs present in it can differ."""
-    n, den = c.n, c.den ** 2
+    n, den = p.dim, p._den ** 2
     left: list[Violation] = []
     right: list[Violation] = []
     for k in range(n):
-        for table, identity, out in zip(c.column(k), (LR_LEFT, LR_RIGHT), (left, right)):
+        for table, identity, out in zip(_column(p, k), (LR_LEFT, LR_RIGHT), (left, right)):
             for i, j in {(min(a, b), max(a, b)) for a, b in table if a != b}:
-                d = _difference(table.get((i, j), _ZERO), table.get((j, i), _ZERO), n, den)
+                d = _difference(table.get((i, j), ()), table.get((j, i), ()), n, den)
                 if d:
                     out.append(Violation(identity, (i, j, k), d))
     left.sort(key=lambda v: v.indices)
@@ -187,18 +142,19 @@ def _lr_violations(c: _Contraction) -> tuple[list[Violation], list[Violation]]:
     return left, right
 
 
-def _chain_reaches_zero(n: int, step) -> bool:
-    """True iff the chain V_0 = Q^n, V_t+1 = span of step(b) over the
-    rows b of V_t reaches 0.  step is the lefts or the rights of a
-    _Contraction, giving A, A*A, A*(A*A), ... or A, A*A, (A*A)*A, ...
-    The chain decreases, and a step that keeps the dimension keeps the
-    space, so once it stalls it never reaches 0."""
+def _chain_reaches_zero(p: Product, right: bool) -> bool:
+    """True iff the chain V_0 = Q^n, V_t+1 = span of the products b e_i,
+    or of e_i b when right is set, over the rows b of V_t reaches 0:
+    A, A*A, (A*A)*A, ... or A, A*A, A*(A*A), ...  The chain decreases,
+    and a step that keeps the dimension keeps the space, so once it
+    stalls it never reaches 0."""
+    n = p.dim
     space = Subspace.full(n)
     while space.dim:
         rows = [
-            _int_row(v.items(), n)
-            for b in space.rows._int_rows()
-            for v in step([(m, x) for m, x in enumerate(b) if x]).values()
+            _int_row(v, n)
+            for b in _sparse_rows(space.rows)
+            for v in p._times_basis(b, right).values()
         ]
         smaller = Subspace._from_int_rows(n, rows)
         if smaller.dim == space.dim:
@@ -265,13 +221,12 @@ def check_lr(g: LieAlgebra, p: Product) -> LrReport:
 
 
 def _check_lr(g: LieAlgebra, p: Product) -> LrReport:
-    c = _Contraction(p)
-    left_violations, right_violations = _lr_violations(c)
+    left_violations, right_violations = _lr_violations(p)
     compatibility = _compatibility_violations(g, p)
     return LrReport(
         is_lr=not (left_violations or right_violations),
         is_compatible=not compatibility,
-        is_complete=not right_violations and _chain_reaches_zero(c.n, c.rights),
+        is_complete=not right_violations and _chain_reaches_zero(p, False),
         violations=tuple(left_violations + right_violations + compatibility),
     )
 
@@ -283,10 +238,9 @@ def check_complete(p: Product) -> bool:
     right multiplications commute and the chain A, A*A, (A*A)*A, ...
     reaches 0 exactly when they are all nilpotent.
     """
-    c = _Contraction(p)
-    if _lr_violations(c)[1]:
+    if _lr_violations(p)[1]:
         raise PreconditionError("right multiplications do not commute")
-    return _chain_reaches_zero(c.n, c.rights)
+    return _chain_reaches_zero(p, False)
 
 
 def opposite(p: Product) -> Product:
@@ -325,7 +279,7 @@ def _lemma_defects(p: Product, x, y, z) -> list[tuple[str, Matrix]]:
     return [(name, a - b) for name, a, b in checks if a != b]
 
 
-def _lemma_violations(c: _Contraction) -> list[Violation]:
+def _lemma_violations(p: Product) -> list[Violation]:
     """The six identities on all basis pairs and triples, as identities
     among products of products; the defect Matrix is built only for a
     failing one.  Every column of the products is held at once.
@@ -339,8 +293,8 @@ def _lemma_violations(c: _Contraction) -> list[Violation]:
         4  L(e_i)L(w) = L(e_j(e_i e_k))   e_i (w e_l) = (e_j (e_i e_k)) e_l
         5  R(e_i)R(w) = R((e_j e_i) e_k)  (e_l w) e_i = e_l ((e_j e_i) e_k)
     """
-    n = c.n
-    lcol, rcol = zip(*map(c.column, range(n)))  # lcol[k][i, j] = e_i (e_j e_k)
+    n = p.dim
+    lcol, rcol = zip(*(_column(p, k) for k in range(n)))  # lcol[k][i, j] = e_i (e_j e_k)
     violations: list[Violation] = []
 
     def check(which: int, where: tuple[int, ...], cols, den: int) -> None:
@@ -348,45 +302,45 @@ def _lemma_violations(c: _Contraction) -> list[Violation]:
             return
         num = [0] * (n * n)
         for l, (a, b) in enumerate(cols):
-            for r, x in a.items():
+            for r, x in a:
                 num[r * n + l] += x
-            for r, x in b.items():
+            for r, x in b:
                 num[r * n + l] -= x
         violations.append(Violation(LEMMA_IDENTITIES[which], where, Matrix._raw(n, n, num, den)))
 
-    den2, den3 = c.den ** 2, c.den ** 3
+    den2, den3 = p._den ** 2, p._den ** 3
     for i in range(n):
         for j in range(n):
             lj, rj = lcol[j], rcol[j]
-            cols = [(lj.get((i, l), _ZERO), lj.get((l, i), _ZERO)) for l in range(n)]
+            cols = [(lj.get((i, l), ()), lj.get((l, i), ())) for l in range(n)]
             check(0, (i, j), cols, den2)
-            cols = [(rj.get((i, l), _ZERO), rj.get((l, i), _ZERO)) for l in range(n)]
+            cols = [(rj.get((i, l), ()), rj.get((l, i), ())) for l in range(n)]
             check(1, (i, j), cols, den2)
 
     # Triple identities; e_j e_k is usually zero, and then every one of
     # them is trivially 0 = 0.
     for j in range(n):
         for k in range(n):
-            if not c.inz[j * n + k]:
+            if not p._inz[j * n + k]:
                 continue
             lk, rj = lcol[k], rcol[j]
-            u = [lk.get((l, j), _ZERO).items() for l in range(n)]  # e_l w
-            r = [rj.get((l, k), _ZERO).items() for l in range(n)]  # w e_l
-            e_u = [c.lefts(x) for x in u]  # e_u[l][i] = e_i (e_l w)
-            u_e = [c.rights(x) for x in u]
-            e_r = [c.lefts(x) for x in r]
-            r_e = [c.rights(x) for x in r]
+            u = [lk.get((l, j), ()) for l in range(n)]  # e_l w
+            r = [rj.get((l, k), ()) for l in range(n)]  # w e_l
+            e_u = [p._times_basis(x, True) for x in u]  # e_u[l][i] = e_i (e_l w)
+            u_e = [p._times_basis(x, False) for x in u]
+            e_r = [p._times_basis(x, True) for x in r]
+            r_e = [p._times_basis(x, False) for x in r]
             for i in range(n):
                 where = (i, j, k)
-                t_e = c.rights(lk.get((j, i), _ZERO).items())  # (e_j (e_i e_k)) e_l
-                e_s = c.lefts(rj.get((k, i), _ZERO).items())  # e_l ((e_j e_i) e_k)
-                cols = [(e_u[l].get(i, _ZERO), e_u[i].get(l, _ZERO)) for l in range(n)]
+                t_e = p._times_basis(lk.get((j, i), ()), False)  # (e_j (e_i e_k)) e_l
+                e_s = p._times_basis(rj.get((k, i), ()), True)  # e_l ((e_j e_i) e_k)
+                cols = [(e_u[l].get(i, ()), e_u[i].get(l, ())) for l in range(n)]
                 check(2, where, cols, den3)
-                cols = [(r_e[l].get(i, _ZERO), r_e[i].get(l, _ZERO)) for l in range(n)]
+                cols = [(r_e[l].get(i, ()), r_e[i].get(l, ())) for l in range(n)]
                 check(3, where, cols, den3)
-                cols = [(e_r[l].get(i, _ZERO), t_e.get(l, _ZERO)) for l in range(n)]
+                cols = [(e_r[l].get(i, ()), t_e.get(l, ())) for l in range(n)]
                 check(4, where, cols, den3)
-                cols = [(u_e[l].get(i, _ZERO), e_s.get(l, _ZERO)) for l in range(n)]
+                cols = [(u_e[l].get(i, ()), e_s.get(l, ())) for l in range(n)]
                 check(5, where, cols, den3)
     return violations
 
@@ -405,11 +359,10 @@ def check_lemma14(p: Product, samples=()) -> list[Violation]:
     defect Matrix is formed only for a violation.  The sampled triples
     multiply the operators of the sample vectors.
     """
-    c = _Contraction(p)
-    left, right = _lr_violations(c)
+    left, right = _lr_violations(p)
     if left or right:
         return left + right
-    violations = _lemma_violations(c)
+    violations = _lemma_violations(p)
     for s, (x, y, z) in enumerate(samples):
         for name, d in _lemma_defects(p, vector(x), vector(y), vector(z)):
             violations.append(Violation(name + " (sampled)", (s,), d))
@@ -459,7 +412,7 @@ def two_of_three(g: LieAlgebra, p: Product) -> TwoOfThree:
     report = check_lr(g, p)
     if not (report.is_lr and report.is_compatible):
         raise NotLrProductError("two-of-three requires an LR product compatible with g")
-    a = _chain_reaches_zero(p.dim, _Contraction(p).lefts)
+    a = _chain_reaches_zero(p, True)
     b = report.is_complete
     c = series(g).nilpotent
     consistent = (a, b, c).count(False) != 1

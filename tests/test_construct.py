@@ -30,6 +30,7 @@ from lralg.errors import (
     NotNilpotentError,
     NotTwoStepNilpotentError,
     NotTwoStepSolvableError,
+    PhiNotZeroError,
     PreconditionError,
 )
 from lralg.lie import LieAlgebra, split_metabelian
@@ -223,6 +224,13 @@ class TestLiftProduct:
         prod = lifted.evaluate(w, w)
         ginf = Subspace.from_vectors(2, sp.g_infinity_basis)
         assert ginf.contains(prod)
+
+    def test_rejects_action_on_products(self):
+        # phi(x) = [1] on g_infinity = <y>, and x * x = x is LR and
+        # compatible on the one-dimensional abelian complement.
+        q = Product.from_entries(1, {(0, 0): {0: 1}})
+        with pytest.raises(PhiNotZeroError):
+            lift_product(split_metabelian(r2()), q)
 
 
 class TestTwoGenerator:
@@ -441,7 +449,7 @@ def test_series_facts_are_computed_once(monkeypatch, tmp_path, capsys):
     assert counts("_series") == 1
     assert counts("_series", parsed[-1][0]) == 1
     assert counts("is_two_step_solvable") == 0
-    assert counts("bracket_of_subspaces") <= 17
+    assert counts("bracket_of_subspaces") <= 16
 
     calls.clear()
     split_metabelian(diag_solvable([1, 2]))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lralg import _kernels
+from lralg import _kernels, cli, io, linalg
 from lralg.catalog import (
     abelian,
     filiform,
@@ -22,7 +22,7 @@ from lralg.errors import (
     NotTwoSidedIdealError,
     PreconditionError,
 )
-from lralg.linalg import Matrix, Subspace, standard_basis
+from lralg.linalg import Bilinear, Matrix, Subspace, standard_basis
 from lralg.lr import (
     COMPATIBILITY,
     LEMMA_IDENTITIES,
@@ -367,6 +367,43 @@ class TestNoOperatorProducts:
         assert mat_mul_calls == []
         assert check_lemma14(p, sample_triples(12, 1, seed=1)) == []
         assert mat_mul_calls
+
+
+class TestConstantIndex:
+    """Bilinear indexes its nonzero constants by row and by column on
+    first use: the certificates and the quotient of one product share
+    one index, and validating and emitting a file builds none."""
+
+    def test_certificates_share_one_index(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_memo", {})  # check_lr computes its report
+        g, p = known_lr("heisenberg-half")
+        assert p._index is None
+        assert check_lr(g, p).is_complete
+        index = p._index
+        assert index is not None
+        assert check_lemma14(p) == []
+        assert quotient_product(g, p, Subspace.from_vectors(3, [(0, 0, 1)])).dim == 2
+        assert p._index is index
+
+    def test_validate_and_emit_build_none(self, monkeypatch, tmp_path, capsys):
+        path = str(tmp_path / "in.json")
+        assert cli.main(["catalog", "heisenberg-half", "-o", path]) == 0
+        built = []
+        fill = Bilinear._fill
+
+        def recorded(self, *args):
+            built.append(self)
+            fill(self, *args)
+
+        monkeypatch.setattr(Bilinear, "_fill", recorded)
+        parsed = []
+        parse = cli.parse_file
+        monkeypatch.setattr(cli, "parse_file", lambda f: parsed.append(parse(f)) or parsed[-1])
+        assert cli.main(["validate", path]) == 0
+        capsys.readouterr()
+        assert '"product"' in io.format_algebra(*parsed[0])
+        assert len(built) >= 2
+        assert all(b._index is None for b in built)
 
 
 def test_constants_are_distinct():

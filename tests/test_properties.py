@@ -5,11 +5,11 @@ is applied to the raw structure constants with plain Fraction
 arithmetic, so the oracle does not lean on the products it checks.
 The opposite product swaps the left and right LR violations.
 
-Oracle: operators, spans, subspace algebra and Jacobi defects, which
-the library computes on integer numerators over a common denominator,
-must match a test-local computation on Fractions.  The LR certificates,
-which the library reads from products of products of structure
-constants, must match the dense operator-matrix checks they replaced,
+Oracle: operators, spans, ideal tests, subspace algebra and Jacobi
+defects, which the library computes on integer numerators over a common
+denominator, must match a test-local computation on Fractions.  The LR
+certificates, which the library reads from products of products of
+structure constants, must match the dense operator-matrix checks they replaced,
 and the quotients, read from integer remainders, the Fraction table
 they replaced.  The metabelian split, solved and checked on integers,
 must match the Fraction split it replaced, and the joint Fitting split,
@@ -265,6 +265,11 @@ def test_basis_change_invariance(data):
 
     assert flags(g2, p2) == flags(g, p)
     assert series_dims(g2) == series_dims(g)
+    # series stops where [g, g_infinity] = g_infinity, which the split
+    # relies on without checking it again.
+    for h in (g, g2):
+        ginf = series(h).g_infinity
+        assert bracket_of_subspaces(h, Subspace.full(h.dim), ginf) == ginf
     # The ideals are no longer coordinate subspaces; the projection must
     # vanish on each one and invert the section.
     for ideal in series(g2).lower_central:
@@ -417,6 +422,25 @@ def space(s):
     return s.basis, s.pivots
 
 
+def fraction_escape(t, basis, both_sides):
+    """The first (side, i) at which e_i b, or with both_sides then b e_i,
+    leaves the span of basis, for b over basis and i in turn."""
+    n = len(t)
+    e = standard_basis(n)
+    rank = len(fraction_rref(basis, n)[1])
+
+    def outside(v):
+        return len(fraction_rref(list(basis) + [v], n)[1]) > rank
+
+    for b in basis:
+        for i in range(n):
+            if outside(fraction_product(t, e[i], b)):
+                return "left", i
+            if both_sides and outside(fraction_product(t, b, e[i])):
+                return "right", i
+    return None
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_integer_paths_match_fraction_oracle(data):
@@ -441,6 +465,10 @@ def test_integer_paths_match_fraction_oracle(data):
         s = bracket_of_subspaces(g, u_space, v_space)
         prods = [fraction_product(t, u, v) for u in u_space.basis for v in v_space.basis]
         assert (s.basis, s.pivots) == fraction_rref(prods, n)
+    for s, vs in ((a, va), (b, vb)):
+        basis = fraction_rref(vs, n)[0]
+        assert g.escape(s) == fraction_escape(t, basis, False)
+        assert g.escape(s, both_sides=True) == fraction_escape(t, basis, True)
 
     e = standard_basis(n)
     assert space(subspace_sum(a, b)) == fraction_rref(va + vb, n)
@@ -652,7 +680,7 @@ def test_lr_certificates_match_dense_operator_checks(data):
 
     # Past the gate of check_lemma14 the basis identities hold by the
     # lemma; off it they must still be the dense operator identities.
-    assert triples(lr._lemma_violations(lr._Contraction(p))) == dense_lemma_violations(p)
+    assert triples(lr._lemma_violations(p)) == dense_lemma_violations(p)
 
 
 @settings(max_examples=60, deadline=None)
