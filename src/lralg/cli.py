@@ -232,9 +232,6 @@ def cmd_catalog(args) -> int:
     else:
         try:
             g = named_algebra(name, args.param)
-        except UnknownFixtureError as exc:
-            print(f"error: unknown name {exc}", file=sys.stderr)
-            return 2
         except PreconditionError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -258,9 +255,9 @@ def cmd_catalog(args) -> int:
 
 def cmd_lemma14(args) -> int:
     g, p = _load_with_product(args.file)
-    g.ensure_valid()
     if args.samples < 0:
         raise FileFormatError("--samples: must be non-negative")
+    g.ensure_valid()
     violations = check_lemma14(p, _random_triples(p.dim, args.samples, args.seed))
     holds = not violations
     if args.json:

@@ -118,7 +118,6 @@ def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
     multiplications as commuting without testing them again.  The
     table p(proj e_i, e_j) is contracted from p's integer constants.
     """
-    g.ensure_valid()
     if not series(g).nilpotent:
         raise NotNilpotentError("completion on the nilpotent part requires a nilpotent algebra")
     report = check_lr(g, p)
@@ -213,7 +212,6 @@ def complete_any(g: LieAlgebra, p: Product) -> CompletionCertificate:
     test reads the series report that split_metabelian then gets from
     the memo.
     """
-    g.ensure_valid()
     report = check_lr(g, p)
     if not (report.is_lr and report.is_compatible):
         raise NotLrProductError(
@@ -309,7 +307,6 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     internal failure.  The operator of a candidate is formed only once
     the candidate is kept, and the table is summed on integers.
     """
-    g.ensure_valid()
     if not is_two_step_solvable(g):
         raise NotTwoStepSolvableError("second derived algebra does not vanish")
     xv, yv = vector(x), vector(y)

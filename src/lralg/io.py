@@ -212,16 +212,21 @@ def format_algebra(algebra: LieAlgebra, product: Product | None = None) -> str:
 def emit_file(path: str, algebra: LieAlgebra, product: Product | None = None) -> None:
     """Write the canonical text to path atomically.
 
-    The text goes to a new file next to path, which then replaces path,
-    so a failed write leaves any earlier file at path as it was.
+    The text goes to a new file next to path, which then replaces it; a
+    failed write leaves path as it was and raises an OSError naming it.
     """
     text = format_algebra(algebra, product)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from None

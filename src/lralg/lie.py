@@ -108,14 +108,13 @@ class LieAlgebra(Bilinear):
     __hash__ = None  # type: ignore[assignment]
 
     def ensure_valid(self) -> None:
-        if self._valid is None:
+        """Raise InvalidLieAlgebraError naming the violated identities, the same on every call."""
+        if not self._valid:
             ok, violations = validate_lie(self)
             if not ok:
                 raise InvalidLieAlgebraError(
                     f"{len(violations)} violated identities, first: {violations[0]}"
                 )
-        elif self._valid is False:
-            raise InvalidLieAlgebraError("structure constants fail the Lie axioms")
 
 
 def validate_lie(g: LieAlgebra) -> tuple[bool, list[Violation]]:

@@ -125,10 +125,7 @@ class Matrix:
 
     @classmethod
     def _raw(cls, rows: int, cols: int, num: list[int], den: int) -> "Matrix":
-        """Normalized construction from kernel-level data."""
-        if den < 0:
-            den = -den
-            num = [-x for x in num]
+        """Normalized construction from kernel-level data, with den > 0."""
         g = gcd(K.content(num), den)
         if g > 1:
             num = [x // g for x in num]
@@ -177,18 +174,6 @@ class Matrix:
     @property
     def is_zero(self) -> bool:
         return not any(self._num)
-
-    def commutes(self, other: "Matrix") -> bool:
-        """True iff self * other == other * self.
-
-        Both products carry the same denominator, so their numerator
-        lists are compared directly.
-        """
-        n = self.rows
-        if not (self.is_square and other.shape == self.shape):
-            raise DimensionMismatchError(f"commutator of {self.shape} and {other.shape}")
-        a, b = self._num, other._num
-        return K.mat_mul(a, b, n, n, n) == K.mat_mul(b, a, n, n, n)
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
@@ -575,10 +560,10 @@ def fitting_split_single(m: Matrix) -> FittingSplit:
 def fitting_split_family(ms) -> FittingSplit:
     """Joint Fitting decomposition of a pairwise commuting family.
 
-    Checks that the operators are square of one size and commute
-    pairwise (NonCommutingFamilyError names the first pair that does
-    not), then runs _fitting_split_commuting, the unchecked core for
-    callers that know the family commutes.
+    Checks that the operators are square of one size and that the two
+    products of each pair are equal (NonCommutingFamilyError names the
+    first pair where they differ), then runs _fitting_split_commuting,
+    the unchecked core for callers that know the family commutes.
     """
     mats = list(ms)
     n = mats[0].rows if mats else 0
@@ -587,7 +572,7 @@ def fitting_split_family(ms) -> FittingSplit:
             raise DimensionMismatchError("family members must be square of equal size")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if not mats[i].commutes(mats[j]):
+            if mats[i] * mats[j] != mats[j] * mats[i]:
                 raise NonCommutingFamilyError(f"operators {i} and {j} do not commute")
     return _fitting_split_commuting(mats)
 

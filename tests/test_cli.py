@@ -74,6 +74,27 @@ class TestAnalyze:
         assert "nilpotent: yes" in out
         assert "solvable: yes (class 2)" in out
 
+    def test_text_not_solvable(self, capsys, tmp_path):
+        # so(3): [e1, e2] = e3, [e2, e3] = e1, [e3, e1] = e2.
+        path = tmp_path / "so3.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "dim": 3,
+                    "brackets": [
+                        {"i": 1, "j": 2, "v": {"3": "1"}},
+                        {"i": 1, "j": 3, "v": {"2": "-1"}},
+                        {"i": 2, "j": 3, "v": {"1": "1"}},
+                    ],
+                }
+            )
+        )
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert code == 0
+        assert "derived dims: 3\n" in out
+        assert "solvable: no\n" in out
+        assert "two-step solvable: no" in out
+
     def test_json(self, capsys, fixture_file):
         path = fixture_file("r2")
         code, out, _ = run(capsys, "analyze", path, "--json")
@@ -187,6 +208,19 @@ class TestTwoGen:
         _, p = parse_file(str(out_path))
         assert p.table[0][1][1] == 1
 
+    def test_json(self, capsys, fixture_file, tmp_path):
+        path = fixture_file("r2")
+        out_path = str(tmp_path / "tgj.json")
+        code, out, _ = run(
+            capsys,
+            "two-gen", path, "--x", "1,0", "--y", "0,1",
+            "-o", out_path, "--complete", "--json",
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "dim": 2, "complete": False, "completion_applied": True, "output": out_path,
+        }
+
     def test_fractional_generators(self, capsys, fixture_file, tmp_path):
         path = fixture_file("r2")
         code, out, _ = run(
@@ -258,6 +292,14 @@ class TestCatalog:
         g, _ = parse_file(str(out_path))
         assert g.basis_names == ("x", "y1", "y2")
 
+    def test_json(self, capsys, tmp_path):
+        out_path = str(tmp_path / "hj.json")
+        code, out, _ = run(capsys, "catalog", "heisenberg", "--json", "-o", out_path)
+        assert code == 0
+        assert json.loads(out) == {
+            "name": "heisenberg", "dim": 3, "has_product": False, "output": out_path,
+        }
+
     def test_unknown_name(self, capsys, tmp_path):
         code, _, err = run(capsys, "catalog", "nonsense", "-o", str(tmp_path / "x.json"))
         assert code == 2
@@ -328,6 +370,17 @@ class TestLemma14:
         data = json.loads(out)
         assert data["holds"] is True
         assert data["samples"] == 5
+
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+    def test_negative_samples_exit_2(self, capsys, tmp_path, valid):
+        # A bad parameter is reported before the algebra is validated.
+        brackets = [{"i": 1, "j": 2, "v": {"3": "1"}}]
+        if not valid:
+            brackets.append({"i": 1, "j": 3, "v": {"1": "1"}})  # breaks Jacobi
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"dim": 3, "brackets": brackets, "product": []}))
+        code, out, err = run(capsys, "lemma14", str(path), "--samples", "-1")
+        assert (code, out, err) == (2, "", "error: --samples: must be non-negative\n")
 
     def test_samples_are_drawn_as_they_are_checked(self, capsys, monkeypatch, fixture_file):
         """The triples reach check_lemma14 one at a time: when it takes
@@ -422,6 +475,26 @@ class TestContract:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2
         assert len(err.encode()) < 300
+
+    def test_write_errors_name_the_output(self, capsys, fixture_file, tmp_path):
+        """A failed write names the output path, not the randomly named
+        file written first, so a rerun prints the same bytes, and it
+        leaves no file behind."""
+        path = fixture_file("r2-twogen")
+        missing = str(tmp_path / "missing" / "out.json")
+        first, second = (run(capsys, "complete", path, "-o", missing) for _ in range(2))
+        assert first == second
+        code, out, err = first
+        assert code == 2 and out == ""
+        assert err.startswith("error: [Errno ") and err.endswith(f": {missing!r}\n")
+
+        target = tmp_path / "d"
+        target.mkdir()
+        code, _, err = run(capsys, "catalog", "r2", "-o", str(target))
+        assert code == 2
+        assert err.startswith("error: [Errno ") and err.endswith(f": {str(target)!r}\n")
+        assert os.listdir(target) == []
+        assert sorted(os.listdir(tmp_path)) == ["d", "r2-twogen.json"]
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -243,6 +243,14 @@ class TestEmitFile:
         assert path.read_bytes() == b"old"
         assert os.listdir(tmp_path) == ["out.json"]
 
+    def test_failed_open_keeps_the_error_type(self, tmp_path):
+        g, p = known_lr("r2-completed")
+        path = str(tmp_path / "missing" / "out.json")
+        with pytest.raises(FileNotFoundError) as err:
+            emit_file(path, g, p)
+        assert (err.value.filename, err.value.filename2) == (path, None)
+        assert os.listdir(tmp_path) == []
+
 
 class TestParseFile:
     def test_missing_file(self, tmp_path):

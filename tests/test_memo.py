@@ -113,6 +113,17 @@ def test_invalid_twin_raises_the_same_detailed_message(counts):
     assert not ok and violations == list(lie._validate_lie(broken())[1])
 
 
+def test_repeated_ensure_valid_raises_the_same_detailed_message(counts):
+    g = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
+    messages = []
+    for _ in range(2):
+        with pytest.raises(InvalidLieAlgebraError) as exc:
+            g.ensure_valid()
+        messages.append(str(exc.value))
+    assert messages == ["1 violated identities, first: jacobi at (1, 2, 3)"] * 2
+    assert counts["_validate_lie"] == 1
+
+
 def test_dimension_check_runs_before_the_lookup(counts):
     g = abelian(2)
     with pytest.raises(DimensionMismatchError):

@@ -12,7 +12,8 @@ certificates, which the library reads from products of products of
 structure constants, must match the dense operator-matrix checks they replaced,
 and the quotients, read from integer remainders, the Fraction table
 they replaced.  The metabelian split, solved and checked on integers,
-must match the Fraction split it replaced, and the joint Fitting split,
+must match the Fraction split it replaced, also where the complement
+algebra is not abelian, and the joint Fitting split,
 read from operator powers on the whole space, the restrict-and-embed
 split it replaced, on polynomials in one matrix and on the left
 multiplications of recipe products.  The memoized certificate reports
@@ -25,12 +26,12 @@ every builder of Bilinear must store the same canonical constants.
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from lralg import lie, lr
 from lralg.catalog import abelian, diag_solvable, filiform, known_lr, known_lr_names
-from lralg.construct import complete_any, complete_nilpotent, two_generator_lr
+from lralg.construct import complete_any, complete_nilpotent, lr_for_g3, two_generator_lr
 from lralg.errors import InternalConsistencyError, NotGeneratedError, PreconditionError
 from lralg.lie import (
     LieAlgebra,
@@ -297,6 +298,48 @@ def test_basis_change_invariance(data):
         assert flags(g2, cert2.completed) == (True, True, True)
         fitting = (cert.fitting.v_n.dim, cert.fitting.v_0.dim)
         assert (cert2.fitting.v_n.dim, cert2.fitting.v_0.dim) == fitting
+
+
+# The Heisenberg algebra <x, y, z>, [x, y] = z, acting on the line <v>
+# by [x, v] = v: g_infinity = <v> = g^3, and the complement algebra
+# g / g_infinity is the Heisenberg algebra, so the correction system
+# carries its beta term.  In the basis x, y, z + v, v the unit
+# complement brackets [x, y] = (z + v) - v, and the correction moves
+# z + v back to z.
+HEISENBERG_ON_A_LINE = (4, {(0, 1): {2: 1}, (0, 3): {3: 1}})
+SHIFT_Z = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]
+
+
+def test_split_correction_over_a_nonabelian_quotient():
+    """split_metabelian passes its own closure and homomorphism checks
+    and matches the Fraction split, lr_for_g3 is certified, and phi_of
+    is the linear extension of phi, in random bases; at least one of
+    them needs a nonzero correction."""
+    g0 = LieAlgebra.from_brackets(*HEISENBERG_ON_A_LINE)
+    coords = st.lists(small_rational, min_size=3, max_size=3)
+    corrected = []
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(basis=invertible(4), c=coords, d=coords, s=small_rational)
+    @example(basis=(SHIFT_Z, Matrix(SHIFT_Z).inverse().row_list()), c=[1, -2, 3], d=[0, 1, 0],
+             s=Fraction(-1, 2))
+    def check(basis, c, d, s):
+        g = LieAlgebra(change_basis(g0.brackets, *basis))
+        split = split_metabelian(g)
+        assert any(split.complement_algebra._inz)
+        fields = (split.g_infinity_basis, split.complement_basis, split.phi,
+                  split.change_of_basis)
+        assert fields == fraction_split(g)
+        corrected.append(split.complement_basis != complement(split.g_infinity).basis)
+        assert flags(g, lr_for_g3(g)) == (True, True, True)
+
+        for a, e in enumerate(standard_basis(3)):
+            assert split.phi_of(e) == split.phi[a]
+        combined = [s * x + y for x, y in zip(c, d)]
+        assert split.phi_of(combined) == s * split.phi_of(c) + split.phi_of(d)
+
+    check()
+    assert any(corrected)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
