@@ -29,7 +29,7 @@ from .errors import (
 from .lie import (
     LieAlgebra,
     SplitDecomposition,
-    ad,
+    _derived_algebra,
     bracket_of_subspaces,
     series,
     split_metabelian,
@@ -48,6 +48,7 @@ from .linalg import (
 )
 from .lr import (
     Product,
+    _chain_reaches_zero,
     check_lr,
     product_span,
     quotient_product,
@@ -112,11 +113,15 @@ def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
 
     The left multiplications commute; project onto the component where
     they all act nilpotently and premultiply: the completed product is
-    (proj x) * y.  If p was already complete the projection is the
-    identity and the product is returned unchanged.  check_lr has just
-    certified the left identity, so the Fitting step takes the left
-    multiplications as commuting without testing them again.  The
-    table p(proj e_i, e_j) is contracted from p's integer constants.
+    (proj x) * y.  check_lr has just certified the left identity, so
+    the left multiplications are taken as commuting without testing
+    them again.  The left chain A, A*A, A*(A*A), ... is read first:
+    when it reaches 0, every left multiplication is nilpotent, so v_n
+    is the whole space, proj_n the identity, and p is returned
+    unchanged without an operator power or a change of basis.
+    Otherwise the Fitting split is taken from the powers of the left
+    multiplications, and the table p(proj e_i, e_j) is contracted from
+    p's integer constants.
     """
     if not series(g).nilpotent:
         raise NotNilpotentError("completion on the nilpotent part requires a nilpotent algebra")
@@ -126,11 +131,16 @@ def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
             f"input is not an LR-structure, first violation: {report.violations[0]}"
         )
     n = g.dim
-    lefts = [p._int_operator(((u, 1),), False) for u in range(n)]
-    fit = _fitting_split_commuting([Matrix._raw(n, n, a, p._den) for a in lefts])
-    ident = Matrix.identity(n)
-    rows, scale = _transport(p, fit.proj_n, ident, ident)
-    completed = Product._from_int(n, rows, p._den * scale)
+    if _chain_reaches_zero(p, True):
+        # Every left multiplication is nilpotent: v_n is the whole space.
+        fit = FittingSplit(Subspace.full(n), Subspace.zero(n), Matrix.identity(n))
+        completed = p
+    else:
+        lefts = [p._int_operator(((u, 1),), False) for u in range(n)]
+        fit = _fitting_split_commuting([Matrix._raw(n, n, a, p._den) for a in lefts])
+        ident = Matrix.identity(n)
+        rows, scale = _transport(p, fit.proj_n, ident, ident)
+        completed = Product._from_int(n, rows, p._den * scale)
 
     witness = _witness(completed, p)
     if not witness.holds:
@@ -148,9 +158,10 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
     (a, x) . (b, y) = (phi(x) b, x . y); the result is transported back
     to the original coordinates: the table C p_ad(C^-1 e_i, C^-1 e_j),
     for C the change of basis, is contracted on integers from the
-    constants of q and the numerators of phi.  Requires phi to vanish
-    on all products of q; when q is complete the lift is checked to be
-    complete as well.
+    constants of q and the numerators of phi.  When g_infinity = 0, C
+    is the identity and the adapted table is the result.  Requires phi
+    to vanish on all products of q; when q is complete the lift is
+    checked to be complete as well.
     """
     g = split.algebra
     k = split.g_infinity.dim
@@ -189,9 +200,12 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
             adapted[(k + a) * n + t] = [(r, c) for r, c in enumerate(phis[a][t::k]) if c]
         for b in range(m):
             adapted[(k + a) * n + k + b] = [(k + c, v * s) for c, v in q._inz[a * m + b]]
-    change = split.change_of_basis
-    inv = change.inverse()
-    rows, scale = _transport(Bilinear._from_int(n, adapted, 1), inv, inv, change)
+    if k:
+        change = split.change_of_basis
+        inv = change.inverse()
+        rows, scale = _transport(Bilinear._from_int(n, adapted, 1), inv, inv, change)
+    else:  # the adapted basis is the standard one
+        rows, scale = adapted, 1
     lifted = Product._from_int(n, rows, den * scale)
 
     post = check_lr(g, lifted)
@@ -244,9 +258,7 @@ def complete_any(g: LieAlgebra, p: Product) -> CompletionCertificate:
 def half_bracket(g: LieAlgebra) -> Product:
     """The product x * y = [x, y] / 2 on a two-step nilpotent algebra."""
     g.ensure_valid()
-    full = Subspace.full(g.dim)
-    g2 = bracket_of_subspaces(g, full, full)
-    if bracket_of_subspaces(g, full, g2).dim != 0:
+    if bracket_of_subspaces(g, Subspace.full(g.dim), _derived_algebra(g)).dim != 0:
         raise NotTwoStepNilpotentError("the third lower central term does not vanish")
     p = Product._from_int(g.dim, g._inz, 2 * g._den)
     rep = check_lr(g, p)
@@ -298,14 +310,17 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     when a complete structure is required.
 
     The scan is lazy: each candidate is one integer bracket of the one
-    before it in its chain, formed when the scan reaches it, reduced
-    against the span of the kept vectors, a Subspace that grows by one
-    row reduction per kept vector, and the scan stops at n vectors.
-    Those n vectors are independent brackets of x and y, which proves
-    that x and y generate g; only a scan that falls short computes the
-    generated subalgebra, to tell a non-generating pair from an
-    internal failure.  The operator of a candidate is formed only once
-    the candidate is kept, and the table is summed on integers.
+    before it in its chain, pushed through the sparse columns of ad(x)
+    or ad(y) when the scan reaches it, and reduced against the span of
+    the kept vectors, a Subspace that grows by inserting one reduced
+    row into its echelon basis per kept vector; the scan stops at n
+    vectors.  Those n vectors are independent brackets of x and y,
+    which proves that x and y generate g; only a scan that falls short
+    computes the generated subalgebra, to tell a non-generating pair
+    from an internal failure.  No operator matrix is formed: column j
+    of L(v) for a kept v = ad(y)^k ad(x)^l y is ad(y)^k ad(x)^l [y, e_j],
+    pushed along the same chains from the columns of ad(y), and the
+    table is summed on integers.
     """
     if not is_two_step_solvable(g):
         raise NotTwoStepSolvableError("second derived algebra does not vanish")
@@ -314,16 +329,28 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     if len(xv) != n or len(yv) != n:
         raise DimensionMismatchError("generator length differs from algebra dimension")
 
-    ad_x = ad(g, xv)
-    ad_y = ad(g, yv)
-    cols_x, cols_y = _sparse_rows(ad_x.transpose()), _sparse_rows(ad_y.transpose())
+    def columns(v):
+        """The sparse columns [v, e_j] of ad(v), over their denominator."""
+        num, den = _scale_fractions(v)
+        cols = g._times_basis([(i, c) for i, c in enumerate(num) if c], False)
+        return [cols.get(j, ()) for j in range(n)], den * g._den
 
-    def step(kl: tuple[int, int]) -> tuple[tuple[int, int], Matrix, list]:
+    ad_x, ad_y = columns(xv), columns(yv)
+
+    def step(kl: tuple[int, int]) -> tuple[tuple[int, int], tuple[list, int]]:
         """The pair before kl in its chain, and the operator leading from
-        it to kl with its sparse columns: ad(y) from (k - 1, l), ad(x)
-        from (0, l - 1)."""
+        it to kl: ad(y) from (k - 1, l), ad(x) from (0, l - 1)."""
         k, l = kl
-        return ((k - 1, l), ad_y, cols_y) if k else ((0, l - 1), ad_x, cols_x)
+        return ((k - 1, l), ad_y) if k else ((0, l - 1), ad_x)
+
+    def push(vec, cols) -> dict[int, int]:
+        """Numerators of the operator with sparse columns cols times the
+        sparse vector vec, by index; an entry may be zero."""
+        out: dict[int, int] = {}
+        for j, c in vec:
+            for i, a in cols[j]:
+                out[i] = out.get(i, 0) + a * c
+        return out
 
     # vectors[(k, l)] = (u, d): ad(y)^k ad(x)^l y = u / d in lowest terms,
     # and vectors[None] is x.  selected holds (u, d, key) per kept vector.
@@ -334,60 +361,64 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
         if span.dim == n:
             break
         if kl not in vectors:
-            before, m, cols = step(kl)
+            before, (cols, cden) = step(kl)
             pu, pd = vectors[before]
             u = [0] * n
-            for j, c in enumerate(pu):
-                if c:
-                    for i, a in cols[j]:
-                        u[i] += a * c
-            d = pd * m._den
+            for i, c in push([(j, c) for j, c in enumerate(pu) if c], cols).items():
+                u[i] = c
+            d = pd * cden
             h = gcd(*u, d)
             vectors[kl] = ([c // h for c in u], d // h) if h > 1 else (u, d)
         u, d = vectors[kl]
         r = span._remainder(u)
         if any(r):
-            span = Subspace._from_int_rows(n, span.rows._int_rows() + [r])
+            span = span._with_row(r)
             selected.append((u, d, kl))
     if span.dim != n:
         if subalgebra_generated(g, [xv, yv]).dim != n:
             raise NotGeneratedError("the two elements do not generate the algebra")
         raise InternalConsistencyError("candidate vectors do not span the algebra")
 
-    # ops[(k, l)] = ad(y)^k ad(x)^l ad(y), formed along the same chains.
+    # ops[(k, l)] = (columns, den): column j of ad(y)^k ad(x)^l ad(y) is
+    # the sparse vector columns[j] over den, pushed along the same chains.
     ops = {(0, 0): ad_y}
 
-    def op(kl: tuple[int, int]) -> Matrix:
+    def op(kl: tuple[int, int]) -> tuple[list, int]:
         path = []
         while kl not in ops:
             path.append(kl)
             kl = step(kl)[0]
-        m = ops[kl]
+        cols, den = ops[kl]
         for kl in reversed(path):
-            m = ops[kl] = step(kl)[1] * m
-        return m
+            scols, sden = step(kl)[1]
+            pushed = [[(i, a) for i, a in push(c, scols).items() if a] for c in cols]
+            den *= sden
+            h = gcd(den, *(a for c in pushed for _, a in c))
+            if h > 1:
+                pushed = [[(i, a // h) for i, a in c] for c in pushed]
+                den //= h
+            cols = pushed
+            ops[kl] = cols, den
+        return cols, den
 
     # With B = U diag(1/d_s) the basis (U the integer columns u_s),
-    # L(e_i) = sum_s (B^-1)[s, i] op_s = sum_s d_s (U^-1)[s, i] op_s.
+    # e_i e_j = L(e_i) e_j = sum_s d_s (U^-1)[s, i] op_s e_j.
     uinv = Matrix._raw(n, n, [u[i] for i in range(n) for u, _, _ in selected], 1).inverse()
     terms = [(s, d, op(kl)) for s, (_, d, kl) in enumerate(selected) if kl is not None]
-    den = lcm(*(m._den for _, _, m in terms))
-    sparse = [
-        (s, d * (den // m._den), [(t, a) for t, a in enumerate(m._num) if a])
-        for s, d, m in terms
-    ]
+    den = lcm(*(oden for _, _, (_, oden) in terms))
     rows = []
     for i in range(n):
-        acc = [0] * (n * n)
-        for s, w, entries in sparse:
+        weighted = []
+        for s, d, (cols, oden) in terms:
             c = uinv._num[s * n + i]
             if c:
-                c *= w
-                for t, a in entries:
-                    acc[t] += c * a
-        # acc[k * n + j] is entry (k, j) of L(e_i), component k of e_i e_j
+                weighted.append((c * d * (den // oden), cols))
         for j in range(n):
-            rows.append([(k, acc[k * n + j]) for k in range(n) if acc[k * n + j]])
+            acc: dict[int, int] = {}
+            for c, cols in weighted:
+                for k, a in cols[j]:
+                    acc[k] = acc.get(k, 0) + c * a
+            rows.append([(k, a) for k, a in acc.items() if a])
     p = Product._from_int(n, rows, uinv._den * den)
 
     post = check_lr(g, p)

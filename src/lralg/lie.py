@@ -214,24 +214,40 @@ def series(g: LieAlgebra) -> SeriesReport:
     return _memoized(("series", g._content), _series, g)
 
 
+def _derived_algebra(g: LieAlgebra) -> Subspace:
+    """[g, g], spanned by the nonzero constants [e_i, e_j] with i < j;
+    the others are their negatives, as g is antisymmetric."""
+    n, inz = g.dim, g._inz
+    pairs = (inz[i * n + j] for i in range(n) for j in range(i + 1, n))
+    return Subspace._from_int_rows(n, [_int_row(w, n) for w in pairs if w])
+
+
 def _series(g: LieAlgebra) -> SeriesReport:
+    """Both series from [g, g], read off the constants, and
+    [[g, g], [g, g]], computed once.
+
+    When [[g, g], [g, g]] vanishes, [g, g] is abelian and holds every
+    g^k with k >= 2, so g^{k+1} = [g, g^k] = [X, g^k] for X spanning a
+    complement of [g, g]; any other algebra brackets g^k with all of g.
+    When g = [g, g] both series stop at g.
+    """
     full = Subspace.full(g.dim)
+    g2 = _derived_algebra(g)
+    g3 = g2 if g2 == full else bracket_of_subspaces(g, g2, g2)
+    gens = complement(g2) if g3.dim == 0 else full
 
     lower = [full]
-    while True:
-        nxt = bracket_of_subspaces(g, full, lower[-1])
-        if nxt == lower[-1]:
-            break
+    nxt = g2
+    while nxt != lower[-1]:
         lower.append(nxt)
+        nxt = bracket_of_subspaces(g, gens, nxt)
 
-    # Both series have [g, g] as their second term; when g = [g, g] the
-    # derived series stops at g as well.
+    # Both series have [g, g] as their second term.
     derived = lower[:2]
-    while len(derived) > 1:
-        nxt = bracket_of_subspaces(g, derived[-1], derived[-1])
-        if nxt == derived[-1]:
-            break
+    nxt = g3
+    while len(derived) > 1 and nxt != derived[-1]:
         derived.append(nxt)
+        nxt = bracket_of_subspaces(g, nxt, nxt)
 
     g_infinity = lower[-1]
     solvable = derived[-1].dim == 0
@@ -247,9 +263,8 @@ def _series(g: LieAlgebra) -> SeriesReport:
 def is_two_step_solvable(g: LieAlgebra) -> bool:
     """True iff the second derived algebra [[g,g],[g,g]] vanishes."""
     g.ensure_valid()
-    full = Subspace.full(g.dim)
-    d1 = bracket_of_subspaces(g, full, full)
-    return bracket_of_subspaces(g, d1, d1).dim == 0
+    g2 = _derived_algebra(g)
+    return bracket_of_subspaces(g, g2, g2).dim == 0
 
 
 def subalgebra_generated(g: LieAlgebra, vectors_) -> Subspace:

@@ -10,9 +10,12 @@ A Subspace holds its reduced row echelon basis as such a Matrix, the
 kernel's rref as it comes, which again makes equality structural: two
 subspaces are equal iff their bases are identical.  Kernels, images,
 sums, intersections, membership and restriction of operators are
-Matrix algebra on those integer rows.  A Fitting split is the common
-kernel and the summed images of operator powers on the whole space;
-it restricts no operator to a subspace.
+Matrix algebra on those integer rows; a span grown one vector at a
+time inserts the vector's reduced row into its echelon basis and
+eliminates the new pivot from the other rows, which gives the same
+canonical basis without reducing those rows again.  A Fitting split
+of a commuting family is the common kernel and the summed images of
+the operator powers; it restricts no operator to a subspace.
 
 Structure tensors (Bilinear) store only their nonzero constants, as
 integer numerators over one common denominator; products, operators,
@@ -20,7 +23,8 @@ quotients, spans of products and identity checks run on those integers,
 and the Fraction tensor is a view built on first read.  Every "x times
 each basis vector" loop reads one index of those constants by row and
 by column, built on first use, through a dense reader (operator
-matrices) or a sparse one (the nonzero columns alone).  Fractions
+matrices) or a sparse one (the nonzero columns alone, which the
+two-generator construction pushes its vectors through).  Fractions
 appear only at the edge: vectors at the API boundary are tuples of
 fractions.Fraction, and so are Subspace.basis and the defects of
 failed identities.
@@ -381,6 +385,32 @@ class Subspace:
                     if a:
                         out[j] -= c * a
         return out
+
+    def _with_row(self, r: list[int]) -> "Subspace":
+        """The span of the rows and one integer row r that is zero at
+        every pivot and nonzero elsewhere, such as a nonzero _remainder.
+
+        r is inserted at its leading coordinate p, scaled to 1 there,
+        and p is eliminated from the other rows: with a = r[p] > 0, row
+        t becomes (a row_t - row_t[p] r) / (a den) and r becomes
+        den r / (a den).  That is the reduced row echelon basis, and
+        Matrix._raw writes it in the canonical form _from_int_rows
+        gives, without reducing the old rows again.
+        """
+        n, old, den = self.ambient_dim, self.rows._num, self.rows._den
+        p = next(j for j, x in enumerate(r) if x)
+        if r[p] < 0:
+            r = [-x for x in r]
+        a = r[p]
+        num = []
+        for base in range(0, self.dim * n, n):
+            row = old[base:base + n]
+            c = row[p]
+            num += [a * x - c * y for x, y in zip(row, r)] if c else [a * x for x in row]
+        at = sum(1 for q in self.pivots if q < p)
+        num[at * n:at * n] = [den * y for y in r]
+        pivots = self.pivots[:at] + (p,) + self.pivots[at:]
+        return Subspace(n, Matrix._raw(self.dim + 1, n, num, a * den), pivots)
 
     def reduce(self, vec) -> Vector:
         """Remainder of vec after eliminating all pivot coordinates.

@@ -316,6 +316,58 @@ class TestProperties:
             assert kernel(r).dim == 0
 
 
+def assert_insertion_matches_rref(s, r):
+    """s._with_row(r) stores what one rref of the stacked rows stores."""
+    grown = s._with_row(r)
+    stacked = Subspace._from_int_rows(s.ambient_dim, s.rows._int_rows() + [r])
+    assert grown.rows._num == stacked.rows._num
+    assert grown.rows._den == stacked.rows._den
+    assert grown.pivots == stacked.pivots
+    assert grown.rows.shape == stacked.rows.shape
+    assert grown == stacked
+
+
+# Pivots at 1 and 3 with nonzero entries in the free columns 0, 2 and 4
+# of the second row, over a denominator; each new row leads with a
+# negative entry, before, between and after the pivots.
+SPARSE_SPAN = [[0, 2, -3, 0, 5], [0, 0, 0, 3, 1]]
+
+
+@pytest.mark.parametrize(
+    "rows, v",
+    [
+        (SPARSE_SPAN, [-2, 0, 7, 0, 1]),
+        (SPARSE_SPAN, [0, 0, -4, 0, 6]),
+        (SPARSE_SPAN, [0, 0, 0, 0, -3]),
+        ([], [0, -6, 4, 0, 2]),
+        ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], [0, 0, 0, -1, 0]),
+    ],
+    ids=["before", "between", "after", "into-zero", "unit-rows"],
+)
+def test_insert_row_matches_rref(rows, v):
+    s = Subspace._from_int_rows(5, rows)
+    r = s._remainder(v)
+    assert any(r) and r[next(j for j, x in enumerate(r) if x)] < 0
+    assert_insertion_matches_rref(s, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_insert_row_matches_rref_property(data):
+    """Random integer spans and vectors; the inserted row is the integer
+    remainder of the vector, negated on a drawn coin so that negative
+    leading entries come up as often as positive ones."""
+    n = data.draw(st.integers(1, 6))
+    ints = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    s = Subspace._from_int_rows(n, data.draw(st.lists(ints, max_size=n)))
+    r = s._remainder(data.draw(ints))
+    if not any(r):
+        return
+    if data.draw(st.booleans()):
+        r = [-x for x in r]
+    assert_insertion_matches_rref(s, r)
+
+
 def test_standard_basis():
     assert standard_basis(2) == [(F(1), F(0)), (F(0), F(1))]
 

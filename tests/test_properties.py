@@ -16,11 +16,16 @@ must match the Fraction split it replaced, also where the complement
 algebra is not abelian, and the joint Fitting split,
 read from operator powers on the whole space, the restrict-and-embed
 split it replaced, on polynomials in one matrix and on the left
-multiplications of recipe products.  The memoized certificate reports
-must equal a fresh computation.  The two-generator
-construction, which scans its candidates lazily and sums its table on
-integers, must match the eager Fraction algorithm it replaced, and
-every builder of Bilinear must store the same canonical constants.
+multiplications of recipe products.  The completion's Fitting split,
+read off the left chain when that reaches 0, must equal that power
+split of the left multiplications on both branches.  The series, taken
+from [g, g] and, for two-step solvable g, by bracketing with a
+complement of [g, g] only, must equal the loop that brackets every
+term with all of g.  The memoized certificate reports must equal a
+fresh computation.  The two-generator construction, which scans its
+candidates lazily and pushes its table through sparse columns, must
+match the eager Fraction algorithm it replaced, and every builder of
+Bilinear must store the same canonical constants.
 """
 
 from fractions import Fraction
@@ -30,11 +35,19 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from lralg import lie, lr
-from lralg.catalog import abelian, diag_solvable, filiform, known_lr, known_lr_names
+from lralg.catalog import (
+    abelian,
+    diag_solvable,
+    filiform,
+    free_two_step,
+    known_lr,
+    known_lr_names,
+)
 from lralg.construct import complete_any, complete_nilpotent, lr_for_g3, two_generator_lr
 from lralg.errors import InternalConsistencyError, NotGeneratedError, PreconditionError
 from lralg.lie import (
     LieAlgebra,
+    SeriesReport,
     ad,
     bracket_of_subspaces,
     is_two_step_solvable,
@@ -48,6 +61,7 @@ from lralg.linalg import (
     Bilinear,
     Matrix,
     Subspace,
+    _fitting_split_commuting,
     complement,
     fitting_split_family,
     fitting_split_single,
@@ -298,6 +312,130 @@ def test_basis_change_invariance(data):
         assert flags(g2, cert2.completed) == (True, True, True)
         fitting = (cert.fitting.v_n.dim, cert.fitting.v_0.dim)
         assert (cert2.fitting.v_n.dim, cert2.fitting.v_0.dim) == fitting
+
+
+def loop_series(g):
+    """The SeriesReport as it was computed: each lower central term
+    bracketed with all of g, from g itself, and the derived series from
+    [g, g] by the bracket of each term with itself."""
+    full = Subspace.full(g.dim)
+    lower = [full]
+    while True:
+        nxt = bracket_of_subspaces(g, full, lower[-1])
+        if nxt == lower[-1]:
+            break
+        lower.append(nxt)
+    derived = lower[:2]
+    while len(derived) > 1:
+        nxt = bracket_of_subspaces(g, derived[-1], derived[-1])
+        if nxt == derived[-1]:
+            break
+        derived.append(nxt)
+    solvable = derived[-1].dim == 0
+    return SeriesReport(
+        tuple(lower), lower[-1], tuple(derived), lower[-1].dim == 0,
+        len(derived) - 1 if solvable else None,
+    )
+
+
+def matrix_units(size, pairs):
+    """The span of the size x size matrix units E_ij for the given (i, j),
+    which must be closed under [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    index = {ij: t for t, ij in enumerate(pairs)}
+    brackets = {}
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            if a < b:
+                out = {}
+                if j == k:
+                    out[index[i, l]] = out.get(index[i, l], 0) + 1
+                if l == i:
+                    out[index[k, j]] = out.get(index[k, j], 0) - 1
+                out = {c: x for c, x in out.items() if x}
+                if out:
+                    brackets[a, b] = out
+    return LieAlgebra.from_brackets(len(pairs), brackets)
+
+
+SL2 = LieAlgebra.from_brackets(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})
+SO3 = LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+# Upper triangular 3 x 3 matrices: derived series b > n > <E_13> > 0,
+# and g_infinity = n, so neither nilpotent nor two-step solvable.
+BOREL3 = matrix_units(3, [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)])
+# gl(2): [g, g] = sl(2) = g^k for every k >= 2, and the complement of
+# units, at E_22, brackets sl(2) into <E_12, E_21> only.
+GL2 = matrix_units(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+# Strictly upper triangular 5 x 5 matrices: nilpotent, and [E_13, E_35]
+# = E_15 makes the derived series three steps long.
+STRICT5 = matrix_units(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+
+
+@pytest.mark.parametrize(
+    "g, nilpotent, solvable_class",
+    [(SL2, False, None), (SO3, False, None), (GL2, False, None), (BOREL3, False, 3),
+     (STRICT5, True, 3),
+     (free_two_step(4), True, 2), (diag_solvable([1, -2, 3]), False, 2), (abelian(3), True, 1),
+     (filiform(9), True, 2)],
+    ids=["sl2", "so3", "gl2", "borel3", "strict5", "free-two-step-4", "diag", "abelian", "filiform9"],
+)
+def test_series_matches_lower_central_loop(g, nilpotent, solvable_class):
+    rep = series(g)
+    assert rep == loop_series(g)
+    assert (rep.nilpotent, rep.solvable_class) == (nilpotent, solvable_class)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_series_matches_lower_central_loop_in_random_bases(data):
+    """Catalog families, fixtures, recipe algebras and the named
+    algebras above, after a random rational change of basis: [g, g] is
+    then no coordinate subspace and its complement no complement of
+    units."""
+    g = data.draw(st.one_of(st.sampled_from([SL2, SO3, GL2, BOREL3]),
+                            algebra_and_product().map(lambda gp: gp[0])))
+    m, minv = data.draw(invertible(g.dim))
+    h = LieAlgebra(change_basis(g.brackets, m, minv))
+    assert series(h) == loop_series(h)
+    assert series(g) == loop_series(g)
+
+
+def power_core_fitting(p):
+    """The joint Fitting split of the left multiplications of p, taken
+    from kernels and images of their powers."""
+    return _fitting_split_commuting([left_op(p, e) for e in standard_basis(p.dim)])
+
+
+def test_completion_fitting_matches_power_core_on_both_branches():
+    """complete_nilpotent reads v_n = Q^n off a left chain that reaches 0
+    and takes operator powers otherwise; on the nilpotent fixtures, whose
+    left chains reach 0 for some and not for others, its split is the
+    power core's."""
+    branches = set()
+    for name in known_lr_names():
+        g, p = known_lr(name)
+        rep = check_lr(g, p)
+        if not (rep.is_lr and rep.is_compatible and series(g).nilpotent):
+            continue
+        branches.add(lr._chain_reaches_zero(p, True))
+        assert complete_nilpotent(g, p).fitting == power_core_fitting(p)
+    assert branches == {True, False}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_completion_fitting_matches_power_core(data):
+    """The nilpotent quotients complete_any hands complete_nilpotent, from
+    LR inputs in the basis they come in or after a change of basis."""
+    g, p = data.draw(algebra_and_product())
+    if data.draw(st.booleans()):
+        m, minv = data.draw(invertible(g.dim))
+        g = LieAlgebra(change_basis(g.brackets, m, minv))
+        p = Product(change_basis(p.table, m, minv))
+    rep = check_lr(g, p)
+    assume(rep.is_lr and rep.is_compatible and is_two_step_solvable(g))
+    split = split_metabelian(g)
+    q = quotient_product(g, p, split.g_infinity)
+    assert complete_nilpotent(split.complement_algebra, q).fitting == power_core_fitting(q)
 
 
 # The Heisenberg algebra <x, y, z>, [x, y] = z, acting on the line <v>
