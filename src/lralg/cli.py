@@ -5,6 +5,17 @@ succeeds, 1 when the mathematics says no (invalid algebra, failed
 identity, unmet structural requirement), 2 for unusable input (parse
 errors, bad parameters, missing data).  All indices in output are
 1-based; output is deterministic for a given input.
+
+Each command builds one ordered dict of its result and hands it to
+_report, the one renderer: under --json it prints the dict as JSON,
+otherwise one `label: value` line per key.  The label is the key with
+spaces in place of underscores, except for the four keys in _LABELS
+(g_infinity_dim, two_step_solvable, has_product and output, which print
+as "g-infinity dim", "two-step solvable", "product" and "wrote").  The
+text form differs from the JSON only where a command passes an
+override: validate hides an empty violation list, analyze prints
+"solvable: yes (class N)", and check-lr leaves out holds, which its
+exit code gives.
 """
 
 from __future__ import annotations
@@ -59,18 +70,41 @@ def _violation_text(v) -> str:
     return f"{v.identity} at {where}: defect {_defect_text(v.defect)}"
 
 
-def _yn(flag: bool) -> str:
-    return "yes" if flag else "no"
+# Text labels other than the key with spaces in place of underscores.
+_LABELS = {
+    "g_infinity_dim": "g-infinity dim",
+    "two_step_solvable": "two-step solvable",
+    "has_product": "product",
+    "output": "wrote",
+}
 
 
-def _print_violations(violations) -> None:
-    print(f"violations: {len(violations)}")
-    for v in violations:
-        print(f"  {_violation_text(v)}")
+def _report(args, fields: dict, text: dict | None = None) -> None:
+    """Print a command's result: fields as JSON under --json, otherwise
+    one `label: value` line per field in the same order.
 
-
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    text replaces the values of some fields in the text form only; a
+    field it maps to None prints no line.  Bools print as yes/no, lists
+    comma-joined, and violations as a count line followed by one
+    indented line each.
+    """
+    if args.json:
+        print(json.dumps(fields, indent=2, default=_violation_json))
+        return
+    for key, value in {**fields, **(text or {})}.items():
+        if value is None:
+            continue
+        label = _LABELS.get(key, key.replace("_", " "))
+        if key == "violations":
+            print(f"violations: {len(value)}")
+            for v in value:
+                print(f"  {_violation_text(v)}")
+        elif isinstance(value, bool):
+            print(f"{label}: {'yes' if value else 'no'}")
+        elif isinstance(value, list):
+            print(f"{label}: " + ", ".join(map(str, value)))
+        else:
+            print(f"{label}: {value}")
 
 
 def _load_with_product(path: str):
@@ -90,51 +124,25 @@ def _parse_coords(text: str, dim: int, flag: str):
 def cmd_validate(args) -> int:
     g, _ = parse_file(args.file)
     ok, violations = validate_lie(g)
-    if args.json:
-        _emit_json(
-            {
-                "dim": g.dim,
-                "valid": ok,
-                "violations": [_violation_json(v) for v in violations],
-            }
-        )
-    else:
-        print(f"dim: {g.dim}")
-        print(f"valid: {_yn(ok)}")
-        if violations:
-            _print_violations(violations)
+    _report(args, {"dim": g.dim, "valid": ok, "violations": violations},
+            {"violations": violations or None})
     return 0 if ok else 1
 
 
 def cmd_analyze(args) -> int:
     g, _ = parse_file(args.file)
     rep = series(g)
-    lower = [s.dim for s in rep.lower_central]
-    derived = [s.dim for s in rep.derived]
-    if args.json:
-        _emit_json(
-            {
-                "dim": g.dim,
-                "lower_central_dims": lower,
-                "g_infinity_dim": rep.g_infinity.dim,
-                "derived_dims": derived,
-                "nilpotent": rep.nilpotent,
-                "solvable": rep.solvable,
-                "solvable_class": rep.solvable_class,
-                "two_step_solvable": rep.two_step_solvable,
-            }
-        )
-    else:
-        print(f"dim: {g.dim}")
-        print("lower central dims: " + ", ".join(map(str, lower)))
-        print(f"g-infinity dim: {rep.g_infinity.dim}")
-        print("derived dims: " + ", ".join(map(str, derived)))
-        print(f"nilpotent: {_yn(rep.nilpotent)}")
-        if rep.solvable:
-            print(f"solvable: yes (class {rep.solvable_class})")
-        else:
-            print("solvable: no")
-        print(f"two-step solvable: {_yn(rep.two_step_solvable)}")
+    solvable = f"yes (class {rep.solvable_class})" if rep.solvable else False
+    _report(args, {
+        "dim": g.dim,
+        "lower_central_dims": [s.dim for s in rep.lower_central],
+        "g_infinity_dim": rep.g_infinity.dim,
+        "derived_dims": [s.dim for s in rep.derived],
+        "nilpotent": rep.nilpotent,
+        "solvable": rep.solvable,
+        "solvable_class": rep.solvable_class,
+        "two_step_solvable": rep.two_step_solvable,
+    }, {"solvable": solvable, "solvable_class": None})
     return 0
 
 
@@ -144,53 +152,31 @@ def cmd_check_lr(args) -> int:
     holds = rep.is_lr and rep.is_compatible
     if args.require_complete:
         holds = holds and rep.is_complete
-    if args.json:
-        _emit_json(
-            {
-                "dim": g.dim,
-                "lr": rep.is_lr,
-                "compatible": rep.is_compatible,
-                "complete": rep.is_complete,
-                "holds": holds,
-                "violations": [_violation_json(v) for v in rep.violations],
-            }
-        )
-    else:
-        print(f"dim: {g.dim}")
-        print(f"lr: {_yn(rep.is_lr)}")
-        print(f"compatible: {_yn(rep.is_compatible)}")
-        print(f"complete: {_yn(rep.is_complete)}")
-        _print_violations(rep.violations)
+    _report(args, {
+        "dim": g.dim,
+        "lr": rep.is_lr,
+        "compatible": rep.is_compatible,
+        "complete": rep.is_complete,
+        "holds": holds,
+        "violations": rep.violations,
+    }, {"holds": None})
     return 0 if holds else 1
 
 
 def cmd_complete(args) -> int:
     g, p = _load_with_product(args.file)
     cert = complete_any(g, p)
-    changed = cert.completed != cert.original
-    # The Fitting split is taken on g / g_infinity.
-    ginf_dim = g.dim - cert.fitting.v_n.ambient_dim
     emit_file(args.output, g, cert.completed)
-    if args.json:
-        _emit_json(
-            {
-                "dim": g.dim,
-                "g_infinity_dim": ginf_dim,
-                "nilpotent_component_dim": cert.fitting.v_n.dim,
-                "invertible_component_dim": cert.fitting.v_0.dim,
-                "containment": cert.containment_witness.holds,
-                "changed": changed,
-                "output": args.output,
-            }
-        )
-    else:
-        print(f"dim: {g.dim}")
-        print(f"g-infinity dim: {ginf_dim}")
-        print(f"nilpotent component dim: {cert.fitting.v_n.dim}")
-        print(f"invertible component dim: {cert.fitting.v_0.dim}")
-        print(f"containment: {_yn(cert.containment_witness.holds)}")
-        print(f"changed: {_yn(changed)}")
-        print(f"wrote: {args.output}")
+    _report(args, {
+        "dim": g.dim,
+        # The Fitting split is taken on g / g_infinity.
+        "g_infinity_dim": g.dim - cert.fitting.v_n.ambient_dim,
+        "nilpotent_component_dim": cert.fitting.v_n.dim,
+        "invertible_component_dim": cert.fitting.v_0.dim,
+        "containment": cert.containment_witness.holds,
+        "changed": cert.completed != cert.original,
+        "output": args.output,
+    })
     return 0
 
 
@@ -204,20 +190,12 @@ def cmd_two_gen(args) -> int:
     if args.complete and not rep.is_complete:
         out_product = complete_any(g, p).completed
     emit_file(args.output, g, out_product)
-    if args.json:
-        _emit_json(
-            {
-                "dim": g.dim,
-                "complete": rep.is_complete,
-                "completion_applied": out_product is not p,
-                "output": args.output,
-            }
-        )
-    else:
-        print(f"dim: {g.dim}")
-        print(f"complete: {_yn(rep.is_complete)}")
-        print(f"completion applied: {_yn(out_product is not p)}")
-        print(f"wrote: {args.output}")
+    _report(args, {
+        "dim": g.dim,
+        "complete": rep.is_complete,
+        "completion_applied": out_product is not p,
+        "output": args.output,
+    })
     return 0
 
 
@@ -226,30 +204,16 @@ def cmd_catalog(args) -> int:
     product = None
     if name in known_lr_names():
         if args.param is not None:
-            print(f"error: fixture {name} takes no parameter", file=sys.stderr)
-            return 2
+            raise FileFormatError(f"fixture {name} takes no parameter")
         g, product = known_lr(name)
     else:
         try:
             g = named_algebra(name, args.param)
         except PreconditionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise FileFormatError(str(exc)) from None
     emit_file(args.output, g, product)
-    if args.json:
-        _emit_json(
-            {
-                "name": name,
-                "dim": g.dim,
-                "has_product": product is not None,
-                "output": args.output,
-            }
-        )
-    else:
-        print(f"name: {name}")
-        print(f"dim: {g.dim}")
-        print(f"product: {_yn(product is not None)}")
-        print(f"wrote: {args.output}")
+    has_product = product is not None
+    _report(args, {"name": name, "dim": g.dim, "has_product": has_product, "output": args.output})
     return 0
 
 
@@ -259,24 +223,14 @@ def cmd_lemma14(args) -> int:
         raise FileFormatError("--samples: must be non-negative")
     g.ensure_valid()
     violations = check_lemma14(p, _random_triples(p.dim, args.samples, args.seed))
-    holds = not violations
-    if args.json:
-        _emit_json(
-            {
-                "dim": p.dim,
-                "samples": args.samples,
-                "seed": args.seed,
-                "holds": holds,
-                "violations": [_violation_json(v) for v in violations],
-            }
-        )
-    else:
-        print(f"dim: {p.dim}")
-        print(f"samples: {args.samples}")
-        print(f"seed: {args.seed}")
-        print(f"holds: {_yn(holds)}")
-        _print_violations(violations)
-    return 0 if holds else 1
+    _report(args, {
+        "dim": p.dim,
+        "samples": args.samples,
+        "seed": args.seed,
+        "holds": not violations,
+        "violations": violations,
+    })
+    return 1 if violations else 0
 
 
 @functools.cache

@@ -47,6 +47,7 @@ from .linalg import (
     vector,
 )
 from .lr import (
+    LrReport,
     Product,
     _chain_reaches_zero,
     check_lr,
@@ -74,10 +75,48 @@ class CompletionCertificate:
     containment_witness: ContainmentWitness
 
 
-def _witness(new: Product, old: Product) -> ContainmentWitness:
-    new_span = product_span(new)
-    old_span = product_span(old)
-    return ContainmentWitness(new_span, old_span, old_span.contains_subspace(new_span))
+def _lr_input(g: LieAlgebra, p: Product, prefix: str) -> LrReport:
+    """The check_lr report on a construction's input p.
+
+    Raises NotLrProductError, its message the first violation after
+    prefix, unless p is a compatible LR-structure on g.
+    """
+    rep = check_lr(g, p)
+    if not (rep.is_lr and rep.is_compatible):
+        raise NotLrProductError(f"{prefix}{rep.violations[0]}")
+    return rep
+
+
+def _certified(g: LieAlgebra, p: Product, complete: bool, what: str) -> Product:
+    """The product p that construction what built, once check_lr
+    certifies it a compatible LR-structure on g, and a complete one when
+    complete is true.
+
+    The theory guarantees those properties, so a failure is a fault of
+    the construction and raises InternalConsistencyError naming it.
+    """
+    rep = check_lr(g, p)
+    if not (rep.is_lr and rep.is_compatible and (rep.is_complete or not complete)):
+        raise InternalConsistencyError(f"{what} fails its certificate")
+    return p
+
+
+def _completion(
+    g: LieAlgebra, p: Product, completed: Product, fit: FittingSplit, what: str
+) -> CompletionCertificate:
+    """The certificate of construction what, which completed p to
+    completed through the Fitting split fit.
+
+    Checks, in this order, that the products of completed lie in the
+    span of those of p and that completed is certified complete
+    (_certified); either failure raises InternalConsistencyError.
+    """
+    new_span, old_span = product_span(completed), product_span(p)
+    witness = ContainmentWitness(new_span, old_span, old_span.contains_subspace(new_span))
+    if not witness.holds:
+        raise InternalConsistencyError("completed products left the span of the old ones")
+    _certified(g, completed, True, what)
+    return CompletionCertificate(p, completed, fit, witness)
 
 
 def _transport(p: Bilinear, first: Matrix, second: Matrix, out: Matrix) -> tuple[list, int]:
@@ -125,11 +164,7 @@ def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
     """
     if not series(g).nilpotent:
         raise NotNilpotentError("completion on the nilpotent part requires a nilpotent algebra")
-    report = check_lr(g, p)
-    if not (report.is_lr and report.is_compatible):
-        raise NotLrProductError(
-            f"input is not an LR-structure, first violation: {report.violations[0]}"
-        )
+    _lr_input(g, p, "input is not an LR-structure, first violation: ")
     n = g.dim
     if _chain_reaches_zero(p, True):
         # Every left multiplication is nilpotent: v_n is the whole space.
@@ -141,14 +176,7 @@ def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
         ident = Matrix.identity(n)
         rows, scale = _transport(p, fit.proj_n, ident, ident)
         completed = Product._from_int(n, rows, p._den * scale)
-
-    witness = _witness(completed, p)
-    if not witness.holds:
-        raise InternalConsistencyError("completed products left the span of the old ones")
-    post = check_lr(g, completed)
-    if not (post.is_lr and post.is_compatible and post.is_complete):
-        raise InternalConsistencyError("completed product fails its own certificate")
-    return CompletionCertificate(p, completed, fit, witness)
+    return _completion(g, p, completed, fit, "complete_nilpotent")
 
 
 def lift_product(split: SplitDecomposition, q: Product) -> Product:
@@ -173,11 +201,7 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
         raise InternalConsistencyError("split dimensions do not add up")
 
     n_alg = split.complement_algebra
-    rep = check_lr(n_alg, q)
-    if not (rep.is_lr and rep.is_compatible):
-        raise NotLrProductError(
-            f"product on the complement is not an LR-structure: {rep.violations[0]}"
-        )
+    rep = _lr_input(n_alg, q, "product on the complement is not an LR-structure: ")
     # den is a common denominator of q and every phi_a; phis[a] holds the
     # numerators of phi_a over den.  phi is linear, so it vanishes on a
     # product iff the numerators of that product, summed against phis, do.
@@ -206,14 +230,7 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
         rows, scale = _transport(Bilinear._from_int(n, adapted, 1), inv, inv, change)
     else:  # the adapted basis is the standard one
         rows, scale = adapted, 1
-    lifted = Product._from_int(n, rows, den * scale)
-
-    post = check_lr(g, lifted)
-    if not (post.is_lr and post.is_compatible):
-        raise InternalConsistencyError("lifted product fails the LR identities")
-    if rep.is_complete and not post.is_complete:
-        raise InternalConsistencyError("lift of a complete product is not complete")
-    return lifted
+    return _certified(g, Product._from_int(n, rows, den * scale), rep.is_complete, "lift_product")
 
 
 def complete_any(g: LieAlgebra, p: Product) -> CompletionCertificate:
@@ -226,11 +243,7 @@ def complete_any(g: LieAlgebra, p: Product) -> CompletionCertificate:
     test reads the series report that split_metabelian then gets from
     the memo.
     """
-    report = check_lr(g, p)
-    if not (report.is_lr and report.is_compatible):
-        raise NotLrProductError(
-            f"input is not an LR-structure, first violation: {report.violations[0]}"
-        )
+    _lr_input(g, p, "input is not an LR-structure, first violation: ")
     if not series(g).two_step_solvable:
         raise NotTwoStepSolvableError("second derived algebra does not vanish")
 
@@ -245,14 +258,7 @@ def complete_any(g: LieAlgebra, p: Product) -> CompletionCertificate:
     q0 = quotient_product(g, p, split.g_infinity)
     inner = complete_nilpotent(split.complement_algebra, q0)
     lifted = lift_product(split, inner.completed)
-
-    witness = _witness(lifted, p)
-    if not witness.holds:
-        raise InternalConsistencyError("completed products left the span of the old ones")
-    post = check_lr(g, lifted)
-    if not (post.is_lr and post.is_compatible and post.is_complete):
-        raise InternalConsistencyError("completed product fails its own certificate")
-    return CompletionCertificate(p, lifted, inner.fitting, witness)
+    return _completion(g, p, lifted, inner.fitting, "complete_any")
 
 
 def half_bracket(g: LieAlgebra) -> Product:
@@ -260,11 +266,7 @@ def half_bracket(g: LieAlgebra) -> Product:
     g.ensure_valid()
     if bracket_of_subspaces(g, Subspace.full(g.dim), _derived_algebra(g)).dim != 0:
         raise NotTwoStepNilpotentError("the third lower central term does not vanish")
-    p = Product._from_int(g.dim, g._inz, 2 * g._den)
-    rep = check_lr(g, p)
-    if not (rep.is_lr and rep.is_compatible and rep.is_complete):
-        raise InternalConsistencyError("half bracket fails its certificate")
-    return p
+    return _certified(g, Product._from_int(g.dim, g._inz, 2 * g._den), True, "half_bracket")
 
 
 def lr_for_g3(g: LieAlgebra) -> Product:
@@ -317,10 +319,12 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     vectors.  Those n vectors are independent brackets of x and y,
     which proves that x and y generate g; only a scan that falls short
     computes the generated subalgebra, to tell a non-generating pair
-    from an internal failure.  No operator matrix is formed: column j
-    of L(v) for a kept v = ad(y)^k ad(x)^l y is ad(y)^k ad(x)^l [y, e_j],
-    pushed along the same chains from the columns of ad(y), and the
-    table is summed on integers.
+    from an internal failure.  A chain that reaches 0 stays 0, so its
+    later candidates are recorded as 0 without a bracket or a
+    reduction.  No operator matrix is formed: column j of L(v) for a
+    kept v = ad(y)^k ad(x)^l y is ad(y)^k ad(x)^l [y, e_j], pushed
+    along the same chains from the columns of ad(y), and the table is
+    summed on integers.
     """
     if not is_two_step_solvable(g):
         raise NotTwoStepSolvableError("second derived algebra does not vanish")
@@ -353,7 +357,8 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
         return out
 
     # vectors[(k, l)] = (u, d): ad(y)^k ad(x)^l y = u / d in lowest terms,
-    # and vectors[None] is x.  selected holds (u, d, key) per kept vector.
+    # or None once it is 0, and so is every later vector of its chain;
+    # vectors[None] is x.  selected holds (u, d, key) per kept vector.
     vectors = {None: _scale_fractions(xv), (0, 0): _scale_fractions(yv)}
     selected = []
     span = Subspace.zero(n)
@@ -362,10 +367,15 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
             break
         if kl not in vectors:
             before, (cols, cden) = step(kl)
+            vectors[kl] = None
+            if vectors[before] is None:
+                continue
             pu, pd = vectors[before]
             u = [0] * n
             for i, c in push([(j, c) for j, c in enumerate(pu) if c], cols).items():
                 u[i] = c
+            if not any(u):
+                continue
             d = pd * cden
             h = gcd(*u, d)
             vectors[kl] = ([c // h for c in u], d // h) if h > 1 else (u, d)
@@ -419,9 +429,4 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
                 for k, a in cols[j]:
                     acc[k] = acc.get(k, 0) + c * a
             rows.append([(k, a) for k, a in acc.items() if a])
-    p = Product._from_int(n, rows, uinv._den * den)
-
-    post = check_lr(g, p)
-    if not (post.is_lr and post.is_compatible):
-        raise InternalConsistencyError("two-generator product fails the LR identities")
-    return p
+    return _certified(g, Product._from_int(n, rows, uinv._den * den), False, "two_generator_lr")

@@ -1,6 +1,7 @@
 """Constructions: completion on nilpotent algebras, the splitting
 pipeline, the half bracket, and the two-generator structure."""
 
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from lralg.construct import (
     two_generator_lr,
 )
 from lralg.errors import (
+    InternalConsistencyError,
     NotGeneratedError,
     NotLrProductError,
     NotNilpotentError,
@@ -351,6 +353,57 @@ class TestTwoGeneratorWork:
         with pytest.raises(NotGeneratedError):
             two_generator_lr(heisenberg(), (1, 0, 0), (0, 0, 1))
         assert len(calls) == 1
+
+    def test_filiform24_reduces_no_zero_candidate(self, monkeypatch):
+        # once a chain reaches 0 the rest of it is recorded as 0; pushing
+        # and reducing every candidate took 255 reductions here
+        e = standard_basis(24)
+        calls = self.count(monkeypatch, Subspace, "_remainder")
+        two_generator_lr(filiform(24), e[0], e[1])
+        assert len(calls) <= 24
+
+
+class TestCertificateGate:
+    """A product a construction built that fails its certificate raises
+    InternalConsistencyError naming the construction.  check_lr is
+    replaced by one that fails every product certified on behalf of
+    the construction under test, the nearest one on the call stack; no
+    correct input reaches these statements otherwise."""
+
+    CONSTRUCTIONS = {
+        "half_bracket", "two_generator_lr", "lift_product", "complete_nilpotent", "complete_any",
+    }
+
+    def fail_certificates_of(self, monkeypatch, target):
+        real = construct.check_lr
+
+        def check(g, p):
+            rep = real(g, p)
+            frame = sys._getframe(1)
+            certifying = frame.f_code.co_name == "_certified"
+            while frame.f_code.co_name not in self.CONSTRUCTIONS:
+                frame = frame.f_back
+            if certifying and frame.f_code.co_name == target:
+                return dataclasses.replace(rep, is_lr=False, is_compatible=False, is_complete=False)
+            return rep
+
+        monkeypatch.setattr(construct, "check_lr", check)
+
+    @pytest.mark.parametrize(
+        "target, build",
+        [
+            ("half_bracket", lambda: half_bracket(heisenberg())),
+            ("two_generator_lr", lambda: two_generator_lr(filiform(6), *standard_basis(6)[:2])),
+            ("lift_product", lambda: lr_for_g3(r2())),
+            ("complete_nilpotent", lambda: complete_nilpotent(*known_lr("abelian1-idempotent"))),
+            ("complete_any", lambda: complete_any(*known_lr("r2-twogen"))),
+        ],
+    )
+    def test_failed_certificate_names_the_construction(self, monkeypatch, target, build):
+        build()  # passes its certificate with the real check_lr
+        self.fail_certificates_of(monkeypatch, target)
+        with pytest.raises(InternalConsistencyError, match=rf"^{target} fails its certificate$"):
+            build()
 
 
 def test_cli_path_builds_no_tensor_view(monkeypatch):

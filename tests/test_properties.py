@@ -480,6 +480,21 @@ def test_split_correction_over_a_nonabelian_quotient():
     assert any(corrected)
 
 
+def test_split_compares_phi_only_when_g_infinity_is_nonzero(monkeypatch):
+    """With g_infinity = 0 every phi is 0 x 0: the split reads phi once
+    per complement row and compares no pair.  The Heisenberg-on-a-line
+    algebra, whose g_infinity is a line, still compares phi on its
+    pairs."""
+    calls = []
+    real = lie._phi_matrix
+    monkeypatch.setattr(lie, "_phi_matrix", lambda *args: calls.append(1) or real(*args))
+    split = split_metabelian(filiform(12))
+    assert split.g_infinity.dim == 0 and len(calls) == split.complement.rows == 12
+    calls.clear()
+    split = split_metabelian(LieAlgebra.from_brackets(*HEISENBERG_ON_A_LINE))
+    assert split.g_infinity.dim == 1 and len(calls) > split.complement.rows
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(drawn=recipe())
 def test_recipe_inputs_complete(drawn):
