@@ -42,6 +42,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _fitting_split_commuting,
+    _nonzero,
     _scale_fractions,
     _sparse_rows,
     vector,
@@ -143,7 +144,7 @@ def _transport(p: Bilinear, first: Matrix, second: Matrix, out: Matrix) -> tuple
                 if z:
                     for k, t in outs[c]:
                         res[k] += t * z
-            rows.append([(k, v) for k, v in enumerate(res) if v])
+            rows.append(_nonzero(res))
     return rows, first._den * second._den * out._den
 
 
@@ -221,7 +222,7 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
     s = den // q._den
     for a in range(m):
         for t in range(k):
-            adapted[(k + a) * n + t] = [(r, c) for r, c in enumerate(phis[a][t::k]) if c]
+            adapted[(k + a) * n + t] = _nonzero(phis[a][t::k])
         for b in range(m):
             adapted[(k + a) * n + k + b] = [(k + c, v * s) for c, v in q._inz[a * m + b]]
     if k:
@@ -336,7 +337,7 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     def columns(v):
         """The sparse columns [v, e_j] of ad(v), over their denominator."""
         num, den = _scale_fractions(v)
-        cols = g._times_basis([(i, c) for i, c in enumerate(num) if c], False)
+        cols = g._times_basis(_nonzero(num), False)
         return [cols.get(j, ()) for j in range(n)], den * g._den
 
     ad_x, ad_y = columns(xv), columns(yv)
@@ -372,7 +373,7 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
                 continue
             pu, pd = vectors[before]
             u = [0] * n
-            for i, c in push([(j, c) for j, c in enumerate(pu) if c], cols).items():
+            for i, c in push(_nonzero(pu), cols).items():
                 u[i] = c
             if not any(u):
                 continue

@@ -11,6 +11,7 @@ equal algebra built anew is not checked again.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import lcm
 
@@ -28,6 +29,7 @@ from .linalg import (
     Vector,
     _int_row,
     _memoized,
+    _nonzero,
     _scale_fractions,
     _sparse_rows,
     _to_vector,
@@ -122,7 +124,11 @@ def validate_lie(g: LieAlgebra) -> tuple[bool, list[Violation]]:
 
     Returns (ok, violations); each violation carries the basis indices
     and the defect vector.  The sums run on the integer constants
-    g._inz; a defect becomes Fractions only when it is nonzero.  An
+    g._inz; a defect becomes Fractions only when it is nonzero.  A
+    Jacobi sum vanishes unless one of its three brackets is nonzero, so
+    only the triples that a nonzero pair links are visited, in the
+    (i, j, k) order of the loop over all of them (de Graaf, Lie
+    Algebras: Theory and Algorithms, 2000).  An
     algebra with the _content of one checked recently gets that report
     from the memo.
     """
@@ -146,21 +152,44 @@ def _validate_lie(g: LieAlgebra) -> tuple[bool, tuple[Violation, ...]]:
             if any(out):
                 violations.append(Violation("antisymmetry", (i, j), _to_vector(out, den)))
     # [e_a, [e_b, e_c]] summed over the cyclic shifts of (i, j, k), times den**2.
+    for i, j, k in _jacobi_triples(n, inz):
+        cyclic = ((i, j, k), (j, k, i), (k, i, j))
+        if not any(inz[b * n + c] for _, b, c in cyclic):
+            continue
+        out = [0] * n
+        for a, b, c in cyclic:
+            base = a * n
+            for m, x in inz[b * n + c]:
+                for t, y in inz[base + m]:
+                    out[t] += x * y
+        if any(out):
+            violations.append(Violation("jacobi", (i, j, k), _to_vector(out, den * den)))
+    return not violations, tuple(violations)
+
+
+def _jacobi_triples(n: int, inz) -> Iterator[tuple[int, int, int]]:
+    """The triples i < j < k with a nonzero slot among their pairs, in
+    (i, j, k) order: a Jacobi sum can be nonzero only there.
+
+    Two indices are linked when either of their slots in inz is nonzero.
+    For i < j, every k > j is taken when i and j are linked, and
+    otherwise the k > j linked to i or to j; on a dense tensor that is
+    every triple, at the cost of the full loop.
+    """
+    linked: list[set[int]] = [set() for _ in range(n)]
+    for bc, w in enumerate(inz):
+        if w:
+            b, c = divmod(bc, n)
+            linked[b].add(c)
+            linked[c].add(b)
     for i in range(n):
         for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                cyclic = ((i, j, k), (j, k, i), (k, i, j))
-                if not any(inz[b * n + c] for _, b, c in cyclic):
-                    continue
-                out = [0] * n
-                for a, b, c in cyclic:
-                    base = a * n
-                    for m, x in inz[b * n + c]:
-                        for t, y in inz[base + m]:
-                            out[t] += x * y
-                if any(out):
-                    violations.append(Violation("jacobi", (i, j, k), _to_vector(out, den * den)))
-    return not violations, tuple(violations)
+            if j in linked[i]:
+                ks = range(j + 1, n)
+            else:
+                ks = sorted(k for k in linked[i] | linked[j] if k > j)
+            for k in ks:
+                yield i, j, k
 
 
 def ad(g: LieAlgebra, x) -> Matrix:
@@ -368,7 +397,7 @@ def _phi_matrix(g: LieAlgebra, wnum: list[int], wden: int, ginf: Subspace) -> Ma
     pivots.  A bracket with a nonzero remainder against ginf has left
     it.
     """
-    ws = [(i, x) for i, x in enumerate(wnum) if x]
+    ws = _nonzero(wnum)
     cols = [g._int_apply(ws, b) for b in _sparse_rows(ginf.rows)]
     for c in cols:
         if any(ginf._remainder(c)):

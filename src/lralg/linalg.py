@@ -83,9 +83,14 @@ def _int_row(pairs, n: int) -> list[int]:
     return row
 
 
+def _nonzero(row) -> list[tuple[int, int]]:
+    """The nonzero (index, entry) pairs of an integer row."""
+    return [(i, x) for i, x in enumerate(row) if x]
+
+
 def _sparse_rows(m: Matrix) -> list[list[tuple[int, int]]]:
     """The nonzero (column, numerator) pairs of each row of m."""
-    return [[(i, x) for i, x in enumerate(r) if x] for r in m._int_rows()]
+    return [_nonzero(r) for r in m._int_rows()]
 
 
 def _scale_fractions(entries) -> tuple[list[int], int]:
@@ -663,7 +668,7 @@ class Bilinear:
         if any(len(row) != n or any(len(v) != n for v in row) for row in t):
             raise DimensionMismatchError(f"{self._kind} tensor must be dim x dim x dim")
         nums, den = _scale_fractions([c for row in t for v in row for c in v])
-        inz = [[(k, x) for k, x in enumerate(nums[ij * n:ij * n + n]) if x] for ij in range(n * n)]
+        inz = [_nonzero(nums[ij * n:ij * n + n]) for ij in range(n * n)]
         self._fill(n, inz, den, *rest)
 
     @classmethod
@@ -740,9 +745,7 @@ class Bilinear:
         """x . y"""
         xnum, xden = _scaled(x, self.dim, self._kind)
         ynum, yden = _scaled(y, self.dim, self._kind)
-        xs = [(i, xi) for i, xi in enumerate(xnum) if xi]
-        ys = [(j, yj) for j, yj in enumerate(ynum) if yj]
-        return _to_vector(self._int_apply(xs, ys), xden * yden * self._den)
+        return _to_vector(self._int_apply(_nonzero(xnum), _nonzero(ynum)), xden * yden * self._den)
 
     def _int_apply(self, xs, ys) -> list[int]:
         """Numerators over _den of x . y, for x and y given by their
@@ -760,8 +763,9 @@ class Bilinear:
     def operator(self, x, right: bool = False) -> Matrix:
         """Matrix of y -> x . y, or of y -> y . x when right is set."""
         xnum, xden = _scaled(x, self.dim, self._kind)
-        xs = [(i, xi) for i, xi in enumerate(xnum) if xi]
-        return Matrix._raw(self.dim, self.dim, self._int_operator(xs, right), xden * self._den)
+        return Matrix._raw(
+            self.dim, self.dim, self._int_operator(_nonzero(xnum), right), xden * self._den
+        )
 
     def _by(self, right: bool) -> list[list]:
         """The nonzero constants by row, or by column when right is set:
@@ -805,7 +809,7 @@ class Bilinear:
                     acc = out[j] = [0] * n
                 for k, c in w:
                     acc[k] += x * c
-        nonzero = ((j, [(k, y) for k, y in enumerate(acc) if y]) for j, acc in out.items())
+        nonzero = ((j, _nonzero(acc)) for j, acc in out.items())
         return {j: tuple(v) for j, v in nonzero if v}
 
     def escape(self, s: Subspace, both_sides: bool = False) -> tuple[str, int] | None:

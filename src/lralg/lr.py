@@ -22,6 +22,11 @@ one k at a time: T[i, j, k] is column k of L(e_i)L(e_j) and S[k, j, i]
 column k of R(e_i)R(e_j).  The left identity at (i, j, k) reads
 T[i, j, k] = T[j, i, k] and the right one S[k, j, i] = S[k, i, j], so
 each difference is column k of the commutator of two basis operators.
+The Lemma 14 identities on basis vectors are read from the same
+columns, indexed by their first and second index, so each is a
+comparison of maps {l: column l} that hold only the nonzero columns.
+The sampled identities run on the integer numerators of the sample
+vectors, and a defect becomes a Matrix only when an identity fails.
 
 Completeness is read off the chain A, A*A, (A*A)*A, ..., whose t-th
 term is spanned by the words R(e_i1)...R(e_it) applied to A.  If the
@@ -40,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from . import _kernels as K
 from .errors import (
     DimensionMismatchError,
     NotLrProductError,
@@ -54,9 +60,10 @@ from .linalg import (
     Vector,
     _int_row,
     _memoized,
+    _nonzero,
+    _scaled,
     _sparse_rows,
     _to_vector,
-    vector,
 )
 
 LR_LEFT = "x(yz) = y(xz)"
@@ -261,30 +268,77 @@ LEMMA_IDENTITIES = (
 
 
 def _lemma_defects(p: Product, x, y, z) -> list[tuple[str, Matrix]]:
-    lx, rx = left_op(p, x), right_op(p, x)
-    ly = left_op(p, y)
-    ry = right_op(p, y)
-    xy = p.evaluate(x, y)
-    yx = p.evaluate(y, x)
-    yz = p.evaluate(y, z)
-    xz = p.evaluate(x, z)
+    """The sampled identities that fail at (x, y, z), with their defects.
+
+    x, y and z are scaled to integers once; products and operators are
+    read from the integer constants and the operator products formed by
+    K.mat_mul.  Each identity is homogeneous, so both of its sides share
+    one denominator, dx dy D^2 for identities 0-1 and dx dy dz D^3 for
+    2-5 (D = p._den), and their numerators are compared directly; a
+    defect Matrix is formed only for an identity that fails."""
+    n, d = p.dim, p._den
+    (xn, dx), (yn, dy), (zn, dz) = (_scaled(v, n, p._kind) for v in (x, y, z))
+    xs, ys, zs = _nonzero(xn), _nonzero(yn), _nonzero(zn)
+
+    def times(a, b):
+        return _nonzero(p._int_apply(a, b))
+
+    def left(a):
+        return p._int_operator(a, False)
+
+    def right(a):
+        return p._int_operator(a, True)
+
+    def mul(a, b):
+        return K.mat_mul(a, b, n, n, n)
+
+    lx, rx = left(xs), right(xs)
+    xy, yx, yz, xz = times(xs, ys), times(ys, xs), times(ys, zs), times(xs, zs)
     checks = [
-        (LEMMA_IDENTITIES[0], lx * ry, right_op(p, xy)),
-        (LEMMA_IDENTITIES[1], rx * ly, left_op(p, yx)),
-        (LEMMA_IDENTITIES[2], lx * right_op(p, yz), right_op(p, p.evaluate(x, yz))),
-        (LEMMA_IDENTITIES[3], rx * left_op(p, yz), left_op(p, p.evaluate(yz, x))),
-        (LEMMA_IDENTITIES[4], lx * left_op(p, yz), left_op(p, p.evaluate(y, xz))),
-        (LEMMA_IDENTITIES[5], rx * right_op(p, yz), right_op(p, p.evaluate(yx, z))),
+        (mul(lx, right(ys)), right(xy)),
+        (mul(rx, left(ys)), left(yx)),
+        (mul(lx, right(yz)), right(times(xs, yz))),
+        (mul(rx, left(yz)), left(times(yz, xs))),
+        (mul(lx, left(yz)), left(times(ys, xz))),
+        (mul(rx, right(yz)), right(times(yx, zs))),
     ]
-    return [(name, a - b) for name, a, b in checks if a != b]
+    dens = (dx * dy * d ** 2,) * 2 + (dx * dy * dz * d ** 3,) * 4
+    return [
+        (name, Matrix._raw(n, n, [s - t for s, t in zip(a, b)], den))
+        for name, (a, b), den in zip(LEMMA_IDENTITIES, checks, dens)
+        if a != b
+    ]
+
+
+def _by_first_and_second(tables) -> tuple[list[dict], list[dict]]:
+    """Each {(a, b): vector} map of tables indexed as {a: {b: vector}}
+    and as {b: {a: vector}}."""
+    first: list[dict] = []
+    second: list[dict] = []
+    for table in tables:
+        by_a: dict = {}
+        by_b: dict = {}
+        for (a, b), v in table.items():
+            by_a.setdefault(a, {})[b] = v
+            by_b.setdefault(b, {})[a] = v
+        first.append(by_a)
+        second.append(by_b)
+    return first, second
+
+
+def _transpose(cols: dict) -> dict:
+    """{l: {i: v}} as {i: {l: v}}."""
+    out: dict = {}
+    for l, col in cols.items():
+        for i, v in col.items():
+            out.setdefault(i, {})[l] = v
+    return out
 
 
 def _lemma_violations(p: Product) -> list[Violation]:
     """The six identities on all basis pairs and triples, as identities
-    among products of products; the defect Matrix is built only for a
-    failing one.  Every column of the products is held at once.
-
-    Column l of each side, with w = e_j e_k:
+    among products of products.  Column l of each side, with
+    w = e_j e_k:
 
         0  L(e_i)R(e_j) = R(e_i e_j)      e_i (e_l e_j) = e_l (e_i e_j)
         1  R(e_i)L(e_j) = L(e_j e_i)      (e_j e_l) e_i = (e_j e_i) e_l
@@ -292,56 +346,61 @@ def _lemma_violations(p: Product) -> list[Violation]:
         3  R(e_i)L(w) = L(w e_i)          (w e_l) e_i = (w e_i) e_l
         4  L(e_i)L(w) = L(e_j(e_i e_k))   e_i (w e_l) = (e_j (e_i e_k)) e_l
         5  R(e_i)R(w) = R((e_j e_i) e_k)  (e_l w) e_i = e_l ((e_j e_i) e_k)
+
+    Only nonzero columns are held, as {l: vector} maps, so an identity
+    holds iff its two sides are equal maps.  Every column of the
+    products of products is indexed once by its first and by its second
+    index; per nonzero w, the products with e_l w and w e_l are taken
+    once and transposed.  An identity is compared at every (i, j) and at
+    every (i, j, k) with w != 0 (for w = 0 both sides vanish), in that
+    order, and the defect Matrix is built only for a failing one.
     """
     n = p.dim
-    lcol, rcol = zip(*(_column(p, k) for k in range(n)))  # lcol[k][i, j] = e_i (e_j e_k)
+    columns = [_column(p, k) for k in range(n)]
+    # l1[k][i][j] = l2[k][j][i] = e_i (e_j e_k), r1[k][i][j] = r2[k][j][i] = (e_k e_j) e_i
+    l1, l2 = _by_first_and_second(left for left, _ in columns)
+    r1, r2 = _by_first_and_second(right for _, right in columns)
     violations: list[Violation] = []
+    none: dict = {}
 
-    def check(which: int, where: tuple[int, ...], cols, den: int) -> None:
-        if all(a == b for a, b in cols):
+    def check(which: int, where: tuple[int, ...], a: dict, b: dict, den: int) -> None:
+        if a == b:
             return
         num = [0] * (n * n)
-        for l, (a, b) in enumerate(cols):
-            for r, x in a:
-                num[r * n + l] += x
-            for r, x in b:
-                num[r * n + l] -= x
+        for cols, sign in ((a, 1), (b, -1)):
+            for l, v in cols.items():
+                for r, x in v:
+                    num[r * n + l] += sign * x
         violations.append(Violation(LEMMA_IDENTITIES[which], where, Matrix._raw(n, n, num, den)))
 
     den2, den3 = p._den ** 2, p._den ** 3
     for i in range(n):
         for j in range(n):
-            lj, rj = lcol[j], rcol[j]
-            cols = [(lj.get((i, l), ()), lj.get((l, i), ())) for l in range(n)]
-            check(0, (i, j), cols, den2)
-            cols = [(rj.get((i, l), ()), rj.get((l, i), ())) for l in range(n)]
-            check(1, (i, j), cols, den2)
+            check(0, (i, j), l1[j].get(i, none), l2[j].get(i, none), den2)
+            check(1, (i, j), r1[j].get(i, none), r2[j].get(i, none), den2)
 
-    # Triple identities; e_j e_k is usually zero, and then every one of
-    # them is trivially 0 = 0.
+    def times_basis(cols: dict, right: bool) -> dict:
+        return {l: p._times_basis(v, right) for l, v in cols.items()}
+
     for j in range(n):
         for k in range(n):
             if not p._inz[j * n + k]:
                 continue
-            lk, rj = lcol[k], rcol[j]
-            u = [lk.get((l, j), ()) for l in range(n)]  # e_l w
-            r = [rj.get((l, k), ()) for l in range(n)]  # w e_l
-            e_u = [p._times_basis(x, True) for x in u]  # e_u[l][i] = e_i (e_l w)
-            u_e = [p._times_basis(x, False) for x in u]
-            e_r = [p._times_basis(x, True) for x in r]
-            r_e = [p._times_basis(x, False) for x in r]
+            u = l2[k].get(j, none)  # {l: e_l w}
+            r = r2[j].get(k, none)  # {l: w e_l}
+            e_u, u_e = times_basis(u, True), times_basis(u, False)  # e_u[l][i] = e_i (e_l w)
+            e_r, r_e = times_basis(r, True), times_basis(r, False)
+            e_u_t, r_e_t, e_r_t, u_e_t = map(_transpose, (e_u, r_e, e_r, u_e))
+            t = l1[k].get(j, none)  # {i: e_j (e_i e_k)}
+            s = r1[j].get(k, none)  # {i: (e_j e_i) e_k}
             for i in range(n):
                 where = (i, j, k)
-                t_e = p._times_basis(lk.get((j, i), ()), False)  # (e_j (e_i e_k)) e_l
-                e_s = p._times_basis(rj.get((k, i), ()), True)  # e_l ((e_j e_i) e_k)
-                cols = [(e_u[l].get(i, ()), e_u[i].get(l, ())) for l in range(n)]
-                check(2, where, cols, den3)
-                cols = [(r_e[l].get(i, ()), r_e[i].get(l, ())) for l in range(n)]
-                check(3, where, cols, den3)
-                cols = [(e_r[l].get(i, ()), t_e.get(l, ())) for l in range(n)]
-                check(4, where, cols, den3)
-                cols = [(u_e[l].get(i, ()), e_s.get(l, ())) for l in range(n)]
-                check(5, where, cols, den3)
+                t_e = p._times_basis(t[i], False) if i in t else none  # (e_j (e_i e_k)) e_l
+                e_s = p._times_basis(s[i], True) if i in s else none  # e_l ((e_j e_i) e_k)
+                check(2, where, e_u_t.get(i, none), e_u.get(i, none), den3)
+                check(3, where, r_e_t.get(i, none), r_e.get(i, none), den3)
+                check(4, where, e_r_t.get(i, none), t_e, den3)
+                check(5, where, u_e_t.get(i, none), e_s, den3)
     return violations
 
 
@@ -355,16 +414,18 @@ def check_lemma14(p: Product, samples=()) -> list[Violation]:
     The gate and the basis identities are identities among products of
     products of basis vectors, read from the contraction of the
     constants with themselves (module docstring); column l of
-    L(e_i)R(w) = R(e_i w), say, reads e_i (e_l w) = e_l (e_i w).  A
-    defect Matrix is formed only for a violation.  The sampled triples
-    multiply the operators of the sample vectors.
+    L(e_i)R(w) = R(e_i w), say, reads e_i (e_l w) = e_l (e_i w).  Only
+    nonzero columns are compared, and the triple identities only where
+    w = e_j e_k is nonzero.  The sampled triples multiply the integer
+    operators of the sample vectors, each identity over one
+    denominator.  A defect Matrix is formed only for a violation.
     """
     left, right = _lr_violations(p)
     if left or right:
         return left + right
     violations = _lemma_violations(p)
     for s, (x, y, z) in enumerate(samples):
-        for name, d in _lemma_defects(p, vector(x), vector(y), vector(z)):
+        for name, d in _lemma_defects(p, x, y, z):
             violations.append(Violation(name + " (sampled)", (s,), d))
     return violations
 

@@ -122,3 +122,31 @@ def test_no_dead_definitions():
         and not (node.name in exported or node.name in targets or in_tests[node.name])
     ]
     assert not dead, f"definitions nothing uses: {', '.join(dead)}"
+
+
+def kernel_bindings(tree: ast.Module) -> list[str]:
+    """Places where a module binds a function of lralg._kernels by name:
+    an import of the function itself, or a read of K.<name> that is not
+    the callee of a call (an assignment, a default argument, an argument
+    passed on)."""
+    aliases, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("_kernels"):
+            found += [f"{a.name} (line {node.lineno})" for a in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            aliases.update(a.asname or a.name for a in node.names
+                           if a.name.split(".")[-1] == "_kernels")
+    callees = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and id(node) not in callees):
+            found.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "_kernels.py"])
+def test_kernels_are_called_through_the_module(module):
+    """The pipeline benchmark's tracer replaces the attributes of
+    lralg._kernels; a kernel bound to a second name escapes it."""
+    bound = kernel_bindings(parse(os.path.join(PACKAGE, module)))
+    assert not bound, f"{module} binds kernels by name: {', '.join(bound)}"

@@ -238,6 +238,9 @@ class TestLemma14:
         assert violations
         assert {v.identity for v in violations} <= {LR_LEFT, LR_RIGHT}
 
+    def test_dimension_zero(self):
+        assert check_lemma14(Product.zero(0)) == []
+
     def test_identity_names_stable(self):
         assert len(LEMMA_IDENTITIES) == 6
         assert LEMMA_IDENTITIES[0] == "L(x)R(y) = R(xy)"
@@ -359,14 +362,20 @@ class TestNoOperatorProducts:
         assert check_complete(p)
         assert mat_mul_calls == []
 
-    def test_lemma14_outside_the_samples(self, mat_mul_calls):
+    def test_lemma14_outside_the_samples(self, mat_mul_calls, monkeypatch):
+        """The basis identities multiply no operators, and a passing
+        check forms no Matrix, with or without samples: defects are
+        built only for a failing identity."""
         e = standard_basis(12)
         p = two_generator_lr(filiform(12), e[0], e[1])
         mat_mul_calls.clear()
+        made = []
+        raw = Matrix._raw.__func__
+        monkeypatch.setattr(Matrix, "_raw", classmethod(lambda *a: made.append(a) or raw(*a)))
         assert check_lemma14(p) == []
-        assert mat_mul_calls == []
+        assert mat_mul_calls == [] and made == []
         assert check_lemma14(p, sample_triples(12, 1, seed=1)) == []
-        assert mat_mul_calls
+        assert mat_mul_calls and made == []
 
 
 class TestConstantIndex:

@@ -25,9 +25,13 @@ term with all of g.  The memoized certificate reports must equal a
 fresh computation.  The two-generator construction, which scans its
 candidates lazily and pushes its table through sparse columns, must
 match the eager Fraction algorithm it replaced, and every builder of
-Bilinear must store the same canonical constants.
+Bilinear must store the same canonical constants.  Jacobi, enumerated
+from the nonzero pairs, must give the report of the loop over every
+triple, and the sampled Lemma 14 identities, compared on integer
+numerators, the defects of the Fraction operator products.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -62,6 +66,7 @@ from lralg.linalg import (
     Matrix,
     Subspace,
     _fitting_split_commuting,
+    _to_vector,
     complement,
     fitting_split_family,
     fitting_split_single,
@@ -877,6 +882,122 @@ def test_lr_certificates_match_dense_operator_checks(data):
     # Past the gate of check_lemma14 the basis identities hold by the
     # lemma; off it they must still be the dense operator identities.
     assert triples(lr._lemma_violations(p)) == dense_lemma_violations(p)
+
+
+def operator_lemma_defects(p, x, y, z):
+    """The sampled identities as first computed: operator matrices of
+    the Fraction vectors and their Matrix products, compared as
+    matrices."""
+    lx, rx = left_op(p, x), right_op(p, x)
+    xy, yx, yz, xz = p.evaluate(x, y), p.evaluate(y, x), p.evaluate(y, z), p.evaluate(x, z)
+    checks = [
+        (lx * right_op(p, y), right_op(p, xy)),
+        (rx * left_op(p, y), left_op(p, yx)),
+        (lx * right_op(p, yz), right_op(p, p.evaluate(x, yz))),
+        (rx * left_op(p, yz), left_op(p, p.evaluate(yz, x))),
+        (lx * left_op(p, yz), left_op(p, p.evaluate(y, xz))),
+        (rx * right_op(p, yz), right_op(p, p.evaluate(yx, z))),
+    ]
+    return [(name, a - b) for name, (a, b) in zip(LEMMA_IDENTITIES, checks) if a != b]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_sampled_lemma_identities_match_operator_products(data):
+    """The sampled identities, compared on integer numerators over one
+    denominator per identity, fail exactly where the Fraction operator
+    products do, with the same defects: on arbitrary constants, where
+    they mostly fail, and on LR products, where they hold."""
+    if data.draw(st.booleans()):
+        p = Product(data.draw(mixed_tensor(data.draw(st.integers(1, 4)))))
+    else:
+        p = data.draw(algebra_and_product())[1]
+    vec = st.lists(sparse_rational, min_size=p.dim, max_size=p.dim).map(tuple)
+    x, y, z = data.draw(vec), data.draw(vec), data.draw(vec)
+    assert lr._lemma_defects(p, x, y, z) == operator_lemma_defects(p, x, y, z)
+
+
+def loop_validate_lie(g):
+    """validate_lie's report as first computed: antisymmetry on every
+    pair i <= j and the Jacobi sum on every triple i < j < k, skipping
+    those whose three bracket slots are all zero."""
+    n, inz, den = g.dim, g._inz, g._den
+    violations = []
+    for i in range(n):
+        for j in range(i, n):
+            ij, ji = inz[i * n + j], inz[j * n + i]
+            if not (ij or ji):
+                continue
+            out = [0] * n
+            for k, c in ij + ji:
+                out[k] += c
+            if any(out):
+                violations.append(lie.Violation("antisymmetry", (i, j), _to_vector(out, den)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                cyclic = ((i, j, k), (j, k, i), (k, i, j))
+                if not any(inz[b * n + c] for _, b, c in cyclic):
+                    continue
+                out = [0] * n
+                for a, b, c in cyclic:
+                    for m, x in inz[b * n + c]:
+                        for t, y in inz[a * n + m]:
+                            out[t] += x * y
+                if any(out):
+                    violations.append(lie.Violation("jacobi", (i, j, k), _to_vector(out, den * den)))
+    return not violations, tuple(violations)
+
+
+CATALOG = [filiform(5), filiform(7), free_two_step(3), diag_solvable([1, -2, 3])]
+
+
+@st.composite
+def jacobi_input(draw):
+    """Arbitrary constants with one-sided pairs (e_i e_j != 0 = e_j e_i),
+    or a catalog, fixture or recipe algebra, in its own basis or a
+    random one."""
+    kind = draw(st.sampled_from(["mixed", "catalog", "fixture", "recipe"]))
+    if kind == "mixed":
+        n = draw(st.integers(1, 5))
+        t = draw(mixed_tensor(n))
+        for i in range(n):
+            for j in range(n):
+                if i != j and draw(st.booleans()):
+                    t[i][j] = [Fraction(0)] * n
+        return LieAlgebra(t)
+    if kind == "catalog":
+        g = draw(st.sampled_from(CATALOG))
+    elif kind == "fixture":
+        g = draw(st.sampled_from(FIXTURES))[0]
+    else:
+        g = draw(recipe(max_dim=6))[0]
+    if draw(st.booleans()):
+        m, minv = draw(invertible(g.dim))
+        g = LieAlgebra(change_basis(g.brackets, m, minv))
+    return g
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(g=jacobi_input())
+def test_jacobi_from_nonzero_pairs_matches_triple_loop(g):
+    assert lie._validate_lie(g) == loop_validate_lie(g)
+
+
+def test_jacobi_triples_are_those_with_a_nonzero_pair():
+    """On an antisymmetric tensor a triple is enumerated iff one of its
+    brackets is nonzero; on a dense one that is every triple, in order."""
+    for g, count in ((filiform(128), 8001), (free_two_step(15), 11480)):
+        assert sum(1 for _ in lie._jacobi_triples(g.dim, g._inz)) == count
+    g = filiform(9)
+    triples = list(lie._jacobi_triples(g.dim, g._inz))
+    assert triples == [
+        (i, j, k) for i, j, k in itertools.combinations(range(9), 3)
+        if g._inz[i * 9 + j] or g._inz[j * 9 + k] or g._inz[i * 9 + k]
+    ]
+    dense = [[[Fraction(1)] * 5 for _ in range(5)] for _ in range(5)]
+    g = LieAlgebra(dense)
+    assert list(lie._jacobi_triples(5, g._inz)) == list(itertools.combinations(range(5), 3))
 
 
 @settings(max_examples=60, deadline=None)
