@@ -5,6 +5,14 @@ strings. Bracket entries are given only for i < j; product entries
 carry no symmetry and may use any index pair. Emission is canonical:
 entries sorted, rationals reduced, two-space indent, trailing newline,
 so emitting what was parsed reproduces the bytes.
+
+Files are read into and written from the integer store of
+linalg.Bilinear (_inz over _den) with no Fraction in between: each
+rational string becomes an integer (numerator, denominator) pair, and
+Bilinear._from_sparse lifts the pairs to one common denominator.  The
+text is written from the integers directly and equals what
+json.dumps(obj, indent=2) gives for the file's object, plus a newline;
+basis names are escaped by json.dumps itself.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 from .errors import FileFormatError
@@ -22,7 +31,7 @@ from .lr import Product
 
 # Both are used with fullmatch: "$" would also match before a trailing
 # newline and let "1\n" through.
-_RATIONAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
+_RATIONAL = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?")
 _INDEX_KEY = re.compile(r"[1-9][0-9]*")
 
 # Only nonzero constants are stored, so memory is not what limits dim:
@@ -57,13 +66,24 @@ def _show(value: Any) -> str:
         return "a value too long to print"
 
 
+def _parse_ratio(text: Any, path: str, key: str | None = None) -> tuple[int, int]:
+    """(numerator, denominator) of a rational string, as written: "2/4"
+    gives (2, 4).  A diagnostic names path, or the member key of the
+    object at path, a name formed only for a diagnostic."""
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is not None:
+        num, den = match.groups()
+        try:
+            return int(num), int(den) if den else 1
+        except ValueError:
+            message = f"rational with {len(text)} characters has too many digits"
+    else:
+        message = f"expected a rational string like '3' or '-1/2', got {_show(text)}"
+    _fail(path if key is None else f"{path}.{_clip(key)}", message)
+
+
 def _parse_rational(text: Any, path: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
-        _fail(path, f"expected a rational string like '3' or '-1/2', got {_show(text)}")
-    try:
-        return Fraction(text)
-    except ValueError:
-        _fail(path, f"rational with {len(text)} characters has too many digits")
+    return Fraction(*_parse_ratio(text, path))
 
 
 def _parse_index(value: Any, dim: int, path: str) -> int:
@@ -74,29 +94,30 @@ def _parse_index(value: Any, dim: int, path: str) -> int:
     return value - 1
 
 
-def _parse_values(obj: Any, dim: int, path: str) -> dict[int, Fraction]:
+def _parse_values(obj: Any, dim: int, path: str) -> dict[int, tuple[int, int]]:
     if not isinstance(obj, dict):
         _fail(path, "expected an object mapping indices to rationals")
-    out: dict[int, Fraction] = {}
+    width = len(str(dim))
+    out: dict[int, tuple[int, int]] = {}
     for key, raw in obj.items():
-        here = f"{path}.{_clip(key)}"
+        if not isinstance(key, str):
+            _fail(f"{path}.{_show(key)}", "keys must be positive integers written as strings")
         if not _INDEX_KEY.fullmatch(key):
-            _fail(here, "keys must be positive integers written as strings")
+            _fail(f"{path}.{_clip(key)}", "keys must be positive integers written as strings")
         # Compare lengths first: int() refuses very long digit strings.
-        if len(key) > len(str(dim)) or int(key) > dim:
-            _fail(here, f"index {_clip(key)} out of range 1..{dim}")
-        k = int(key)
-        out[k - 1] = _parse_rational(raw, here)
+        k = int(key) if len(key) <= width else 0
+        if not 0 < k <= dim:
+            _fail(f"{path}.{_clip(key)}", f"index {_clip(key)} out of range 1..{dim}")
+        out[k - 1] = _parse_ratio(raw, path, key)
     return out
 
 
 def _parse_entries(
     obj: Any, dim: int, path: str, require_ordered: bool
-) -> dict[tuple[int, int], dict[int, Fraction]]:
+) -> dict[tuple[int, int], dict[int, tuple[int, int]]]:
     if not isinstance(obj, list):
         _fail(path, "expected a list of entries")
-    seen: set[tuple[int, int]] = set()
-    out: dict[tuple[int, int], dict[int, Fraction]] = {}
+    out: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
     for pos, entry in enumerate(obj):
         here = f"{path}[{pos}]"
         if not isinstance(entry, dict):
@@ -111,9 +132,8 @@ def _parse_entries(
         j = _parse_index(entry["j"], dim, f"{here}.j")
         if require_ordered and not i < j:
             _fail(here, f"bracket entries need i < j, got i={i + 1}, j={j + 1}")
-        if (i, j) in seen:
+        if (i, j) in out:
             _fail(here, f"duplicate entry for i={i + 1}, j={j + 1}")
-        seen.add((i, j))
         out[(i, j)] = _parse_values(entry["v"], dim, f"{here}.v")
     return out
 
@@ -146,12 +166,12 @@ def parse_data(obj: Any, source: str = "input") -> tuple[LieAlgebra, Product | N
 
     raw_brackets = obj.get("brackets", [])
     brackets = _parse_entries(raw_brackets, dim, f"{source}.brackets", require_ordered=True)
-    algebra = LieAlgebra.from_brackets(dim, brackets, basis_names=names)
+    algebra = LieAlgebra._from_upper(dim, brackets, names)
 
     product = None
     if "product" in obj:
         entries = _parse_entries(obj["product"], dim, f"{source}.product", require_ordered=False)
-        product = Product.from_entries(dim, entries)
+        product = Product._from_sparse(dim, entries)
     return algebra, product
 
 
@@ -187,26 +207,48 @@ def parse_file(path: str) -> tuple[LieAlgebra, Product | None]:
     return parse_data(obj, source=path)
 
 
-def _entry_list(b: Bilinear, ordered_only: bool) -> list[dict[str, Any]]:
-    """The nonzero constants of b as file entries, by (i, j) and then k."""
-    n, den = b.dim, b._den
-    out = []
-    for ij, w in enumerate(b._inz):
-        i, j = divmod(ij, n)
-        if w and not (ordered_only and i >= j):
-            values = {str(k + 1): str(Fraction(c, den)) for k, c in w}
-            out.append({"i": i + 1, "j": j + 1, "v": values})
-    return out
+def _ratio_text(c: int, den: int) -> str:
+    """c / den in lowest terms, as str(Fraction(c, den)) writes it."""
+    g = gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
+
+
+def _entries_text(b: Bilinear, ordered_only: bool) -> str:
+    """The nonzero constants of b as the JSON list of file entries, by
+    (i, j) and then k, laid out as json.dumps(..., indent=2) lays out
+    the value of a top-level key."""
+    n, den, inz = b.dim, b._den, b._inz
+    entries = []
+    for i in range(n):
+        for j in range(i + 1 if ordered_only else 0, n):
+            w = inz[i * n + j]
+            if w:
+                values = ",\n".join(f'        "{k + 1}": "{_ratio_text(c, den)}"' for k, c in w)
+                entries.append(
+                    f'    {{\n      "i": {i + 1},\n      "j": {j + 1},\n'
+                    f'      "v": {{\n{values}\n      }}\n    }}'
+                )
+    return _list_text(entries)
+
+
+def _list_text(items: list[str]) -> str:
+    """A JSON list of items already laid out at depth 2, as indent=2
+    writes it: "[]" when empty."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def format_algebra(algebra: LieAlgebra, product: Product | None = None) -> str:
-    obj: dict[str, Any] = {"dim": algebra.dim}
+    """The canonical text of a file, written from the integer constants:
+    the bytes json.dumps(obj, indent=2) + "\n" gives for the file's
+    object, with names escaped by json.dumps itself."""
+    parts = [f'  "dim": {algebra.dim}']
     if algebra.basis_names is not None:
-        obj["basis"] = list(algebra.basis_names)
-    obj["brackets"] = _entry_list(algebra, ordered_only=True)
+        names = [f"    {json.dumps(name)}" for name in algebra.basis_names]
+        parts.append(f'  "basis": {_list_text(names)}')
+    parts.append(f'  "brackets": {_entries_text(algebra, ordered_only=True)}')
     if product is not None:
-        obj["product"] = _entry_list(product, ordered_only=False)
-    return json.dumps(obj, indent=2) + "\n"
+        parts.append(f'  "product": {_entries_text(product, ordered_only=False)}')
+    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def emit_file(path: str, algebra: LieAlgebra, product: Product | None = None) -> None:

@@ -30,13 +30,13 @@ from .linalg import (
     _int_row,
     _memoized,
     _nonzero,
+    _ratios,
     _scale_fractions,
     _sparse_rows,
     _to_vector,
     complement,
     solve,
     subspace_sum,
-    to_fraction,
     vector,
 )
 
@@ -81,12 +81,21 @@ class LieAlgebra(Bilinear):
         Indices are 0-based; the antisymmetric counterparts are filled
         in automatically.
         """
+        return cls._from_upper(
+            dim, {ij: _ratios(comps) for ij, comps in pairs.items()}, basis_names
+        )
+
+    @classmethod
+    def _from_upper(cls, dim: int, pairs, basis_names=None) -> "LieAlgebra":
+        """from_brackets on constants given as _from_sparse reads them,
+        {(i, j): {k: (num, den)}}: the antisymmetric half is filled in by
+        negating the numerators."""
         full = {}
         for (i, j), comps in pairs.items():
             if not (0 <= i < j < dim):
                 raise DimensionMismatchError(f"bracket pair ({i}, {j}) needs 0 <= i < j < dim")
             full[(i, j)] = comps
-            full[(j, i)] = {k: -to_fraction(v) for k, v in comps.items()}
+            full[(j, i)] = {k: (-x, d) for k, (x, d) in comps.items()}
         return cls._from_sparse(dim, full, basis_names)
 
     def name(self, i: int) -> str:

@@ -24,10 +24,12 @@ and the Fraction tensor is a view built on first read.  Every "x times
 each basis vector" loop reads one index of those constants by row and
 by column, built on first use, through a dense reader (operator
 matrices) or a sparse one (the nonzero columns alone, which the
-two-generator construction pushes its vectors through).  Fractions
-appear only at the edge: vectors at the API boundary are tuples of
-fractions.Fraction, and so are Subspace.basis and the defects of
-failed identities.
+two-generator construction pushes its vectors through).  Files are
+read into and written from those integers (lralg.io) without
+Fractions.  Fractions appear only at the edge of the library API:
+vectors passed in and returned are tuples of fractions.Fraction, and
+so are Subspace.basis, the tensor views and the defects of failed
+identities.
 """
 
 from __future__ import annotations
@@ -53,6 +55,16 @@ def to_fraction(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
+
+
+def _ratios(comps) -> dict:
+    """A sparse {k: value} map of ints, strings or Fractions as
+    {k: (numerator, denominator)}, the form _from_sparse reads."""
+    out = {}
+    for k, v in comps.items():
+        f = to_fraction(v)
+        out[k] = f.numerator, f.denominator
+    return out
 
 
 def vector(xs) -> Vector:
@@ -647,8 +659,10 @@ class Bilinear:
     names the one at hand in error messages.
 
     Every builder ends in _fill, which puts the constants in that form:
-    __init__ from a dense tensor, _from_sparse from a sparse map, and
-    _from_int from constants computed on integers.  tensor is a
+    __init__ from a dense tensor, _from_sparse from a sparse map of
+    integer ratios (the file parser's and, through _ratios, the library
+    builders' route), and _from_int from constants computed on
+    integers.  tensor is a
     read-only view of nested Fraction tuples, built on first read and
     cached in _tensor, for the API and for hashing.
 
@@ -683,22 +697,24 @@ class Bilinear:
 
     @classmethod
     def _from_sparse(cls, dim: int, pairs, *rest) -> "Bilinear":
-        """The map given by a sparse {(i, j): {k: value}} map, 0-based;
-        absent constants are zero."""
-        where, values = [], []
+        """The map given by a sparse {(i, j): {k: (num, den)}} map,
+        0-based, each constant the integer ratio num / den with den > 0
+        (in lowest terms or not); absent constants are zero.  The
+        constants are lifted to the lcm of the given denominators, a
+        common multiple of the reduced ones, from which _fill reaches
+        the same canonical form.  The builder behind from_brackets,
+        from_entries and the file parser."""
+        den = lcm(*{d for comps in pairs.values() for _, d in comps.values()})
+        inz = [[] for _ in range(dim * dim)]
         for (i, j), comps in pairs.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise DimensionMismatchError(f"{cls._kind} pair ({i}, {j}) out of range")
-            for k, val in comps.items():
+            w = inz[i * dim + j]
+            for k, (x, d) in comps.items():
                 if not 0 <= k < dim:
                     raise DimensionMismatchError(f"component index {k} out of range")
-                where.append((i * dim + j, k))
-                values.append(to_fraction(val))
-        nums, den = _scale_fractions(values)
-        inz = [[] for _ in range(dim) for _ in range(dim)]
-        for (ij, k), x in zip(where, nums):
-            if x:
-                inz[ij].append((k, x))
+                if x:
+                    w.append((k, x if d == den else x * (den // d)))
         return cls._from_int(dim, inz, den, *rest)
 
     def _fill(self, dim: int, inz, den: int) -> None:

@@ -61,6 +61,7 @@ from .linalg import (
     _int_row,
     _memoized,
     _nonzero,
+    _ratios,
     _scaled,
     _sparse_rows,
     _to_vector,
@@ -83,7 +84,7 @@ class Product(Bilinear):
     def from_entries(cls, dim: int, pairs) -> "Product":
         """Build from a sparse {(i, j): {k: value}} map, 0-based, no
         symmetry assumed."""
-        return cls._from_sparse(dim, pairs)
+        return cls._from_sparse(dim, {ij: _ratios(comps) for ij, comps in pairs.items()})
 
     @classmethod
     def zero(cls, dim: int) -> "Product":
@@ -270,18 +271,26 @@ LEMMA_IDENTITIES = (
 def _lemma_defects(p: Product, x, y, z) -> list[tuple[str, Matrix]]:
     """The sampled identities that fail at (x, y, z), with their defects.
 
-    x, y and z are scaled to integers once; products and operators are
-    read from the integer constants and the operator products formed by
-    K.mat_mul.  Each identity is homogeneous, so both of its sides share
-    one denominator, dx dy D^2 for identities 0-1 and dx dy dz D^3 for
-    2-5 (D = p._den), and their numerators are compared directly; a
-    defect Matrix is formed only for an identity that fails."""
+    x, y and z are scaled to integers once.  The operators L(x), R(x)
+    and L(y) are read from the integer constants, and every product is
+    one of them, or the L(yx) that identity 1 forms, applied to a
+    vector; the operator products are formed by K.mat_mul.  Each
+    identity is homogeneous, so both of its sides share one denominator,
+    dx dy D^2 for identities 0-1 and dx dy dz D^3 for 2-5 (D = p._den),
+    and their numerators are compared directly; a defect Matrix is
+    formed only for an identity that fails."""
     n, d = p.dim, p._den
     (xn, dx), (yn, dy), (zn, dz) = (_scaled(v, n, p._kind) for v in (x, y, z))
     xs, ys, zs = _nonzero(xn), _nonzero(yn), _nonzero(zn)
 
-    def times(a, b):
-        return _nonzero(p._int_apply(a, b))
+    def times(op, v):
+        """op v, for v given by its nonzero pairs, as nonzero pairs."""
+        out = [0] * n
+        for j, c in v:
+            for k, a in enumerate(op[j::n]):
+                if a:
+                    out[k] += a * c
+        return _nonzero(out)
 
     def left(a):
         return p._int_operator(a, False)
@@ -292,15 +301,16 @@ def _lemma_defects(p: Product, x, y, z) -> list[tuple[str, Matrix]]:
     def mul(a, b):
         return K.mat_mul(a, b, n, n, n)
 
-    lx, rx = left(xs), right(xs)
-    xy, yx, yz, xz = times(xs, ys), times(ys, xs), times(ys, zs), times(xs, zs)
+    lx, rx, ly = left(xs), right(xs), left(ys)
+    xy, yx, yz, xz = times(lx, ys), times(rx, ys), times(ly, zs), times(lx, zs)
+    lyx = left(yx)
     checks = [
         (mul(lx, right(ys)), right(xy)),
-        (mul(rx, left(ys)), left(yx)),
-        (mul(lx, right(yz)), right(times(xs, yz))),
-        (mul(rx, left(yz)), left(times(yz, xs))),
-        (mul(lx, left(yz)), left(times(ys, xz))),
-        (mul(rx, right(yz)), right(times(yx, zs))),
+        (mul(rx, ly), lyx),
+        (mul(lx, right(yz)), right(times(lx, yz))),
+        (mul(rx, left(yz)), left(times(rx, yz))),
+        (mul(lx, left(yz)), left(times(ly, xz))),
+        (mul(rx, right(yz)), right(times(lyx, zs))),
     ]
     dens = (dx * dy * d ** 2,) * 2 + (dx * dy * dz * d ** 3,) * 4
     return [

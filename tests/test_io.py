@@ -1,18 +1,44 @@
 """The JSON exchange format: parsing, emission, canonical round-trips,
-and diagnostics that name the offending field."""
+and diagnostics that name the offending field.
 
+The parser and the emitter run on the integer constants; the Fraction
+routes they replaced are kept here as oracles: the dict-building
+formatter under json.dumps(indent=2) for the text, and Fraction(text)
+fed to the library builders for the parsed constants.
+"""
+
+import fractions
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lralg.catalog import known_lr, known_lr_names
+from lralg.catalog import (
+    abelian,
+    diag_solvable,
+    filiform,
+    free_two_step,
+    heisenberg,
+    known_lr,
+    known_lr_names,
+    r2,
+)
+from lralg.construct import two_generator_lr
 from lralg.errors import FileFormatError
-from lralg.io import MAX_DIM, emit_file, format_algebra, parse_data, parse_file
+from lralg.io import (
+    MAX_DIM,
+    _parse_rational,
+    emit_file,
+    format_algebra,
+    parse_data,
+    parse_file,
+)
 from lralg.lie import LieAlgebra
+from lralg.linalg import Matrix, standard_basis
 from lralg.lr import Product
 
 
@@ -120,6 +146,16 @@ class TestParseErrors:
         assert fragment in str(err.value)
         assert "src" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "key,shown", [(1, "1"), (None, "None"), (10**30, "1000000000...(31 chars)")]
+    )
+    def test_non_string_value_key(self, key, shown):
+        with pytest.raises(FileFormatError) as err:
+            parse_data({"dim": 2, "brackets": [{"i": 1, "j": 2, "v": {key: "1"}}]}, "src")
+        assert str(err.value) == (
+            f"src.brackets[0].v.{shown}: keys must be positive integers written as strings"
+        )
+
     def test_error_names_the_path(self):
         with pytest.raises(FileFormatError) as err:
             parse_data(
@@ -141,7 +177,10 @@ _json = st.recursive(
     max_leaves=8,
 )
 _near_values = st.dictionaries(
-    st.sampled_from(["1", "2", "3", "1", "2", "3", "0", "01", "1\n", "1" * 5000]),
+    st.sampled_from(["1", "2", "3", "1", "2", "3", "0", "01", "1\n", "1" * 5000])
+    | st.integers()
+    | st.none()
+    | st.tuples(st.integers()),
     st.sampled_from(["1", "-1/2", "2/4", "1/0", "3\n", "1.5", "1" * 5000, "1/" + "1" * 5000])
     | _json,
     max_size=3,
@@ -291,3 +330,198 @@ class TestParseFile:
         path.write_text('{"dim": 1}')
         g, p = parse_file(str(path))
         assert g.dim == 1 and p is None
+
+
+def oracle_format(algebra, product=None):
+    """format_algebra as first written: the file object built as dicts
+    of str(Fraction) values and laid out by json.dumps(indent=2)."""
+
+    def entry_list(b, ordered_only):
+        n, den = b.dim, b._den
+        out = []
+        for ij, w in enumerate(b._inz):
+            i, j = divmod(ij, n)
+            if w and not (ordered_only and i >= j):
+                values = {str(k + 1): str(Fraction(c, den)) for k, c in w}
+                out.append({"i": i + 1, "j": j + 1, "v": values})
+        return out
+
+    obj = {"dim": algebra.dim}
+    if algebra.basis_names is not None:
+        obj["basis"] = list(algebra.basis_names)
+    obj["brackets"] = entry_list(algebra, True)
+    if product is not None:
+        obj["product"] = entry_list(product, False)
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def in_random_basis(b, rng):
+    """The constants of b in the basis b_i = sum_a m[a][i] e_a, for a
+    random unit upper triangular rational m, as a dense Fraction tensor."""
+    n = b.dim
+    m = [
+        [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5))) if a < i else Fraction(a == i)
+         for i in range(n)]
+        for a in range(n)
+    ]
+    minv = Matrix(m).inverse().row_list()
+    t = b.tensor
+    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for c in range(n):
+            v = t[a][c]
+            if not any(v):
+                continue
+            w = [sum(minv[k][l] * v[l] for l in range(n)) for k in range(n)]
+            for i in range(a, n):
+                for j in range(c, n):
+                    s = m[a][i] * m[c][j]
+                    if s:
+                        out[i][j] = [x + s * y for x, y in zip(out[i][j], w)]
+    return out
+
+
+def _recipe(n, lam):
+    """g = <e0, e1> + V with [e1, v] = J v for the Jordan block J of lam
+    on V, and the product (a + v)(b + w) = ab + phi(a) w with e0 e0 = e0."""
+    brackets = {(1, i): {i: lam, **({i - 1: 1} if i > 2 else {})} for i in range(2, n)}
+    table = {(0, 0): {0: 1}, **brackets}
+    return LieAlgebra.from_brackets(n, brackets), Product.from_entries(n, table)
+
+
+def _emit_cases():
+    rng = random.Random(20)
+    families = [
+        LieAlgebra.from_brackets(0, {}),
+        abelian(1),
+        abelian(3),
+        heisenberg(),
+        r2(),
+        filiform(3),
+        filiform(9),
+        diag_solvable([1, Fraction(-2, 3), 5]),
+        free_two_step(3),
+    ]
+    cases = []
+    for g in families:
+        cases += [(g, None), (g, Product.zero(g.dim))]
+        if g.dim:
+            cases.append((g, Product._from_int(g.dim, g._inz, 6 * g._den)))
+    cases += [known_lr(name) for name in known_lr_names()]
+    for n, lam in [(3, 2), (5, Fraction(-1, 2)), (6, 3)]:
+        g, p = _recipe(n, lam)
+        g, p = LieAlgebra(in_random_basis(g, rng)), Product(in_random_basis(p, rng))
+        cases += [(g, None), (g, p)]
+    g, p = known_lr("free2step3-half")
+    cases.append((LieAlgebra(in_random_basis(g, rng)), Product(in_random_basis(p, rng))))
+    names = ['a"b', "back\\slash", "ctl\x01", "caf\u00e9", "\u2603", "tab\there", "\ud800"]
+    named = LieAlgebra._from_int(7, filiform(7)._inz, 1, names)
+    cases += [(named, None), (named, Product.zero(7))]
+    return cases
+
+
+@pytest.mark.parametrize("g,p", _emit_cases())
+def test_emit_matches_json_dumps_oracle(g, p):
+    text = format_algebra(g, p)
+    assert text == oracle_format(g, p)
+    if g.dim:  # files need dim >= 1
+        assert parse_data(json.loads(text)) == (g, p)
+
+
+RATIONALS = [
+    "0", "-0", "0/7", "1", "-1", "2/4", "-3/6", "5/1", "7/12", "-11/35",
+    str(2**64 + 1), f"-{3**40}/{2**70}", f"1/{2**61 - 1}", f"{10**30}/{7**20}",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parse_matches_fraction_oracle(data):
+    """The parsed constants equal those of Fraction(text) given to
+    from_brackets and from_entries, and to the dense constructors:
+    "2/4" stores as 1/2, "-0" and "0/7" as no constant, and mixed large
+    denominators are lifted to the same canonical form."""
+    dim = data.draw(st.integers(1, 4))
+    values = st.dictionaries(st.integers(1, dim).map(str), st.sampled_from(RATIONALS), max_size=3)
+    upper = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    brackets = data.draw(st.dictionaries(st.sampled_from(upper), values)) if upper else {}
+    anywhere = st.tuples(st.integers(1, dim), st.integers(1, dim))
+    table = data.draw(st.dictionaries(anywhere, values))
+    obj = {
+        "dim": dim,
+        "brackets": [{"i": i, "j": j, "v": v} for (i, j), v in brackets.items()],
+        "product": [{"i": i, "j": j, "v": v} for (i, j), v in table.items()],
+    }
+
+    def fractions_of(entries):
+        return {
+            (i - 1, j - 1): {int(k) - 1: Fraction(x) for k, x in v.items()}
+            for (i, j), v in entries.items()
+        }
+
+    def dense(sparse):
+        t = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        for (i, j), v in sparse.items():
+            for k, x in v.items():
+                t[i][j][k] = x
+        return t
+
+    fb, fp = fractions_of(brackets), fractions_of(table)
+    full = {**fb, **{(j, i): {k: -x for k, x in v.items()} for (i, j), v in fb.items()}}
+    g, p = parse_data(obj)
+    for expected_g, expected_p in [
+        (LieAlgebra.from_brackets(dim, fb), Product.from_entries(dim, fp)),
+        (LieAlgebra(dense(full)), Product(dense(fp))),
+    ]:
+        assert (g, p) == (expected_g, expected_p)
+        assert (g._content, p._content) == (expected_g._content, expected_p._content)
+
+
+@pytest.mark.parametrize("text", ["-" + "1" * 5000, "3/" + "1" * 5000, "1" * 4301 + "/2"])
+def test_too_many_digits_names_the_length(text):
+    with pytest.raises(ValueError):
+        Fraction(text)
+    obj = {"dim": 2, "brackets": [{"i": 1, "j": 2, "v": {"2": text}}]}
+    with pytest.raises(FileFormatError) as err:
+        parse_data(obj, "src")
+    assert str(err.value) == (
+        f"src.brackets[0].v.2: rational with {len(text)} characters has too many digits"
+    )
+
+
+def test_parse_rational_gives_fractions():
+    assert _parse_rational("2/4", "x") == Fraction(1, 2)
+    assert type(_parse_rational("-0", "x")) is Fraction
+    with pytest.raises(FileFormatError, match="flag: expected a rational string"):
+        _parse_rational("1.5", "flag")
+
+
+def test_file_round_trip_builds_no_fraction(tmp_path, monkeypatch):
+    """parse_file and emit_file run on the integer constants alone: a
+    round trip of filiform(12) and its two-generator product after a
+    rational change of basis constructs no Fraction."""
+    rng = random.Random(12)
+    g = filiform(12)
+    e = standard_basis(12)
+    p = two_generator_lr(g, e[0], e[1])
+    g, p = LieAlgebra(in_random_basis(g, rng)), Product(in_random_basis(p, rng))
+    assert g._den > 1 and p._den > 1
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(oracle_format(g, p), encoding="utf-8")
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+    Fraction(1)
+    assert len(made) == 1
+    made.clear()
+    g2, p2 = parse_file(str(src))
+    emit_file(str(out), g2, p2)
+    assert made == []
+    monkeypatch.undo()
+    assert (g2, p2) == (g, p)
+    assert out.read_bytes() == src.read_bytes()

@@ -28,7 +28,9 @@ match the eager Fraction algorithm it replaced, and every builder of
 Bilinear must store the same canonical constants.  Jacobi, enumerated
 from the nonzero pairs, must give the report of the loop over every
 triple, and the sampled Lemma 14 identities, compared on integer
-numerators, the defects of the Fraction operator products.
+numerators, the defects of the Fraction operator products and, with
+their products read from the operators, those of the products taken
+pair by pair.
 """
 
 import itertools
@@ -38,7 +40,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from lralg import lie, lr
+from lralg import _kernels, lie, lr
 from lralg.catalog import (
     abelian,
     diag_solvable,
@@ -66,6 +68,8 @@ from lralg.linalg import (
     Matrix,
     Subspace,
     _fitting_split_commuting,
+    _nonzero,
+    _scaled,
     _to_vector,
     complement,
     fitting_split_family,
@@ -915,6 +919,68 @@ def test_sampled_lemma_identities_match_operator_products(data):
     vec = st.lists(sparse_rational, min_size=p.dim, max_size=p.dim).map(tuple)
     x, y, z = data.draw(vec), data.draw(vec), data.draw(vec)
     assert lr._lemma_defects(p, x, y, z) == operator_lemma_defects(p, x, y, z)
+
+
+def apply_lemma_defects(p, x, y, z):
+    """The sampled identities as computed before the products were read
+    from the operators: each of the 8 products by Bilinear._int_apply on
+    the two vectors, the rest as in lr._lemma_defects."""
+    n, d = p.dim, p._den
+    (xn, dx), (yn, dy), (zn, dz) = (_scaled(v, n, p._kind) for v in (x, y, z))
+    xs, ys, zs = _nonzero(xn), _nonzero(yn), _nonzero(zn)
+
+    def times(a, b):
+        return _nonzero(p._int_apply(a, b))
+
+    def left(a):
+        return p._int_operator(a, False)
+
+    def right(a):
+        return p._int_operator(a, True)
+
+    def mul(a, b):
+        return _kernels.mat_mul(a, b, n, n, n)
+
+    lx, rx = left(xs), right(xs)
+    xy, yx, yz, xz = times(xs, ys), times(ys, xs), times(ys, zs), times(xs, zs)
+    checks = [
+        (mul(lx, right(ys)), right(xy)),
+        (mul(rx, left(ys)), left(yx)),
+        (mul(lx, right(yz)), right(times(xs, yz))),
+        (mul(rx, left(yz)), left(times(yz, xs))),
+        (mul(lx, left(yz)), left(times(ys, xz))),
+        (mul(rx, right(yz)), right(times(yx, zs))),
+    ]
+    dens = (dx * dy * d ** 2,) * 2 + (dx * dy * dz * d ** 3,) * 4
+    return [
+        (name, Matrix._raw(n, n, [s - t for s, t in zip(a, b)], den))
+        for name, (a, b), den in zip(LEMMA_IDENTITIES, checks, dens)
+        if a != b
+    ]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_sampled_lemma_products_read_from_the_operators(data):
+    """Products read as operator-vector products give the (name, defect)
+    list, in order, of the products taken pair by pair, on arbitrary
+    constants and on LR products; _int_apply is not called."""
+    if data.draw(st.booleans()):
+        p = Product(data.draw(mixed_tensor(data.draw(st.integers(1, 4)))))
+    else:
+        p = data.draw(algebra_and_product())[1]
+    vec = st.lists(sparse_rational, min_size=p.dim, max_size=p.dim).map(tuple)
+    x, y, z = data.draw(vec), data.draw(vec), data.draw(vec)
+    expected = apply_lemma_defects(p, x, y, z)
+    calls = []
+    real = Bilinear._int_apply
+    Bilinear._int_apply = lambda *args: calls.append(args) or real(*args)
+    try:
+        got = lr._lemma_defects(p, x, y, z)
+    finally:
+        Bilinear._int_apply = real
+    assert got == expected
+    assert calls == []
 
 
 def loop_validate_lie(g):
