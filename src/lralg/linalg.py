@@ -57,7 +57,7 @@ def to_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def _ratios(comps) -> dict:
+def _ratios(comps) -> dict[int, tuple[int, int]]:
     """A sparse {k: value} map of ints, strings or Fractions as
     {k: (numerator, denominator)}, the form _from_sparse reads."""
     out = {}
@@ -662,9 +662,9 @@ class Bilinear:
     __init__ from a dense tensor, _from_sparse from a sparse map of
     integer ratios (the file parser's and, through _ratios, the library
     builders' route), and _from_int from constants computed on
-    integers.  tensor is a
-    read-only view of nested Fraction tuples, built on first read and
-    cached in _tensor, for the API and for hashing.
+    integers.  tensor is a read-only view of nested Fraction tuples,
+    built on first read and cached in _tensor, for the API and for
+    hashing.
 
     The operator of x, y -> x . y or y -> y . x, is read from _index,
     the nonzero constants by row and by column (_by), built on first
@@ -705,16 +705,17 @@ class Bilinear:
         the same canonical form.  The builder behind from_brackets,
         from_entries and the file parser."""
         den = lcm(*{d for comps in pairs.values() for _, d in comps.values()})
-        inz = [[] for _ in range(dim * dim)]
+        inz = [()] * (dim * dim)
         for (i, j), comps in pairs.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise DimensionMismatchError(f"{cls._kind} pair ({i}, {j}) out of range")
-            w = inz[i * dim + j]
+            w = []
             for k, (x, d) in comps.items():
                 if not 0 <= k < dim:
                     raise DimensionMismatchError(f"component index {k} out of range")
                 if x:
                     w.append((k, x if d == den else x * (den // d)))
+            inz[i * dim + j] = w
         return cls._from_int(dim, inz, den, *rest)
 
     def _fill(self, dim: int, inz, den: int) -> None:
@@ -731,7 +732,7 @@ class Bilinear:
             inz = [[(k, c // g) for k, c in w] for w in inz]
             den //= g
         self.dim = dim
-        self._inz = tuple(tuple(sorted(w)) for w in inz)
+        self._inz = tuple([tuple(sorted(w)) if w else () for w in inz])
         self._den = den
         self._tensor = None
         self._index = None
