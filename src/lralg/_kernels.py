@@ -1,9 +1,10 @@
 """Integer matrix kernels.
 
 These are the hot inner loops of the library: multiplication and row
-reduction of matrices held as flat lists of Python ints.  A rational
-matrix is represented one level up as (numerators, common denominator),
-so the kernels never see fractions.  Row reduction is insensitive to a
+reduction of matrices held as flat lists of Python ints, and the
+reduced row echelon form of sparse integer rows, which every span goes
+through.  A rational matrix is represented one level up as (numerators,
+common denominator), so the kernels never see fractions.  Row reduction is insensitive to a
 global scalar factor, which is why working on the numerators alone is
 enough.
 
@@ -12,7 +13,7 @@ on), never through a copied binding, so a tracer that replaces the
 module attributes sees every call.  No kernel calls another one.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 
 def content(v):
@@ -126,3 +127,72 @@ def rref(a, rows, cols):
         else:
             out.extend([0] * cols)
     return out, den, tuple(pivots)
+
+
+def echelon(rows, cols):
+    """Reduced row echelon form of sparse integer rows of length cols,
+    each given by its nonzero (column, numerator) pairs in any order.
+
+    Returns (out, den, pivots) as rref does, without zero rows: out[t]
+    is the t-th RREF row times den as sorted nonzero pairs, and den is
+    the least common denominator, the canonical form of linalg.Matrix.
+    Gauss-Jordan, one row at a time: a new row is reduced at the pivots
+    it touches (a kept row is zero at every other pivot), made primitive
+    with a positive leading entry, and its column is cleared from the
+    kept rows, each made primitive again.  Row t of the RREF is then
+    kept row t over its pivot entry.  Stops once the rank reaches cols.
+    """
+    basis = {}  # pivot column -> kept row, {column: numerator}
+    for r in rows:
+        v = dict(r)
+        for p in [c for c in v if c in basis]:
+            b = basis[p]
+            x, y = v[p], b[p]
+            g = gcd(x, y)
+            if g > 1:
+                x //= g
+                y //= g
+            if y != 1:
+                for c in v:
+                    v[c] *= y
+            for c, a in b.items():
+                w = v.get(c, 0) - x * a
+                if w:
+                    v[c] = w
+                else:
+                    del v[c]
+        if not v:
+            continue
+        p = min(v)
+        g = gcd(*v.values())
+        if v[p] < 0:
+            g = -g
+        if g != 1:
+            v = {c: a // g for c, a in v.items()}
+        y = v[p]
+        for q, b in basis.items():
+            x = b.get(p)
+            if x:
+                g = gcd(x, y)
+                s = y // g
+                x //= g
+                w = {c: a * s for c, a in b.items()} if s != 1 else b
+                for c, a in v.items():
+                    t = w.get(c, 0) - x * a
+                    if t:
+                        w[c] = t
+                    else:
+                        del w[c]
+                g = gcd(*w.values())
+                basis[q] = {c: a // g for c, a in w.items()} if g > 1 else w
+        basis[p] = v
+        if len(basis) == cols:
+            break
+    pivots = tuple(sorted(basis))
+    den = lcm(*(basis[p][p] for p in pivots))
+    out = []
+    for p in pivots:
+        b = basis[p]
+        s = den // b[p]
+        out.append(tuple(sorted(b.items() if s == 1 else ((c, a * s) for c, a in b.items()))))
+    return tuple(out), den, pivots

@@ -41,6 +41,7 @@ MAX_DIM = 128
 
 _TOP_KEYS = {"dim", "basis", "brackets", "product"}
 _ENTRY_KEYS = {"i", "j", "v"}
+_KEY_FORM = "keys must be positive integers written as strings"
 
 
 def _fail(path: str, message: str) -> None:
@@ -66,10 +67,11 @@ def _show(value: Any) -> str:
         return "a value too long to print"
 
 
-def _parse_ratio(text: Any, path: str, key: str | None = None) -> tuple[int, int]:
+def _parse_ratio(text: Any, path: str, key: str | None = None, pos: int = 0) -> tuple[int, int]:
     """(numerator, denominator) of a rational string, as written: "2/4"
-    gives (2, 4).  A diagnostic names path, or the member key of the
-    object at path, a name formed only for a diagnostic."""
+    gives (2, 4).  A diagnostic names path or, for the member key of the
+    v object of entry pos of the list at path, path[pos].v.key, a name
+    formed only for a diagnostic."""
     match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
     if match is not None:
         num, den = match.groups()
@@ -79,7 +81,7 @@ def _parse_ratio(text: Any, path: str, key: str | None = None) -> tuple[int, int
             message = f"rational with {len(text)} characters has too many digits"
     else:
         message = f"expected a rational string like '3' or '-1/2', got {_show(text)}"
-    _fail(path if key is None else f"{path}.{_clip(key)}", message)
+    _fail(path if key is None else f"{path}[{pos}].v.{_clip(key)}", message)
 
 
 def _parse_rational(text: Any, path: str) -> Fraction:
@@ -94,47 +96,55 @@ def _parse_index(value: Any, dim: int, path: str) -> int:
     return value - 1
 
 
-def _parse_values(obj: Any, dim: int, path: str) -> dict[int, tuple[int, int]]:
+def _parse_values(obj: Any, dim: int, path: str, pos: int) -> dict[int, tuple[int, int]]:
+    """The v object of entry pos of the list at path, whose path,
+    path[pos].v, is formed only for a diagnostic."""
     if not isinstance(obj, dict):
-        _fail(path, "expected an object mapping indices to rationals")
+        _fail(f"{path}[{pos}].v", "expected an object mapping indices to rationals")
     width = len(str(dim))
     out: dict[int, tuple[int, int]] = {}
     for key, raw in obj.items():
         if not isinstance(key, str):
-            _fail(f"{path}.{_show(key)}", "keys must be positive integers written as strings")
+            _fail(f"{path}[{pos}].v.{_show(key)}", _KEY_FORM)
         if not _INDEX_KEY.fullmatch(key):
-            _fail(f"{path}.{_clip(key)}", "keys must be positive integers written as strings")
+            _fail(f"{path}[{pos}].v.{_clip(key)}", _KEY_FORM)
         # Compare lengths first: int() refuses very long digit strings.
         k = int(key) if len(key) <= width else 0
         if not 0 < k <= dim:
-            _fail(f"{path}.{_clip(key)}", f"index {_clip(key)} out of range 1..{dim}")
-        out[k - 1] = _parse_ratio(raw, path, key)
+            _fail(f"{path}[{pos}].v.{_clip(key)}", f"index {_clip(key)} out of range 1..{dim}")
+        out[k - 1] = _parse_ratio(raw, path, key, pos)
     return out
 
 
 def _parse_entries(
     obj: Any, dim: int, path: str, require_ordered: bool
 ) -> dict[tuple[int, int], dict[int, tuple[int, int]]]:
+    """The entries of the list at path.  A well-formed entry costs no
+    path string or key set; those are formed only for a diagnostic,
+    which names the first failing check in the order below."""
     if not isinstance(obj, list):
         _fail(path, "expected a list of entries")
     out: dict[tuple[int, int], dict[int, tuple[int, int]]] = {}
     for pos, entry in enumerate(obj):
-        here = f"{path}[{pos}]"
-        if not isinstance(entry, dict):
-            _fail(here, "expected an object with keys i, j, v")
-        extra = set(entry) - _ENTRY_KEYS
-        if extra:
-            _fail(here, f"unknown keys {[_clip(k) for k in sorted(extra)]}")
-        missing = _ENTRY_KEYS - set(entry)
-        if missing:
-            _fail(here, f"missing keys {sorted(missing)}")
-        i = _parse_index(entry["i"], dim, f"{here}.i")
-        j = _parse_index(entry["j"], dim, f"{here}.j")
+        if not isinstance(entry, dict) or entry.keys() != _ENTRY_KEYS:
+            here = f"{path}[{pos}]"
+            if not isinstance(entry, dict):
+                _fail(here, "expected an object with keys i, j, v")
+            extra = set(entry) - _ENTRY_KEYS
+            if extra:
+                _fail(here, f"unknown keys {[_clip(k) for k in sorted(extra)]}")
+            _fail(here, f"missing keys {sorted(_ENTRY_KEYS - set(entry))}")
+        i, j = entry["i"], entry["j"]
+        if type(i) is int and type(j) is int and 0 < i <= dim and 0 < j <= dim:
+            i, j = i - 1, j - 1
+        else:
+            i = _parse_index(i, dim, f"{path}[{pos}].i")
+            j = _parse_index(j, dim, f"{path}[{pos}].j")
         if require_ordered and not i < j:
-            _fail(here, f"bracket entries need i < j, got i={i + 1}, j={j + 1}")
+            _fail(f"{path}[{pos}]", f"bracket entries need i < j, got i={i + 1}, j={j + 1}")
         if (i, j) in out:
-            _fail(here, f"duplicate entry for i={i + 1}, j={j + 1}")
-        out[(i, j)] = _parse_values(entry["v"], dim, f"{here}.v")
+            _fail(f"{path}[{pos}]", f"duplicate entry for i={i + 1}, j={j + 1}")
+        out[(i, j)] = _parse_values(entry["v"], dim, path, pos)
     return out
 
 

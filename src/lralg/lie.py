@@ -27,15 +27,12 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    _int_row,
     _memoized,
     _nonzero,
     _ratios,
-    _scale_fractions,
     _sparse_rows,
     _to_vector,
     complement,
-    solve,
     subspace_sum,
     vector,
 )
@@ -211,13 +208,24 @@ def bracket_of_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
 
     The integer rows of both bases are multiplied through the integer
     constants g._inz; each product is a positive multiple of [u, v],
-    which leaves the span unchanged.
+    which leaves the span unchanged.  A pair is multiplied only when a
+    nonzero constant links the support of u to that of v; [u, v] is
+    exactly 0 on every other pair.
     """
     if a.ambient_dim != g.dim or b.ambient_dim != g.dim:
         raise DimensionMismatchError("subspace ambient dimension differs from algebra")
-    us = _sparse_rows(a.rows)
-    vs = us if b is a else _sparse_rows(b.rows)
-    return Subspace._from_int_rows(g.dim, [g._int_apply(u, v) for u in us for v in vs])
+    by = g._by(False)
+    supports = [{j for j, _ in v} for v in b._rows]
+    products = []
+    for u in a._rows:
+        reach = {j for i, _ in u for j, _ in by[i]}
+        if reach:
+            products += [
+                _nonzero(g._int_apply(u, v))
+                for v, support in zip(b._rows, supports)
+                if not reach.isdisjoint(support)
+            ]
+    return Subspace._from_sparse(g.dim, products)
 
 
 @dataclass(frozen=True)
@@ -253,11 +261,10 @@ def series(g: LieAlgebra) -> SeriesReport:
 
 
 def _derived_algebra(g: LieAlgebra) -> Subspace:
-    """[g, g], spanned by the nonzero constants [e_i, e_j] with i < j;
-    the others are their negatives, as g is antisymmetric."""
-    n, inz = g.dim, g._inz
-    pairs = (inz[i * n + j] for i in range(n) for j in range(i + 1, n))
-    return Subspace._from_int_rows(n, [_int_row(w, n) for w in pairs if w])
+    """[g, g] of a validated g: the span of all nonzero constants, which
+    g keeps once computed; [e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0
+    add nothing to the span of the constants [e_i, e_j] with i < j."""
+    return g._product_span()
 
 
 def _series(g: LieAlgebra) -> SeriesReport:
@@ -397,23 +404,22 @@ class SplitDecomposition:
         return acc
 
 
-def _phi_matrix(g: LieAlgebra, wnum: list[int], wden: int, ginf: Subspace) -> Matrix:
+def _phi_matrix(g: LieAlgebra, ws, wden: int, ginf: Subspace) -> Matrix:
     """Matrix of x -> [w, x] on ginf, in ginf's RREF coordinates, for
-    w = wnum / wden with integer numerators wnum.
+    w given by its nonzero (index, numerator) pairs ws over wden.
 
     Column t is [w, b_t] for b_t the t-th RREF row of ginf, read at
     ginf's pivots, since row s is 1 at pivot s and 0 at the other
     pivots.  A bracket with a nonzero remainder against ginf has left
     it.
     """
-    ws = _nonzero(wnum)
-    cols = [g._int_apply(ws, b) for b in _sparse_rows(ginf.rows)]
+    cols = [g._int_apply(ws, b) for b in ginf._rows]
     for c in cols:
         if any(ginf._remainder(c)):
             raise InternalConsistencyError("bracket left the stabilized term")
     k = ginf.dim
     num = [cols[t][p] for p in ginf.pivots for t in range(k)]
-    return Matrix._raw(k, k, num, wden * g._den * ginf.rows._den)
+    return Matrix._raw(k, k, num, wden * g._den * ginf._den)
 
 
 def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
@@ -429,10 +435,12 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     InternalConsistencyError.  All of it runs on integer numerators: the
     remainders of the [w_a, w_b] against g_infinity are
     complement_algebra's constants, each block of the system is scaled
-    to integers (which leaves solve's answer unchanged), and closure is
-    checked exactly against those constants.  The correction tau_j lies
-    in g_infinity, which is abelian, so [w_j + tau_j, b] = [w_j, b] for b
-    in g_infinity: phi of the unit vectors is phi of the complement.
+    to integers and row reduced as sparse rows, whose unique echelon
+    form gives the solution that solve gives (free variables 0), and
+    closure is checked exactly against those constants.  The correction
+    tau_j lies in g_infinity, which is abelian, so [w_j + tau_j, b] =
+    [w_j, b] for b in g_infinity: phi of the unit vectors is phi of the
+    complement.
     """
     rep = series(g)
     if not rep.two_step_solvable:
@@ -446,45 +454,53 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     units = complement(ginf)
     free = units.pivots
     q, k = len(free), ginf.dim
-    phi = tuple(_phi_matrix(g, u, 1, ginf) for u in units.rows._int_rows())
+    phi = tuple(_phi_matrix(g, u, 1, ginf) for u in units._rows)
     n_alg = LieAlgebra._from_int(*g._quotient(ginf))
     beta, bden = n_alg._inz, n_alg._den
 
     # Correction tau: W -> g_infinity making {w + tau(w)} bracket-closed.
     # Unknown T[j][t] = coefficient of the t-th g_infinity basis vector
-    # in tau(w_j); one block of k equations per unordered pair.
+    # in tau(w_j); one block of k equations per unordered pair, each a
+    # sparse row with its right-hand side in column q * k.  When every
+    # right-hand side is 0 the solution with free variables 0 is 0.
     comp = units.rows
     pairs = [(a, b) for a in range(q) for b in range(a + 1, q)]
-    if k and pairs:
+    pivot_of = {p: s for s, p in enumerate(ginf.pivots)}
+    if any(c in pivot_of for a, b in pairs for c, _ in inz[free[a] * n + free[b]]):
         nvars = q * k
-        eqs: list[int] = []
-        rhs: list[int] = []
+        prows = [_sparse_rows(pa) for pa in phi]
+        eqs = []
         for a, b in pairs:
-            pa, pb = phi[a], phi[b]
-            den = lcm(pa._den, pb._den, bden, gden)
-            sa, sb, sm = den // pa._den, den // pb._den, den // bden
-            v = _int_row(inz[free[a] * n + free[b]], n)
-            for s in range(k):
-                row = [0] * nvars
-                for t in range(k):
-                    row[b * k + t] += pa._num[s * k + t] * sa
-                    row[a * k + t] -= pb._num[s * k + t] * sb
+            den = lcm(phi[a]._den, phi[b]._den, bden, gden)
+            sa, sb, sm = den // phi[a]._den, den // phi[b]._den, den // bden
+            block = [{} for _ in range(k)]
+            for c, x in inz[free[a] * n + free[b]]:
+                if c in pivot_of:
+                    block[pivot_of[c]][nvars] = -x * (den // gden)
+            for s, row in enumerate(block):
+                for t, x in prows[a][s]:
+                    row[b * k + t] = row.get(b * k + t, 0) + x * sa
+                for t, x in prows[b][s]:
+                    row[a * k + t] = row.get(a * k + t, 0) - x * sb
                 for m, x in beta[a * q + b]:
-                    row[m * k + s] -= x * sm
-                eqs += row
-                rhs.append(-v[ginf.pivots[s]] * (den // gden))
-        sol = solve(Matrix._raw(len(rhs), nvars, eqs, 1), rhs)
-        if sol is None:
+                    row[m * k + s] = row.get(m * k + s, 0) - x * sm
+                eqs.append([(c, x) for c, x in row.items() if x])
+        # The reduced rows of [A | b] are the echelon basis of their span.
+        system = Subspace._from_sparse(nvars + 1, eqs)
+        if system.pivots and system.pivots[-1] == nvars:
             raise InternalConsistencyError("complement correction system is unsolvable")
-        snum, sden = _scale_fractions(sol)
-        comp = comp + Matrix._raw(q, k, snum, sden) * ginf.rows
+        snum = [0] * nvars
+        for p, row in zip(system.pivots, system._rows):
+            if row[-1][0] == nvars:
+                snum[p] = row[-1][1]
+        comp = comp + Matrix._raw(q, k, snum, system._den) * ginf.rows
 
-    if Subspace._from_int_rows(n, comp._int_rows()).dim != q:
-        raise InternalConsistencyError("corrected complement lost dimension")
     # [row a, row b] over cden**2 * gden against sum_c beta[a][b][c] row c
     # over bden * cden.
     cden = comp._den
     sparse = _sparse_rows(comp)
+    if Subspace._from_sparse(n, sparse).dim != q:
+        raise InternalConsistencyError("corrected complement lost dimension")
     brackets = {}
     for a, b in pairs:
         br = brackets[a, b] = g._int_apply(sparse[a], sparse[b])
@@ -497,7 +513,7 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
 
     for a, b in pairs if k else ():  # with g_infinity = 0 every phi is 0 x 0
         lhs = phi[a] * phi[b] - phi[b] * phi[a]
-        if lhs != _phi_matrix(g, brackets[a, b], cden * cden * gden, ginf):
+        if lhs != _phi_matrix(g, _nonzero(brackets[a, b]), cden * cden * gden, ginf):
             raise InternalConsistencyError("phi is not a homomorphism")
 
     return SplitDecomposition(

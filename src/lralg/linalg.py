@@ -6,27 +6,32 @@ rational matrix is canonical and equality is structural.  All heavy
 loops (multiplication, row reduction) run in the integer kernels of
 lralg._kernels.
 
-A Subspace holds its reduced row echelon basis as such a Matrix, the
-kernel's rref as it comes, which again makes equality structural: two
-subspaces are equal iff their bases are identical.  Kernels, images,
-sums, intersections, membership and restriction of operators are
-Matrix algebra on those integer rows; a span grown one vector at a
-time inserts the vector's reduced row into its echelon basis and
-eliminates the new pivot from the other rows, which gives the same
-canonical basis without reducing those rows again.  A Fitting split
-of a commuting family is the common kernel and the summed images of
-the operator powers; it restricts no operator to a subspace.
+A Subspace holds its reduced row echelon basis as sparse integer rows
+over one denominator, the canonical form of that Matrix, which again
+makes equality structural: two subspaces are equal iff their bases are
+identical.  Every span is reduced by one sparse Gauss-Jordan kernel,
+_kernels.echelon, which takes the rows as they come (nonzero constants,
+products, brackets) with no dense round trip; the dense rref serves
+Matrix.rref, inverse, kernel and solve.  Membership, quotients and the
+brackets of subspaces read the sparse rows; intersections and
+restriction of operators are Matrix algebra on the rows' Matrix view.
+A span grown one vector at a time inserts the vector's reduced row
+into its echelon basis and eliminates the new pivot from the other
+rows, which gives the same canonical basis without reducing those rows
+again.  A Fitting split of a commuting family is the common kernel and
+the summed images of the operator powers; it restricts no operator to a
+subspace.
 
 Structure tensors (Bilinear) store only their nonzero constants, as
 integer numerators over one common denominator; products, operators,
 quotients, spans of products and identity checks run on those integers,
-and the Fraction tensor is a view built on first read.  Every "x times
-each basis vector" loop reads one index of those constants by row and
-by column, built on first use, through a dense reader (operator
-matrices) or a sparse one (the nonzero columns alone, which the
-two-generator construction pushes its vectors through).  Files are
-read into and written from those integers (lralg.io) without
-Fractions.  Fractions appear only at the edge of the library API:
+and the Fraction tensor is a view built on first read; the span of all
+products is reduced on first use and kept.  Every "x times each basis
+vector" loop reads one index of those constants by row and by column,
+built on first use, through a dense reader (operator matrices) or a
+sparse one (the nonzero columns alone, which the two-generator
+construction pushes its vectors through).  Files are read into and
+written from those integers (lralg.io) without Fractions.  Fractions appear only at the edge of the library API:
 vectors passed in and returned are tuples of fractions.Fraction, and
 so are Subspace.basis, the tensor views and the defects of failed
 identities.
@@ -333,19 +338,27 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     return m.rref()
 
 
-@dataclass(frozen=True)
 class Subspace:
     """Linear subspace given by its reduced row echelon basis.
 
-    rows holds that basis as a dim x ambient_dim Matrix, the kernel's
-    rref as it comes.  It is canonical, so == compares subspaces, not
-    just bases; Matrix is unhashable, so __hash__ reads its numerators.
-    basis gives the rows as Fraction tuples.
+    The basis is stored sparse, as the echelon kernel gives it: _rows[t]
+    lists the nonzero (column, numerator) pairs of the t-th basis row,
+    in column order, its pivot column is pivots[t], and every row is
+    over the one denominator _den, the least common denominator of the
+    RREF.  That form is canonical, so == compares subspaces, not just
+    bases, and __hash__ reads the same data.  rows is the basis as a
+    dim x ambient_dim Matrix, a view built on first read, as
+    Bilinear.tensor is; basis gives the rows as Fraction tuples.
     """
 
-    ambient_dim: int
-    rows: Matrix
-    pivots: tuple[int, ...]
+    __slots__ = ("ambient_dim", "pivots", "_rows", "_den", "_matrix")
+
+    def __init__(self, ambient_dim: int, rows: tuple, den: int, pivots: tuple[int, ...]):
+        self.ambient_dim = ambient_dim
+        self.pivots = pivots
+        self._rows = rows
+        self._den = den
+        self._matrix = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors_) -> "Subspace":
@@ -354,28 +367,48 @@ class Subspace:
 
     @classmethod
     def _from_int_rows(cls, ambient_dim: int, rows: list[list[int]]) -> "Subspace":
-        """Span of integer rows of length ambient_dim, zero rows allowed.
+        """Span of dense integer rows of length ambient_dim, zero rows
+        allowed."""
+        return cls._from_sparse(ambient_dim, map(_nonzero, rows))
 
-        Row reduction ignores the scale of each row, so one kernel rref
-        of the nonzero rows gives the basis.
-        """
-        rows = [r for r in rows if any(r)]
-        if not rows:
-            return cls.zero(ambient_dim)
-        n = ambient_dim
-        num, den, pivots = K.rref([x for r in rows for x in r], len(rows), n)
-        return cls(n, Matrix._raw(len(pivots), n, num[:len(pivots) * n], den), pivots)
+    @classmethod
+    def _from_sparse(cls, ambient_dim: int, rows) -> "Subspace":
+        """Span of integer rows given by their nonzero (column,
+        numerator) pairs, empty rows allowed.  Row reduction ignores the
+        scale of each row, so one echelon of the rows gives the basis."""
+        return cls(ambient_dim, *K.echelon(rows, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.zeros(0, ambient_dim), ())
+        return cls(ambient_dim, (), 1, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim), tuple(range(ambient_dim)))
+        units = tuple(((i, 1),) for i in range(ambient_dim))
+        return cls(ambient_dim, units, 1, tuple(range(ambient_dim)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        # The pivots are the leading columns of the rows.
+        return (self.ambient_dim, self._den, self._rows) == (
+            other.ambient_dim, other._den, other._rows
+        )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.rows._den, tuple(self.rows._num)))
+        return hash((self.ambient_dim, self._den, self._rows))
+
+    def __repr__(self) -> str:
+        return f"Subspace(dim={self.dim} in {self.ambient_dim})"
+
+    @property
+    def rows(self) -> Matrix:
+        """The basis as a dim x ambient_dim Matrix, built on first read."""
+        if self._matrix is None:
+            n = self.ambient_dim
+            num = [x for r in self._rows for x in _int_row(r, n)]
+            self._matrix = Matrix._raw(self.dim, n, num, self._den)
+        return self._matrix
 
     @property
     def dim(self) -> int:
@@ -389,18 +422,15 @@ class Subspace:
         return self.rows
 
     def _remainder(self, vnum: list[int]) -> list[int]:
-        """rows._den times the remainder of the integer vector vnum; row t
-        is taken vnum[pivots[t]] times, since the other rows vanish there."""
-        n, rnum, rden = self.ambient_dim, self.rows._num, self.rows._den
-        out = [x * rden for x in vnum]
-        for t, p in enumerate(self.pivots):
+        """_den times the remainder of the integer vector vnum; row t is
+        taken vnum[pivots[t]] times, since the other rows vanish there."""
+        den = self._den
+        out = list(vnum) if den == 1 else [x * den for x in vnum]
+        for p, row in zip(self.pivots, self._rows):
             c = vnum[p]
             if c:
-                base = t * n
-                for j in range(n):
-                    a = rnum[base + j]
-                    if a:
-                        out[j] -= c * a
+                for j, a in row:
+                    out[j] -= c * a
         return out
 
     def _with_row(self, r: list[int]) -> "Subspace":
@@ -410,24 +440,32 @@ class Subspace:
         r is inserted at its leading coordinate p, scaled to 1 there,
         and p is eliminated from the other rows: with a = r[p] > 0, row
         t becomes (a row_t - row_t[p] r) / (a den) and r becomes
-        den r / (a den).  That is the reduced row echelon basis, and
-        Matrix._raw writes it in the canonical form _from_int_rows
-        gives, without reducing the old rows again.
+        den r / (a den).  That is the reduced row echelon basis; divided
+        by the gcd of the denominator and all numerators it is in the
+        canonical form _from_sparse gives, without reducing the old
+        rows again.
         """
-        n, old, den = self.ambient_dim, self.rows._num, self.rows._den
-        p = next(j for j, x in enumerate(r) if x)
-        if r[p] < 0:
-            r = [-x for x in r]
-        a = r[p]
-        num = []
-        for base in range(0, self.dim * n, n):
-            row = old[base:base + n]
-            c = row[p]
-            num += [a * x - c * y for x, y in zip(row, r)] if c else [a * x for x in row]
+        n, den = self.ambient_dim, self._den
+        rs = _nonzero(r)
+        p, a = rs[0]
+        if a < 0:
+            rs = [(j, -y) for j, y in rs]
+            a = -a
+        # Only a row whose pivot precedes p can be nonzero at p.
         at = sum(1 for q in self.pivots if q < p)
-        num[at * n:at * n] = [den * y for y in r]
-        pivots = self.pivots[:at] + (p,) + self.pivots[at:]
-        return Subspace(n, Matrix._raw(self.dim + 1, n, num, a * den), pivots)
+        rows = [[(j, a * x) for j, x in row] if a != 1 else row for row in self._rows]
+        for t in range(at):
+            c = dict(self._rows[t]).get(p)
+            if c:
+                acc = dict(rows[t])
+                for j, y in rs:
+                    acc[j] = acc.get(j, 0) - c * y
+                rows[t] = sorted((j, x) for j, x in acc.items() if x)
+        rows.insert(at, [(j, den * y) for j, y in rs])
+        den *= a
+        g = gcd(den, *(x for row in rows for _, x in row))
+        rows = tuple(tuple((j, x // g) for j, x in row) if g > 1 else tuple(row) for row in rows)
+        return Subspace(n, rows, den // g, self.pivots[:at] + (p,) + self.pivots[at:])
 
     def reduce(self, vec) -> Vector:
         """Remainder of vec after eliminating all pivot coordinates.
@@ -436,7 +474,7 @@ class Subspace:
         zeros at every pivot position.
         """
         vnum, vden = _scaled(vec, self.ambient_dim, "ambient")
-        return _to_vector(self._remainder(vnum), vden * self.rows._den)
+        return _to_vector(self._remainder(vnum), vden * self._den)
 
     def contains(self, vec) -> bool:
         return not any(self._remainder(_scaled(vec, self.ambient_dim, "ambient")[0]))
@@ -449,9 +487,10 @@ class Subspace:
         return tuple(v[p] for p in self.pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
+        n = self.ambient_dim
+        if n != other.ambient_dim:
             raise DimensionMismatchError("ambient dimensions differ")
-        return not any(any(self._remainder(r)) for r in other.rows._int_rows())
+        return not any(any(self._remainder(_int_row(r, n))) for r in other._rows)
 
     def from_coordinates(self, coords) -> Vector:
         """Ambient vector with the given coefficients in the RREF basis."""
@@ -467,12 +506,12 @@ def kernel(m: Matrix) -> Subspace:
     num, den, pivots = K.rref(m._num, m.rows, n)
     vecs = []
     for j in sorted(set(range(n)) - set(pivots)):
-        v = [0] * n
-        v[j] = den
+        v = [(j, den)]
         for t, p in enumerate(pivots):
-            v[p] = -num[t * n + j]
+            if num[t * n + j]:
+                v.append((p, -num[t * n + j]))
         vecs.append(v)
-    return Subspace._from_int_rows(n, vecs)
+    return Subspace._from_sparse(n, vecs)
 
 
 def image(m: Matrix) -> Subspace:
@@ -511,7 +550,7 @@ def solve(m: Matrix, b) -> Vector | None:
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
-    return Subspace._from_int_rows(a.ambient_dim, a.rows._int_rows() + b.rows._int_rows())
+    return Subspace._from_sparse(a.ambient_dim, a._rows + b._rows)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -540,8 +579,7 @@ def complement(s: Subspace) -> Subspace:
     n = s.ambient_dim
     pivot_set = set(s.pivots)
     free = tuple(c for c in range(n) if c not in pivot_set)
-    units = [int(j == c) for c in free for j in range(n)]
-    return Subspace(n, Matrix._raw(len(free), n, units, 1), free)
+    return Subspace(n, tuple(((c, 1),) for c in free), 1, free)
 
 
 def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
@@ -670,10 +708,11 @@ class Bilinear:
     the nonzero constants by row and by column (_by), built on first
     use.  _int_operator writes all of its columns, for operator and
     escape; _times_basis returns only the nonzero ones, sparse, for the
-    LR certificates and for changes of basis.
+    LR certificates and for changes of basis.  The span of all products
+    (_product_span) is kept in _span the same way.
     """
 
-    __slots__ = ("dim", "_inz", "_den", "_tensor", "_index")
+    __slots__ = ("dim", "_inz", "_den", "_tensor", "_index", "_span")
     _kind = "bilinear map"
 
     def __init__(self, tensor, *rest):
@@ -736,6 +775,7 @@ class Bilinear:
         self._den = den
         self._tensor = None
         self._index = None
+        self._span = None
 
     @property
     def tensor(self) -> tuple[tuple[Vector, ...], ...]:
@@ -811,6 +851,13 @@ class Bilinear:
                     num[k * n + j] += x * c
         return num
 
+    def _product_span(self) -> Subspace:
+        """The span of all products e_i . e_j, one row per nonzero
+        constant slot; built on first use and kept in _span."""
+        if self._span is None:
+            self._span = Subspace._from_sparse(self.dim, [w for w in self._inz if w])
+        return self._span
+
     def _times_basis(self, xs, right: bool) -> dict[int, tuple]:
         """The nonzero columns of operator(x) over _den, for x given as
         for _int_operator: {j: x . e_j}, or {j: e_j . x} when right is
@@ -838,7 +885,7 @@ class Bilinear:
         and of the left operator of b, built from the integer rows of s.
         """
         n = self.dim
-        for b in _sparse_rows(s.rows):
+        for b in s._rows:
             left = self._int_operator(b, True)
             right = self._int_operator(b, False) if both_sides else None
             for i in range(n):
@@ -868,7 +915,7 @@ class Bilinear:
                     r = s._remainder(_int_row(w, n))
                     w = [(t, r[f]) for t, f in enumerate(free) if r[f]]
                 out.append(w)
-        return len(free), out, self._den * s.rows._den
+        return len(free), out, self._den * s._den
 
 
 # The reports of check_lr, validate_lie and series on the last _MEMO_SIZE

@@ -63,7 +63,6 @@ from .linalg import (
     _nonzero,
     _ratios,
     _scaled,
-    _sparse_rows,
     _to_vector,
 )
 
@@ -153,21 +152,18 @@ def _lr_violations(p: Product) -> tuple[list[Violation], list[Violation]]:
 def _chain_reaches_zero(p: Product, right: bool) -> bool:
     """True iff the chain V_0 = Q^n, V_t+1 = span of the products b e_i,
     or of e_i b when right is set, over the rows b of V_t reaches 0:
-    A, A*A, (A*A)*A, ... or A, A*A, A*(A*A), ...  The chain decreases,
-    and a step that keeps the dimension keeps the space, so once it
-    stalls it never reaches 0."""
+    A, A*A, (A*A)*A, ... or A, A*A, A*(A*A), ...  Both chains have
+    V_1 = A, the span of all products, which p keeps once computed.
+    The chain decreases, and a step that keeps the dimension keeps the
+    space, so once it stalls it never reaches 0."""
     n = p.dim
-    space = Subspace.full(n)
+    space, above = p._product_span(), n
     while space.dim:
-        rows = [
-            _int_row(v, n)
-            for b in _sparse_rows(space.rows)
-            for v in p._times_basis(b, right).values()
-        ]
-        smaller = Subspace._from_int_rows(n, rows)
-        if smaller.dim == space.dim:
+        if space.dim == above:
             return False
-        space = smaller
+        above = space.dim
+        products = (v for b in space._rows for v in p._times_basis(b, right).values())
+        space = Subspace._from_sparse(n, products)
     return True
 
 
@@ -492,8 +488,8 @@ def two_of_three(g: LieAlgebra, p: Product) -> TwoOfThree:
 
 def product_span(p: Product) -> Subspace:
     """Span of all products of basis vectors: one integer row per
-    nonzero product, read from _inz."""
-    return Subspace._from_int_rows(p.dim, [_int_row(w, p.dim) for w in p._inz if w])
+    nonzero product, read from _inz, computed once per product."""
+    return p._product_span()
 
 
 def quotient_product(g: LieAlgebra, p: Product, ideal: Subspace) -> Product:

@@ -31,6 +31,7 @@ from lralg.construct import two_generator_lr
 from lralg.errors import FileFormatError
 from lralg.io import (
     MAX_DIM,
+    _parse_entries,
     _parse_rational,
     emit_file,
     format_algebra,
@@ -525,3 +526,27 @@ def test_file_round_trip_builds_no_fraction(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert (g2, p2) == (g, p)
     assert out.read_bytes() == src.read_bytes()
+
+
+class CountedPath(str):
+    """A path whose every formatting into a diagnostic path is counted."""
+
+    formatted = 0
+
+    def __format__(self, spec):
+        CountedPath.formatted += 1
+        return super().__format__(spec)
+
+
+def test_entries_form_paths_only_for_a_diagnostic():
+    """Parsing well-formed entries formats no path; the first failing
+    check of a bad entry names its path as before."""
+    g, p = known_lr("filiform12-shift")
+    entries = json.loads(format_algebra(g, p))["product"]
+    CountedPath.formatted = 0
+    assert len(_parse_entries(entries, g.dim, CountedPath("input.product"), False)) == len(entries)
+    assert CountedPath.formatted == 0
+    bad = entries[:3] + [dict(entries[3], i=True)]
+    with pytest.raises(FileFormatError, match=r"^input\.product\[3\]\.i: expected an integer"):
+        _parse_entries(bad, g.dim, CountedPath("input.product"), False)
+    assert CountedPath.formatted == 1

@@ -2,6 +2,9 @@
 
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from lralg import _kernels as K
 
 
@@ -92,3 +95,75 @@ def test_rref_scale_invariance_of_pivots():
 def test_content_gcd_matches_math():
     v = [math.prod(range(2, 9)), 2**6 * 3, -(2**4) * 5]
     assert K.content(v) == math.gcd(*[abs(x) for x in v])
+
+
+def dense_rref_rows(rows, cols):
+    """The canonical (rows, den, pivots) of the span of sparse rows, from
+    the dense rref: its nonzero rows made sparse, normalized as
+    Matrix._raw normalizes them."""
+    dense = []
+    for r in rows:
+        row = [0] * cols
+        for c, x in r:
+            row[c] = x
+        dense.append(row)
+    num, den, pivots = K.rref([x for r in dense for x in r], len(dense), cols)
+    g = math.gcd(K.content(num), den)
+    out = tuple(
+        tuple((c, num[t * cols + c] // g) for c in range(cols) if num[t * cols + c])
+        for t in range(len(pivots))
+    )
+    return out, den // g, pivots
+
+
+def sparse_rows(data, cols):
+    """Integer rows of length cols as hypothesis draws them: zero rows,
+    repeated rows, negative leading entries and entries of up to 70 bits,
+    given by their nonzero (column, entry) pairs in a shuffled order."""
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+    drawn = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=8))
+    if drawn and data.draw(st.booleans()):
+        drawn.append(list(drawn[0]))
+    if drawn and data.draw(st.booleans()):
+        drawn.append([-3 * x for x in drawn[-1]])
+    rows = [[(c, x) for c, x in enumerate(r) if x] for r in drawn]
+    return [data.draw(st.permutations(r)) for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_echelon_matches_dense_rref(data):
+    cols = data.draw(st.integers(1, 7))
+    rows = sparse_rows(data, cols)
+    assert K.echelon(rows, cols) == dense_rref_rows(rows, cols)
+
+
+class TestEchelon:
+    def test_no_rows(self):
+        assert K.echelon([], 3) == ((), 1, ())
+        assert K.echelon([[], []], 3) == ((), 1, ())
+
+    def test_fraction_result(self):
+        # [[2, 1]] -> [[1, 1/2]], over 2
+        assert K.echelon([[(1, 1), (0, 2)]], 2) == ((((0, 2), (1, 1)),), 2, (0,))
+
+    def test_negative_leading_entry_and_elimination_above(self):
+        # [[0, -2, 4], [1, 1, 0]] -> [[1, 0, 2], [0, 1, -2]]
+        rows = [[(1, -2), (2, 4)], [(0, 1), (1, 1)]]
+        assert K.echelon(rows, 3) == ((((0, 1), (2, 2)), ((1, 1), (2, -2))), 1, (0, 1))
+
+    def test_stops_at_full_rank(self):
+        seen = []
+
+        def rows():
+            for r in ([(0, 1)], [(1, 1)], [(0, 5), (1, 7)]):
+                seen.append(r)
+                yield r
+
+        assert K.echelon(rows(), 2) == ((((0, 1),), ((1, 1),)), 1, (0, 1))
+        assert len(seen) == 2
+
+    def test_does_not_mutate_input(self):
+        rows = [[(0, 2), (1, 4)], [(0, 1), (1, 3)]]
+        K.echelon(rows, 2)
+        assert rows == [[(0, 2), (1, 4)], [(0, 1), (1, 3)]]

@@ -1,7 +1,11 @@
 """Lie algebras from structure constants: validation, series, quotients,
 and the metabelian splitting."""
 
+import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -23,7 +27,18 @@ from lralg.lie import (
     subalgebra_generated,
     validate_lie,
 )
-from lralg.linalg import Matrix, Subspace, standard_basis
+from lralg import _kernels
+from lralg.linalg import (
+    Bilinear,
+    Matrix,
+    Subspace,
+    _int_row,
+    _nonzero,
+    _scale_fractions,
+    complement,
+    solve,
+    standard_basis,
+)
 
 F = Fraction
 
@@ -236,3 +251,122 @@ class TestSplitMetabelian:
     def test_rejects_non_metabelian(self):
         with pytest.raises(NotTwoStepSolvableError):
             split_metabelian(sl2())
+
+
+def torus(q: int, k: int, sheared: bool = False) -> LieAlgebra:
+    """a = Q^q acting on V = Q^k by [a_i, v_t] = w_it v_t, with fixed
+    weights in 1..5; g_infinity = V.  sheared takes a_i + v_(i mod k) as
+    the complement basis, which makes [a_i, a_j] a nonzero element of V,
+    so the split's correction system gets nonzero right-hand sides."""
+    rng = random.Random(f"torus:{q}:{k}")
+    w = [[rng.randint(1, 5) for _ in range(k)] for _ in range(q)]
+    brackets = {(i, q + t): {q + t: w[i][t]} for i in range(q) for t in range(k)}
+    if sheared:
+        for i in range(q):
+            for j in range(i + 1, q):
+                v = Counter({q + j % k: w[i][j % k]})
+                v[q + i % k] -= w[j][i % k]
+                brackets[i, j] = {c: x for c, x in v.items() if x}
+    return LieAlgebra.from_brackets(q + k, brackets)
+
+
+def dense_complement(g: LieAlgebra) -> Matrix:
+    """The complement as the split formed it with one dense row per
+    equation of the correction system and linalg.solve: the oracle."""
+    sp = split_metabelian(g)
+    ginf, phi, n_alg = sp.g_infinity, sp.phi, sp.complement_algebra
+    units = complement(ginf)
+    free, n, k = units.pivots, g.dim, ginf.dim
+    q = len(free)
+    pairs = [(a, b) for a in range(q) for b in range(a + 1, q)]
+    comp = units.rows
+    if not (k and pairs):
+        return comp
+    eqs, rhs = [], []
+    for a, b in pairs:
+        pa, pb = phi[a], phi[b]
+        den = lcm(pa._den, pb._den, n_alg._den, g._den)
+        v = _int_row(g._inz[free[a] * n + free[b]], n)
+        for s in range(k):
+            row = [0] * (q * k)
+            for t in range(k):
+                row[b * k + t] += pa._num[s * k + t] * (den // pa._den)
+                row[a * k + t] -= pb._num[s * k + t] * (den // pb._den)
+            for m, x in n_alg._inz[a * q + b]:
+                row[m * k + s] -= x * (den // n_alg._den)
+            eqs += row
+            rhs.append(-v[ginf.pivots[s]] * (den // g._den))
+    sol = solve(Matrix._raw(len(rhs), q * k, eqs, 1), rhs)
+    snum, sden = _scale_fractions(sol)
+    return comp + Matrix._raw(q, k, snum, sden) * ginf.rows
+
+
+SPLIT_CASES = [
+    (torus(3, 3), False), (torus(6, 6), False), (torus(12, 12), False), (torus(5, 3), False),
+    (torus(3, 3, True), True), (torus(6, 6, True), True), (torus(12, 12, True), True),
+    (torus(5, 3, True), True), (torus(2, 5, True), True),
+    (diag_solvable([1, 2, "1/3"]), False), (filiform(8), False),
+    (LieAlgebra.from_brackets(3, {(0, 2): {2: 1}, (0, 1): {2: 1}}), True),
+]
+
+
+@pytest.mark.parametrize("g, forms_system", SPLIT_CASES)
+def test_split_complement_matches_dense_system(g, forms_system):
+    assert split_metabelian(g).complement == dense_complement(g)
+
+
+@pytest.mark.parametrize("g, forms_system", SPLIT_CASES)
+def test_split_system_is_sparse_and_only_formed_when_needed(monkeypatch, g, forms_system):
+    """The correction system is formed only when a right-hand side is
+    nonzero, then as sparse rows of at most 2k + q + 1 entries, reduced
+    by one echelon call of width q k + 1 on split_metabelian's list
+    eqs; the dense rref, which solve runs on, is never called."""
+    k = series(g).g_infinity.dim  # memoized: the series reduces its own spans
+    q = g.dim - k
+    systems, dense = [], []
+    real = _kernels.echelon
+
+    def echelon(rows, cols):
+        if rows is sys._getframe(2).f_locals.get("eqs"):
+            assert cols == q * k + 1
+            systems.append(rows)
+        return real(rows, cols)
+
+    monkeypatch.setattr(_kernels, "echelon", echelon)
+    monkeypatch.setattr(_kernels, "rref", lambda *args: dense.append(args))
+    split_metabelian(g)
+    assert dense == []
+    assert len(systems) == int(forms_system)
+    for rows in systems:
+        assert len(rows) == k * q * (q - 1) // 2
+        assert all(len(r) <= 2 * k + q + 1 for r in rows)
+
+
+def test_bracket_of_subspaces_multiplies_only_linked_pairs(monkeypatch):
+    """[g, g] of a free two-step nilpotent algebra is central: no
+    constant links two of its basis rows, so no pair is multiplied."""
+    g = free_two_step(6)
+    g2 = series(g).lower_central[1]
+    calls = []
+    real = Bilinear._int_apply
+    monkeypatch.setattr(Bilinear, "_int_apply", lambda *args: calls.append(1) or real(*args))
+    assert bracket_of_subspaces(g, g2, g2).dim == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "g", [filiform(7), free_two_step(4), diag_solvable([1, -2, "1/2"]), sl2(), torus(3, 2, True)]
+)
+def test_bracket_of_subspaces_matches_all_pairs(g):
+    """The span of the linked pairs' brackets is the span of all of
+    them, on every pair of series terms and coordinate subspaces."""
+    n = g.dim
+    rep = series(g) if is_two_step_solvable(g) else None
+    spaces = [Subspace.full(n), complement(g._product_span()), g._product_span()]
+    spaces += [Subspace.from_vectors(n, standard_basis(n)[i::2]) for i in range(2)]
+    spaces += list(rep.lower_central if rep else ())
+    for a in spaces:
+        for b in spaces:
+            rows = [g._int_apply(_nonzero(u), _nonzero(v))
+                    for u in a.rows._int_rows() for v in b.rows._int_rows()]
+            assert bracket_of_subspaces(g, a, b) == Subspace._from_int_rows(n, rows)

@@ -6,11 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lralg import _kernels
+from lralg.catalog import (
+    diag_solvable,
+    filiform,
+    free_two_step,
+    heisenberg,
+    known_lr,
+    known_lr_names,
+    r2,
+)
 from lralg.errors import (
     DimensionMismatchError,
     NonCommutingFamilyError,
     PreconditionError,
 )
+from lralg.lie import series
 from lralg.linalg import (
     FittingSplit,
     Matrix,
@@ -28,7 +39,9 @@ from lralg.linalg import (
     subspace_sum,
     to_fraction,
     vector,
+    _int_row,
 )
+from lralg.lr import _chain_reaches_zero, check_lr, product_span
 
 F = Fraction
 
@@ -377,3 +390,89 @@ def test_vector_and_to_fraction():
     assert to_fraction("−3".replace("−", "-")) == F(-3)
     with pytest.raises(TypeError):
         to_fraction(0.5)
+
+
+def dense_span(n, rows):
+    """The span of integer rows as the dense form stored it: one kernel
+    rref of the nonzero rows, its rank rows kept as a Matrix."""
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return Matrix.zeros(0, n), ()
+    num, den, pivots = _kernels.rref([x for r in rows for x in r], len(rows), n)
+    return Matrix._raw(len(pivots), n, num[:len(pivots) * n], den), pivots
+
+
+def assert_matches_dense(s, rows):
+    """s, the span of the integer rows, stores the dense form's basis:
+    rows, pivots and basis agree with dense_span, and spanning the
+    stored rows again gives an equal subspace with an equal hash."""
+    m, pivots = dense_span(s.ambient_dim, rows)
+    assert s.rows == m and s.pivots == pivots and s.dim == len(pivots)
+    assert s.basis == tuple(m.row_list())
+    again = Subspace._from_int_rows(s.ambient_dim, m._int_rows())
+    assert again == s and hash(again) == hash(s)
+
+
+def catalog_spans():
+    """[g, g], every series term and the product spans of the catalog
+    families and the known LR fixtures, each with its generating rows."""
+    algebras = [filiform(8), diag_solvable([1, 2, "1/3"]), free_two_step(4), heisenberg(), r2()]
+    products = [known_lr(name) for name in known_lr_names()]
+    algebras += [g for g, _ in products]
+    for g in algebras:
+        n = g.dim
+        yield g._product_span(), [_int_row(w, n) for w in g._inz]
+        rep = series(g)
+        for s in rep.lower_central + rep.derived:
+            yield s, s.rows._int_rows()
+    for _, p in products:
+        yield product_span(p), [_int_row(w, p.dim) for w in p._inz]
+
+
+def test_catalog_spans_match_dense_form():
+    spans = list(catalog_spans())
+    for s, rows in spans:
+        assert_matches_dense(s, rows)
+    for a, _ in spans:
+        for b, _ in spans:
+            if a.ambient_dim == b.ambient_dim:
+                assert (a == b) == (a.rows == b.rows and a.pivots == b.pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_random_spans_match_dense_form(data):
+    """Random integer spans, and a second span of a random rescaling and
+    reordering of the same rows, which must be equal with equal hashes."""
+    n = data.draw(st.integers(1, 6))
+    ints = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    rows = data.draw(st.lists(ints, max_size=n + 2))
+    s = Subspace._from_int_rows(n, rows)
+    assert_matches_dense(s, rows)
+    factors = data.draw(st.lists(st.integers(1, 5), min_size=len(rows), max_size=len(rows)))
+    other = data.draw(st.permutations([[c * x for x in r] for c, r in zip(factors, rows)]))
+    t = Subspace._from_int_rows(n, other)
+    assert t == s and hash(t) == hash(s)
+    u = Subspace._from_int_rows(n, data.draw(st.lists(ints, max_size=n)))
+    assert (u == s) == (u.rows == s.rows)
+
+
+def test_product_span_is_reduced_once(monkeypatch):
+    """The span of the products is row reduced once per product: reading
+    it twice, both completeness chains and the certificate reuse it."""
+    g, p = known_lr("filiform12-shift")
+    slots = [list(w) for w in p._inz if w]
+    calls = []
+    real = _kernels.echelon
+
+    def counted(rows, cols):
+        rows = [list(r) for r in rows]
+        calls.append(rows)
+        return real(rows, cols)
+
+    monkeypatch.setattr(_kernels, "echelon", counted)
+    assert product_span(p) is product_span(p)
+    _chain_reaches_zero(p, True)
+    _chain_reaches_zero(p, False)
+    check_lr(g, p)
+    assert sum(rows == slots for rows in calls) == 1
