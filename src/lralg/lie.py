@@ -11,7 +11,6 @@ equal algebra built anew is not checked again.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from math import lcm
 
@@ -131,12 +130,11 @@ def validate_lie(g: LieAlgebra) -> tuple[bool, list[Violation]]:
     Returns (ok, violations); each violation carries the basis indices
     and the defect vector.  The sums run on the integer constants
     g._inz; a defect becomes Fractions only when it is nonzero.  A
-    Jacobi sum vanishes unless one of its three brackets is nonzero, so
-    only the triples that a nonzero pair links are visited, in the
+    Jacobi sum is summed only on the triples that receive a nonzero
+    term, found from the nonzero constants (_jacobi_terms), in the
     (i, j, k) order of the loop over all of them (de Graaf, Lie
-    Algebras: Theory and Algorithms, 2000).  An
-    algebra with the _content of one checked recently gets that report
-    from the memo.
+    Algebras: Theory and Algorithms, 2000).  An algebra with the
+    _content of one checked recently gets that report from the memo.
     """
     ok, violations = _memoized(("valid", g._content), _validate_lie, g)
     g._valid = ok
@@ -158,12 +156,9 @@ def _validate_lie(g: LieAlgebra) -> tuple[bool, tuple[Violation, ...]]:
             if any(out):
                 violations.append(Violation("antisymmetry", (i, j), _to_vector(out, den)))
     # [e_a, [e_b, e_c]] summed over the cyclic shifts of (i, j, k), times den**2.
-    for i, j, k in _jacobi_triples(n, inz):
-        cyclic = ((i, j, k), (j, k, i), (k, i, j))
-        if not any(inz[b * n + c] for _, b, c in cyclic):
-            continue
+    for i, j, k in sorted(_jacobi_terms(n, inz)):
         out = [0] * n
-        for a, b, c in cyclic:
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             base = a * n
             for m, x in inz[b * n + c]:
                 for t, y in inz[base + m]:
@@ -173,29 +168,38 @@ def _validate_lie(g: LieAlgebra) -> tuple[bool, tuple[Violation, ...]]:
     return not violations, tuple(violations)
 
 
-def _jacobi_triples(n: int, inz) -> Iterator[tuple[int, int, int]]:
-    """The triples i < j < k with a nonzero slot among their pairs, in
-    (i, j, k) order: a Jacobi sum can be nonzero only there.
+def _jacobi_terms(n: int, inz) -> set[tuple[int, int, int]]:
+    """The triples i < j < k whose Jacobi sum has a term [e_a, [e_b, e_c]]
+    with a nonzero product of constants: only there can it be nonzero.
 
-    Two indices are linked when either of their slots in inz is nonzero.
-    For i < j, every k > j is taken when i and j are linked, and
-    otherwise the k > j linked to i or to j; on a dense tensor that is
-    every triple, at the cost of the full loop.
+    For each nonzero slot (b, c) with b != c, the a with a nonzero
+    [e_a, e_m] for some m in the support of [e_b, e_c] give such terms;
+    (a, b, c) is a cyclic shift of the triple it belongs to, so it names
+    (a, b, c) when a < b < c, (b, c, a) when b < c < a and (c, a, b)
+    when c < a < b, and no triple otherwise.  The column lookup of the
+    nonzero slots (a, m) is built here, not in the algebra's index.
     """
-    linked: list[set[int]] = [set() for _ in range(n)]
-    for bc, w in enumerate(inz):
+    by_column: list[set[int]] = [set() for _ in range(n)]
+    for am, w in enumerate(inz):
         if w:
-            b, c = divmod(bc, n)
-            linked[b].add(c)
-            linked[c].add(b)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j in linked[i]:
-                ks = range(j + 1, n)
-            else:
-                ks = sorted(k for k in linked[i] | linked[j] if k > j)
-            for k in ks:
-                yield i, j, k
+            a, m = divmod(am, n)
+            by_column[m].add(a)
+    triples = set()
+    for bc, w in enumerate(inz):
+        if not w:
+            continue
+        b, c = divmod(bc, n)
+        if b == c:
+            continue
+        for a in set().union(*[by_column[m] for m, _ in w]):
+            if b < c:
+                if a < b:
+                    triples.add((a, b, c))
+                elif a > c:
+                    triples.add((b, c, a))
+            elif c < a < b:
+                triples.add((c, a, b))
+    return triples
 
 
 def ad(g: LieAlgebra, x) -> Matrix:

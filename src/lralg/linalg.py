@@ -706,10 +706,11 @@ class Bilinear:
 
     The operator of x, y -> x . y or y -> y . x, is read from _index,
     the nonzero constants by row and by column (_by), built on first
-    use.  _int_operator writes all of its columns, for operator and
-    escape; _times_basis returns only the nonzero ones, sparse, for the
-    LR certificates and for changes of basis.  The span of all products
-    (_product_span) is kept in _span the same way.
+    use.  _int_operator writes all of its columns, for operator and for
+    the left multiplications of complete_nilpotent; _times_basis returns
+    only the nonzero ones, sparse, for the LR certificates, escape and
+    changes of basis.  The span of all products (_product_span) is kept
+    in _span the same way.
     """
 
     __slots__ = ("dim", "_inz", "_den", "_tensor", "_index", "_span")
@@ -862,9 +863,16 @@ class Bilinear:
         """The nonzero columns of operator(x) over _den, for x given as
         for _int_operator: {j: x . e_j}, or {j: e_j . x} when right is
         set, each a vector in _inz's form, sorted nonzero (k, numerator)
-        pairs, so == on two columns is equality of the vectors."""
+        pairs, so == on two columns is equality of the vectors.  For a
+        single term x_m e_m these are the constants of row or column m,
+        scaled by x_m."""
         n = self.dim
         by = self._by(right)
+        if len(xs) == 1:
+            (m, x), = xs
+            if x == 1:
+                return dict(by[m])
+            return {j: tuple([(k, x * c) for k, c in w]) for j, w in by[m]}
         out: dict[int, list[int]] = {}
         for m, x in xs:
             for j, w in by[m]:
@@ -882,16 +890,17 @@ class Bilinear:
         For each basis vector b of s and each i in turn, e_i . b must lie
         in s (else ("left", i)) and, with both_sides, so must b . e_i
         (else ("right", i)).  Those products are column i of the right
-        and of the left operator of b, built from the integer rows of s.
+        and of the left operator of b, read from the integer rows of s;
+        only the nonzero columns are reduced, in increasing i.
         """
         n = self.dim
         for b in s._rows:
-            left = self._int_operator(b, True)
-            right = self._int_operator(b, False) if both_sides else None
-            for i in range(n):
-                if any(s._remainder(left[i::n])):
+            left = self._times_basis(b, True)
+            right = self._times_basis(b, False) if both_sides else {}
+            for i in sorted(left.keys() | right.keys()):
+                if i in left and any(s._remainder(_int_row(left[i], n))):
                     return "left", i
-                if both_sides and any(s._remainder(right[i::n])):
+                if i in right and any(s._remainder(_int_row(right[i], n))):
                     return "right", i
         return None
 

@@ -26,7 +26,10 @@ The Lemma 14 identities on basis vectors are read from the same
 columns, indexed by their first and second index, so each is a
 comparison of maps {l: column l} that hold only the nonzero columns.
 The sampled identities run on the integer numerators of the sample
-vectors, and a defect becomes a Matrix only when an identity fails.
+vectors and compare the same kind of maps: each operator is held by
+its nonzero columns, and an operator product pushes the columns of
+one factor through those of the other.  A defect becomes a Matrix
+only when an identity fails.
 
 Completeness is read off the chain A, A*A, (A*A)*A, ..., whose t-th
 term is spanned by the words R(e_i1)...R(e_it) applied to A.  If the
@@ -45,7 +48,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from . import _kernels as K
 from .errors import (
     DimensionMismatchError,
     NotLrProductError,
@@ -120,6 +122,11 @@ def _column(p: Product, k: int) -> tuple[dict, dict]:
     )
 
 
+def _columns(p: Product) -> Iterator[tuple[dict, dict]]:
+    """_column(p, k) for k = 0, 1, ..., one at a time."""
+    return (_column(p, k) for k in range(p.dim))
+
+
 def _difference(a, b, n: int, den: int) -> Vector | None:
     """(a - b) / den as a vector for two sparse vectors, None when a == b."""
     if a == b:
@@ -130,16 +137,17 @@ def _difference(a, b, n: int, den: int) -> Vector | None:
     return _to_vector(out, den)
 
 
-def _lr_violations(p: Product) -> tuple[list[Violation], list[Violation]]:
+def _lr_violations(p: Product, columns) -> tuple[list[Violation], list[Violation]]:
     """Violations of the left and of the right identity, each ordered by
     (i, j, k) with i < j: the nonzero columns k of the commutators of
-    the basis operators i and j.  Only one column k of the products is
-    held at a time, and only pairs present in it can differ."""
+    the basis operators i and j, read from columns, the _column(p, k)
+    for k = 0, 1, ...  Given _columns(p), only one column k of the
+    products is held at a time; only pairs present in it can differ."""
     n, den = p.dim, p._den ** 2
     left: list[Violation] = []
     right: list[Violation] = []
-    for k in range(n):
-        for table, identity, out in zip(_column(p, k), (LR_LEFT, LR_RIGHT), (left, right)):
+    for k, column in enumerate(columns):
+        for table, identity, out in zip(column, (LR_LEFT, LR_RIGHT), (left, right)):
             for i, j in {(min(a, b), max(a, b)) for a, b in table if a != b}:
                 d = _difference(table.get((i, j), ()), table.get((j, i), ()), n, den)
                 if d:
@@ -225,7 +233,7 @@ def check_lr(g: LieAlgebra, p: Product) -> LrReport:
 
 
 def _check_lr(g: LieAlgebra, p: Product) -> LrReport:
-    left_violations, right_violations = _lr_violations(p)
+    left_violations, right_violations = _lr_violations(p, _columns(p))
     compatibility = _compatibility_violations(g, p)
     return LrReport(
         is_lr=not (left_violations or right_violations),
@@ -242,7 +250,7 @@ def check_complete(p: Product) -> bool:
     right multiplications commute and the chain A, A*A, (A*A)*A, ...
     reaches 0 exactly when they are all nilpotent.
     """
-    if _lr_violations(p)[1]:
+    if _lr_violations(p, _columns(p))[1]:
         raise PreconditionError("right multiplications do not commute")
     return _chain_reaches_zero(p, False)
 
@@ -267,53 +275,72 @@ LEMMA_IDENTITIES = (
 def _lemma_defects(p: Product, x, y, z) -> list[tuple[str, Matrix]]:
     """The sampled identities that fail at (x, y, z), with their defects.
 
-    x, y and z are scaled to integers once.  The operators L(x), R(x)
-    and L(y) are read from the integer constants, and every product is
-    one of them, or the L(yx) that identity 1 forms, applied to a
-    vector; the operator products are formed by K.mat_mul.  Each
-    identity is homogeneous, so both of its sides share one denominator,
-    dx dy D^2 for identities 0-1 and dx dy dz D^3 for 2-5 (D = p._den),
-    and their numerators are compared directly; a defect Matrix is
-    formed only for an identity that fails."""
+    x, y and z are scaled to integers once.  Every operator is held by
+    its nonzero columns, read from the product's index of the constants
+    (Bilinear._times_basis): {l: v e_l} for L(v) and {l: e_l v} for
+    R(v).  Every product of vectors is L(x), R(x), L(y) or the L(yx)
+    that identity 1 forms applied to a vector, and an operator product
+    pushes each column of its right factor through the columns of its
+    left one (_push).  Each identity is homogeneous, so both of its
+    sides share one denominator, dx dy D^2 for identities 0-1 and
+    dx dy dz D^3 for 2-5 (D = p._den), and they are compared as maps
+    {l: column}; a defect Matrix is formed only for an identity that
+    fails."""
     n, d = p.dim, p._den
     (xn, dx), (yn, dy), (zn, dz) = (_scaled(v, n, p._kind) for v in (x, y, z))
     xs, ys, zs = _nonzero(xn), _nonzero(yn), _nonzero(zn)
 
-    def times(op, v):
-        """op v, for v given by its nonzero pairs, as nonzero pairs."""
-        out = [0] * n
-        for j, c in v:
-            for k, a in enumerate(op[j::n]):
-                if a:
-                    out[k] += a * c
-        return _nonzero(out)
+    def left(v):
+        return p._times_basis(v, False)
 
-    def left(a):
-        return p._int_operator(a, False)
-
-    def right(a):
-        return p._int_operator(a, True)
+    def right(v):
+        return p._times_basis(v, True)
 
     def mul(a, b):
-        return K.mat_mul(a, b, n, n, n)
+        products = {l: _push(a, col, n) for l, col in b.items()}
+        return {l: w for l, w in products.items() if w}
 
     lx, rx, ly = left(xs), right(xs), left(ys)
-    xy, yx, yz, xz = times(lx, ys), times(rx, ys), times(ly, zs), times(lx, zs)
+    xy, yx, yz, xz = _push(lx, ys, n), _push(rx, ys, n), _push(ly, zs, n), _push(lx, zs, n)
     lyx = left(yx)
     checks = [
         (mul(lx, right(ys)), right(xy)),
         (mul(rx, ly), lyx),
-        (mul(lx, right(yz)), right(times(lx, yz))),
-        (mul(rx, left(yz)), left(times(rx, yz))),
-        (mul(lx, left(yz)), left(times(ly, xz))),
-        (mul(rx, right(yz)), right(times(lyx, zs))),
+        (mul(lx, right(yz)), right(_push(lx, yz, n))),
+        (mul(rx, left(yz)), left(_push(rx, yz, n))),
+        (mul(lx, left(yz)), left(_push(ly, xz, n))),
+        (mul(rx, right(yz)), right(_push(lyx, zs, n))),
     ]
     dens = (dx * dy * d ** 2,) * 2 + (dx * dy * dz * d ** 3,) * 4
     return [
-        (name, Matrix._raw(n, n, [s - t for s, t in zip(a, b)], den))
+        (name, _columns_difference(a, b, n, den))
         for name, (a, b), den in zip(LEMMA_IDENTITIES, checks, dens)
         if a != b
     ]
+
+
+def _push(cols: dict, v, n: int) -> tuple:
+    """The operator with nonzero columns {l: column} applied to v, a
+    vector given by its nonzero (index, integer) pairs, in the columns'
+    form: sorted nonzero (k, numerator) pairs."""
+    acc = [0] * n
+    for j, c in v:
+        col = cols.get(j)
+        if col:
+            for k, a in col:
+                acc[k] += a * c
+    return tuple(_nonzero(acc))
+
+
+def _columns_difference(a: dict, b: dict, n: int, den: int) -> Matrix:
+    """(A - B) / den for two n x n operators given by their nonzero
+    columns {l: sorted nonzero (k, numerator) pairs}."""
+    num = [0] * (n * n)
+    for cols, sign in ((a, 1), (b, -1)):
+        for l, v in cols.items():
+            for k, x in v:
+                num[k * n + l] += sign * x
+    return Matrix._raw(n, n, num, den)
 
 
 def _by_first_and_second(tables) -> tuple[list[dict], list[dict]]:
@@ -341,7 +368,7 @@ def _transpose(cols: dict) -> dict:
     return out
 
 
-def _lemma_violations(p: Product) -> list[Violation]:
+def _lemma_violations(p: Product, columns=None) -> list[Violation]:
     """The six identities on all basis pairs and triples, as identities
     among products of products.  Column l of each side, with
     w = e_j e_k:
@@ -360,9 +387,11 @@ def _lemma_violations(p: Product) -> list[Violation]:
     once and transposed.  An identity is compared at every (i, j) and at
     every (i, j, k) with w != 0 (for w = 0 both sides vanish), in that
     order, and the defect Matrix is built only for a failing one.
+    columns is the list of every _column(p, k), computed here if None.
     """
     n = p.dim
-    columns = [_column(p, k) for k in range(n)]
+    if columns is None:
+        columns = list(_columns(p))
     # l1[k][i][j] = l2[k][j][i] = e_i (e_j e_k), r1[k][i][j] = r2[k][j][i] = (e_k e_j) e_i
     l1, l2 = _by_first_and_second(left for left, _ in columns)
     r1, r2 = _by_first_and_second(right for _, right in columns)
@@ -370,14 +399,9 @@ def _lemma_violations(p: Product) -> list[Violation]:
     none: dict = {}
 
     def check(which: int, where: tuple[int, ...], a: dict, b: dict, den: int) -> None:
-        if a == b:
-            return
-        num = [0] * (n * n)
-        for cols, sign in ((a, 1), (b, -1)):
-            for l, v in cols.items():
-                for r, x in v:
-                    num[r * n + l] += sign * x
-        violations.append(Violation(LEMMA_IDENTITIES[which], where, Matrix._raw(n, n, num, den)))
+        if a != b:
+            defect = _columns_difference(a, b, n, den)
+            violations.append(Violation(LEMMA_IDENTITIES[which], where, defect))
 
     den2, den3 = p._den ** 2, p._den ** 3
     for i in range(n):
@@ -422,14 +446,17 @@ def check_lemma14(p: Product, samples=()) -> list[Violation]:
     constants with themselves (module docstring); column l of
     L(e_i)R(w) = R(e_i w), say, reads e_i (e_l w) = e_l (e_i w).  Only
     nonzero columns are compared, and the triple identities only where
-    w = e_j e_k is nonzero.  The sampled triples multiply the integer
-    operators of the sample vectors, each identity over one
-    denominator.  A defect Matrix is formed only for a violation.
+    w = e_j e_k is nonzero.  The gate and the basis identities read one
+    list of the columns of the products of products.  The sampled
+    triples push the nonzero columns of the operators of the sample
+    vectors through each other, each identity over one denominator.  A
+    defect Matrix is formed only for a violation.
     """
-    left, right = _lr_violations(p)
+    columns = list(_columns(p))
+    left, right = _lr_violations(p, columns)
     if left or right:
         return left + right
-    violations = _lemma_violations(p)
+    violations = _lemma_violations(p, columns)
     for s, (x, y, z) in enumerate(samples):
         for name, d in _lemma_defects(p, x, y, z):
             violations.append(Violation(name + " (sampled)", (s,), d))

@@ -1,0 +1,31 @@
+"""The pipeline benchmark runs from a checkout and passes its own checks.
+
+A short construct-sparse run checks every job's exit code, verdict,
+output oracle and recorded digest, as a full benchmark run does, so a
+change that breaks a benchmark run fails here first.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run(*args):
+    proc = subprocess.run(
+        [sys.executable, os.path.join("pipebench", "run.py"), *args],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_self_test_passes():
+    assert run("--self-test") == "self-test: ok"
+
+
+def test_short_construct_sparse_run_is_correct():
+    last = json.loads(run("--workload", "construct-sparse", "--seconds", "1", "--trace", "0"))
+    assert last["correct"] is True and last["failed"] == 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lralg import _kernels, cli, io, linalg
+from lralg import _kernels, cli, io, linalg, lr
 from lralg.catalog import (
     abelian,
     filiform,
@@ -363,9 +363,9 @@ class TestNoOperatorProducts:
         assert mat_mul_calls == []
 
     def test_lemma14_outside_the_samples(self, mat_mul_calls, monkeypatch):
-        """The basis identities multiply no operators, and a passing
-        check forms no Matrix, with or without samples: defects are
-        built only for a failing identity."""
+        """Neither the basis identities nor the sampled triples multiply
+        operators, and a passing check forms no Matrix, with or without
+        samples: defects are built only for a failing identity."""
         e = standard_basis(12)
         p = two_generator_lr(filiform(12), e[0], e[1])
         mat_mul_calls.clear()
@@ -375,7 +375,24 @@ class TestNoOperatorProducts:
         assert check_lemma14(p) == []
         assert mat_mul_calls == [] and made == []
         assert check_lemma14(p, sample_triples(12, 1, seed=1)) == []
-        assert mat_mul_calls and made == []
+        assert mat_mul_calls == [] and made == []
+
+    def test_sampled_identities_build_no_dense_operator(self, mat_mul_calls, monkeypatch):
+        """The sampled identities read operator columns from the index of
+        the constants: no dense operator, no operator product, also
+        when identities fail and defects are built."""
+        built = []
+        real = Bilinear._int_operator
+        monkeypatch.setattr(Bilinear, "_int_operator", lambda *a: built.append(a) or real(*a))
+        e = standard_basis(12)
+        for p in (
+            two_generator_lr(filiform(12), e[0], e[1]),
+            Product.from_entries(3, {(0, 0): {1: 1}, (0, 1): {2: F(1, 2)}, (1, 2): {0: 3}}),
+        ):
+            for x, y, z in sample_triples(p.dim, 3, seed=2):
+                lr._lemma_defects(p, x, y, z)
+        assert lr._lemma_defects(p, x, y, z)
+        assert mat_mul_calls == [] and built == []
 
 
 class TestConstantIndex:

@@ -25,12 +25,13 @@ term with all of g.  The memoized certificate reports must equal a
 fresh computation.  The two-generator construction, which scans its
 candidates lazily and pushes its table through sparse columns, must
 match the eager Fraction algorithm it replaced, and every builder of
-Bilinear must store the same canonical constants.  Jacobi, enumerated
-from the nonzero pairs, must give the report of the loop over every
-triple, and the sampled Lemma 14 identities, compared on integer
-numerators, the defects of the Fraction operator products and, with
-their products read from the operators, those of the products taken
-pair by pair.
+Bilinear must store the same canonical constants.  Jacobi, summed on
+the triples that receive a nonzero term, must give the report of the
+loop over every triple, and the sampled Lemma 14 identities, compared
+as sparse operator columns, the defects of the Fraction operator
+products and of the products taken pair by pair.  escape, reducing
+only the nonzero operator columns, must name the place that the loop
+over every dense column names.
 """
 
 import itertools
@@ -1050,20 +1051,115 @@ def test_jacobi_from_nonzero_pairs_matches_triple_loop(g):
     assert lie._validate_lie(g) == loop_validate_lie(g)
 
 
-def test_jacobi_triples_are_those_with_a_nonzero_pair():
-    """On an antisymmetric tensor a triple is enumerated iff one of its
-    brackets is nonzero; on a dense one that is every triple, in order."""
-    for g, count in ((filiform(128), 8001), (free_two_step(15), 11480)):
-        assert sum(1 for _ in lie._jacobi_triples(g.dim, g._inz)) == count
-    g = filiform(9)
-    triples = list(lie._jacobi_triples(g.dim, g._inz))
-    assert triples == [
-        (i, j, k) for i, j, k in itertools.combinations(range(9), 3)
-        if g._inz[i * 9 + j] or g._inz[j * 9 + k] or g._inz[i * 9 + k]
-    ]
-    dense = [[[Fraction(1)] * 5 for _ in range(5)] for _ in range(5)]
-    g = LieAlgebra(dense)
-    assert list(lie._jacobi_triples(5, g._inz)) == list(itertools.combinations(range(5), 3))
+def brute_force_jacobi_terms(g):
+    """The triples i < j < k with a cyclic shift (a, b, c) for which
+    some m has nonzero slots (b, c) at m and (a, m), by looping over
+    every triple."""
+    n, inz = g.dim, g._inz
+    return {
+        (i, j, k)
+        for i, j, k in itertools.combinations(range(n), 3)
+        if any(
+            inz[a * n + m]
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+            for m, _ in inz[b * n + c]
+        )
+    }
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(g=jacobi_input())
+@example(g=filiform(9))
+@example(g=LieAlgebra([[[Fraction(1)] * 5 for _ in range(5)] for _ in range(5)]))
+def test_jacobi_terms_are_the_triples_with_a_nonzero_term(g):
+    """validate_lie sums exactly the triples that receive a nonzero
+    term, in (i, j, k) order, each once: on a dense tensor that is
+    every triple."""
+    summed = []
+    real = lie._jacobi_terms
+
+    def recorded(n, inz):
+        terms = real(n, inz)
+        summed.append(terms)
+        return terms
+
+    lie._jacobi_terms = recorded
+    try:
+        lie._validate_lie(g)
+    finally:
+        lie._jacobi_terms = real
+    assert summed == [brute_force_jacobi_terms(g)]
+    if all(g._inz):
+        assert summed[0] == set(itertools.combinations(range(g.dim), 3))
+
+
+@pytest.mark.parametrize("g", [filiform(128), free_two_step(15)], ids=["filiform128", "free15"])
+def test_validate_lie_sums_no_triple_without_a_nonzero_term(g, monkeypatch):
+    """No [e_a, [e_b, e_c]] has a nonzero product of constants here
+    (filiform: [e_1, e_i] = e_(i+1) only meets e_1 again; free two-step:
+    every bracket is central), so no Jacobi sum is taken."""
+    summed = []
+    real = lie._jacobi_terms
+    monkeypatch.setattr(lie, "_jacobi_terms", lambda *a: summed.append(real(*a)) or summed[-1])
+    assert lie._validate_lie(g) == (True, ())
+    assert summed == [set()]
+
+
+def operator_escape(b, s, both_sides):
+    """Bilinear.escape as first computed: the dense left and right
+    operators of each basis row of s, every column reduced in turn."""
+    n = b.dim
+    for row in s._rows:
+        left = b._int_operator(row, True)
+        right = b._int_operator(row, False) if both_sides else None
+        for i in range(n):
+            if any(s._remainder(left[i::n])):
+                return "left", i
+            if both_sides and any(s._remainder(right[i::n])):
+                return "right", i
+    return None
+
+
+def assert_escape_matches_operator_loop(b, s):
+    for both_sides in (False, True):
+        assert b.escape(s, both_sides) == operator_escape(b, s, both_sides)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_escape_on_nonzero_columns_matches_operator_loop(data):
+    """escape, reducing only the nonzero columns, names the first
+    (side, i) that the loop over every column of the dense operators
+    names, or None with it, on random subspaces of arbitrary constants,
+    catalog algebras and LR products."""
+    kind = data.draw(st.sampled_from(["mixed", "catalog", "product"]))
+    if kind == "mixed":
+        b = Product(data.draw(mixed_tensor(data.draw(st.integers(1, 5)))))
+    elif kind == "catalog":
+        b = data.draw(st.sampled_from(CATALOG))
+    else:
+        b = data.draw(algebra_and_product())[1]
+    n = b.dim
+    vecs = st.lists(st.lists(sparse_rational, min_size=n, max_size=n), max_size=n)
+    assert_escape_matches_operator_loop(b, Subspace.from_vectors(n, data.draw(vecs)))
+
+
+def catalog_ideals():
+    """The terms of both series of the catalog algebras and fixtures,
+    with the algebra and with the fixture's product, and each product's
+    span of products."""
+    for g in CATALOG + [f[0] for f in FIXTURES]:
+        rep = series(g)
+        for s in rep.lower_central + rep.derived:
+            yield g, s
+    for g, p in FIXTURES:
+        for s in series(g).lower_central + (lr.product_span(p),):
+            yield p, s
+
+
+def test_escape_matches_operator_loop_on_catalog_ideals():
+    for b, s in catalog_ideals():
+        assert_escape_matches_operator_loop(b, s)
 
 
 @settings(max_examples=60, deadline=None)
