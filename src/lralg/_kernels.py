@@ -1,16 +1,19 @@
 """Integer matrix kernels.
 
-These are the hot inner loops of the library: multiplication and row
-reduction of matrices held as flat lists of Python ints, and the
-reduced row echelon form of sparse integer rows, which every span goes
-through.  A rational matrix is represented one level up as (numerators,
-common denominator), so the kernels never see fractions.  Row reduction is insensitive to a
-global scalar factor, which is why working on the numerators alone is
-enough.
+These are the hot inner loops of the library: multiplication of
+matrices held as flat lists of Python ints, and row reduction.  There
+is one Gauss-Jordan loop, echelon, which reduces sparse integer rows;
+every span, kernel, inverse and solve goes through it, and rref gives
+its result for a flat matrix.  A rational matrix is represented one
+level up as (numerators, common denominator), so the kernels never see
+fractions.  Row reduction is insensitive to a global scalar factor,
+which is why working on the numerators alone is enough.
 
 lralg.linalg calls them as attributes of this module (K.mat_mul and so
 on), never through a copied binding, so a tracer that replaces the
-module attributes sees every call.  No kernel calls another one.
+module attributes sees every call.  rref calls echelon the same way,
+so a tracer that wrapped both would nest an echelon span inside each
+rref span; no other kernel calls another one.
 """
 
 from math import gcd, lcm
@@ -50,92 +53,31 @@ def mat_mul(a, b, n, m, p):
 
 
 def rref(a, rows, cols):
-    """Reduced row echelon form of a flat int matrix.
+    """Reduced row echelon form of a flat int matrix, the dense form of
+    echelon.
 
     Returns (num, den, pivots): num/den is the unique RREF over the
-    rationals (pivot entries equal 1), den > 0, zero rows at the
-    bottom.  Elimination is fraction free; every updated row is
-    divided by its content to keep the integers small.
+    rationals (pivot entries equal 1) as flat numerators, den > 0, zero
+    rows at the bottom.
     """
-    m = [list(a[r * cols:(r + 1) * cols]) for r in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pr = -1
-        for i in range(r, rows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        prow = m[r]
-        pv = prow[c]
-        for i in range(rows):
-            if i == r:
-                continue
-            row = m[i]
-            q = row[c]
-            if not q:
-                continue
-            for j in range(cols):
-                row[j] = row[j] * pv - prow[j] * q
-            g = 0
-            for x in row:
-                if x:
-                    g = gcd(g, x)
-                    if g == 1:
-                        break
-            if g > 1:
-                for j in range(cols):
-                    row[j] //= g
-        pivots.append(c)
-        r += 1
-
-    # Scale each pivot row so its pivot is +1: divide by the signed
-    # content first, then record the remaining pivot value as the row
-    # denominator.
-    dens = []
-    for i in range(r):
-        row = m[i]
-        g = 0
-        for x in row:
-            if x:
-                g = gcd(g, x)
-                if g == 1:
-                    break
-        if row[pivots[i]] < 0:
-            g = -g
-        if g != 0 and g != 1:
-            for j in range(cols):
-                row[j] //= g
-        dens.append(row[pivots[i]])
-
-    den = 1
-    for d in dens:
-        den = den * d // gcd(den, d)
-    out = []
-    for i in range(rows):
-        if i < r:
-            s = den // dens[i]
-            if s == 1:
-                out.extend(m[i])
-            else:
-                out.extend(x * s for x in m[i])
-        else:
-            out.extend([0] * cols)
-    return out, den, tuple(pivots)
+    out, den, pivots = echelon(
+        ([(c, x) for c, x in enumerate(a[r * cols:(r + 1) * cols]) if x] for r in range(rows)),
+        cols,
+    )
+    num = [0] * (rows * cols)
+    for t, row in enumerate(out):
+        for c, x in row:
+            num[t * cols + c] = x
+    return num, den, pivots
 
 
 def echelon(rows, cols):
     """Reduced row echelon form of sparse integer rows of length cols,
     each given by its nonzero (column, numerator) pairs in any order.
 
-    Returns (out, den, pivots) as rref does, without zero rows: out[t]
-    is the t-th RREF row times den as sorted nonzero pairs, and den is
-    the least common denominator, the canonical form of linalg.Matrix.
+    Returns (out, den, pivots) without zero rows: out[t] is the t-th
+    RREF row times den as sorted nonzero pairs, and den > 0 is the
+    least common denominator, the canonical form of linalg.Matrix.
     Gauss-Jordan, one row at a time: a new row is reduced at the pivots
     it touches (a kept row is zero at every other pivot), made primitive
     with a positive leading entry, and its column is cleared from the

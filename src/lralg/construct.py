@@ -42,7 +42,9 @@ from .linalg import (
     Matrix,
     Subspace,
     _fitting_split_commuting,
+    _int_row,
     _nonzero,
+    _push,
     _scale_fractions,
     _sparse_rows,
     vector,
@@ -335,10 +337,10 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
         raise DimensionMismatchError("generator length differs from algebra dimension")
 
     def columns(v):
-        """The sparse columns [v, e_j] of ad(v), over their denominator."""
+        """The nonzero columns {j: [v, e_j]} of ad(v), over their
+        denominator."""
         num, den = _scale_fractions(v)
-        cols = g._times_basis(_nonzero(num), False)
-        return [cols.get(j, ()) for j in range(n)], den * g._den
+        return g._times_basis(_nonzero(num), False), den * g._den
 
     ad_x, ad_y = columns(xv), columns(yv)
 
@@ -347,15 +349,6 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
         it to kl: ad(y) from (k - 1, l), ad(x) from (0, l - 1)."""
         k, l = kl
         return ((k - 1, l), ad_y) if k else ((0, l - 1), ad_x)
-
-    def push(vec, cols) -> dict[int, int]:
-        """Numerators of the operator with sparse columns cols times the
-        sparse vector vec, by index; an entry may be zero."""
-        out: dict[int, int] = {}
-        for j, c in vec:
-            for i, a in cols[j]:
-                out[i] = out.get(i, 0) + a * c
-        return out
 
     # vectors[(k, l)] = (u, d): ad(y)^k ad(x)^l y = u / d in lowest terms,
     # or None once it is 0, and so is every later vector of its chain;
@@ -372,9 +365,7 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
             if vectors[before] is None:
                 continue
             pu, pd = vectors[before]
-            u = [0] * n
-            for i, c in push(_nonzero(pu), cols).items():
-                u[i] = c
+            u = _int_row(_push(cols, _nonzero(pu), n), n)
             if not any(u):
                 continue
             d = pd * cden
@@ -390,11 +381,12 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
             raise NotGeneratedError("the two elements do not generate the algebra")
         raise InternalConsistencyError("candidate vectors do not span the algebra")
 
-    # ops[(k, l)] = (columns, den): column j of ad(y)^k ad(x)^l ad(y) is
-    # the sparse vector columns[j] over den, pushed along the same chains.
+    # ops[(k, l)] = (columns, den): the nonzero column j of
+    # ad(y)^k ad(x)^l ad(y) is columns[j] over den, pushed along the same
+    # chains.
     ops = {(0, 0): ad_y}
 
-    def op(kl: tuple[int, int]) -> tuple[list, int]:
+    def op(kl: tuple[int, int]) -> tuple[dict, int]:
         path = []
         while kl not in ops:
             path.append(kl)
@@ -402,11 +394,11 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
         cols, den = ops[kl]
         for kl in reversed(path):
             scols, sden = step(kl)[1]
-            pushed = [[(i, a) for i, a in push(c, scols).items() if a] for c in cols]
+            pushed = {j: w for j, c in cols.items() if (w := _push(scols, c, n))}
             den *= sden
-            h = gcd(den, *(a for c in pushed for _, a in c))
+            h = gcd(den, *(a for c in pushed.values() for _, a in c))
             if h > 1:
-                pushed = [[(i, a // h) for i, a in c] for c in pushed]
+                pushed = {j: [(i, a // h) for i, a in c] for j, c in pushed.items()}
                 den //= h
             cols = pushed
             ops[kl] = cols, den
@@ -427,7 +419,7 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
         for j in range(n):
             acc: dict[int, int] = {}
             for c, cols in weighted:
-                for k, a in cols[j]:
+                for k, a in cols.get(j, ()):
                     acc[k] = acc.get(k, 0) + c * a
             rows.append([(k, a) for k, a in acc.items() if a])
     return _certified(g, Product._from_int(n, rows, uinv._den * den), False, "two_generator_lr")

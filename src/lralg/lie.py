@@ -29,6 +29,7 @@ from .linalg import (
     _memoized,
     _nonzero,
     _ratios,
+    _solve_rows,
     _sparse_rows,
     _to_vector,
     complement,
@@ -400,9 +401,12 @@ class SplitDecomposition:
 
     def phi_of(self, coords) -> Matrix:
         """phi of a complement-coordinate vector (linear combination)."""
+        cs = vector(coords)
+        if len(cs) != len(self.phi):
+            raise DimensionMismatchError("coordinate length differs from complement dimension")
         k = self.g_infinity.dim
         acc = Matrix.zeros(k, k)
-        for c, m in zip(vector(coords), self.phi):
+        for c, m in zip(cs, self.phi):
             if c:
                 acc = acc + c * m
         return acc
@@ -439,12 +443,11 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     InternalConsistencyError.  All of it runs on integer numerators: the
     remainders of the [w_a, w_b] against g_infinity are
     complement_algebra's constants, each block of the system is scaled
-    to integers and row reduced as sparse rows, whose unique echelon
-    form gives the solution that solve gives (free variables 0), and
-    closure is checked exactly against those constants.  The correction
-    tau_j lies in g_infinity, which is abelian, so [w_j + tau_j, b] =
-    [w_j, b] for b in g_infinity: phi of the unit vectors is phi of the
-    complement.
+    to integers and its sparse rows are solved by the reader that solve
+    uses (linalg._solve_rows, free variables 0), and closure is checked
+    exactly against those constants.  The correction tau_j lies in
+    g_infinity, which is abelian, so [w_j + tau_j, b] = [w_j, b] for b
+    in g_infinity: phi of the unit vectors is phi of the complement.
     """
     rep = series(g)
     if not rep.two_step_solvable:
@@ -489,15 +492,10 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
                 for m, x in beta[a * q + b]:
                     row[m * k + s] = row.get(m * k + s, 0) - x * sm
                 eqs.append([(c, x) for c, x in row.items() if x])
-        # The reduced rows of [A | b] are the echelon basis of their span.
-        system = Subspace._from_sparse(nvars + 1, eqs)
-        if system.pivots and system.pivots[-1] == nvars:
+        sol = _solve_rows(eqs, nvars)
+        if sol is None:
             raise InternalConsistencyError("complement correction system is unsolvable")
-        snum = [0] * nvars
-        for p, row in zip(system.pivots, system._rows):
-            if row[-1][0] == nvars:
-                snum[p] = row[-1][1]
-        comp = comp + Matrix._raw(q, k, snum, system._den) * ginf.rows
+        comp = comp + Matrix._raw(q, k, *sol) * ginf.rows
 
     # [row a, row b] over cden**2 * gden against sum_c beta[a][b][c] row c
     # over bden * cden.

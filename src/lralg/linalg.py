@@ -9,10 +9,12 @@ lralg._kernels.
 A Subspace holds its reduced row echelon basis as sparse integer rows
 over one denominator, the canonical form of that Matrix, which again
 makes equality structural: two subspaces are equal iff their bases are
-identical.  Every span is reduced by one sparse Gauss-Jordan kernel,
-_kernels.echelon, which takes the rows as they come (nonzero constants,
-products, brackets) with no dense round trip; the dense rref serves
-Matrix.rref, inverse, kernel and solve.  Membership, quotients and the
+identical.  Every row reduction runs in one sparse Gauss-Jordan
+kernel, _kernels.echelon.  Spans pass it their rows as they come
+(nonzero constants, products, brackets) with no dense round trip;
+Matrix.rref, inverse and kernel reach it through _kernels.rref, its
+dense format, and solve and the metabelian split pass it the sparse
+rows of [A | b] through one reader.  Membership, quotients and the
 brackets of subspaces read the sparse rows; intersections and
 restriction of operators are Matrix algebra on the rows' Matrix view.
 A span grown one vector at a time inserts the vector's reduced row
@@ -30,11 +32,12 @@ products is reduced on first use and kept.  Every "x times each basis
 vector" loop reads one index of those constants by row and by column,
 built on first use, through a dense reader (operator matrices) or a
 sparse one (the nonzero columns alone, which the two-generator
-construction pushes its vectors through).  Files are read into and
-written from those integers (lralg.io) without Fractions.  Fractions appear only at the edge of the library API:
-vectors passed in and returned are tuples of fractions.Fraction, and
-so are Subspace.basis, the tensor views and the defects of failed
-identities.
+construction and the Lemma 14 identities push their vectors through
+with one helper, _push).  Files are read into and written from those
+integers (lralg.io) without Fractions.  Fractions appear only at the
+edge of the library API: vectors passed in and returned are tuples of
+fractions.Fraction, and so are Subspace.basis, the tensor views and the
+defects of failed identities.
 """
 
 from __future__ import annotations
@@ -528,23 +531,34 @@ def solve(m: Matrix, b) -> Vector | None:
     if len(bv) != m.rows:
         raise DimensionMismatchError("right-hand side length differs from row count")
     bnum, bden = _scale_fractions(bv)
-    width = m.cols + 1
-    s_m = bden
-    s_b = m._den
-    aug = [0] * (m.rows * width)
-    for i in range(m.rows):
-        base = i * width
-        mbase = i * m.cols
-        for j in range(m.cols):
-            aug[base + j] = m._num[mbase + j] * s_m
-        aug[base + m.cols] = bnum[i] * s_b
-    rnum, rden, pivots = K.rref(aug, m.rows, width)
-    if pivots and pivots[-1] == m.cols:
+    n = m.cols
+    eqs = []
+    for row, y in zip(_sparse_rows(m), bnum):
+        eq = [(j, x * bden) for j, x in row]
+        if y:
+            eq.append((n, y * m._den))
+        eqs.append(eq)
+    sol = _solve_rows(eqs, n)
+    return None if sol is None else _to_vector(*sol)
+
+
+def _solve_rows(eqs, nvars: int) -> tuple[list[int], int] | None:
+    """One solution of the system whose sparse integer rows eqs, (column,
+    numerator) pairs, are [A | b] with b in column nvars: the integer
+    numerators of x and their denominator, or None if there is none.
+
+    The echelon form of the rows is unique; the system is inconsistent
+    iff its last pivot is b's column, and otherwise x, with every free
+    variable 0, is b's column read at the pivots.
+    """
+    rows, den, pivots = K.echelon(eqs, nvars + 1)
+    if pivots and pivots[-1] == nvars:
         return None
-    x = [Fraction(0)] * m.cols
-    for t, p in enumerate(pivots):
-        x[p] = Fraction(rnum[t * width + m.cols], rden)
-    return tuple(x)
+    x = [0] * nvars
+    for p, row in zip(pivots, rows):
+        if row[-1][0] == nvars:
+            x[p] = row[-1][1]
+    return x, den
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -925,6 +939,20 @@ class Bilinear:
                     w = [(t, r[f]) for t, f in enumerate(free) if r[f]]
                 out.append(w)
         return len(free), out, self._den * s._den
+
+
+def _push(cols: dict, v, n: int) -> tuple:
+    """The operator with nonzero columns cols, {j: column} as
+    Bilinear._times_basis gives them, applied to v, a vector given by its
+    nonzero (index, integer) pairs, in the columns' form: sorted nonzero
+    (k, numerator) pairs."""
+    acc = [0] * n
+    for j, c in v:
+        col = cols.get(j)
+        if col:
+            for k, a in col:
+                acc[k] += a * c
+    return tuple(_nonzero(acc))
 
 
 # The reports of check_lr, validate_lie and series on the last _MEMO_SIZE

@@ -63,6 +63,7 @@ from .linalg import (
     _int_row,
     _memoized,
     _nonzero,
+    _push,
     _ratios,
     _scaled,
     _to_vector,
@@ -317,19 +318,6 @@ def _lemma_defects(p: Product, x, y, z) -> list[tuple[str, Matrix]]:
         for name, (a, b), den in zip(LEMMA_IDENTITIES, checks, dens)
         if a != b
     ]
-
-
-def _push(cols: dict, v, n: int) -> tuple:
-    """The operator with nonzero columns {l: column} applied to v, a
-    vector given by its nonzero (index, integer) pairs, in the columns'
-    form: sorted nonzero (k, numerator) pairs."""
-    acc = [0] * n
-    for j, c in v:
-        col = cols.get(j)
-        if col:
-            for k, a in col:
-                acc[k] += a * c
-    return tuple(_nonzero(acc))
 
 
 def _columns_difference(a: dict, b: dict, n: int, den: int) -> Matrix:

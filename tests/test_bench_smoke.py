@@ -2,7 +2,9 @@
 
 A short construct-sparse run checks every job's exit code, verdict,
 output oracle and recorded digest, as a full benchmark run does, so a
-change that breaks a benchmark run fails here first.
+change that breaks a benchmark run fails here first.  A traced run
+wraps the library's functions by name and reads the flat result of
+_kernels.rref for kernels.rref.max_bits, so it is run once as well.
 """
 
 import json
@@ -29,3 +31,11 @@ def test_self_test_passes():
 def test_short_construct_sparse_run_is_correct():
     last = json.loads(run("--workload", "construct-sparse", "--seconds", "1", "--trace", "0"))
     assert last["correct"] is True and last["failed"] == 0
+
+
+def test_short_traced_construct_sparse_run_is_correct():
+    last = json.loads(run("--workload", "construct-sparse", "--seconds", "1", "--trace", "1"))
+    assert last["correct"] is True and last["failed"] == 0
+    metrics = last["metrics"]
+    assert metrics["kernels.rref.calls"]["value"] > 0
+    assert metrics["kernels.rref.max_bits"]["value"] > 0

@@ -1,11 +1,13 @@
 """Integer kernel routines: frozen values on small and large inputs."""
 
 import math
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lralg import _kernels as K
+from test_properties import fraction_rref
 
 
 class TestContent:
@@ -99,21 +101,18 @@ def test_content_gcd_matches_math():
 
 def dense_rref_rows(rows, cols):
     """The canonical (rows, den, pivots) of the span of sparse rows, from
-    the dense rref: its nonzero rows made sparse, normalized as
-    Matrix._raw normalizes them."""
+    a Fraction Gauss-Jordan on the dense rows: the nonzero RREF rows
+    over the least common denominator of their entries, made sparse."""
     dense = []
     for r in rows:
-        row = [0] * cols
+        row = [Fraction(0)] * cols
         for c, x in r:
-            row[c] = x
+            row[c] = Fraction(x)
         dense.append(row)
-    num, den, pivots = K.rref([x for r in dense for x in r], len(dense), cols)
-    g = math.gcd(K.content(num), den)
-    out = tuple(
-        tuple((c, num[t * cols + c] // g) for c in range(cols) if num[t * cols + c])
-        for t in range(len(pivots))
-    )
-    return out, den // g, pivots
+    basis, pivots = fraction_rref(dense, cols)
+    den = math.lcm(1, *(x.denominator for r in basis for x in r))
+    out = tuple(tuple((c, int(x * den)) for c, x in enumerate(r) if x) for r in basis)
+    return out, den, pivots
 
 
 def sparse_rows(data, cols):

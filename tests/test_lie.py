@@ -252,6 +252,14 @@ class TestSplitMetabelian:
         with pytest.raises(NotTwoStepSolvableError):
             split_metabelian(sl2())
 
+    def test_phi_of_rejects_coordinates_of_the_wrong_length(self):
+        sp = split_metabelian(diag_solvable([1, 2, 3]))
+        assert len(sp.phi) == 1
+        assert sp.phi_of((2,)) == 2 * sp.phi[0]
+        for coords in ((1, 2, 3, 4, 5), (), (1, 0)):
+            with pytest.raises(DimensionMismatchError):
+                sp.phi_of(coords)
+
 
 def torus(q: int, k: int, sheared: bool = False) -> LieAlgebra:
     """a = Q^q acting on V = Q^k by [a_i, v_t] = w_it v_t, with fixed
@@ -320,7 +328,7 @@ def test_split_system_is_sparse_and_only_formed_when_needed(monkeypatch, g, form
     """The correction system is formed only when a right-hand side is
     nonzero, then as sparse rows of at most 2k + q + 1 entries, reduced
     by one echelon call of width q k + 1 on split_metabelian's list
-    eqs; the dense rref, which solve runs on, is never called."""
+    eqs; the dense-format adapter _kernels.rref is never called."""
     k = series(g).g_infinity.dim  # memoized: the series reduces its own spans
     q = g.dim - k
     systems, dense = [], []

@@ -42,6 +42,7 @@ from lralg.linalg import (
     _int_row,
 )
 from lralg.lr import _chain_reaches_zero, check_lr, product_span
+from test_properties import fraction_rref
 
 F = Fraction
 
@@ -393,19 +394,17 @@ def test_vector_and_to_fraction():
 
 
 def dense_span(n, rows):
-    """The span of integer rows as the dense form stored it: one kernel
-    rref of the nonzero rows, its rank rows kept as a Matrix."""
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return Matrix.zeros(0, n), ()
-    num, den, pivots = _kernels.rref([x for r in rows for x in r], len(rows), n)
-    return Matrix._raw(len(pivots), n, num[:len(pivots) * n], den), pivots
+    """The span of integer rows from a Fraction Gauss-Jordan on the dense
+    rows: the nonzero RREF rows as a Matrix, and the pivots."""
+    basis, pivots = fraction_rref([[Fraction(x) for x in r] for r in rows], n)
+    return (Matrix(basis) if basis else Matrix.zeros(0, n)), pivots
 
 
 def assert_matches_dense(s, rows):
-    """s, the span of the integer rows, stores the dense form's basis:
-    rows, pivots and basis agree with dense_span, and spanning the
-    stored rows again gives an equal subspace with an equal hash."""
+    """s, the span of the integer rows, stores the basis of a dense
+    Fraction RREF: rows, pivots and basis agree with dense_span, and
+    spanning the stored rows again gives an equal subspace with an equal
+    hash."""
     m, pivots = dense_span(s.ambient_dim, rows)
     assert s.rows == m and s.pivots == pivots and s.dim == len(pivots)
     assert s.basis == tuple(m.row_list())
@@ -476,3 +475,31 @@ def test_product_span_is_reduced_once(monkeypatch):
     _chain_reaches_zero(p, False)
     check_lr(g, p)
     assert sum(rows == slots for rows in calls) == 1
+
+
+def test_dense_entry_points_reduce_with_echelon(monkeypatch):
+    """Matrix.rref, inverse, kernel and solve row reduce through the one
+    elimination loop, _kernels.echelon: each passes it the sparse rows
+    of its matrix, augmented by den I for inverse and by b for solve."""
+    calls = []
+    real = _kernels.echelon
+
+    def counted(rows, cols):
+        rows = [sorted(r) for r in rows]
+        calls.append((rows, cols))
+        return real(rows, cols)
+
+    monkeypatch.setattr(_kernels, "echelon", counted)
+    m = Matrix([[2, 1, 0], [1, 1, 1], [3, 2, 1]])  # rank 2
+    rows = [[(0, 2), (1, 1)], [(0, 1), (1, 1), (2, 1)], [(0, 3), (1, 2), (2, 1)]]
+    a = Matrix([[2, 1], [1, 1]])
+    cases = [
+        (m.rref, (rows, 3)),
+        (a.inverse, ([[(0, 2), (1, 1), (2, 1)], [(0, 1), (1, 1), (3, 1)]], 4)),
+        (lambda: kernel(m), (rows, 3)),
+        (lambda: solve(m, [1, 2, 3]), ([r + [(3, y)] for r, y in zip(rows, (1, 2, 3))], 4)),
+    ]
+    for call, first in cases:
+        calls.clear()
+        call()
+        assert calls and calls[0] == first

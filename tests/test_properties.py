@@ -737,6 +737,46 @@ def test_integer_paths_match_fraction_oracle(data):
     assert ok == (not expected)
     assert [(v.identity, v.indices, v.defect) for v in violations] == expected
 
+    # Matrix.rref on a non-square matrix whose last row is a combination
+    # of the others.
+    cols = data.draw(st.integers(1, 5))
+    wide = st.lists(sparse_rational, min_size=cols, max_size=cols)
+    rrows = data.draw(st.lists(wide, min_size=1, max_size=4))
+    cs = data.draw(st.lists(sparse_rational, min_size=len(rrows), max_size=len(rrows)))
+    rrows.append(list(fraction_combination(cs, rrows, cols)))
+    basis, pivots = fraction_rref(rrows, cols)
+    reduced, rpivots, rank = Matrix(rrows).rref()
+    zero = (Fraction(0),) * cols
+    assert reduced.row_list() == list(basis) + [zero] * (len(rrows) - len(basis))
+    assert (rpivots, rank) == (pivots, len(pivots))
+
+    # inverse of mrows and of mrows with its last row made dependent.
+    dependent = mrows[:-1] + [list(fraction_combination(cs[:n - 1], mrows[:-1], n))]
+    for sq in (mrows, dependent):
+        identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        basis, pivots = fraction_rref([list(r) + e for r, e in zip(sq, identity)], 2 * n)
+        if pivots == tuple(range(n)):
+            assert sq is not dependent
+            assert Matrix(sq).inverse() == Matrix([r[n:] for r in basis])
+        else:
+            with pytest.raises(PreconditionError):
+                Matrix(sq).inverse()
+
+    # solve on rrows, underdetermined when rank < cols: a right-hand
+    # side in the image and a random one, inconsistent in general.
+    image_b = fraction_apply(rrows, data.draw(wide))
+    random_b = tuple(data.draw(st.lists(sparse_rational, min_size=len(rrows), max_size=len(rrows))))
+    for b in (image_b, random_b):
+        basis, pivots = fraction_rref([list(r) + [y] for r, y in zip(rrows, b)], cols + 1)
+        if pivots and pivots[-1] == cols:
+            assert b is random_b and solve(Matrix(rrows), b) is None
+            continue
+        x = [Fraction(0)] * cols
+        for r, p in zip(basis, pivots):
+            x[p] = r[cols]
+        assert solve(Matrix(rrows), b) == tuple(x)
+        assert fraction_apply(rrows, x) == b
+
 
 def restricted_fitting_split(mats):
     """The joint Fitting split as it was computed by restriction: each
