@@ -1,4 +1,5 @@
-"""Integer kernel routines: frozen values on small and large inputs."""
+"""Integer kernel routines: frozen values on small and large inputs, and
+echelon against a Fraction Gauss-Jordan."""
 
 import math
 from fractions import Fraction

@@ -5,9 +5,10 @@ is applied to the raw structure constants with plain Fraction
 arithmetic, so the oracle does not lean on the products it checks.
 The opposite product swaps the left and right LR violations.
 
-Oracle: operators, spans, ideal tests, subspace algebra and Jacobi
-defects, which the library computes on integer numerators over a common
-denominator, must match a test-local computation on Fractions.  The LR
+Oracle: operators, spans, ideal tests, subspace algebra, Matrix.rref,
+inverse, solve and Jacobi defects, which the library computes on
+integer numerators over a common denominator, must match a test-local
+computation on Fractions.  The LR
 certificates, which the library reads from products of products of
 structure constants, must match the dense operator-matrix checks they replaced,
 and the quotients, read from integer remainders, the Fraction table
