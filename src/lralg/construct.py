@@ -129,24 +129,22 @@ def _transport(p: Bilinear, first: Matrix, second: Matrix, out: Matrix) -> tuple
     only, and the factor first._den * second._den * out._den by which
     their denominator exceeds p's.  The first argument is contracted
     for all pairs at once, then the second, then the output, so a dense
-    change of basis costs O(n^4) products of integers.
+    change of basis costs O(n^4) products of integers.  Each contraction
+    pushes only nonzero entries through nonzero columns (_push), and a
+    first argument whose products all vanish gives n empty rows at once.
     """
     n = p.dim
     firsts, seconds, outs = (_sparse_rows(m.transpose()) for m in (first, second, out))
+    outs = dict(enumerate(outs))
     rows = []
     for i in range(n):
         half = p._times_basis(firsts[i], False)  # half[b] = p(first e_i, e_b)
+        if not half:
+            rows.extend([()] * n)
+            continue
         for j in range(n):
-            mid = [0] * n
-            for b, y in seconds[j]:
-                for c, v in half.get(b, ()):
-                    mid[c] += y * v
-            res = [0] * n
-            for c, z in enumerate(mid):
-                if z:
-                    for k, t in outs[c]:
-                        res[k] += t * z
-            rows.append(_nonzero(res))
+            mid = _push(half, seconds[j], n)  # p(first e_i, second e_j)
+            rows.append(_push(outs, mid, n) if mid else ())
     return rows, first._den * second._den * out._den
 
 
@@ -190,7 +188,8 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
     to the original coordinates: the table C p_ad(C^-1 e_i, C^-1 e_j),
     for C the change of basis, is contracted on integers from the
     constants of q and the numerators of phi.  When g_infinity = 0, C
-    is the identity and the adapted table is the result.  Requires phi
+    is the identity and the adapted table that of q, so q itself,
+    certified on the algebra, is the lift.  Requires phi
     to vanish on all products of q; when q is complete the lift is
     checked to be complete as well.
     """
@@ -205,6 +204,8 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
 
     n_alg = split.complement_algebra
     rep = _lr_input(n_alg, q, "product on the complement is not an LR-structure: ")
+    if not k:  # the adapted basis is the standard one, and q is the lift
+        return _certified(g, q, rep.is_complete, "lift_product")
     # den is a common denominator of q and every phi_a; phis[a] holds the
     # numerators of phi_a over den.  phi is linear, so it vanishes on a
     # product iff the numerators of that product, summed against phis, do.
@@ -227,12 +228,9 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
             adapted[(k + a) * n + t] = _nonzero(phis[a][t::k])
         for b in range(m):
             adapted[(k + a) * n + k + b] = [(k + c, v * s) for c, v in q._inz[a * m + b]]
-    if k:
-        change = split.change_of_basis
-        inv = change.inverse()
-        rows, scale = _transport(Bilinear._from_int(n, adapted, 1), inv, inv, change)
-    else:  # the adapted basis is the standard one
-        rows, scale = adapted, 1
+    change = split.change_of_basis
+    inv = change.inverse()
+    rows, scale = _transport(Bilinear._from_int(n, adapted, 1), inv, inv, change)
     return _certified(g, Product._from_int(n, rows, den * scale), rep.is_complete, "lift_product")
 
 
@@ -244,7 +242,8 @@ def complete_any(g: LieAlgebra, p: Product) -> CompletionCertificate:
     term, push to the nilpotent quotient, complete there, lift back.
     Each stage failure carries its own exception type.  The two-step
     test reads the series report that split_metabelian then gets from
-    the memo.
+    the memo.  When g_infinity = 0 the quotient and the lift return
+    their input itself, and the span of p's products is reduced once.
     """
     _lr_input(g, p, "input is not an LR-structure, first violation: ")
     if not series(g).two_step_solvable:
@@ -319,15 +318,23 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     or ad(y) when the scan reaches it, and reduced against the span of
     the kept vectors, a Subspace that grows by inserting one reduced
     row into its echelon basis per kept vector; the scan stops at n
-    vectors.  Those n vectors are independent brackets of x and y,
+    vectors.  That Subspace, in 2n coordinates, spans the rows
+    [u_s | e_s] of the kept vectors u_s, each tagged by its place s: a
+    candidate is kept when its remainder is nonzero on the first n
+    coordinates, and then gets its tag.  The one elimination that
+    selects the basis thereby also inverts it: with n pivots the
+    reduced rows are [D I | D (U^-1)^T], U the matrix of columns u_s,
+    so row i holds the coefficients of e_i in the kept vectors at its
+    nonzero tags.  Those n vectors are independent brackets of x and y,
     which proves that x and y generate g; only a scan that falls short
     computes the generated subalgebra, to tell a non-generating pair
     from an internal failure.  A chain that reaches 0 stays 0, so its
     later candidates are recorded as 0 without a bracket or a
     reduction.  No operator matrix is formed: column j of L(v) for a
     kept v = ad(y)^k ad(x)^l y is ad(y)^k ad(x)^l [y, e_j], pushed
-    along the same chains from the columns of ad(y), and the table is
-    summed on integers.
+    along the same chains from the columns of ad(y), and row i of the
+    table is summed on integers from the nonzero tags of row i against
+    the nonzero columns of those operators.
     """
     if not is_two_step_solvable(g):
         raise NotTwoStepSolvableError("second derived algebra does not vanish")
@@ -352,10 +359,11 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
 
     # vectors[(k, l)] = (u, d): ad(y)^k ad(x)^l y = u / d in lowest terms,
     # or None once it is 0, and so is every later vector of its chain;
-    # vectors[None] is x.  selected holds (u, d, key) per kept vector.
+    # vectors[None] is x.  selected holds (d, key) per kept vector; span
+    # spans the rows [u_s | e_s] of the kept vectors u_s, tagged by s.
     vectors = {None: _scale_fractions(xv), (0, 0): _scale_fractions(yv)}
     selected = []
-    span = Subspace.zero(n)
+    span = Subspace.zero(2 * n)
     for kl in chain([None], _scan_order(n)):
         if span.dim == n:
             break
@@ -372,10 +380,11 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
             h = gcd(*u, d)
             vectors[kl] = ([c // h for c in u], d // h) if h > 1 else (u, d)
         u, d = vectors[kl]
-        r = span._remainder(u)
-        if any(r):
+        r = span._remainder(u + [0] * n)
+        if any(r[:n]):
+            r[n + len(selected)] = span._den
             span = span._with_row(r)
-            selected.append((u, d, kl))
+            selected.append((d, kl))
     if span.dim != n:
         if subalgebra_generated(g, [xv, yv]).dim != n:
             raise NotGeneratedError("the two elements do not generate the algebra")
@@ -405,21 +414,24 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
         return cols, den
 
     # With B = U diag(1/d_s) the basis (U the integer columns u_s),
-    # e_i e_j = L(e_i) e_j = sum_s d_s (U^-1)[s, i] op_s e_j.
-    uinv = Matrix._raw(n, n, [u[i] for i in range(n) for u, _, _ in selected], 1).inverse()
-    terms = [(s, d, op(kl)) for s, (_, d, kl) in enumerate(selected) if kl is not None]
+    # e_i e_j = L(e_i) e_j = sum_s d_s (U^-1)[s, i] op_s e_j.  The reduced
+    # rows [U^T | I] are [D I | D (U^-1)^T], so row i of span holds
+    # D (U^-1)[s, i] at column n + s.
+    terms = [(n + s, d, op(kl)) for s, (d, kl) in enumerate(selected) if kl is not None]
     den = lcm(*(oden for _, _, (_, oden) in terms))
+    weights = {c: (d * (den // oden), cols) for c, d, (cols, oden) in terms}
     rows = []
-    for i in range(n):
-        weighted = []
-        for s, d, (cols, oden) in terms:
-            c = uinv._num[s * n + i]
-            if c:
-                weighted.append((c * d * (den // oden), cols))
+    for row in span._rows:
+        acc: dict[int, dict[int, int]] = {}  # acc[j][k]: e_k in e_i e_j
+        for c, a in row:
+            if c in weights:
+                w, cols = weights[c]
+                w *= a
+                for j, col in cols.items():
+                    accj = acc.setdefault(j, {})
+                    for k, v in col:
+                        accj[k] = accj.get(k, 0) + w * v
         for j in range(n):
-            acc: dict[int, int] = {}
-            for c, cols in weighted:
-                for k, a in cols.get(j, ()):
-                    acc[k] = acc.get(k, 0) + c * a
-            rows.append([(k, a) for k, a in acc.items() if a])
-    return _certified(g, Product._from_int(n, rows, uinv._den * den), False, "two_generator_lr")
+            accj = acc.get(j)
+            rows.append([(k, v) for k, v in accj.items() if v] if accj else ())
+    return _certified(g, Product._from_int(n, rows, span._den * den), False, "two_generator_lr")

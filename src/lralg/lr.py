@@ -45,7 +45,6 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .errors import (
@@ -286,9 +285,11 @@ def _lemma_defects(p: Product, x, y, z) -> list[tuple[str, Matrix]]:
     sides share one denominator, dx dy D^2 for identities 0-1 and
     dx dy dz D^3 for 2-5 (D = p._den), and they are compared as maps
     {l: column}; a defect Matrix is formed only for an identity that
-    fails."""
+    fails.  A vector drawn by _random_triples comes scaled already."""
     n, d = p.dim, p._den
-    (xn, dx), (yn, dy), (zn, dz) = (_scaled(v, n, p._kind) for v in (x, y, z))
+    (xn, dx), (yn, dy), (zn, dz) = (
+        v if type(v) is _Scaled else _scaled(v, n, p._kind) for v in (x, y, z)
+    )
     xs, ys, zs = _nonzero(xn), _nonzero(yn), _nonzero(zn)
 
     def left(v):
@@ -451,14 +452,23 @@ def check_lemma14(p: Product, samples=()) -> list[Violation]:
     return violations
 
 
-def _random_triples(dim: int, count: int, seed: int) -> Iterator[tuple[Vector, Vector, Vector]]:
-    """sample_triples one at a time, so a consumer holds one triple."""
+class _Scaled(tuple):
+    """A sample vector in common-denominator form, (numerators, den), as
+    _random_triples draws it; _lemma_defects takes it without scaling."""
+
+    __slots__ = ()
+
+
+def _random_triples(dim: int, count: int, seed: int) -> Iterator[tuple[_Scaled, ...]]:
+    """sample_triples one at a time, so a consumer holds one triple, each
+    vector drawn as integer (numerator, denominator) pairs and given in
+    the common-denominator form _Scaled, without a Fraction."""
     rng = random.Random(seed)
 
-    def rand_vec() -> Vector:
-        return tuple(
-            Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(dim)
-        )
+    def rand_vec() -> _Scaled:
+        pairs = [(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(dim)]
+        den = lcm(*{d for _, d in pairs})
+        return _Scaled(([a * (den // d) for a, d in pairs], den))
 
     for _ in range(count):
         yield rand_vec(), rand_vec(), rand_vec()
@@ -466,7 +476,9 @@ def _random_triples(dim: int, count: int, seed: int) -> Iterator[tuple[Vector, V
 
 def sample_triples(dim: int, count: int, seed: int) -> list[tuple[Vector, Vector, Vector]]:
     """Deterministic pseudorandom triples of rational vectors."""
-    return list(_random_triples(dim, count, seed))
+    return [
+        tuple(_to_vector(num, den) for num, den in t) for t in _random_triples(dim, count, seed)
+    ]
 
 
 @dataclass(frozen=True)
@@ -511,10 +523,13 @@ def quotient_product(g: LieAlgebra, p: Product, ideal: Subspace) -> Product:
     """Product induced on the canonical quotient basis.
 
     The ideal must absorb the product from both sides; that is checked
-    directly, entry by entry.
+    directly, entry by entry.  The quotient by the zero ideal is p
+    itself.
     """
     if g.dim != p.dim or ideal.ambient_dim != p.dim:
         raise DimensionMismatchError("algebra, product and ideal dimensions differ")
+    if not ideal.dim:
+        return p
     bad = p.escape(ideal, both_sides=True)
     if bad is not None:
         raise NotTwoSidedIdealError(f"subspace is not stable under {bad[0]} products")

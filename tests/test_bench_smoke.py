@@ -1,6 +1,6 @@
 """The pipeline benchmark runs from a checkout and passes its own checks.
 
-A short construct-sparse run checks every job's exit code, verdict,
+A short run of each workload checks every job's exit code, verdict,
 output oracle and recorded digest, as a full benchmark run does, so a
 change that breaks a benchmark run fails here first.  A traced run
 wraps the library's functions by name and reads the flat result of
@@ -11,6 +11,8 @@ import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -30,6 +32,12 @@ def test_self_test_passes():
 
 def test_short_construct_sparse_run_is_correct():
     last = json.loads(run("--workload", "construct-sparse", "--seconds", "1", "--trace", "0"))
+    assert last["correct"] is True and last["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", ["construct-dense", "verify"])
+def test_short_run_is_correct(workload):
+    last = json.loads(run("--workload", workload, "--seconds", "1", "--trace", "0"))
     assert last["correct"] is True and last["failed"] == 0
 
 

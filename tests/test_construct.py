@@ -354,6 +354,19 @@ class TestTwoGeneratorWork:
             two_generator_lr(heisenberg(), (1, 0, 0), (0, 0, 1))
         assert len(calls) == 1
 
+    def test_no_inverse_or_dense_rref(self, monkeypatch):
+        # the scan's tagged rows give U^-1; Matrix.inverse of the kept
+        # vectors ran _kernels.rref once per call here
+        calls = self.count(monkeypatch, Matrix, "inverse")
+        calls += self.count(monkeypatch, _kernels, "rref")
+        for g, x, y in (
+            (filiform(24), standard_basis(24)[0], standard_basis(24)[1]),
+            (diag_solvable(list(range(1, 17))), standard_basis(17)[0], (0,) + (1,) * 16),
+            (heisenberg(), (1, 0, 0), (0, 1, 0)),
+        ):
+            two_generator_lr(g, x, y)
+        assert calls == []
+
     def test_filiform24_reduces_no_zero_candidate(self, monkeypatch):
         # once a chain reaches 0 the rest of it is recorded as 0; pushing
         # and reducing every candidate took 255 reductions here
@@ -408,7 +421,10 @@ class TestCertificateGate:
 
 def test_cli_path_builds_no_tensor_view(monkeypatch):
     """two-gen --complete and its emission on filiform(12): every map
-    built on the way keeps only its integer constants."""
+    built on the way keeps only its integer constants.  Those are the
+    algebra, the two-generator product and the complement algebra;
+    g_infinity = 0 and the left chain reaches 0, so the quotient, the
+    completion and the lift are that product itself."""
     built = []
     fill = Bilinear._fill
 
@@ -421,7 +437,7 @@ def test_cli_path_builds_no_tensor_view(monkeypatch):
     e = standard_basis(12)
     completed = complete_any(g, two_generator_lr(g, e[0], e[1])).completed
     assert '"product"' in io.format_algebra(g, completed)
-    assert len(built) > 3
+    assert len(built) == 3
     assert all(b._tensor is None for b in built)
 
 
@@ -539,6 +555,28 @@ def test_complete_on_nilpotent_input_takes_no_power_or_transport(monkeypatch, tm
     capsys.readouterr()
     assert calls.count("power") == 0
     assert calls.count("_transport") == 0
+
+
+def test_complete_on_zero_g_infinity_reduces_one_product_span(monkeypatch):
+    """filiform(12) and its two-generator product: g_infinity = 0, so the
+    quotient and the lift are the product itself, and the completion is
+    too, since its left chain reaches 0; the span of its products is
+    reduced once, when two_generator_lr certifies it, not once per
+    rebuilt copy."""
+    reduced = []
+    span = Bilinear._product_span
+
+    def counted(self):
+        if self._span is None:
+            reduced.append(self)
+        return span(self)
+
+    monkeypatch.setattr(Bilinear, "_product_span", counted)
+    g = filiform(12)
+    e = standard_basis(12)
+    p = two_generator_lr(g, e[0], e[1])
+    assert complete_any(g, p).completed is p
+    assert [b for b in reduced if isinstance(b, Product)] == [p]
 
 
 def test_complete_with_nonzero_g_infinity_transports(monkeypatch):

@@ -25,7 +25,11 @@ complement of [g, g] only, must equal the loop that brackets every
 term with all of g.  The memoized certificate reports must equal a
 fresh computation.  The two-generator construction, which scans its
 candidates lazily and pushes its table through sparse columns, must
-match the eager Fraction algorithm it replaced, and every builder of
+match the eager Fraction algorithm it replaced, and, reading the inverse
+of its basis off the tagged rows of its scan, the scan followed by
+Matrix.inverse; the change of basis of the lift, skipping empty first
+arguments, the dense loop it replaced.  The sample vectors, drawn as
+integer pairs, must be the Fraction draws.  Every builder of
 Bilinear must store the same canonical constants.  Jacobi, summed on
 the triples that receive a nonzero term, must give the report of the
 loop over every triple, and the sampled Lemma 14 identities, compared
@@ -36,22 +40,31 @@ over every dense column names.
 """
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from lralg import _kernels, lie, lr
+from lralg import _kernels, construct, lie, lr
 from lralg.catalog import (
     abelian,
     diag_solvable,
     filiform,
     free_two_step,
+    heisenberg,
     known_lr,
     known_lr_names,
 )
-from lralg.construct import complete_any, complete_nilpotent, lr_for_g3, two_generator_lr
+from lralg.construct import (
+    _scan_order,
+    complete_any,
+    complete_nilpotent,
+    lr_for_g3,
+    two_generator_lr,
+)
 from lralg.errors import InternalConsistencyError, NotGeneratedError, PreconditionError
 from lralg.lie import (
     LieAlgebra,
@@ -70,7 +83,10 @@ from lralg.linalg import (
     Matrix,
     Subspace,
     _fitting_split_commuting,
+    _int_row,
     _nonzero,
+    _push,
+    _scale_fractions,
     _scaled,
     _to_vector,
     complement,
@@ -84,6 +100,7 @@ from lralg.linalg import (
     standard_basis,
     subspace_intersection,
     subspace_sum,
+    vector,
 )
 from lralg.lr import (
     COMPATIBILITY,
@@ -96,6 +113,7 @@ from lralg.lr import (
     left_op,
     quotient_product,
     right_op,
+    sample_triples,
     two_of_three,
 )
 
@@ -963,6 +981,30 @@ def test_sampled_lemma_identities_match_operator_products(data):
     assert lr._lemma_defects(p, x, y, z) == operator_lemma_defects(p, x, y, z)
 
 
+def fraction_sample_triples(dim, count, seed):
+    """sample_triples as first computed: one Fraction per drawn entry."""
+    rng = random.Random(seed)
+
+    def rand_vec():
+        return tuple(
+            Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(dim)
+        )
+
+    return [(rand_vec(), rand_vec(), rand_vec()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 12])
+def test_sample_draws_match_fraction_draws(dim):
+    """The integer draws give the Fraction triples drawn entry by entry,
+    and each drawn vector is in the common-denominator form of one."""
+    for seed in range(5):
+        expected = fraction_sample_triples(dim, 4, seed)
+        assert sample_triples(dim, 4, seed) == expected
+        for drawn, triple in zip(lr._random_triples(dim, 4, seed), expected):
+            for (num, den), v in zip(drawn, triple):
+                assert _to_vector(num, den) == v
+
+
 def apply_lemma_defects(p, x, y, z):
     """The sampled identities as computed before the products were read
     from the operators: each of the 8 products by Bilinear._int_apply on
@@ -1314,6 +1356,206 @@ def test_two_generator_matches_eager_algorithm(data):
             two_generator_lr(g, x, y)
     else:
         assert two_generator_lr(g, x, y).table == expected
+
+
+def inverse_two_generator_lr(g, x, y):
+    """two_generator_lr as computed before its scan also inverted the
+    kept vectors: the scan spans the kept vectors alone, U^-1 comes from
+    Matrix.inverse, and the table probes every column j of every kept
+    operator.  Returns the uncertified Product."""
+    n = g.dim
+    xv, yv = vector(x), vector(y)
+
+    def columns(v):
+        num, den = _scale_fractions(v)
+        return g._times_basis(_nonzero(num), False), den * g._den
+
+    ad_x, ad_y = columns(xv), columns(yv)
+
+    def step(kl):
+        k, l = kl
+        return ((k - 1, l), ad_y) if k else ((0, l - 1), ad_x)
+
+    vectors = {None: _scale_fractions(xv), (0, 0): _scale_fractions(yv)}
+    selected = []
+    span = Subspace.zero(n)
+    for kl in itertools.chain([None], _scan_order(n)):
+        if span.dim == n:
+            break
+        if kl not in vectors:
+            before, (cols, cden) = step(kl)
+            vectors[kl] = None
+            if vectors[before] is None:
+                continue
+            pu, pd = vectors[before]
+            u = _int_row(_push(cols, _nonzero(pu), n), n)
+            if not any(u):
+                continue
+            d = pd * cden
+            h = math.gcd(*u, d)
+            vectors[kl] = ([c // h for c in u], d // h) if h > 1 else (u, d)
+        u, d = vectors[kl]
+        r = span._remainder(u)
+        if any(r):
+            span = span._with_row(r)
+            selected.append((u, d, kl))
+    if span.dim != n:
+        if subalgebra_generated(g, [xv, yv]).dim != n:
+            raise NotGeneratedError("the two elements do not generate the algebra")
+        raise InternalConsistencyError("candidate vectors do not span the algebra")
+
+    def op(kl):
+        """The nonzero columns of ad(y)^k ad(x)^l ad(y), over a
+        denominator, pushed from ad(y) along the chain of kl."""
+        path = []
+        while kl != (0, 0):
+            path.append(kl)
+            kl = step(kl)[0]
+        cols, den = ad_y
+        for kl in reversed(path):
+            scols, sden = step(kl)[1]
+            cols = {j: w for j, c in cols.items() if (w := _push(scols, c, n))}
+            den *= sden
+        return cols, den
+
+    uinv = Matrix._raw(n, n, [u[i] for i in range(n) for u, _, _ in selected], 1).inverse()
+    terms = [(s, d, op(kl)) for s, (_, d, kl) in enumerate(selected) if kl is not None]
+    den = math.lcm(*(oden for _, _, (_, oden) in terms))
+    rows = []
+    for i in range(n):
+        weighted = []
+        for s, d, (cols, oden) in terms:
+            c = uinv._num[s * n + i]
+            if c:
+                weighted.append((c * d * (den // oden), cols))
+        for j in range(n):
+            acc = {}
+            for c, cols in weighted:
+                for k, a in cols.get(j, ()):
+                    acc[k] = acc.get(k, 0) + c * a
+            rows.append([(k, a) for k, a in acc.items() if a])
+    return Product._from_int(n, rows, uinv._den * den)
+
+
+def dense_transport(p, first, second, out):
+    """construct._transport as first computed: two dense accumulators
+    of length n for every pair (i, j), empty first rows included."""
+    n = p.dim
+    firsts, seconds, outs = (
+        [_nonzero(r) for r in m.transpose()._int_rows()] for m in (first, second, out)
+    )
+    rows = []
+    for i in range(n):
+        half = p._times_basis(firsts[i], False)
+        for j in range(n):
+            mid = [0] * n
+            for b, y in seconds[j]:
+                for c, v in half.get(b, ()):
+                    mid[c] += y * v
+            res = [0] * n
+            for c, z in enumerate(mid):
+                if z:
+                    for k, t in outs[c]:
+                        res[k] += t * z
+            rows.append(_nonzero(res))
+    return rows, first._den * second._den * out._den
+
+
+def seeded_basis_change(g, x, y, seed):
+    """g, x and y in the basis b_i = sum_a m[a][i] e_a, for m the identity
+    plus about n off-diagonal entries k/d (|k| <= 2, d in {1, 2, 3})
+    drawn from seed, and redrawn until m is invertible.  The brackets
+    are expanded term by term from the nonzero constants, in Fractions."""
+    rng = random.Random(seed)
+    n = g.dim
+    while True:
+        m = [[Fraction(int(a == i)) for i in range(n)] for a in range(n)]
+        for _ in range(n):
+            a, i = rng.randrange(n), rng.randrange(n)
+            if a != i:
+                m[a][i] = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
+        try:
+            minv = Matrix(m).inverse().row_list()
+        except PreconditionError:
+            continue
+        break
+    t = g.brackets
+    cols = [[(a, m[a][i]) for a in range(n) if m[a][i]] for i in range(n)]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            v = [Fraction(0)] * n
+            for a, s in cols[i]:
+                for b, r in cols[j]:
+                    for k, c in enumerate(t[a][b]):
+                        if c:
+                            v[k] += s * r * c
+            row.append([sum(minv[k][l] * v[l] for l in range(n) if v[l]) for k in range(n)])
+        out.append(row)
+    x, y = (tuple(sum(r[a] * v[a] for a in range(n)) for r in minv) for v in (x, y))
+    return LieAlgebra(out), x, y
+
+
+def two_generator_cases():
+    """(g, x, y): filiform(n) for n <= 24, diag-solvable algebras,
+    Heisenberg, and a seeded rational change of basis of some of each."""
+    cases = [(filiform(n), *standard_basis(n)[:2]) for n in range(3, 25)]
+    for weights in [[1], [2, -1], [1, 2, 3], [-3, 1, 2, 5], list(range(1, 17))]:
+        g = diag_solvable(weights)
+        cases.append((g, standard_basis(g.dim)[0], (0,) + (1,) * len(weights)))
+    cases.append((heisenberg(), (1, 0, 0), (0, 1, 0)))
+    changed = [c for c in cases if c[0].dim in (3, 4, 5, 9, 16)]
+    cases += [seeded_basis_change(*c, seed) for seed, c in enumerate(changed)]
+    return cases
+
+
+def test_two_generator_matches_inverse_table():
+    """The tagged scan, whose one elimination also inverts the kept
+    vectors, gives the products of the scan followed by Matrix.inverse
+    and the dense column probe, in the native bases and after a seeded
+    rational change of basis."""
+    for g, x, y in two_generator_cases():
+        assert two_generator_lr(g, x, y) == inverse_two_generator_lr(g, x, y)
+
+
+def test_non_generating_pair_still_raises():
+    for g, x, y in [
+        (heisenberg(), (1, 0, 0), (0, 0, 1)),
+        (filiform(6), standard_basis(6)[0], standard_basis(6)[2]),
+        (diag_solvable([1, 1]), (1, 0, 0), (0, 1, 1)),
+    ]:
+        for build in (two_generator_lr, inverse_two_generator_lr):
+            with pytest.raises(NotGeneratedError):
+                build(g, x, y)
+
+
+def test_completion_matches_dense_transport(monkeypatch):
+    """complete_any changes basis through _transport in the lift; with
+    the dense loop in its place it gives the same completed products on
+    the two-generator products of the cases above."""
+    cases = [c for c in two_generator_cases() if c[0].dim <= 17]
+    products = [(g, two_generator_lr(g, x, y)) for g, x, y in cases]
+    got = [complete_any(g, p).completed for g, p in products]
+    monkeypatch.setattr(construct, "_transport", dense_transport)
+    assert got == [complete_any(g, p).completed for g, p in products]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_transport_matches_dense_loop(data):
+    """_transport, skipping first arguments whose products vanish and
+    pushing only nonzero entries, gives the constants and scale of the
+    dense loop, on arbitrary constants and matrices, singular or not,
+    whose zero columns leave rows of the first argument empty."""
+    n = data.draw(st.integers(1, 5))
+    p = Product(data.draw(mixed_tensor(n)))
+    square = st.lists(st.lists(sparse_rational, min_size=n, max_size=n), min_size=n, max_size=n)
+    first, second, out = (Matrix(data.draw(square)) for _ in range(3))
+    rows, scale = construct._transport(p, first, second, out)
+    expected, expected_scale = dense_transport(p, first, second, out)
+    assert scale == expected_scale
+    assert [sorted(r) for r in rows] == [sorted(r) for r in expected]
 
 
 def assert_builders_agree(n, inz, den, factor=1):
