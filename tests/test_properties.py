@@ -1462,10 +1462,9 @@ def dense_transport(p, first, second, out):
 
 
 def seeded_basis_change(g, x, y, seed):
-    """g, x and y in the basis b_i = sum_a m[a][i] e_a, for m the identity
-    plus about n off-diagonal entries k/d (|k| <= 2, d in {1, 2, 3})
-    drawn from seed, and redrawn until m is invertible.  The brackets
-    are expanded term by term from the nonzero constants, in Fractions."""
+    """g, x and y in the basis b_i = sum_a m[a][i] e_a (change_basis), for
+    m the identity plus about n off-diagonal entries k/d (|k| <= 2,
+    d in {1, 2, 3}) drawn from seed, and redrawn until m is invertible."""
     rng = random.Random(seed)
     n = g.dim
     while True:
@@ -1478,23 +1477,8 @@ def seeded_basis_change(g, x, y, seed):
             minv = Matrix(m).inverse().row_list()
         except PreconditionError:
             continue
-        break
-    t = g.brackets
-    cols = [[(a, m[a][i]) for a in range(n) if m[a][i]] for i in range(n)]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = [Fraction(0)] * n
-            for a, s in cols[i]:
-                for b, r in cols[j]:
-                    for k, c in enumerate(t[a][b]):
-                        if c:
-                            v[k] += s * r * c
-            row.append([sum(minv[k][l] * v[l] for l in range(n) if v[l]) for k in range(n)])
-        out.append(row)
-    x, y = (tuple(sum(r[a] * v[a] for a in range(n)) for r in minv) for v in (x, y))
-    return LieAlgebra(out), x, y
+        x, y = (tuple(sum(r[a] * v[a] for a in range(n)) for r in minv) for v in (x, y))
+        return LieAlgebra(change_basis(g.brackets, m, minv)), x, y
 
 
 def two_generator_cases():
