@@ -2,18 +2,20 @@
 
 These are the hot inner loops of the library: multiplication of
 matrices held as flat lists of Python ints, and row reduction.  There
-is one Gauss-Jordan loop, echelon, which reduces sparse integer rows;
-every span, kernel, inverse and solve goes through it, and rref gives
-its result for a flat matrix.  A rational matrix is represented one
-level up as (numerators, common denominator), so the kernels never see
-fractions.  Row reduction is insensitive to a global scalar factor,
-which is why working on the numerators alone is enough.
+is one Gauss-Jordan insertion step, remainders then keep, on a dict of
+kept rows that canonical reads out; echelon loops over it for every
+span, kernel, inverse and solve, rref gives its result for a flat
+matrix, and the two-generator scan calls the step itself.  A rational
+matrix is represented one level up as (numerators, common
+denominator), so the kernels never see fractions.  Row reduction is
+insensitive to a global scalar factor, which is why working on the
+numerators alone is enough.
 
-lralg.linalg calls them as attributes of this module (K.mat_mul and so
-on), never through a copied binding, so a tracer that replaces the
-module attributes sees every call.  rref calls echelon the same way,
-so a tracer that wrapped both would nest an echelon span inside each
-rref span; no other kernel calls another one.
+The other modules call them as attributes of this module (K.mat_mul
+and so on), never through a copied binding, so a tracer that replaces
+the module attributes sees every call.  rref calls echelon, and
+echelon its step, the same way, so a tracer that wrapped both would
+nest the inner spans in the outer one.
 """
 
 from math import gcd, lcm
@@ -78,17 +80,30 @@ def echelon(rows, cols):
     Returns (out, den, pivots) without zero rows: out[t] is the t-th
     RREF row times den as sorted nonzero pairs, and den > 0 is the
     least common denominator, the canonical form of linalg.Matrix.
-    Gauss-Jordan, one row at a time: a new row is reduced at the pivots
-    it touches (a kept row is zero at every other pivot), made primitive
-    with a positive leading entry, and its column is cleared from the
-    kept rows, each made primitive again.  Row t of the RREF is then
-    kept row t over its pivot entry.  Stops once the rank reaches cols.
+    Gauss-Jordan, one row at a time: a row's nonzero remainder against
+    the kept rows is kept, and the kept rows are read out once at the
+    end.  Stops once the rank reaches cols.
     """
-    basis = {}  # pivot column -> kept row, {column: numerator}
-    for r in rows:
-        v = dict(r)
-        for p in [c for c in v if c in basis]:
-            b = basis[p]
+    kept = {}
+    for v in remainders(kept, rows):
+        if v:
+            keep(kept, v)
+            if len(kept) == cols:
+                break
+    return canonical(kept)
+
+
+def remainders(kept, rows):
+    """Yield each sparse row's remainder, up to a nonzero integer
+    factor, against the kept rows as they stand when it is reached: a
+    {column: numerator} dict, empty for a row in their span.  kept maps
+    each pivot to its row, {column: numerator}, zero at the other
+    pivots; nothing is changed.  One generator takes a whole stream of
+    rows, so a bulk elimination pays no call per row."""
+    for row in rows:
+        v = dict(row)
+        for p in [c for c in v if c in kept]:
+            b = kept[p]
             x, y = v[p], b[p]
             g = gcd(x, y)
             if g > 1:
@@ -103,38 +118,47 @@ def echelon(rows, cols):
                     v[c] = w
                 else:
                     del v[c]
-        if not v:
-            continue
-        p = min(v)
-        g = gcd(*v.values())
-        if v[p] < 0:
-            g = -g
-        if g != 1:
-            v = {c: a // g for c, a in v.items()}
-        y = v[p]
-        for q, b in basis.items():
-            x = b.get(p)
-            if x:
-                g = gcd(x, y)
-                s = y // g
-                x //= g
-                w = {c: a * s for c, a in b.items()} if s != 1 else b
-                for c, a in v.items():
-                    t = w.get(c, 0) - x * a
-                    if t:
-                        w[c] = t
-                    else:
-                        del w[c]
-                g = gcd(*w.values())
-                basis[q] = {c: a // g for c, a in w.items()} if g > 1 else w
-        basis[p] = v
-        if len(basis) == cols:
-            break
-    pivots = tuple(sorted(basis))
-    den = lcm(*(basis[p][p] for p in pivots))
+        yield v
+
+
+def keep(kept, v):
+    """Add a nonzero remainder v to the kept rows: v is made primitive
+    with a positive leading entry, its leading column p becomes a
+    pivot, and p is cleared from the kept rows that are nonzero there,
+    each made primitive again."""
+    p = min(v)
+    g = gcd(*v.values())
+    if v[p] < 0:
+        g = -g
+    if g != 1:
+        v = {c: a // g for c, a in v.items()}
+    y = v[p]
+    for q, b in kept.items():
+        x = b.get(p)
+        if x:
+            g = gcd(x, y)
+            s = y // g
+            x //= g
+            w = {c: a * s for c, a in b.items()} if s != 1 else b
+            for c, a in v.items():
+                t = w.get(c, 0) - x * a
+                if t:
+                    w[c] = t
+                else:
+                    del w[c]
+            g = gcd(*w.values())
+            kept[q] = {c: a // g for c, a in w.items()} if g > 1 else w
+    kept[p] = v
+
+
+def canonical(kept):
+    """The RREF of the kept rows in echelon's (out, den, pivots) form:
+    row t is the kept row at the t-th pivot over its pivot entry."""
+    pivots = tuple(sorted(kept))
+    den = lcm(*(kept[p][p] for p in pivots))
     out = []
     for p in pivots:
-        b = basis[p]
+        b = kept[p]
         s = den // b[p]
         out.append(tuple(sorted(b.items() if s == 1 else ((c, a * s) for c, a in b.items()))))
     return tuple(out), den, pivots

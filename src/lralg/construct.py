@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
 
+from . import _kernels as K
 from .errors import (
     DimensionMismatchError,
     InternalConsistencyError,
@@ -42,7 +43,6 @@ from .linalg import (
     Matrix,
     Subspace,
     _fitting_split_commuting,
-    _int_row,
     _nonzero,
     _push,
     _scale_fractions,
@@ -315,26 +315,26 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
 
     The scan is lazy: each candidate is one integer bracket of the one
     before it in its chain, pushed through the sparse columns of ad(x)
-    or ad(y) when the scan reaches it, and reduced against the span of
-    the kept vectors, a Subspace that grows by inserting one reduced
-    row into its echelon basis per kept vector; the scan stops at n
-    vectors.  That Subspace, in 2n coordinates, spans the rows
-    [u_s | e_s] of the kept vectors u_s, each tagged by its place s: a
-    candidate is kept when its remainder is nonzero on the first n
-    coordinates, and then gets its tag.  The one elimination that
-    selects the basis thereby also inverts it: with n pivots the
-    reduced rows are [D I | D (U^-1)^T], U the matrix of columns u_s,
-    so row i holds the coefficients of e_i in the kept vectors at its
-    nonzero tags.  Those n vectors are independent brackets of x and y,
-    which proves that x and y generate g; only a scan that falls short
-    computes the generated subalgebra, to tell a non-generating pair
-    from an internal failure.  A chain that reaches 0 stays 0, so its
-    later candidates are recorded as 0 without a bracket or a
-    reduction.  No operator matrix is formed: column j of L(v) for a
-    kept v = ad(y)^k ad(x)^l y is ad(y)^k ad(x)^l [y, e_j], pushed
-    along the same chains from the columns of ad(y), and row i of the
-    table is summed on integers from the nonzero tags of row i against
-    the nonzero columns of those operators.
+    or ad(y) when the scan reaches it.  The kept vectors u_s are held
+    as the kept rows [u_s | e_s] of the _kernels insertion step, in 2n
+    coordinates, each tagged by its place s.  A candidate, tagged with
+    the next place, is reduced against them once and kept when its
+    remainder leads in the first n coordinates; a dependent one leaves
+    the kept rows as they were.  The scan stops at n vectors.  The one
+    elimination that selects the basis thereby also inverts it: the
+    canonical form of the n kept rows, read once after the scan, is
+    [D I | D (U^-1)^T], U the matrix of columns u_s, so row i holds the
+    coefficients of e_i in the kept vectors at its nonzero tags.  Those
+    n vectors are independent brackets of x and y, which proves that x
+    and y generate g; only a scan that falls short computes the
+    generated subalgebra, to tell a non-generating pair from an
+    internal failure.  A chain that reaches 0 stays 0, so its later
+    candidates are recorded as 0 without a bracket or a reduction.  No
+    operator matrix is formed: column j of L(v) for a kept
+    v = ad(y)^k ad(x)^l y is ad(y)^k ad(x)^l [y, e_j], pushed along the
+    same chains from the columns of ad(y), and row i of the table is
+    summed on integers from the nonzero tags of row i against the
+    nonzero columns of those operators.
     """
     if not is_two_step_solvable(g):
         raise NotTwoStepSolvableError("second derived algebra does not vanish")
@@ -343,13 +343,17 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     if len(xv) != n or len(yv) != n:
         raise DimensionMismatchError("generator length differs from algebra dimension")
 
-    def columns(v):
-        """The nonzero columns {j: [v, e_j]} of ad(v), over their
-        denominator."""
+    def sparse(v):
         num, den = _scale_fractions(v)
-        return g._times_basis(_nonzero(num), False), den * g._den
+        return _nonzero(num), den
 
-    ad_x, ad_y = columns(xv), columns(yv)
+    # vectors[(k, l)] = (u, d): ad(y)^k ad(x)^l y = u / d in lowest terms,
+    # u by its nonzero (i, numerator) pairs, or None once it is 0, and so
+    # is every later vector of its chain; vectors[None] is x.  ad_x and
+    # ad_y are the nonzero columns {j: [v, e_j]} of ad(v), over their
+    # denominator.
+    vectors = {None: sparse(xv), (0, 0): sparse(yv)}
+    ad_x, ad_y = ((g._times_basis(u, False), d * g._den) for u, d in vectors.values())
 
     def step(kl: tuple[int, int]) -> tuple[tuple[int, int], tuple[list, int]]:
         """The pair before kl in its chain, and the operator leading from
@@ -357,15 +361,12 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
         k, l = kl
         return ((k - 1, l), ad_y) if k else ((0, l - 1), ad_x)
 
-    # vectors[(k, l)] = (u, d): ad(y)^k ad(x)^l y = u / d in lowest terms,
-    # or None once it is 0, and so is every later vector of its chain;
-    # vectors[None] is x.  selected holds (d, key) per kept vector; span
-    # spans the rows [u_s | e_s] of the kept vectors u_s, tagged by s.
-    vectors = {None: _scale_fractions(xv), (0, 0): _scale_fractions(yv)}
+    # selected holds (d, key) per kept vector; kept holds the _kernels
+    # kept rows [u_s | e_s] of the kept vectors u_s, tagged by s.
     selected = []
-    span = Subspace.zero(2 * n)
+    kept = {}
     for kl in chain([None], _scan_order(n)):
-        if span.dim == n:
+        if len(kept) == n:
             break
         if kl not in vectors:
             before, (cols, cden) = step(kl)
@@ -373,19 +374,18 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
             if vectors[before] is None:
                 continue
             pu, pd = vectors[before]
-            u = _int_row(_push(cols, _nonzero(pu), n), n)
-            if not any(u):
+            u = _push(cols, pu, n)
+            if not u:
                 continue
             d = pd * cden
-            h = gcd(*u, d)
-            vectors[kl] = ([c // h for c in u], d // h) if h > 1 else (u, d)
+            h = gcd(d, *(a for _, a in u))
+            vectors[kl] = ([(i, a // h) for i, a in u], d // h) if h > 1 else (u, d)
         u, d = vectors[kl]
-        r = span._remainder(u + [0] * n)
-        if any(r[:n]):
-            r[n + len(selected)] = span._den
-            span = span._with_row(r)
+        r = next(K.remainders(kept, [[*u, (n + len(selected), 1)]]))
+        if min(r) < n:
+            K.keep(kept, r)
             selected.append((d, kl))
-    if span.dim != n:
+    if len(kept) != n:
         if subalgebra_generated(g, [xv, yv]).dim != n:
             raise NotGeneratedError("the two elements do not generate the algebra")
         raise InternalConsistencyError("candidate vectors do not span the algebra")
@@ -415,13 +415,14 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
 
     # With B = U diag(1/d_s) the basis (U the integer columns u_s),
     # e_i e_j = L(e_i) e_j = sum_s d_s (U^-1)[s, i] op_s e_j.  The reduced
-    # rows [U^T | I] are [D I | D (U^-1)^T], so row i of span holds
-    # D (U^-1)[s, i] at column n + s.
+    # rows [U^T | I] are [D I | D (U^-1)^T], so row i of their canonical
+    # form holds D (U^-1)[s, i] at column n + s.
+    reduced, rden, _ = K.canonical(kept)
     terms = [(n + s, d, op(kl)) for s, (d, kl) in enumerate(selected) if kl is not None]
     den = lcm(*(oden for _, _, (_, oden) in terms))
     weights = {c: (d * (den // oden), cols) for c, d, (cols, oden) in terms}
     rows = []
-    for row in span._rows:
+    for row in reduced:
         acc: dict[int, dict[int, int]] = {}  # acc[j][k]: e_k in e_i e_j
         for c, a in row:
             if c in weights:
@@ -434,4 +435,4 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
         for j in range(n):
             accj = acc.get(j)
             rows.append([(k, v) for k, v in accj.items() if v] if accj else ())
-    return _certified(g, Product._from_int(n, rows, span._den * den), False, "two_generator_lr")
+    return _certified(g, Product._from_int(n, rows, rden * den), False, "two_generator_lr")

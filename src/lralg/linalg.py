@@ -9,20 +9,21 @@ lralg._kernels.
 A Subspace holds its reduced row echelon basis as sparse integer rows
 over one denominator, the canonical form of that Matrix, which again
 makes equality structural: two subspaces are equal iff their bases are
-identical.  Every row reduction runs in one sparse Gauss-Jordan
-kernel, _kernels.echelon.  Spans pass it their rows as they come
+identical.  Every row reduction runs in the one sparse Gauss-Jordan
+insertion step of _kernels, nearly all of it through the kernel's loop
+over that step, echelon.  Spans pass echelon their rows as they come
 (nonzero constants, products, brackets) with no dense round trip;
 Matrix.rref, inverse and kernel reach it through _kernels.rref, its
 dense format, and solve and the metabelian split pass it the sparse
 rows of [A | b] through one reader.  Membership, quotients and the
 brackets of subspaces read the sparse rows; intersections and
 restriction of operators are Matrix algebra on the rows' Matrix view.
-A span grown one vector at a time inserts the vector's reduced row
-into its echelon basis and eliminates the new pivot from the other
-rows, which gives the same canonical basis without reducing those rows
-again.  A Fitting split of a commuting family is the common kernel and
-the summed images of the operator powers; it restricts no operator to a
-subspace.
+A span grown one vector at a time, where the next vector depends on
+which earlier ones were independent (the two-generator construction),
+holds the kernel's kept rows and calls the insertion step itself,
+reading the canonical basis once at the end.  A Fitting split of a
+commuting family is the common kernel and the summed images of the
+operator powers; it restricts no operator to a subspace.
 
 Structure tensors (Bilinear) store only their nonzero constants, as
 integer numerators over one common denominator; products, operators,
@@ -435,40 +436,6 @@ class Subspace:
                 for j, a in row:
                     out[j] -= c * a
         return out
-
-    def _with_row(self, r: list[int]) -> "Subspace":
-        """The span of the rows and one integer row r that is zero at
-        every pivot and nonzero elsewhere, such as a nonzero _remainder.
-
-        r is inserted at its leading coordinate p, scaled to 1 there,
-        and p is eliminated from the other rows: with a = r[p] > 0, row
-        t becomes (a row_t - row_t[p] r) / (a den) and r becomes
-        den r / (a den).  That is the reduced row echelon basis; divided
-        by the gcd of the denominator and all numerators it is in the
-        canonical form _from_sparse gives, without reducing the old
-        rows again.
-        """
-        n, den = self.ambient_dim, self._den
-        rs = _nonzero(r)
-        p, a = rs[0]
-        if a < 0:
-            rs = [(j, -y) for j, y in rs]
-            a = -a
-        # Only a row whose pivot precedes p can be nonzero at p.
-        at = sum(1 for q in self.pivots if q < p)
-        rows = [[(j, a * x) for j, x in row] if a != 1 else row for row in self._rows]
-        for t in range(at):
-            c = dict(self._rows[t]).get(p)
-            if c:
-                acc = dict(rows[t])
-                for j, y in rs:
-                    acc[j] = acc.get(j, 0) - c * y
-                rows[t] = sorted((j, x) for j, x in acc.items() if x)
-        rows.insert(at, [(j, den * y) for j, y in rs])
-        den *= a
-        g = gcd(den, *(x for row in rows for _, x in row))
-        rows = tuple(tuple((j, x // g) for j, x in row) if g > 1 else tuple(row) for row in rows)
-        return Subspace(n, rows, den // g, self.pivots[:at] + (p,) + self.pivots[at:])
 
     def reduce(self, vec) -> Vector:
         """Remainder of vec after eliminating all pivot coordinates.

@@ -30,12 +30,7 @@ def test_self_test_passes():
     assert run("--self-test") == "self-test: ok"
 
 
-def test_short_construct_sparse_run_is_correct():
-    last = json.loads(run("--workload", "construct-sparse", "--seconds", "1", "--trace", "0"))
-    assert last["correct"] is True and last["failed"] == 0
-
-
-@pytest.mark.parametrize("workload", ["construct-dense", "verify"])
+@pytest.mark.parametrize("workload", ["construct-sparse", "construct-dense", "verify"])
 def test_short_run_is_correct(workload):
     last = json.loads(run("--workload", workload, "--seconds", "1", "--trace", "0"))
     assert last["correct"] is True and last["failed"] == 0

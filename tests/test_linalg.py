@@ -42,6 +42,7 @@ from lralg.linalg import (
     _int_row,
 )
 from lralg.lr import _chain_reaches_zero, check_lr, product_span
+from test_kernels import dense_rref_rows
 from test_properties import fraction_rref
 
 F = Fraction
@@ -330,56 +331,92 @@ class TestProperties:
             assert kernel(r).dim == 0
 
 
-def assert_insertion_matches_rref(s, r):
-    """s._with_row(r) stores what one rref of the stacked rows stores."""
-    grown = s._with_row(r)
-    stacked = Subspace._from_int_rows(s.ambient_dim, s.rows._int_rows() + [r])
-    assert grown.rows._num == stacked.rows._num
-    assert grown.rows._den == stacked.rows._den
-    assert grown.pivots == stacked.pivots
-    assert grown.rows.shape == stacked.rows.shape
-    assert grown == stacked
+def kept_rows(rows):
+    """The kernel's kept rows after inserting the sparse rows one at a
+    time through its row step."""
+    kept = {}
+    for v in _kernels.remainders(kept, rows):
+        if v:
+            _kernels.keep(kept, v)
+    return kept
+
+
+def snapshot(kept):
+    return {p: dict(b) for p, b in kept.items()}
+
+
+def assert_insertion_matches_rref(rows, r, n):
+    """Inserting r into the kept rows of rows leaves what one echelon of
+    the stacked rows gives, which is the Fraction RREF; a row in their
+    span leaves the kept rows unchanged."""
+    kept = kept_rows(rows)
+    before = snapshot(kept)
+    v = next(_kernels.remainders(kept, [r]))
+    assert snapshot(kept) == before
+    if v:
+        _kernels.keep(kept, v)
+    stacked = rows + [r]
+    assert _kernels.canonical(kept) == _kernels.echelon(stacked, n) == dense_rref_rows(stacked, n)
+    return v
 
 
 # Pivots at 1 and 3 with nonzero entries in the free columns 0, 2 and 4
 # of the second row, over a denominator; each new row leads with a
 # negative entry, before, between and after the pivots.
-SPARSE_SPAN = [[0, 2, -3, 0, 5], [0, 0, 0, 3, 1]]
+SPARSE_SPAN = [[(1, 2), (2, -3), (4, 5)], [(3, 3), (4, 1)]]
 
 
 @pytest.mark.parametrize(
-    "rows, v",
+    "rows, r",
     [
-        (SPARSE_SPAN, [-2, 0, 7, 0, 1]),
-        (SPARSE_SPAN, [0, 0, -4, 0, 6]),
-        (SPARSE_SPAN, [0, 0, 0, 0, -3]),
-        ([], [0, -6, 4, 0, 2]),
-        ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], [0, 0, 0, -1, 0]),
+        (SPARSE_SPAN, [(0, -2), (2, 7), (4, 1)]),
+        (SPARSE_SPAN, [(2, -4), (4, 6)]),
+        (SPARSE_SPAN, [(4, -3)]),
+        ([], [(1, -6), (2, 4), (4, 2)]),
+        ([[(0, 1)], [(1, 1)]], [(3, -1)]),
     ],
     ids=["before", "between", "after", "into-zero", "unit-rows"],
 )
-def test_insert_row_matches_rref(rows, v):
-    s = Subspace._from_int_rows(5, rows)
-    r = s._remainder(v)
-    assert any(r) and r[next(j for j, x in enumerate(r) if x)] < 0
-    assert_insertion_matches_rref(s, r)
+def test_insert_row_matches_rref(rows, r):
+    v = assert_insertion_matches_rref(rows, r, 5)
+    assert v and v[min(v)] < 0
+
+
+def test_dependent_row_leaves_kept_rows():
+    # 2 * first - 3 * second, given out of column order
+    r = [(4, 7), (3, -9), (2, -6), (1, 4)]
+    assert assert_insertion_matches_rref(SPARSE_SPAN, r, 5) == {}
+
+
+def test_tagged_row_remainder_leads_in_tag_block():
+    """The two-generator scan's rows [u_s | e_s]: a candidate u in the
+    span of the kept u_s reduces to the relation among the tags alone,
+    -e_0 - 2 e_1 + e_2 up to a factor, and is not kept."""
+    n = 3
+    kept = kept_rows([[(0, 1), (1, 2), (n, 1)], [(1, 3), (2, -1), (n + 1, 1)]])
+    before = snapshot(kept)
+    u = [(0, 1), (1, 8), (2, -2)]
+    v = next(_kernels.remainders(kept, [u + [(n + 2, 1)]]))
+    assert min(v) >= n and snapshot(kept) == before
+    c = v[n + 2]
+    assert v == {n: -c, n + 1: -2 * c, n + 2: c}
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_insert_row_matches_rref_property(data):
-    """Random integer spans and vectors; the inserted row is the integer
-    remainder of the vector, negated on a drawn coin so that negative
-    leading entries come up as often as positive ones."""
+    """Random integer spans and rows, each row given by its nonzero
+    pairs, negated on a drawn coin so that negative leading entries come
+    up as often as positive ones; dependent rows included."""
     n = data.draw(st.integers(1, 6))
     ints = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
-    s = Subspace._from_int_rows(n, data.draw(st.lists(ints, max_size=n)))
-    r = s._remainder(data.draw(ints))
-    if not any(r):
-        return
+    rows = [[(c, x) for c, x in enumerate(r) if x] for r in data.draw(st.lists(ints, max_size=n))]
+    r = [(c, x) for c, x in enumerate(data.draw(ints)) if x]
     if data.draw(st.booleans()):
-        r = [-x for x in r]
-    assert_insertion_matches_rref(s, r)
+        r = [(c, -x) for c, x in r]
+    if rows and data.draw(st.booleans()):
+        r = [(c, 2 * x) for c, x in rows[0]]
+    assert_insertion_matches_rref(rows, r, n)
 
 
 def test_standard_basis():

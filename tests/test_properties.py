@@ -1360,9 +1360,10 @@ def test_two_generator_matches_eager_algorithm(data):
 
 def inverse_two_generator_lr(g, x, y):
     """two_generator_lr as computed before its scan also inverted the
-    kept vectors: the scan spans the kept vectors alone, U^-1 comes from
-    Matrix.inverse, and the table probes every column j of every kept
-    operator.  Returns the uncertified Product."""
+    kept vectors, with no insertion step: a candidate is kept when a
+    fresh reduction of the kept vectors and it has a larger rank, U^-1
+    comes from Matrix.inverse, and the table probes every column j of
+    every kept operator.  Returns the uncertified Product."""
     n = g.dim
     xv, yv = vector(x), vector(y)
 
@@ -1378,9 +1379,8 @@ def inverse_two_generator_lr(g, x, y):
 
     vectors = {None: _scale_fractions(xv), (0, 0): _scale_fractions(yv)}
     selected = []
-    span = Subspace.zero(n)
     for kl in itertools.chain([None], _scan_order(n)):
-        if span.dim == n:
+        if len(selected) == n:
             break
         if kl not in vectors:
             before, (cols, cden) = step(kl)
@@ -1395,11 +1395,9 @@ def inverse_two_generator_lr(g, x, y):
             h = math.gcd(*u, d)
             vectors[kl] = ([c // h for c in u], d // h) if h > 1 else (u, d)
         u, d = vectors[kl]
-        r = span._remainder(u)
-        if any(r):
-            span = span._with_row(r)
+        if Subspace._from_int_rows(n, [v for v, _, _ in selected] + [u]).dim > len(selected):
             selected.append((u, d, kl))
-    if span.dim != n:
+    if len(selected) != n:
         if subalgebra_generated(g, [xv, yv]).dim != n:
             raise NotGeneratedError("the two elements do not generate the algebra")
         raise InternalConsistencyError("candidate vectors do not span the algebra")
