@@ -156,27 +156,24 @@ def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
     (proj x) * y.  check_lr has just certified the left identity, so
     the left multiplications are taken as commuting without testing
     them again.  The left chain A, A*A, A*(A*A), ... is read first:
-    when it reaches 0, every left multiplication is nilpotent, so v_n
-    is the whole space, proj_n the identity, and p is returned
-    unchanged without an operator power or a change of basis.
-    Otherwise the Fitting split is taken from the powers of the left
-    multiplications, and the table p(proj e_i, e_j) is contracted from
-    p's integer constants.
+    when it reaches 0, v_n is the whole space and p is returned
+    unchanged.  Otherwise the split is read from the nonzero columns of
+    the left multiplications, and row i of the table is the sparse left
+    operator of proj_n e_i.
     """
     if not series(g).nilpotent:
         raise NotNilpotentError("completion on the nilpotent part requires a nilpotent algebra")
     _lr_input(g, p, "input is not an LR-structure, first violation: ")
     n = g.dim
     if _chain_reaches_zero(p, True):
-        # Every left multiplication is nilpotent: v_n is the whole space.
         fit = FittingSplit(Subspace.full(n), Subspace.zero(n), Matrix.identity(n))
         completed = p
     else:
-        lefts = [p._int_operator(((u, 1),), False) for u in range(n)]
-        fit = _fitting_split_commuting([Matrix._raw(n, n, a, p._den) for a in lefts])
-        ident = Matrix.identity(n)
-        rows, scale = _transport(p, fit.proj_n, ident, ident)
-        completed = Product._from_int(n, rows, p._den * scale)
+        fit = _fitting_split_commuting(n, [dict(p._by(False)[u]) for u in range(n)])
+        proj = fit.proj_n
+        rows = [p._times_basis(x, False) for x in _sparse_rows(proj.transpose())]
+        inz = [r.get(j, ()) for r in rows for j in range(n)]
+        completed = Product._from_int(n, inz, p._den * proj._den)
     return _completion(g, p, completed, fit, "complete_nilpotent")
 
 

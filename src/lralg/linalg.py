@@ -13,17 +13,18 @@ identical.  Every row reduction runs in the one sparse Gauss-Jordan
 insertion step of _kernels, nearly all of it through the kernel's loop
 over that step, echelon.  Spans pass echelon their rows as they come
 (nonzero constants, products, brackets) with no dense round trip;
-Matrix.rref, inverse and kernel reach it through _kernels.rref, its
-dense format, and solve and the metabelian split pass it the sparse
-rows of [A | b] through one reader.  Membership, quotients and the
-brackets of subspaces read the sparse rows; intersections and
-restriction of operators are Matrix algebra on the rows' Matrix view.
-A span grown one vector at a time, where the next vector depends on
-which earlier ones were independent (the two-generator construction),
-holds the kernel's kept rows and calls the insertion step itself,
-reading the canonical basis once at the end.  A Fitting split of a
-commuting family is the common kernel and the summed images of the
-operator powers; it restricts no operator to a subspace.
+Matrix.rref and inverse reach it through _kernels.rref, its dense
+format; kernel, solve and the metabelian split pass it sparse rows,
+the last two those of [A | b] through one reader.  Membership,
+quotients and the brackets of subspaces read the sparse rows;
+intersections and restriction of operators are Matrix algebra on the
+rows' Matrix view.  A span grown one vector at a time, where the next
+vector depends on which earlier ones were independent (the
+two-generator construction), holds the kernel's kept rows and calls
+the insertion step itself, reading the canonical basis once at the
+end.  Every nilpotency test and Fitting split runs one chain of spans,
+each the images of the one before, to its end (_chain_end), with no
+operator power.
 
 Structure tensors (Bilinear) store only their nonzero constants, as
 integer numerators over one common denominator; products, operators,
@@ -33,12 +34,12 @@ products is reduced on first use and kept.  Every "x times each basis
 vector" loop reads one index of those constants by row and by column,
 built on first use, through a dense reader (operator matrices) or a
 sparse one (the nonzero columns alone, which the two-generator
-construction and the Lemma 14 identities push their vectors through
-with one helper, _push).  Files are read into and written from those
-integers (lralg.io) without Fractions.  Fractions appear only at the
-edge of the library API: vectors passed in and returned are tuples of
-fractions.Fraction, and so are Subspace.basis, the tensor views and the
-defects of failed identities.
+construction, the Lemma 14 identities and the Fitting chains push their
+vectors through with one helper, _push).  Files are read into and
+written from those integers (lralg.io) without Fractions.  Fractions
+appear only at the edge of the library API: vectors passed in and
+returned are tuples of fractions.Fraction, and so are Subspace.basis,
+the tensor views and the defects of failed identities.
 """
 
 from __future__ import annotations
@@ -471,16 +472,16 @@ class Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Null space of m, a subspace of the domain."""
-    n = m.cols
-    num, den, pivots = K.rref(m._num, m.rows, n)
-    vecs = []
-    for j in sorted(set(range(n)) - set(pivots)):
-        v = [(j, den)]
-        for t, p in enumerate(pivots):
-            if num[t * n + j]:
-                v.append((p, -num[t * n + j]))
-        vecs.append(v)
+    """Null space of m, a subspace of the domain: its rows' annihilator."""
+    return _annihilator(Subspace._from_sparse(m.cols, _sparse_rows(m)))
+
+
+def _annihilator(s: Subspace) -> Subspace:
+    """The x with b . x = 0 for all b in s: per non-pivot column j of its
+    echelon rows, _den e_j minus their entries at j placed at their pivots."""
+    n, at = s.ambient_dim, [dict(r) for r in s._rows]
+    free = sorted(set(range(n)) - set(s.pivots))
+    vecs = ([(j, s._den)] + [(p, -r[j]) for p, r in zip(s.pivots, at) if j in r] for j in free)
     return Subspace._from_sparse(n, vecs)
 
 
@@ -581,36 +582,54 @@ def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
     return coords
 
 
+def _chain_end(first: Subspace, images) -> Subspace:
+    """Where the chain W_1 = first, W_t+1 = span of the sparse vectors
+    images(b) over the rows b of W_t, stops: at 0 or at the first step
+    that keeps the dimension, the stable image, as the chain decreases."""
+    space, above = first, first.ambient_dim
+    while 0 < space.dim < above:
+        above, rows = space.dim, space._rows
+        space = Subspace._from_sparse(first.ambient_dim, (v for b in rows for v in images(b)))
+    return space
+
+
+def _stable_image(n: int, family: list[dict]) -> Subspace:
+    """The stable image of the operators on Q^n with nonzero columns
+    {j: column} (_push's form): _chain_end from the span of the columns."""
+    first = Subspace._from_sparse(n, (c for cols in family for c in cols.values()))
+    return _chain_end(first, lambda b: (_push(cols, b, n) for cols in family))
+
+
+def _column_map(m: Matrix) -> dict[int, list]:
+    """The columns of m's numerators as {j: nonzero (k, x) pairs}."""
+    return dict(enumerate(_sparse_rows(m.transpose())))
+
+
+def _transposed(cols: dict) -> dict[int, list]:
+    """The rows {k: nonzero (j, x) pairs} of the operator with columns cols."""
+    out: dict[int, list] = {}
+    for j, col in cols.items():
+        for k, x in col:
+            out.setdefault(k, []).append((j, x))
+    return out
+
+
 def is_nilpotent_operator(m: Matrix) -> bool:
-    """True iff m**dim is the zero matrix."""
+    """True iff a power of m is zero: the chain of images of m reaches 0."""
     if not m.is_square:
         raise DimensionMismatchError("nilpotency of a non-square matrix")
-    return m.power(m.rows).is_zero
+    return not _stable_image(m.rows, [_column_map(m)]).dim
 
 
 @dataclass(frozen=True)
 class FittingSplit:
-    """Decomposition into the nilpotent and co-nilpotent invariant parts.
-
-    proj_n is the projection onto v_n along v_0.
-    """
+    """Decomposition into the invariant parts v_n, the Fitting null
+    component, where the operators act nilpotently, and v_0, the one
+    component; proj_n is the projection onto v_n along v_0."""
 
     v_n: Subspace
     v_0: Subspace
     proj_n: Matrix
-
-
-def _projection_onto(v_n: Subspace, v_0: Subspace) -> Matrix:
-    """target * basis**-1, basis with the rows of v_n and v_0 as columns
-    and target with v_n's and zeros; scaling a column of both alike (to
-    integer numerators) leaves the product unchanged."""
-    n = v_n.ambient_dim
-    if v_n.dim + v_0.dim != n:
-        raise PreconditionError("subspaces do not decompose the ambient space")
-    top = v_n.rows._num
-    basis = Matrix._raw(n, n, top + v_0.rows._num, 1).transpose()
-    target = Matrix._raw(n, n, top + [0] * (v_0.dim * n), 1).transpose()
-    return target * basis.inverse()
 
 
 def fitting_split_single(m: Matrix) -> FittingSplit:
@@ -620,7 +639,7 @@ def fitting_split_single(m: Matrix) -> FittingSplit:
     """
     if not m.is_square:
         raise DimensionMismatchError("Fitting split of a non-square matrix")
-    return _fitting_split_commuting([m])
+    return _fitting_split_commuting(m.rows, [_column_map(m)])
 
 
 def fitting_split_family(ms) -> FittingSplit:
@@ -640,27 +659,29 @@ def fitting_split_family(ms) -> FittingSplit:
         for j in range(i + 1, len(mats)):
             if mats[i] * mats[j] != mats[j] * mats[i]:
                 raise NonCommutingFamilyError(f"operators {i} and {j} do not commute")
-    return _fitting_split_commuting(mats)
+    return _fitting_split_commuting(n, [_column_map(m) for m in mats])
 
 
-def _fitting_split_commuting(mats: list[Matrix]) -> FittingSplit:
-    """Joint Fitting decomposition of square operators of one size that
-    commute pairwise, which is assumed, not checked.
+def _fitting_split_commuting(n: int, family: list[dict]) -> FittingSplit:
+    """Joint Fitting decomposition of operators on Q^n, given by their
+    integer columns {j: column}, that are assumed, not checked, to commute.
 
-    By definition (de Graaf, Lie Algebras: Theory and Algorithms, 2000)
-    v_n, the Fitting null component, is the common kernel of the powers
-    m**dim, and v_0, the Fitting one component, is the sum of their
-    images.  Row and column scale leave both spans unchanged, so the
-    integer numerators of the powers serve.
+    v_0, the sum of the images of the powers m**n, is the family's
+    stable image, and v_n, their common kernel, the annihilator of the
+    transposed family's (de Graaf, Lie Algebras: Theory and Algorithms,
+    2000).  The rows [b | b], b in v_n, and [b | 0], b in v_0, span the
+    graph of proj_n: row i of their echelon form is [e_i | proj_n e_i].
     """
-    if not mats:
+    if not family:
         raise DimensionMismatchError("empty operator family")
-    n = mats[0].rows
-    powers = [m.power(n) for m in mats]
-    rows = [r for p in powers for r in p._int_rows() if any(r)]
-    v_n = kernel(Matrix._raw(len(rows), n, [x for r in rows for x in r], 1))
-    v_0 = Subspace._from_int_rows(n, [p._num[j::n] for p in powers for j in range(n)])
-    return FittingSplit(v_n, v_0, _projection_onto(v_n, v_0))
+    v_0 = _stable_image(n, family)
+    v_n = _annihilator(_stable_image(n, [_transposed(cols) for cols in family]))
+    graph = [b + tuple((n + k, x) for k, x in b) for b in v_n._rows]
+    rows, den, pivots = K.echelon(graph + list(v_0._rows), 2 * n)
+    if pivots != tuple(range(n)):
+        raise PreconditionError("subspaces do not decompose the ambient space")
+    num = [x for row in rows for x in _int_row(((c - n, x) for c, x in row[1:]), n)]
+    return FittingSplit(v_n, v_0, Matrix._raw(n, n, num, den).transpose())
 
 
 class Bilinear:
@@ -687,11 +708,10 @@ class Bilinear:
 
     The operator of x, y -> x . y or y -> y . x, is read from _index,
     the nonzero constants by row and by column (_by), built on first
-    use.  _int_operator writes all of its columns, for operator and for
-    the left multiplications of complete_nilpotent; _times_basis returns
-    only the nonzero ones, sparse, for the LR certificates, escape and
-    changes of basis.  The span of all products (_product_span) is kept
-    in _span the same way.
+    use.  _int_operator writes all of its columns, for operator;
+    _times_basis returns only the nonzero ones, sparse, for the LR
+    certificates, escape, changes of basis and the completion's table.
+    The span of all products (_product_span) is kept in _span the same way.
     """
 
     __slots__ = ("dim", "_inz", "_den", "_tensor", "_index", "_span")

@@ -59,6 +59,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _chain_end,
     _int_row,
     _memoized,
     _nonzero,
@@ -161,18 +162,9 @@ def _chain_reaches_zero(p: Product, right: bool) -> bool:
     """True iff the chain V_0 = Q^n, V_t+1 = span of the products b e_i,
     or of e_i b when right is set, over the rows b of V_t reaches 0:
     A, A*A, (A*A)*A, ... or A, A*A, A*(A*A), ...  Both chains have
-    V_1 = A, the span of all products, which p keeps once computed.
-    The chain decreases, and a step that keeps the dimension keeps the
-    space, so once it stalls it never reaches 0."""
-    n = p.dim
-    space, above = p._product_span(), n
-    while space.dim:
-        if space.dim == above:
-            return False
-        above = space.dim
-        products = (v for b in space._rows for v in p._times_basis(b, right).values())
-        space = Subspace._from_sparse(n, products)
-    return True
+    V_1 = A, the span of all products, which p keeps once computed;
+    linalg._chain_end runs them."""
+    return not _chain_end(p._product_span(), lambda b: p._times_basis(b, right).values()).dim
 
 
 def _compatibility_violations(g: LieAlgebra, p: Product) -> list[Violation]:

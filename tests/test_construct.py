@@ -472,9 +472,10 @@ def test_construction_path_scales_no_fraction_vector(monkeypatch):
 
 
 def test_completion_pipeline_restricts_no_operator(monkeypatch):
-    """The Fitting split and phi are read from powers and brackets on the
-    whole space: with restrict_operator refusing in every module that
-    binds it, splits, completions and lifts still succeed."""
+    """The Fitting split is read from chains of images and phi from
+    brackets, on the whole space: with restrict_operator refusing in
+    every module that binds it, splits, completions and lifts still
+    succeed."""
     diag, fil = diag_solvable([1, 2, 3]), filiform(12)
     e = standard_basis(12)
     cases = [

@@ -150,3 +150,14 @@ def test_kernels_are_called_through_the_module(module):
     lralg._kernels; a kernel bound to a second name escapes it."""
     bound = kernel_bindings(parse(os.path.join(PACKAGE, module)))
     assert not bound, f"{module} binds kernels by name: {', '.join(bound)}"
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_operator_powers(module):
+    """Nilpotency tests and Fitting splits run chains of images, so no
+    module calls .power(, the n - 1 dense products of Matrix.power,
+    which serves the public Matrix API alone."""
+    tree = parse(os.path.join(PACKAGE, module))
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Attribute) and n.func.attr == "power"]
+    assert not lines, f"{module} calls .power( on lines {lines}"

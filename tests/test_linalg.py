@@ -39,6 +39,7 @@ from lralg.linalg import (
     subspace_sum,
     to_fraction,
     vector,
+    _fitting_split_commuting,
     _int_row,
 )
 from lralg.lr import _chain_reaches_zero, check_lr, product_span
@@ -221,6 +222,7 @@ class TestOperators:
     def test_nilpotent_detection(self):
         assert is_nilpotent_operator(Matrix([[0, 1], [0, 0]]))
         assert is_nilpotent_operator(Matrix.zeros(3, 3))
+        assert is_nilpotent_operator(Matrix.zeros(0, 0))
         assert not is_nilpotent_operator(Matrix.identity(2))
         # rotation has no real eigenvalues but is not nilpotent
         assert not is_nilpotent_operator(Matrix([[0, 1], [-1, 0]]))
@@ -269,6 +271,15 @@ class TestFitting:
         b = Matrix([[0, 0], [1, 0]])
         with pytest.raises(NonCommutingFamilyError):
             fitting_split_family([a, b])
+
+    def test_unchecked_core_rejects_a_split_that_does_not_decompose(self):
+        """_fitting_split_commuting assumes the family commutes; for
+        e2 -> e1 and the projection onto e1, which do not, the stable
+        image <e1> and the annihilator 0 of the transposed family's do
+        not decompose Q^2, and the graph of proj_n is not formed."""
+        cols = [{1: [(0, 1)]}, {0: [(0, 1)]}]
+        with pytest.raises(PreconditionError, match="do not decompose"):
+            _fitting_split_commuting(2, cols)
 
     def test_empty_family_whole_space_nilpotent(self):
         fit = fitting_split_family([Matrix.zeros(2, 2)])

@@ -185,6 +185,30 @@ class TestCompleteness:
         g, p = known_lr("r2-right-broken")
         assert check_lr(g, p).is_complete is False
 
+    def test_completeness_chain_reductions_per_fixture(self, monkeypatch):
+        """check_lr runs the chain A, A*A, (A*A)*A, ... through the shared
+        loop linalg._chain_end with the first term, rows and reductions
+        of the loop it replaced: one _kernels.echelon for the span of the
+        products, then one per step until the chain reaches 0 or keeps
+        its dimension, and none when the right identity fails."""
+        calls = []
+        real = _kernels.echelon
+        monkeypatch.setattr(_kernels, "echelon", lambda *a: calls.append(1) or real(*a))
+        counts = {}
+        for name in known_lr_names():
+            g, p = known_lr(name)
+            g.ensure_valid()
+            linalg._memo.clear()
+            calls.clear()
+            check_lr(g, p)
+            counts[name] = len(calls)
+        assert counts == {
+            "heisenberg-half": 2, "heisenberg-onesided": 2, "heisenberg-fullbracket": 2,
+            "abelian1-idempotent": 1, "abelian2-idempotent-line": 2, "r2-twogen": 2,
+            "r2-completed": 2, "diag11-twogen": 2, "free2step3-half": 2,
+            "filiform12-shift": 11, "r2-right-broken": 0, "r2-left-broken": 1,
+        }
+
 
 class TestOpposite:
     def test_involution(self):

@@ -14,9 +14,10 @@ structure constants, must match the dense operator-matrix checks they replaced,
 and the quotients, read from integer remainders, the Fraction table
 they replaced.  The metabelian split, solved and checked on integers,
 must match the Fraction split it replaced, also where the complement
-algebra is not abelian, and the joint Fitting split,
-read from operator powers on the whole space, the restrict-and-embed
-split it replaced, on polynomials in one matrix and on the left
+algebra is not abelian, and the joint Fitting split, read from the
+stable images of the family and of its transpose, both the
+restrict-and-embed split and the split by operator powers and a dense
+inverse that it replaced, on polynomials in one matrix and on the left
 multiplications of recipe products.  The completion's Fitting split,
 read off the left chain when that reaches 0, must equal that power
 split of the left multiplications on both branches.  The series, taken
@@ -57,6 +58,7 @@ from lralg.catalog import (
     heisenberg,
     known_lr,
     known_lr_names,
+    r2,
 )
 from lralg.construct import (
     _scan_order,
@@ -80,9 +82,9 @@ from lralg.lie import (
 )
 from lralg.linalg import (
     Bilinear,
+    FittingSplit,
     Matrix,
     Subspace,
-    _fitting_split_commuting,
     _int_row,
     _nonzero,
     _push,
@@ -428,15 +430,31 @@ def test_series_matches_lower_central_loop_in_random_bases(data):
     assert series(g) == loop_series(g)
 
 
-def power_core_fitting(p):
-    """The joint Fitting split of the left multiplications of p, taken
-    from kernels and images of their powers."""
-    return _fitting_split_commuting([left_op(p, e) for e in standard_basis(p.dim)])
+def power_core_fitting(mats):
+    """The joint Fitting split of a commuting family by its definition,
+    as the library first computed it: v_n is the common kernel of the
+    powers m**n, v_0 the sum of their images, and proj_n is
+    target * basis**-1, basis with the rows of v_n and v_0 as columns
+    and target with v_n's rows and zeros."""
+    n = mats[0].rows
+    powers = [m.power(n) for m in mats]
+    rows = [r for pw in powers for r in pw._int_rows() if any(r)]
+    v_n = kernel(Matrix._raw(len(rows), n, [x for r in rows for x in r], 1))
+    v_0 = Subspace._from_int_rows(n, [pw._num[j::n] for pw in powers for j in range(n)])
+    top = v_n.rows._num
+    basis = Matrix._raw(n, n, top + v_0.rows._num, 1).transpose()
+    target = Matrix._raw(n, n, top + [0] * (v_0.dim * n), 1).transpose()
+    return FittingSplit(v_n, v_0, target * basis.inverse())
+
+
+def lefts(p):
+    """The left multiplications of p, as Matrices."""
+    return [left_op(p, e) for e in standard_basis(p.dim)]
 
 
 def test_completion_fitting_matches_power_core_on_both_branches():
     """complete_nilpotent reads v_n = Q^n off a left chain that reaches 0
-    and takes operator powers otherwise; on the nilpotent fixtures, whose
+    and takes stable images otherwise; on the nilpotent fixtures, whose
     left chains reach 0 for some and not for others, its split is the
     power core's."""
     branches = set()
@@ -446,7 +464,7 @@ def test_completion_fitting_matches_power_core_on_both_branches():
         if not (rep.is_lr and rep.is_compatible and series(g).nilpotent):
             continue
         branches.add(lr._chain_reaches_zero(p, True))
-        assert complete_nilpotent(g, p).fitting == power_core_fitting(p)
+        assert complete_nilpotent(g, p).fitting == power_core_fitting(lefts(p))
     assert branches == {True, False}
 
 
@@ -464,7 +482,80 @@ def test_completion_fitting_matches_power_core(data):
     assume(rep.is_lr and rep.is_compatible and is_two_step_solvable(g))
     split = split_metabelian(g)
     q = quotient_product(g, p, split.g_infinity)
-    assert complete_nilpotent(split.complement_algebra, q).fitting == power_core_fitting(q)
+    assert complete_nilpotent(split.complement_algebra, q).fitting == power_core_fitting(lefts(q))
+
+
+def idempotent_product(n, seed):
+    """An LR-structure on the abelian algebra Q^n, n even, whose left
+    chain stalls: the commutative associative product e_a e_a = e_a on
+    the first half and the truncated polynomial product t^a t^b = t^(a+b)
+    on the second, in the basis of the columns of a seeded sparse
+    unitriangular matrix.  Its Fitting one component is the first half,
+    its null component the second."""
+    h = n // 2
+    rng = random.Random(seed)
+    m = Matrix([[1 if i == j else rng.choice([0, 0, 0, 1, -1, 2]) if i < j else 0
+                 for j in range(n)] for i in range(n)])
+    basis, minv = [m.column(i) for i in range(n)], m.inverse()
+
+    def times(x, y):
+        out = [x[a] * y[a] for a in range(h)] + [Fraction(0)] * h
+        for a in range(h):
+            for b in range(h - a - 1):  # t^(a+1) t^(b+1) = t^(a+b+2)
+                out[h + a + b + 1] += x[h + a] * y[h + b]
+        return out
+
+    return abelian(n), Product([[minv.apply(times(x, y)) for y in basis] for x in basis])
+
+
+def test_completion_makes_no_dense_operator_power_or_inverse(monkeypatch):
+    """complete_nilpotent calls neither Matrix.power, Matrix.inverse,
+    _kernels.mat_mul nor Bilinear._int_operator: its split comes from
+    chains of sparse images and one echelon, its table from sparse
+    operators.  r2-completed runs through complete_any, whose lift
+    inverts its change of basis, so only calls made inside
+    complete_nilpotent count."""
+    cases = [known_lr("abelian1-idempotent"), known_lr("abelian2-idempotent-line"),
+             idempotent_product(24, seed=5)]
+    inside, calls = [], []
+    for owner, name in ((Matrix, "power"), (Matrix, "inverse"), (_kernels, "mat_mul"),
+                        (Bilinear, "_int_operator")):
+        def counted(*args, _name=name, _real=getattr(owner, name)):
+            if inside:
+                calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    real = construct.complete_nilpotent
+
+    def flagged(*args):
+        inside.append(True)
+        try:
+            return real(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(construct, "complete_nilpotent", flagged)
+    for g, p in cases:
+        assert not lr._chain_reaches_zero(p, True)
+        construct.complete_nilpotent(g, p)
+    assert_complete = complete_any(*known_lr("r2-completed")).completed
+    assert check_lr(r2(), assert_complete).is_complete
+    assert calls == []
+
+
+def test_completion_of_idempotent_product_matches_power_core_and_dense_transport():
+    """On the dim-24 idempotent product the split equals the power core
+    and the completed table the old contraction p(proj_n x, y) through
+    the dense loop of _transport."""
+    g, p = idempotent_product(24, seed=5)
+    cert = complete_nilpotent(g, p)
+    fit = power_core_fitting(lefts(p))
+    ident = Matrix.identity(24)
+    rows, scale = dense_transport(p, fit.proj_n, ident, ident)
+    assert (fit.v_n.dim, fit.v_0.dim) == (12, 12)
+    assert cert.fitting == fit
+    assert cert.completed == Product._from_int(24, rows, p._den * scale)
 
 
 # The Heisenberg algebra <x, y, z>, [x, y] = z, acting on the line <v>
@@ -852,8 +943,7 @@ def commuting_family(draw):
 def recipe_lefts(draw):
     """The left multiplications of a recipe product: they commute, and
     an idempotent or an acting Jordan block gives them a nonzero v_0."""
-    p = draw(recipe())[1]
-    return [left_op(p, e) for e in standard_basis(p.dim)]
+    return lefts(draw(recipe())[1])
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -862,6 +952,24 @@ def test_fitting_split_matches_restricted_split(family):
     for fit, mats in ((fitting_split_family(family), family),
                       (fitting_split_single(family[0]), family[:1])):
         assert (fit.v_n, fit.v_0, fit.proj_n) == restricted_fitting_split(mats)
+        assert fit == power_core_fitting(mats)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_nilpotency_chain_matches_power(data):
+    """is_nilpotent_operator runs the chain of images of m to its end;
+    it must say m**n == 0 on random matrices and on strictly upper
+    triangular ones after a change of basis, 0 x 0 included."""
+    n = data.draw(st.integers(0, 6))
+    if data.draw(st.booleans()):
+        m = Matrix(data.draw(st.lists(
+            st.lists(small_rational, min_size=n, max_size=n), min_size=n, max_size=n)))
+    else:
+        upper = [[data.draw(small_rational) if i < j else 0 for j in range(n)] for i in range(n)]
+        s, sinv = data.draw(invertible(n))
+        m = Matrix(s) * Matrix(upper) * Matrix(sinv)
+    assert is_nilpotent_operator(m) == m.power(m.rows).is_zero
 
 
 def dense_lr_violations(p):
