@@ -26,6 +26,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _int_row,
     _memoized,
     _nonzero,
     _ratios,
@@ -412,22 +413,15 @@ class SplitDecomposition:
         return acc
 
 
-def _phi_matrix(g: LieAlgebra, ws, wden: int, ginf: Subspace) -> Matrix:
-    """Matrix of x -> [w, x] on ginf, in ginf's RREF coordinates, for
-    w given by its nonzero (index, numerator) pairs ws over wden.
-
-    Column t is [w, b_t] for b_t the t-th RREF row of ginf, read at
-    ginf's pivots, since row s is 1 at pivot s and 0 at the other
-    pivots.  A bracket with a nonzero remainder against ginf has left
-    it.
-    """
+def _phi_matrix(g: LieAlgebra, ws, ginf: Subspace) -> Matrix:
+    """Matrix of x -> [w, x] on ginf in its RREF coordinates, for w given
+    by its nonzero (index, integer) pairs ws: column t is [w, b_t] for
+    b_t the t-th RREF row of ginf, which must not leave ginf."""
     cols = [g._int_apply(ws, b) for b in ginf._rows]
-    for c in cols:
-        if any(ginf._remainder(c)):
-            raise InternalConsistencyError("bracket left the stabilized term")
-    k = ginf.dim
-    num = [cols[t][p] for p in ginf.pivots for t in range(k)]
-    return Matrix._raw(k, k, num, wden * g._den * ginf._den)
+    phi = ginf._image_coordinates(cols, g._den * ginf._den)
+    if phi is None:
+        raise InternalConsistencyError("bracket left the stabilized term")
+    return phi
 
 
 def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
@@ -447,7 +441,9 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     uses (linalg._solve_rows, free variables 0), and closure is checked
     exactly against those constants.  The correction tau_j lies in
     g_infinity, which is abelian, so [w_j + tau_j, b] = [w_j, b] for b
-    in g_infinity: phi of the unit vectors is phi of the complement.
+    in g_infinity: phi of the unit vectors, computed once each, is phi
+    of the complement.  Closure gives [row a, row b] = sum_c beta[a][b][c]
+    row c, so phi is a homomorphism iff [phi_a, phi_b] = phi_of(beta[a][b]).
     """
     rep = series(g)
     if not rep.two_step_solvable:
@@ -461,7 +457,7 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     units = complement(ginf)
     free = units.pivots
     q, k = len(free), ginf.dim
-    phi = tuple(_phi_matrix(g, u, 1, ginf) for u in units._rows)
+    phi = tuple(_phi_matrix(g, u, ginf) for u in units._rows)
     n_alg = LieAlgebra._from_int(*g._quotient(ginf))
     beta, bden = n_alg._inz, n_alg._den
 
@@ -503,9 +499,8 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     sparse = _sparse_rows(comp)
     if Subspace._from_sparse(n, sparse).dim != q:
         raise InternalConsistencyError("corrected complement lost dimension")
-    brackets = {}
     for a, b in pairs:
-        br = brackets[a, b] = g._int_apply(sparse[a], sparse[b])
+        br = g._int_apply(sparse[a], sparse[b])
         want = [0] * n
         for c, x in beta[a * q + b]:
             for i, y in sparse[c]:
@@ -513,11 +508,11 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
         if any(x * bden != y * cden * gden for x, y in zip(br, want)):
             raise InternalConsistencyError("corrected complement is not a subalgebra")
 
-    for a, b in pairs if k else ():  # with g_infinity = 0 every phi is 0 x 0
-        lhs = phi[a] * phi[b] - phi[b] * phi[a]
-        if lhs != _phi_matrix(g, _nonzero(brackets[a, b]), cden * cden * gden, ginf):
-            raise InternalConsistencyError("phi is not a homomorphism")
-
-    return SplitDecomposition(
+    split = SplitDecomposition(
         algebra=g, series=rep, complement=comp, phi=phi, complement_algebra=n_alg
     )
+    for a, b in pairs if k else ():  # with g_infinity = 0 every phi is 0 x 0
+        lhs = phi[a] * phi[b] - phi[b] * phi[a]
+        if lhs != split.phi_of(_to_vector(_int_row(beta[a * q + b], q), bden)):
+            raise InternalConsistencyError("phi is not a homomorphism")
+    return split

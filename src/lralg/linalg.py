@@ -16,15 +16,15 @@ over that step, echelon.  Spans pass echelon their rows as they come
 Matrix.rref and inverse reach it through _kernels.rref, its dense
 format; kernel, solve and the metabelian split pass it sparse rows,
 the last two those of [A | b] through one reader.  Membership,
-quotients and the brackets of subspaces read the sparse rows;
-intersections and restriction of operators are Matrix algebra on the
-rows' Matrix view.  A span grown one vector at a time, where the next
-vector depends on which earlier ones were independent (the
-two-generator construction), holds the kernel's kept rows and calls
-the insertion step itself, reading the canonical basis once at the
-end.  Every nilpotency test and Fitting split runs one chain of spans,
-each the images of the one before, to its end (_chain_end), with no
-operator power.
+quotients, the brackets of subspaces and the restriction of an
+operator read the sparse rows; an intersection and a Fitting split's
+projection are read from one echelon of the rows [b | b] and [b | 0].
+A span grown one vector at a time, where the next vector depends on
+which earlier ones were independent (the two-generator construction),
+holds the kernel's kept rows and calls the insertion step itself,
+reading the canonical basis once at the end.  Every nilpotency test
+and Fitting split runs one chain of spans, each the images of the one
+before, to its end (_chain_end), with no operator power.
 
 Structure tensors (Bilinear) store only their nonzero constants, as
 integer numerators over one common denominator; products, operators,
@@ -32,14 +32,14 @@ quotients, spans of products and identity checks run on those integers,
 and the Fraction tensor is a view built on first read; the span of all
 products is reduced on first use and kept.  Every "x times each basis
 vector" loop reads one index of those constants by row and by column,
-built on first use, through a dense reader (operator matrices) or a
-sparse one (the nonzero columns alone, which the two-generator
-construction, the Lemma 14 identities and the Fitting chains push their
-vectors through with one helper, _push).  Files are read into and
-written from those integers (lralg.io) without Fractions.  Fractions
-appear only at the edge of the library API: vectors passed in and
-returned are tuples of fractions.Fraction, and so are Subspace.basis,
-the tensor views and the defects of failed identities.
+built on first use, through one reader of the nonzero columns, which
+operator writes into its Matrix and the two-generator construction,
+the Lemma 14 identities and the Fitting chains push their vectors
+through with one helper, _push.  Files are read into and written from
+those integers (lralg.io) without Fractions.  Fractions appear only at
+the edge of the library API: vectors passed in and returned are tuples
+of fractions.Fraction, and so are Subspace.basis, the tensor views and
+the defects of failed identities.
 """
 
 from __future__ import annotations
@@ -438,6 +438,15 @@ class Subspace:
                     out[j] -= c * a
         return out
 
+    def _image_coordinates(self, images, den: int) -> Matrix | None:
+        """The dim x dim Matrix whose column t is the RREF coordinates of
+        images[t] / den, one integer vector per basis row, which are its
+        values at the pivots; None if one of them lies outside."""
+        if any(any(self._remainder(v)) for v in images):
+            return None
+        k = self.dim
+        return Matrix._raw(k, k, [v[p] for p in self.pivots for v in images], den)
+
     def reduce(self, vec) -> Vector:
         """Remainder of vec after eliminating all pivot coordinates.
 
@@ -536,24 +545,25 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked coefficient matrix.
-
-    x in both spans means x = sum c_i a_i = sum d_j b_j; the pairs
-    (c, d) with sum c_i a_i - sum d_j b_j = 0 form the kernel of the
-    matrix whose columns are the a_i and the negated b_j.  Integer
-    numerators serve as a_i and b_j: a rescaled row rescales its kernel
-    coordinate inversely, so x = (c, d) * [a_i; 0] stays the same.
-    """
+    """Intersection by Zassenhaus's algorithm: the echelon rows of
+    [u | u], u in a, and [v | 0], v in b, with a pivot past the left
+    half are 0 there and hold the RREF basis of the intersection on the
+    right, once their common factor with the denominator is divided out."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero(a.ambient_dim)
-    n, k = a.ambient_dim, a.dim + b.dim
-    anum = a.rows._num
-    stacked = Matrix._raw(k, n, anum + [-x for x in b.rows._num], 1)
-    coeffs = kernel(stacked.transpose()).rows
-    xs = coeffs * Matrix._raw(k, n, anum + [0] * (b.dim * n), 1)
-    return Subspace._from_int_rows(n, xs._int_rows())
+    n = a.ambient_dim
+    rows, den, pivots = _graph_echelon(n, a._rows, b._rows)
+    meet = [r for r, p in zip(rows, pivots) if p >= n]
+    g = gcd(den, *(x for r in meet for _, x in r))
+    rows = tuple(tuple((c - n, x // g) for c, x in r) for r in meet)
+    return Subspace(n, rows, den // g, tuple(p - n for p in pivots if p >= n))
+
+
+def _graph_echelon(n: int, tagged, plain) -> tuple[tuple, int, tuple[int, ...]]:
+    """echelon's (rows, den, pivots) of the rows [b | b], b in tagged, and
+    [b | 0], b in plain, for sparse rows b of length n."""
+    graph = [b + tuple((n + k, x) for k, x in b) for b in tagged]
+    return K.echelon(graph + list(plain), 2 * n)
 
 
 def complement(s: Subspace) -> Subspace:
@@ -565,19 +575,17 @@ def complement(s: Subspace) -> Subspace:
 
 
 def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
-    """Matrix of m on an invariant subspace, in the RREF basis of s.
-
-    The columns of m * B (B the basis as columns) have their coordinates
-    in the pivot rows.  Raises PreconditionError if s is not invariant
-    under m, that is if B times those coordinates differs from m * B.
+    """Matrix of m on an invariant subspace, in the RREF basis of s:
+    column t holds the coordinates of m times the t-th basis row.
+    Raises PreconditionError if s is not invariant under m, that is if
+    one of those images leaves s.
     """
     if not m.is_square or m.rows != s.ambient_dim:
         raise DimensionMismatchError("operator does not act on the ambient space")
-    b = s.rows.transpose()
-    images = m * b
-    rows = images._int_rows()
-    coords = Matrix._raw(s.dim, s.dim, [x for p in s.pivots for x in rows[p]], images._den)
-    if b * coords != images:
+    n, cols = s.ambient_dim, _column_map(m)
+    images = [_int_row(_push(cols, b, n), n) for b in s._rows]
+    coords = s._image_coordinates(images, m._den * s._den)
+    if coords is None:
         raise PreconditionError("subspace is not invariant under the operator")
     return coords
 
@@ -676,8 +684,7 @@ def _fitting_split_commuting(n: int, family: list[dict]) -> FittingSplit:
         raise DimensionMismatchError("empty operator family")
     v_0 = _stable_image(n, family)
     v_n = _annihilator(_stable_image(n, [_transposed(cols) for cols in family]))
-    graph = [b + tuple((n + k, x) for k, x in b) for b in v_n._rows]
-    rows, den, pivots = K.echelon(graph + list(v_0._rows), 2 * n)
+    rows, den, pivots = _graph_echelon(n, v_n._rows, v_0._rows)
     if pivots != tuple(range(n)):
         raise PreconditionError("subspaces do not decompose the ambient space")
     num = [x for row in rows for x in _int_row(((c - n, x) for c, x in row[1:]), n)]
@@ -708,9 +715,9 @@ class Bilinear:
 
     The operator of x, y -> x . y or y -> y . x, is read from _index,
     the nonzero constants by row and by column (_by), built on first
-    use.  _int_operator writes all of its columns, for operator;
-    _times_basis returns only the nonzero ones, sparse, for the LR
-    certificates, escape, changes of basis and the completion's table.
+    use, by one reader: _times_basis returns its nonzero columns, sparse,
+    which operator writes into its Matrix and the LR certificates,
+    escape, changes of basis and the completion's table read as they are.
     The span of all products (_product_span) is kept in _span the same way.
     """
 
@@ -821,10 +828,13 @@ class Bilinear:
 
     def operator(self, x, right: bool = False) -> Matrix:
         """Matrix of y -> x . y, or of y -> y . x when right is set."""
-        xnum, xden = _scaled(x, self.dim, self._kind)
-        return Matrix._raw(
-            self.dim, self.dim, self._int_operator(_nonzero(xnum), right), xden * self._den
-        )
+        n = self.dim
+        xnum, xden = _scaled(x, n, self._kind)
+        num = [0] * (n * n)
+        for j, col in self._times_basis(_nonzero(xnum), right).items():
+            for k, c in col:
+                num[k * n + j] = c
+        return Matrix._raw(n, n, num, xden * self._den)
 
     def _by(self, right: bool) -> list[list]:
         """The nonzero constants by row, or by column when right is set:
@@ -841,18 +851,6 @@ class Bilinear:
                     cols[j].append((i, w))
         return self._index[right]
 
-    def _int_operator(self, xs, right: bool) -> list[int]:
-        """Flat numerators of operator(x) over _den, for x given by its
-        nonzero (index, integer) pairs: every column, as a dense list."""
-        n = self.dim
-        by = self._by(right)
-        num = [0] * (n * n)
-        for m, x in xs:
-            for j, w in by[m]:
-                for k, c in w:
-                    num[k * n + j] += x * c
-        return num
-
     def _product_span(self) -> Subspace:
         """The span of all products e_i . e_j, one row per nonzero
         constant slot; built on first use and kept in _span."""
@@ -861,12 +859,12 @@ class Bilinear:
         return self._span
 
     def _times_basis(self, xs, right: bool) -> dict[int, tuple]:
-        """The nonzero columns of operator(x) over _den, for x given as
-        for _int_operator: {j: x . e_j}, or {j: e_j . x} when right is
-        set, each a vector in _inz's form, sorted nonzero (k, numerator)
-        pairs, so == on two columns is equality of the vectors.  For a
-        single term x_m e_m these are the constants of row or column m,
-        scaled by x_m."""
+        """The nonzero columns of operator(x) over _den, for x given by
+        its nonzero (index, integer) pairs: {j: x . e_j}, or {j: e_j . x}
+        when right is set, each a vector in _inz's form, sorted nonzero
+        (k, numerator) pairs, so == on two columns is equality of the
+        vectors.  For a single term x_m e_m these are the constants of
+        row or column m, scaled by x_m."""
         n = self.dim
         by = self._by(right)
         if len(xs) == 1:

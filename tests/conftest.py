@@ -1,6 +1,7 @@
 """Prints a one-line verdict per acceptance criterion at the end of any
-run that touched tests/test_acceptance.py, and empties the report memo
-before every test.
+run that touched tests/test_acceptance.py, empties the report memo
+before every test, and counts dense matrix products for the tests that
+ask for mat_mul_calls.
 
 The suite writes no bytecode: pytest loads this file before any test
 module imports lralg, and the subprocess tests copy os.environ.  Caches
@@ -26,6 +27,23 @@ def _empty_report_memo():
     from lralg import linalg
 
     linalg._memo.clear()
+
+
+@pytest.fixture
+def mat_mul_calls(monkeypatch):
+    """The shapes (n, m, p) of every _kernels.mat_mul call the test makes:
+    a dense matrix product shows up here, whatever the timing."""
+    from lralg import _kernels
+
+    calls = []
+    real = _kernels.mat_mul
+
+    def counted(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "mat_mul", counted)
+    return calls
 
 
 _results: dict[int, tuple[str, str]] = {}

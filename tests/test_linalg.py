@@ -219,6 +219,24 @@ class TestOperators:
         with pytest.raises(PreconditionError):
             restrict_operator(m, s)
 
+    def test_subspace_questions_read_only_the_sparse_rows(self, mat_mul_calls):
+        """Restriction, intersection and operators read the sparse rows and
+        the constants' column index: no dense product and no Matrix view
+        of a Subspace, on the filiform algebra's series, which ad(e1)
+        leaves invariant, and a complement of one of its terms."""
+        g = filiform(12)
+        terms = series(g).lower_central
+        spaces = terms + (complement(terms[2]),)
+        ad_x = g.operator(standard_basis(12)[0])
+        assert g.operator(standard_basis(12)[1], right=True) != ad_x
+        for s in terms:
+            assert restrict_operator(ad_x, s).rows == s.dim
+        for s in spaces:
+            for t in spaces:
+                assert subspace_intersection(s, t).dim <= min(s.dim, t.dim)
+        assert mat_mul_calls == []
+        assert all(s._matrix is None for s in spaces)
+
     def test_nilpotent_detection(self):
         assert is_nilpotent_operator(Matrix([[0, 1], [0, 0]]))
         assert is_nilpotent_operator(Matrix.zeros(3, 3))

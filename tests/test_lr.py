@@ -362,19 +362,7 @@ class TestQuotientProduct:
 class TestNoOperatorProducts:
     """The certificates read products of products of the structure
     constants; a dense operator product coming back into them shows up
-    as a kernel call, whatever the timing."""
-
-    @pytest.fixture
-    def mat_mul_calls(self, monkeypatch):
-        calls = []
-        real = _kernels.mat_mul
-
-        def counted(*args):
-            calls.append(args[2:])
-            return real(*args)
-
-        monkeypatch.setattr(_kernels, "mat_mul", counted)
-        return calls
+    as a kernel call (mat_mul_calls), whatever the timing."""
 
     def test_check_lr_and_check_complete(self, mat_mul_calls):
         g = filiform(24)
@@ -406,8 +394,8 @@ class TestNoOperatorProducts:
         the constants: no dense operator, no operator product, also
         when identities fail and defects are built."""
         built = []
-        real = Bilinear._int_operator
-        monkeypatch.setattr(Bilinear, "_int_operator", lambda *a: built.append(a) or real(*a))
+        real = Bilinear.operator
+        monkeypatch.setattr(Bilinear, "operator", lambda *a, **k: built.append(a) or real(*a, **k))
         e = standard_basis(12)
         for p in (
             two_generator_lr(filiform(12), e[0], e[1]),

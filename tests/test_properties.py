@@ -73,6 +73,7 @@ from lralg.errors import InternalConsistencyError, NotGeneratedError, Preconditi
 from lralg.lie import (
     LieAlgebra,
     SeriesReport,
+    SplitDecomposition,
     ad,
     bracket_of_subspaces,
     is_two_step_solvable,
@@ -512,7 +513,7 @@ def idempotent_product(n, seed):
 
 def test_completion_makes_no_dense_operator_power_or_inverse(monkeypatch):
     """complete_nilpotent calls neither Matrix.power, Matrix.inverse,
-    _kernels.mat_mul nor Bilinear._int_operator: its split comes from
+    _kernels.mat_mul nor Bilinear.operator: its split comes from
     chains of sparse images and one echelon, its table from sparse
     operators.  r2-completed runs through complete_any, whose lift
     inverts its change of basis, so only calls made inside
@@ -521,11 +522,11 @@ def test_completion_makes_no_dense_operator_power_or_inverse(monkeypatch):
              idempotent_product(24, seed=5)]
     inside, calls = [], []
     for owner, name in ((Matrix, "power"), (Matrix, "inverse"), (_kernels, "mat_mul"),
-                        (Bilinear, "_int_operator")):
-        def counted(*args, _name=name, _real=getattr(owner, name)):
+                        (Bilinear, "operator")):
+        def counted(*args, _name=name, _real=getattr(owner, name), **kwargs):
             if inside:
                 calls.append(_name)
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
     real = construct.complete_nilpotent
@@ -602,18 +603,57 @@ def test_split_correction_over_a_nonabelian_quotient():
 
 
 def test_split_compares_phi_only_when_g_infinity_is_nonzero(monkeypatch):
-    """With g_infinity = 0 every phi is 0 x 0: the split reads phi once
-    per complement row and compares no pair.  The Heisenberg-on-a-line
-    algebra, whose g_infinity is a line, still compares phi on its
-    pairs."""
-    calls = []
-    real = lie._phi_matrix
+    """The split computes phi once per complement row, q times, and
+    compares it on pairs through phi_of on the complement's constants.
+    With g_infinity = 0 every phi is 0 x 0 and no pair is compared; the
+    Heisenberg-on-a-line algebra, whose g_infinity is a line, compares
+    each of its 3 pairs once."""
+    calls, compared = [], []
+    real, real_of = lie._phi_matrix, SplitDecomposition.phi_of
     monkeypatch.setattr(lie, "_phi_matrix", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(SplitDecomposition, "phi_of",
+                        lambda *args: compared.append(1) or real_of(*args))
     split = split_metabelian(filiform(12))
     assert split.g_infinity.dim == 0 and len(calls) == split.complement.rows == 12
+    assert compared == []
     calls.clear()
     split = split_metabelian(LieAlgebra.from_brackets(*HEISENBERG_ON_A_LINE))
-    assert split.g_infinity.dim == 1 and len(calls) > split.complement.rows
+    assert split.g_infinity.dim == 1 and len(calls) == split.complement.rows == 3
+    assert len(compared) == 3
+
+
+def test_split_rejects_a_correction_that_does_not_close(monkeypatch):
+    """On [e1, e3] = e3, [e1, e2] = e3 the correction moves e2 to
+    e2 - e3; with the second row's correction shifted back to e2 the
+    rows bracket to e3, outside their span, and the closure check
+    raises.  (A shift of the first row, e1 + c e3, still closes.)"""
+    real = lie._solve_rows
+
+    def shifted(eqs, nvars):
+        x, den = real(eqs, nvars)
+        x[1] += den  # T[1][0]: the coefficient of e3 in the second row
+        return x, den
+
+    monkeypatch.setattr(lie, "_solve_rows", shifted)
+    g = LieAlgebra.from_brackets(3, {(0, 2): {2: 1}, (0, 1): {2: 1}})
+    with pytest.raises(InternalConsistencyError, match="corrected complement is not a subalgebra"):
+        split_metabelian(g)
+
+
+def test_split_rejects_a_phi_that_is_not_a_homomorphism(monkeypatch):
+    """On Heisenberg-on-a-line [x, y] = z, and phi of the unit z is 0;
+    with phi of z (and of any vector bracketing as z) made 1, [phi_x,
+    phi_y] = 0 differs from it and the homomorphism check raises."""
+    real = lie._phi_matrix
+
+    def wrong(g, ws, *rest):
+        m = real(g, ws, *rest)
+        return m + Matrix.identity(m.rows) if list(ws) == [(2, 1)] else m
+
+    monkeypatch.setattr(lie, "_phi_matrix", wrong)
+    g = LieAlgebra.from_brackets(*HEISENBERG_ON_A_LINE)
+    with pytest.raises(InternalConsistencyError, match="phi is not a homomorphism"):
+        split_metabelian(g)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -789,9 +829,12 @@ def test_integer_paths_match_fraction_oracle(data):
 
     e = standard_basis(n)
     assert space(subspace_sum(a, b)) == fraction_rref(va + vb, n)
-    # x lies in a and b iff the null vectors of both annihilate it.
-    annihilators = fraction_null(va, n)[0] + fraction_null(vb, n)[0]
-    assert space(subspace_intersection(a, b)) == fraction_null(annihilators, n)
+    # x lies in u and v iff the null vectors of both annihilate it; a with
+    # itself and with 0 are the edge cases, in canonical form too.
+    for u, v, vu, vv in ((a, b, va, vb), (a, a, va, va), (a, Subspace.zero(n), va, [])):
+        meet = fraction_null(fraction_null(vu, n)[0] + fraction_null(vv, n)[0], n)
+        inter = subspace_intersection(u, v)
+        assert space(inter) == meet and inter == Subspace.from_vectors(n, meet[0])
     assert a.contains_subspace(b) == (len(fraction_rref(va + vb, n)[1]) == a.dim)
     assert space(complement(a)) == fraction_rref([e[c] for c in range(n) if c not in a.pivots], n)
 
@@ -812,11 +855,11 @@ def test_integer_paths_match_fraction_oracle(data):
     m = Matrix(mrows)
     assert space(kernel(m)) == fraction_null(mrows, n)
     assert space(image(m)) == fraction_rref(list(zip(*mrows)), n)
-    # The Krylov span of y is invariant under m; a usually is not.
+    # The Krylov span of y and 0 are invariant under m; a usually is not.
     krylov = [y]
     for _ in range(n - 1):
         krylov.append(fraction_apply(mrows, krylov[-1]))
-    for rows in (krylov, va):
+    for rows in (krylov, [], va):
         basis, pivots = fraction_rref(rows, n)
         images = [fraction_apply(mrows, v) for v in basis]
         coords = [tuple(im[p] for p in pivots) for im in images]
@@ -1114,6 +1157,19 @@ def test_sample_draws_match_fraction_draws(dim):
                 assert _to_vector(num, den) == v
 
 
+def dense_operator(b, xs, right):
+    """Flat numerators over b._den of b.operator(x, right), for x given by
+    its nonzero (index, integer) pairs, summed from the constants b._inz:
+    every column, as a dense list."""
+    n, inz = b.dim, b._inz
+    num = [0] * (n * n)
+    for m, x in xs:
+        for j in range(n):
+            for k, c in inz[j * n + m] if right else inz[m * n + j]:
+                num[k * n + j] += x * c
+    return num
+
+
 def apply_lemma_defects(p, x, y, z):
     """The sampled identities as computed before the products were read
     from the operators: each of the 8 products by Bilinear._int_apply on
@@ -1126,10 +1182,10 @@ def apply_lemma_defects(p, x, y, z):
         return _nonzero(p._int_apply(a, b))
 
     def left(a):
-        return p._int_operator(a, False)
+        return dense_operator(p, a, False)
 
     def right(a):
-        return p._int_operator(a, True)
+        return dense_operator(p, a, True)
 
     def mul(a, b):
         return _kernels.mat_mul(a, b, n, n, n)
@@ -1302,8 +1358,8 @@ def operator_escape(b, s, both_sides):
     operators of each basis row of s, every column reduced in turn."""
     n = b.dim
     for row in s._rows:
-        left = b._int_operator(row, True)
-        right = b._int_operator(row, False) if both_sides else None
+        left = dense_operator(b, row, True)
+        right = dense_operator(b, row, False) if both_sides else None
         for i in range(n):
             if any(s._remainder(left[i::n])):
                 return "left", i
