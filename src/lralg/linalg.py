@@ -555,8 +555,8 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     rows, den, pivots = _graph_echelon(n, a._rows, b._rows)
     meet = [r for r, p in zip(rows, pivots) if p >= n]
     g = gcd(den, *(x for r in meet for _, x in r))
-    rows = tuple(tuple((c - n, x // g) for c, x in r) for r in meet)
-    return Subspace(n, rows, den // g, tuple(p - n for p in pivots if p >= n))
+    basis = tuple(tuple((c - n, x // g) for c, x in r) for r in meet)
+    return Subspace(n, basis, den // g, tuple(p - n for p in pivots if p >= n))
 
 
 def _graph_echelon(n: int, tagged, plain) -> tuple[tuple, int, tuple[int, ...]]:

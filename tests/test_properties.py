@@ -642,7 +642,7 @@ def test_split_rejects_a_correction_that_does_not_close(monkeypatch):
 
 def test_split_rejects_a_phi_that_is_not_a_homomorphism(monkeypatch):
     """On Heisenberg-on-a-line [x, y] = z, and phi of the unit z is 0;
-    with phi of z (and of any vector bracketing as z) made 1, [phi_x,
+    with phi of the vector z made 1 wherever it is computed, [phi_x,
     phi_y] = 0 differs from it and the homomorphism check raises."""
     real = lie._phi_matrix
 
