@@ -24,7 +24,9 @@ which earlier ones were independent (the two-generator construction),
 holds the kernel's kept rows and calls the insertion step itself,
 reading the canonical basis once at the end.  Every nilpotency test
 and Fitting split runs one chain of spans, each the images of the one
-before, to its end (_chain_end), with no operator power.
+before, to its end (_chain_end), with no operator power; the chain too
+calls the insertion step itself, holds each term as its kept rows and
+reads out only the last one.
 
 Structure tensors (Bilinear) store only their nonzero constants, as
 integer numerators over one common denominator; products, operators,
@@ -593,12 +595,26 @@ def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
 def _chain_end(first: Subspace, images) -> Subspace:
     """Where the chain W_1 = first, W_t+1 = span of the sparse vectors
     images(b) over the rows b of W_t, stops: at 0 or at the first step
-    that keeps the dimension, the stable image, as the chain decreases."""
-    space, above = first, first.ambient_dim
-    while 0 < space.dim < above:
-        above, rows = space.dim, space._rows
-        space = Subspace._from_sparse(first.ambient_dim, (v for b in rows for v in images(b)))
-    return space
+    that keeps the dimension, the stable image, as the chain decreases.
+
+    Each term past the first is held as the kept rows of the insertion
+    step of _kernels, each a multiple of an RREF row, so a step reduces
+    the images of the rows of the RREF basis up to a scale per row; only
+    the term returned is read out canonically.  No step runs when first
+    is 0 or the whole space, and first itself is returned."""
+    n, above, rows = first.ambient_dim, first.dim, first._rows
+    if not 0 < above < n:
+        return first
+    while True:
+        kept: dict = {}
+        for v in K.remainders(kept, (w for b in rows for w in images(b))):
+            if v:
+                K.keep(kept, v)
+        if not kept:
+            return Subspace.zero(n)
+        if len(kept) == above:
+            return Subspace(n, *K.canonical(kept))
+        above, rows = len(kept), [kept[q].items() for q in sorted(kept)]
 
 
 def _stable_image(n: int, family: list[dict]) -> Subspace:
@@ -716,8 +732,10 @@ class Bilinear:
     The operator of x, y -> x . y or y -> y . x, is read from _index,
     the nonzero constants by row and by column (_by), built on first
     use, by one reader: _times_basis returns its nonzero columns, sparse,
-    which operator writes into its Matrix and the LR certificates,
-    escape, changes of basis and the completion's table read as they are.
+    which operator writes into its Matrix and the Lemma 14 identities,
+    the completeness chains, escape, changes of basis and the
+    completion's table read as they are; the LR identity check sums the
+    constants of _by itself.
     The span of all products (_product_span) is kept in _span the same way.
     """
 

@@ -13,18 +13,23 @@ Complete means every right multiplication is nilpotent.
 The certificates are tested on the structure constants, in the style
 of de Graaf, Lie Algebras: Theory and Algorithms (2000), not on
 operator matrices.  A sparse contraction of the integer constants _inz
-with themselves, read through the product's own index of them
-(Bilinear._times_basis), gives the products of products
+with themselves, read through the product's own index of them by row
+and by column (Bilinear._by), gives the products of products
 
-    T[i, j, k] = e_i (e_j e_k),        S[i, j, k] = (e_i e_j) e_k,
+    T[i, j, k] = e_i (e_j e_k),        S[i, j, k] = (e_i e_j) e_k.
 
-one k at a time: T[i, j, k] is column k of L(e_i)L(e_j) and S[k, j, i]
-column k of R(e_i)R(e_j).  The left identity at (i, j, k) reads
-T[i, j, k] = T[j, i, k] and the right one S[k, j, i] = S[k, i, j], so
-each difference is column k of the commutator of two basis operators.
-The Lemma 14 identities on basis vectors are read from the same
-columns, indexed by their first and second index, so each is a
-comparison of maps {l: column l} that hold only the nonzero columns.
+T[i, j, k] is column k of L(e_i)L(e_j) and S[k, j, i] column k of
+R(e_i)R(e_j).  The left identity at (i, j, k) reads T[i, j, k] =
+T[j, i, k] and the right one S[k, j, i] = S[k, i, j], so each
+difference is column k of the commutator of two basis operators.  The
+identity check adds each term of T[i, j, k] and subtracts each term of
+T[j, i, k] into one integer accumulator per pair i < j, and the same
+for S, so a pair fails exactly when its accumulator is nonzero.  The
+Lemma 14 identities on basis vectors are read from tables of the same
+columns, {(i, j): T[i, j, k]} and {(i, j): S[k, j, i]} for each k,
+indexed by their first and second index, so each is a comparison of
+maps {l: column l} that hold only the nonzero columns; they are built
+only for a product that passes the identity check.
 The sampled identities run on the integer numerators of the sample
 vectors and compare the same kind of maps: each operator is held by
 its nonzero columns, and an operator product pushes the columns of
@@ -36,8 +41,9 @@ term is spanned by the words R(e_i1)...R(e_it) applied to A.  If the
 chain reaches 0, every R(e_i) is nilpotent.  Conversely, commuting
 nilpotent operators generate a nilpotent associative algebra, so once
 the right identity holds, the chain reaches 0 iff every right
-multiplication is nilpotent.  Each step is one row reduction instead
-of a matrix power per basis operator.
+multiplication is nilpotent.  Each step feeds the images of the kept
+rows of the term before to one Gauss-Jordan insertion step
+(linalg._chain_end), instead of a matrix power per basis operator.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ from .linalg import (
     Subspace,
     Vector,
     _chain_end,
-    _int_row,
     _memoized,
     _nonzero,
     _push,
@@ -128,34 +133,43 @@ def _columns(p: Product) -> Iterator[tuple[dict, dict]]:
     return (_column(p, k) for k in range(p.dim))
 
 
-def _difference(a, b, n: int, den: int) -> Vector | None:
-    """(a - b) / den as a vector for two sparse vectors, None when a == b."""
-    if a == b:
-        return None
-    out = _int_row(a, n)
-    for l, x in b:
-        out[l] -= x
-    return _to_vector(out, den)
-
-
-def _lr_violations(p: Product, columns) -> tuple[list[Violation], list[Violation]]:
+def _lr_violations(p: Product) -> tuple[list[Violation], list[Violation]]:
     """Violations of the left and of the right identity, each ordered by
     (i, j, k) with i < j: the nonzero columns k of the commutators of
-    the basis operators i and j, read from columns, the _column(p, k)
-    for k = 0, 1, ...  Given _columns(p), only one column k of the
-    products is held at a time; only pairs present in it can differ."""
+    the basis operators i and j.  Column k of [L(e_i), L(e_j)] is
+    e_i (e_j e_k) - e_j (e_i e_k).  For each k, each nonzero
+    w = e_j e_k and each term x e_m of w, column m of the constants
+    (Bilinear._by) gives the terms x (e_i e_m) of e_i (e_j e_k); each
+    is added into the integer accumulator of the pair (i, j), or
+    subtracted from that of (j, i) when i > j, and a pair whose
+    accumulator is nonzero is a violation.  Column k of
+    [R(e_i), R(e_j)], (e_k e_j) e_i - (e_k e_i) e_j, is read the same
+    way from the constants by row."""
     n, den = p.dim, p._den ** 2
-    left: list[Violation] = []
-    right: list[Violation] = []
-    for k, column in enumerate(columns):
-        for table, identity, out in zip(column, (LR_LEFT, LR_RIGHT), (left, right)):
-            for i, j in {(min(a, b), max(a, b)) for a, b in table if a != b}:
-                d = _difference(table.get((i, j), ()), table.get((j, i), ()), n, den)
-                if d:
-                    out.append(Violation(identity, (i, j, k), d))
-    left.sort(key=lambda v: v.indices)
-    right.sort(key=lambda v: v.indices)
-    return left, right
+    out: tuple[list[Violation], list[Violation]] = ([], [])
+    for right, identity, found in zip((True, False), (LR_LEFT, LR_RIGHT), out):
+        by = p._by(right)
+        for k in range(n):
+            acc: dict[int, list[int]] = {}
+            for j, w in by[k]:
+                for m, x in w:
+                    for i, c in by[m]:
+                        if i == j:
+                            continue
+                        if i < j:
+                            pair, s = i * n + j, x
+                        else:
+                            pair, s = j * n + i, -x
+                        a = acc.get(pair)
+                        if a is None:
+                            a = acc[pair] = [0] * n
+                        for l, y in c:
+                            a[l] += s * y
+            for pair, a in acc.items():
+                if any(a):
+                    found.append(Violation(identity, (*divmod(pair, n), k), _to_vector(a, den)))
+        found.sort(key=lambda v: v.indices)
+    return out
 
 
 def _chain_reaches_zero(p: Product, right: bool) -> bool:
@@ -225,7 +239,7 @@ def check_lr(g: LieAlgebra, p: Product) -> LrReport:
 
 
 def _check_lr(g: LieAlgebra, p: Product) -> LrReport:
-    left_violations, right_violations = _lr_violations(p, _columns(p))
+    left_violations, right_violations = _lr_violations(p)
     compatibility = _compatibility_violations(g, p)
     return LrReport(
         is_lr=not (left_violations or right_violations),
@@ -242,7 +256,7 @@ def check_complete(p: Product) -> bool:
     right multiplications commute and the chain A, A*A, (A*A)*A, ...
     reaches 0 exactly when they are all nilpotent.
     """
-    if _lr_violations(p, _columns(p))[1]:
+    if _lr_violations(p)[1]:
         raise PreconditionError("right multiplications do not commute")
     return _chain_reaches_zero(p, False)
 
@@ -349,7 +363,7 @@ def _transpose(cols: dict) -> dict:
     return out
 
 
-def _lemma_violations(p: Product, columns=None) -> list[Violation]:
+def _lemma_violations(p: Product) -> list[Violation]:
     """The six identities on all basis pairs and triples, as identities
     among products of products.  Column l of each side, with
     w = e_j e_k:
@@ -368,11 +382,9 @@ def _lemma_violations(p: Product, columns=None) -> list[Violation]:
     once and transposed.  An identity is compared at every (i, j) and at
     every (i, j, k) with w != 0 (for w = 0 both sides vanish), in that
     order, and the defect Matrix is built only for a failing one.
-    columns is the list of every _column(p, k), computed here if None.
     """
     n = p.dim
-    if columns is None:
-        columns = list(_columns(p))
+    columns = list(_columns(p))
     # l1[k][i][j] = l2[k][j][i] = e_i (e_j e_k), r1[k][i][j] = r2[k][j][i] = (e_k e_j) e_i
     l1, l2 = _by_first_and_second(left for left, _ in columns)
     r1, r2 = _by_first_and_second(right for _, right in columns)
@@ -427,17 +439,17 @@ def check_lemma14(p: Product, samples=()) -> list[Violation]:
     constants with themselves (module docstring); column l of
     L(e_i)R(w) = R(e_i w), say, reads e_i (e_l w) = e_l (e_i w).  Only
     nonzero columns are compared, and the triple identities only where
-    w = e_j e_k is nonzero.  The gate and the basis identities read one
-    list of the columns of the products of products.  The sampled
-    triples push the nonzero columns of the operators of the sample
-    vectors through each other, each identity over one denominator.  A
-    defect Matrix is formed only for a violation.
+    w = e_j e_k is nonzero.  The gate sums the products of products
+    into one accumulator per commutator; the tables of their columns
+    that the basis identities compare are built only once it passes.
+    The sampled triples push the nonzero columns of the operators of
+    the sample vectors through each other, each identity over one
+    denominator.  A defect Matrix is formed only for a violation.
     """
-    columns = list(_columns(p))
-    left, right = _lr_violations(p, columns)
+    left, right = _lr_violations(p)
     if left or right:
         return left + right
-    violations = _lemma_violations(p, columns)
+    violations = _lemma_violations(p)
     for s, (x, y, z) in enumerate(samples):
         for name, d in _lemma_defects(p, x, y, z):
             violations.append(Violation(name + " (sampled)", (s,), d))

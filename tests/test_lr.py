@@ -187,26 +187,47 @@ class TestCompleteness:
 
     def test_completeness_chain_reductions_per_fixture(self, monkeypatch):
         """check_lr runs the chain A, A*A, (A*A)*A, ... through the shared
-        loop linalg._chain_end with the first term, rows and reductions
-        of the loop it replaced: one _kernels.echelon for the span of the
-        products, then one per step until the chain reaches 0 or keeps
-        its dimension, and none when the right identity fails."""
-        calls = []
-        real = _kernels.echelon
-        monkeypatch.setattr(_kernels, "echelon", lambda *a: calls.append(1) or real(*a))
-        counts = {}
+        loop linalg._chain_end, which feeds each term's images to the
+        insertion step of _kernels itself: it reduces and keeps the rows
+        that the loop of one _kernels.echelon per step did, on every
+        fixture (rows reduced, rows kept), and makes one echelon, for
+        the span of the products, or none when the right identity
+        fails."""
+        counts = {"reduced": 0, "kept": 0, "echelon": 0}
+        echelon, remainders, keep = _kernels.echelon, _kernels.remainders, _kernels.keep
+
+        def counted_echelon(*a):
+            counts["echelon"] += 1
+            return echelon(*a)
+
+        def counted_remainders(kept, rows):
+            for v in remainders(kept, rows):
+                counts["reduced"] += 1
+                yield v
+
+        def counted_keep(*a):
+            counts["kept"] += 1
+            return keep(*a)
+
+        monkeypatch.setattr(_kernels, "echelon", counted_echelon)
+        monkeypatch.setattr(_kernels, "remainders", counted_remainders)
+        monkeypatch.setattr(_kernels, "keep", counted_keep)
+        seen = {}
         for name in known_lr_names():
             g, p = known_lr(name)
             g.ensure_valid()
             linalg._memo.clear()
-            calls.clear()
+            counts.update(reduced=0, kept=0, echelon=0)
             check_lr(g, p)
-            counts[name] = len(calls)
-        assert counts == {
-            "heisenberg-half": 2, "heisenberg-onesided": 2, "heisenberg-fullbracket": 2,
-            "abelian1-idempotent": 1, "abelian2-idempotent-line": 2, "r2-twogen": 2,
-            "r2-completed": 2, "diag11-twogen": 2, "free2step3-half": 2,
-            "filiform12-shift": 11, "r2-right-broken": 0, "r2-left-broken": 1,
+            seen[name] = (counts["reduced"], counts["kept"], counts["echelon"])
+        # (rows reduced, rows kept, echelon calls)
+        assert seen == {
+            "heisenberg-half": (2, 1, 1), "heisenberg-onesided": (1, 1, 1),
+            "heisenberg-fullbracket": (2, 1, 1), "abelian1-idempotent": (1, 1, 1),
+            "abelian2-idempotent-line": (2, 2, 1), "r2-twogen": (2, 2, 1),
+            "r2-completed": (1, 1, 1), "diag11-twogen": (4, 4, 1),
+            "free2step3-half": (6, 3, 1), "filiform12-shift": (55, 55, 1),
+            "r2-right-broken": (0, 0, 0), "r2-left-broken": (2, 2, 1),
         }
 
 
@@ -261,6 +282,23 @@ class TestLemma14:
         violations = check_lemma14(Product(rows))
         assert violations
         assert {v.identity for v in violations} <= {LR_LEFT, LR_RIGHT}
+
+    def test_gate_failure_builds_no_column_tables(self, monkeypatch):
+        """The gate sums its commutators without the tables of columns
+        that the basis identities compare: a product that fails it never
+        reaches lr._column, and one that passes builds each column k
+        once."""
+        calls = []
+        real = lr._column
+        monkeypatch.setattr(lr, "_column", lambda p, k: calls.append(k) or real(p, k))
+        _, good = known_lr("heisenberg-half")
+        rows = [list(map(list, row)) for row in good.table]
+        rows[2][0][0] = F(1)
+        for p in (known_lr("r2-right-broken")[1], known_lr("r2-left-broken")[1], Product(rows)):
+            assert check_lemma14(p)
+        assert calls == []
+        assert check_lemma14(good) == []
+        assert calls == [0, 1, 2]
 
     def test_dimension_zero(self):
         assert check_lemma14(Product.zero(0)) == []
@@ -373,6 +411,26 @@ class TestNoOperatorProducts:
         assert rep.is_lr and rep.is_compatible and rep.is_complete
         assert check_complete(p)
         assert mat_mul_calls == []
+
+    def test_identity_check_reads_no_operator_columns(self, monkeypatch):
+        """The LR identities are summed straight from the index of the
+        constants (Bilinear._by): Bilinear._times_basis, the reader of
+        operator columns, is never called, neither by the check itself
+        nor by check_lr or check_lemma14 on products that fail the right
+        identity, where no completeness chain runs."""
+        e = standard_basis(12)
+        products = [known_lr(name)[1] for name in known_lr_names()]
+        products.append(two_generator_lr(filiform(12), e[0], e[1]))
+        calls = []
+        real = Bilinear._times_basis
+        monkeypatch.setattr(
+            Bilinear, "_times_basis", lambda *a: calls.append(a[1:]) or real(*a)
+        )
+        for p in products:
+            lr._lr_violations(p)
+        g, p = known_lr("r2-right-broken")
+        assert not check_lr(g, p).is_lr and check_lemma14(p)
+        assert calls == []
 
     def test_lemma14_outside_the_samples(self, mat_mul_calls, monkeypatch):
         """Neither the basis identities nor the sampled triples multiply

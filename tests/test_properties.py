@@ -52,7 +52,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from lralg import _kernels, construct, lie, lr
+from lralg import _kernels, construct, lie, linalg, lr
 from lralg.catalog import (
     abelian,
     diag_solvable,
@@ -1016,6 +1016,79 @@ def test_nilpotency_chain_matches_power(data):
     assert is_nilpotent_operator(m) == m.power(m.rows).is_zero
 
 
+def echelon_chain_end(first, images):
+    """The chain loop as first written: one _kernels.echelon, read out as
+    a Subspace, per step."""
+    space, above = first, first.ambient_dim
+    while 0 < space.dim < above:
+        above, rows = space.dim, space._rows
+        space = Subspace._from_sparse(first.ambient_dim, (v for b in rows for v in images(b)))
+    return space
+
+
+def assert_chain_end_matches_echelon_per_step(first, images):
+    got, want = linalg._chain_end(first, images), echelon_chain_end(first, images)
+    assert got == want and got.pivots == want.pivots
+    if first.dim in (0, first.ambient_dim):
+        assert got is first
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_chain_end_matches_echelon_per_step(data):
+    """_chain_end, holding each term as the kept rows of the insertion
+    step, must end where the loop of one echelon per step ends, from the
+    span of a family's columns (a decreasing chain) and from the zero
+    and the full space, on families of three kinds: products of n x r
+    and r x n matrices, r < n, which need not commute; and strictly
+    upper triangular or upper triangular matrices after one change of
+    basis, whose chain reaches 0 or stops at a nonzero stable image.
+    The stable image of the last kind must be the old loop's too."""
+    n = data.draw(st.integers(1, 6))
+    kind = data.draw(st.sampled_from(["low rank", "nilpotent", "triangular"]))
+    s, sinv = data.draw(invertible(n))
+    mats = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        if kind == "low rank":
+            r = data.draw(st.integers(0, n - 1))
+            a, b = (data.draw(st.lists(st.lists(small_rational, min_size=c, max_size=c),
+                                       min_size=rows, max_size=rows))
+                    for rows, c in ((n, r), (r, n)))
+            mats.append(Matrix(a) * Matrix(b) if r else Matrix.zeros(n, n))
+        else:
+            diagonal = kind == "triangular"
+            upper = [[data.draw(small_rational) if i < j or (diagonal and i == j) else 0
+                      for j in range(n)] for i in range(n)]
+            mats.append(Matrix(s) * Matrix(upper) * Matrix(sinv))
+    family = [linalg._column_map(m) for m in mats]
+
+    def images(b):
+        return (_push(cols, b, n) for cols in family)
+
+    first = Subspace._from_sparse(n, (c for cols in family for c in cols.values()))
+    for start in (first, Subspace.zero(n), Subspace.full(n)):
+        assert_chain_end_matches_echelon_per_step(start, images)
+    stable = linalg._stable_image(n, family)
+    assert stable == echelon_chain_end(first, images)
+    if kind == "nilpotent":
+        assert stable.dim == 0
+
+
+@pytest.mark.parametrize("right", [False, True])
+def test_completeness_chains_match_echelon_per_step(right):
+    """The chains A, A*A, (A*A)*A, ... and A, A*A, A*(A*A), ... of the
+    catalog products and of two-generator products on filiform(n), as
+    lr._chain_reaches_zero runs them."""
+    products = [p for _, p in FIXTURES]
+    for n in (5, 9, 16):
+        e = standard_basis(n)
+        products.append(two_generator_lr(filiform(n), e[0], e[1]))
+    for p in products:
+        assert_chain_end_matches_echelon_per_step(
+            p._product_span(), lambda b: p._times_basis(b, right).values()
+        )
+
+
 def dense_lr_violations(p):
     """The dense check: basis operator matrices, their pairwise
     commutators, and each nonzero column k of the commutator of i < j."""
@@ -1098,6 +1171,57 @@ def test_lr_certificates_match_dense_operator_checks(data):
     # Past the gate of check_lemma14 the basis identities hold by the
     # lemma; off it they must still be the dense operator identities.
     assert triples(lr._lemma_violations(p)) == dense_lemma_violations(p)
+
+
+def fraction_compatibility(g, p):
+    """The compatibility violations of p with g, on the Fraction tables."""
+    n = p.dim
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = tuple(a - b - c for a, b, c in zip(p.table[i][j], p.table[j][i], g.brackets[i][j]))
+            if any(d):
+                out.append((COMPATIBILITY, (i, j), d))
+    return out
+
+
+def lr_pairs_of_dims_5_to_9():
+    """Compatible LR pairs of dims 5-9: free2step3-half and the
+    two-generator products on filiform(5), ..., filiform(9) and on two
+    diag-solvable algebras."""
+    pairs = [known_lr("free2step3-half")]
+    for n in range(5, 10):
+        e = standard_basis(n)
+        pairs.append((filiform(n), two_generator_lr(filiform(n), e[0], e[1])))
+    for weights in ([-3, 1, 2, 5], [2, -1, 3, 1, -2, 5, 4, -3]):
+        g = diag_solvable(weights)
+        pairs.append((g, two_generator_lr(g, standard_basis(g.dim)[0], (0,) + (1,) * len(weights))))
+    return pairs
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_lr_certificates_match_dense_operator_checks_in_dims_5_to_9(case):
+    """check_lr's violations, in order and defect, must be the dense
+    commutator columns and compatibility defects on LR pairs of dims 5-9
+    after a seeded rational change of basis, where they hold, and on the
+    same products with one constant moved by a seeded amount, where they
+    mostly fail."""
+    g, p = lr_pairs_of_dims_5_to_9()[case]
+    n = p.dim
+    rng = random.Random(case)
+    m, minv = seeded_change_matrix(n, rng)
+    g = LieAlgebra(change_basis(g.brackets, m, minv))
+    table = change_basis(p.table, m, minv)
+    moved = [[list(v) for v in row] for row in table]
+    i, j, k = (rng.randrange(n) for _ in range(3))
+    moved[i][j][k] += Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
+    for t in (table, moved):
+        q = Product(t)
+        dense = dense_lr_violations(q)
+        rep = check_lr(g, q)
+        assert triples(rep.violations) == dense + fraction_compatibility(g, q)
+        assert rep.is_lr == (not dense)
+    assert not dense_lr_violations(Product(table))
 
 
 def operator_lemma_defects(p, x, y, z):
@@ -1626,10 +1750,17 @@ def dense_transport(p, first, second, out):
 
 def seeded_basis_change(g, x, y, seed):
     """g, x and y in the basis b_i = sum_a m[a][i] e_a (change_basis), for
-    m the identity plus about n off-diagonal entries k/d (|k| <= 2,
-    d in {1, 2, 3}) drawn from seed, and redrawn until m is invertible."""
-    rng = random.Random(seed)
+    the m that seeded_change_matrix draws from seed."""
     n = g.dim
+    m, minv = seeded_change_matrix(n, random.Random(seed))
+    x, y = (tuple(sum(r[a] * v[a] for a in range(n)) for r in minv) for v in (x, y))
+    return LieAlgebra(change_basis(g.brackets, m, minv)), x, y
+
+
+def seeded_change_matrix(n, rng):
+    """m and its inverse as Fraction rows: the identity plus about n
+    off-diagonal entries k/d (|k| <= 2, d in {1, 2, 3}) drawn from rng,
+    redrawn until m is invertible."""
     while True:
         m = [[Fraction(int(a == i)) for i in range(n)] for a in range(n)]
         for _ in range(n):
@@ -1637,11 +1768,9 @@ def seeded_basis_change(g, x, y, seed):
             if a != i:
                 m[a][i] = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
         try:
-            minv = Matrix(m).inverse().row_list()
+            return m, Matrix(m).inverse().row_list()
         except PreconditionError:
             continue
-        x, y = (tuple(sum(r[a] * v[a] for a in range(n)) for r in minv) for v in (x, y))
-        return LieAlgebra(change_basis(g.brackets, m, minv)), x, y
 
 
 def two_generator_cases():
