@@ -131,12 +131,13 @@ def validate_lie(g: LieAlgebra) -> tuple[bool, list[Violation]]:
 
     Returns (ok, violations); each violation carries the basis indices
     and the defect vector.  The sums run on the integer constants
-    g._inz; a defect becomes Fractions only when it is nonzero.  A
-    Jacobi sum is summed only on the triples that receive a nonzero
-    term, found from the nonzero constants (_jacobi_terms), in the
-    (i, j, k) order of the loop over all of them (de Graaf, Lie
-    Algebras: Theory and Algorithms, 2000).  An algebra with the
-    _content of one checked recently gets that report from the memo.
+    g._inz; a defect becomes Fractions only when it is nonzero.  The
+    Jacobi sums are accumulated in one pass over the nonzero constants
+    (_jacobi_sums), each term into the triple of which it is a cyclic
+    shift, so only triples that receive a nonzero term are summed; they
+    are reported in (i, j, k) order (de Graaf, Lie Algebras: Theory and
+    Algorithms, 2000).  An algebra with the _content of one checked
+    recently gets that report from the memo.
     """
     ok, violations = _memoized(("valid", g._content), _validate_lie, g)
     g._valid = ok
@@ -157,51 +158,46 @@ def _validate_lie(g: LieAlgebra) -> tuple[bool, tuple[Violation, ...]]:
                 out[k] += c
             if any(out):
                 violations.append(Violation("antisymmetry", (i, j), _to_vector(out, den)))
-    # [e_a, [e_b, e_c]] summed over the cyclic shifts of (i, j, k), times den**2.
-    for i, j, k in sorted(_jacobi_terms(n, inz)):
-        out = [0] * n
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            base = a * n
-            for m, x in inz[b * n + c]:
-                for t, y in inz[base + m]:
-                    out[t] += x * y
+    for ijk, out in sorted(_jacobi_sums(n, inz).items()):
         if any(out):
-            violations.append(Violation("jacobi", (i, j, k), _to_vector(out, den * den)))
+            violations.append(Violation("jacobi", ijk, _to_vector(out, den * den)))
     return not violations, tuple(violations)
 
 
-def _jacobi_terms(n: int, inz) -> set[tuple[int, int, int]]:
-    """The triples i < j < k whose Jacobi sum has a term [e_a, [e_b, e_c]]
-    with a nonzero product of constants: only there can it be nonzero.
-
-    For each nonzero slot (b, c) with b != c, the a with a nonzero
-    [e_a, e_m] for some m in the support of [e_b, e_c] give such terms;
-    (a, b, c) is a cyclic shift of the triple it belongs to, so it names
-    (a, b, c) when a < b < c, (b, c, a) when b < c < a and (c, a, b)
-    when c < a < b, and no triple otherwise.  The column lookup of the
-    nonzero slots (a, m) is built here, not in the algebra's index.
+def _jacobi_sums(n: int, inz) -> dict[tuple[int, int, int], list[int]]:
+    """The Jacobi sums, times den**2, of the triples i < j < k that
+    receive a term [e_a, [e_b, e_c]] with a nonzero product of
+    constants: only there can a sum be nonzero.  For each term x e_m
+    of a nonzero slot (b, c) and each nonzero slot (a, m), x [e_a, e_m]
+    is added into the sum of the triple of which (a, b, c) is a cyclic
+    shift, if any.  The column lookup of the nonzero slots (a, m) is
+    built here, not in the algebra's index.
     """
-    by_column: list[set[int]] = [set() for _ in range(n)]
+    by_column: list[list] = [[] for _ in range(n)]
     for am, w in enumerate(inz):
         if w:
-            a, m = divmod(am, n)
-            by_column[m].add(a)
-    triples = set()
+            by_column[am % n].append((am // n, w))
+    sums: dict[tuple[int, int, int], list[int]] = {}
     for bc, w in enumerate(inz):
         if not w:
             continue
         b, c = divmod(bc, n)
-        if b == c:
-            continue
-        for a in set().union(*[by_column[m] for m, _ in w]):
-            if b < c:
-                if a < b:
-                    triples.add((a, b, c))
-                elif a > c:
-                    triples.add((b, c, a))
-            elif c < a < b:
-                triples.add((c, a, b))
-    return triples
+        for m, x in w:
+            for a, u in by_column[m]:
+                if a < b < c:
+                    ijk = (a, b, c)
+                elif b < c < a:
+                    ijk = (b, c, a)
+                elif c < a < b:
+                    ijk = (c, a, b)
+                else:
+                    continue
+                out = sums.get(ijk)
+                if out is None:
+                    out = sums[ijk] = [0] * n
+                for t, y in u:
+                    out[t] += x * y
+    return sums
 
 
 def ad(g: LieAlgebra, x) -> Matrix:

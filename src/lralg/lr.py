@@ -26,10 +26,12 @@ identity check adds each term of T[i, j, k] and subtracts each term of
 T[j, i, k] into one integer accumulator per pair i < j, and the same
 for S, so a pair fails exactly when its accumulator is nonzero.  The
 Lemma 14 identities on basis vectors are read from tables of the same
-columns, {(i, j): T[i, j, k]} and {(i, j): S[k, j, i]} for each k,
-indexed by their first and second index, so each is a comparison of
-maps {l: column l} that hold only the nonzero columns; they are built
-only for a product that passes the identity check.
+columns, built per nonzero slot of the index: {i: T[i, j, k]} for
+each slot e_j e_k and {i: S[k, j, i]} for each slot e_k e_j, and
+their transposes by the other index.  Each identity is then a
+comparison of maps {l: column l} that hold only the nonzero columns;
+the tables are built only for a product that passes the identity
+check.
 The sampled identities run on the integer numerators of the sample
 vectors and compare the same kind of maps: each operator is held by
 its nonzero columns, and an operator product pushes the columns of
@@ -116,21 +118,6 @@ def left_op(p: Product, x) -> Matrix:
 def right_op(p: Product, x) -> Matrix:
     """Matrix of y -> y * x."""
     return p.operator(x, right=True)
-
-
-def _column(p: Product, k: int) -> tuple[dict, dict]:
-    """Column k of L(e_i)L(e_j) and of R(e_i)R(e_j) for all i, j:
-    {(i, j): e_i (e_j e_k)} and {(i, j): (e_k e_j) e_i}, over den ** 2
-    for den = p._den and without zero entries."""
-    return tuple(
-        {(i, j): v for j, w in p._by(right)[k] for i, v in p._times_basis(w, right).items()}
-        for right in (True, False)
-    )
-
-
-def _columns(p: Product) -> Iterator[tuple[dict, dict]]:
-    """_column(p, k) for k = 0, 1, ..., one at a time."""
-    return (_column(p, k) for k in range(p.dim))
 
 
 def _lr_violations(p: Product) -> tuple[list[Violation], list[Violation]]:
@@ -338,22 +325,6 @@ def _columns_difference(a: dict, b: dict, n: int, den: int) -> Matrix:
     return Matrix._raw(n, n, num, den)
 
 
-def _by_first_and_second(tables) -> tuple[list[dict], list[dict]]:
-    """Each {(a, b): vector} map of tables indexed as {a: {b: vector}}
-    and as {b: {a: vector}}."""
-    first: list[dict] = []
-    second: list[dict] = []
-    for table in tables:
-        by_a: dict = {}
-        by_b: dict = {}
-        for (a, b), v in table.items():
-            by_a.setdefault(a, {})[b] = v
-            by_b.setdefault(b, {})[a] = v
-        first.append(by_a)
-        second.append(by_b)
-    return first, second
-
-
 def _transpose(cols: dict) -> dict:
     """{l: {i: v}} as {i: {l: v}}."""
     out: dict = {}
@@ -376,18 +347,20 @@ def _lemma_violations(p: Product) -> list[Violation]:
         5  R(e_i)R(w) = R((e_j e_i) e_k)  (e_l w) e_i = e_l ((e_j e_i) e_k)
 
     Only nonzero columns are held, as {l: vector} maps, so an identity
-    holds iff its two sides are equal maps.  Every column of the
-    products of products is indexed once by its first and by its second
-    index; per nonzero w, the products with e_l w and w e_l are taken
-    once and transposed.  An identity is compared at every (i, j) and at
-    every (i, j, k) with w != 0 (for w = 0 both sides vanish), in that
-    order, and the defect Matrix is built only for a failing one.
+    holds iff its two sides are equal maps.  The products of products
+    are read off each nonzero slot w = e_j e_k of the product's index
+    (Bilinear._by), as {i: e_i w} and {i: w e_i}, and transposed once
+    for the tables by their other index; per nonzero w, the products
+    with e_l w and w e_l are taken once and transposed.  An identity is
+    compared at every (i, j) and at every (i, j, k) with w != 0 (for
+    w = 0 both sides vanish), in that order, and the defect Matrix is
+    built only for a failing one.
     """
     n = p.dim
-    columns = list(_columns(p))
     # l1[k][i][j] = l2[k][j][i] = e_i (e_j e_k), r1[k][i][j] = r2[k][j][i] = (e_k e_j) e_i
-    l1, l2 = _by_first_and_second(left for left, _ in columns)
-    r1, r2 = _by_first_and_second(right for _, right in columns)
+    l2 = [{j: p._times_basis(w, True) for j, w in by_k} for by_k in p._by(True)]
+    r2 = [{j: p._times_basis(w, False) for j, w in by_k} for by_k in p._by(False)]
+    l1, r1 = [list(map(_transpose, t)) for t in (l2, r2)]
     violations: list[Violation] = []
     none: dict = {}
 
@@ -441,7 +414,8 @@ def check_lemma14(p: Product, samples=()) -> list[Violation]:
     nonzero columns are compared, and the triple identities only where
     w = e_j e_k is nonzero.  The gate sums the products of products
     into one accumulator per commutator; the tables of their columns
-    that the basis identities compare are built only once it passes.
+    that the basis identities compare, read off each nonzero slot of
+    the product's index, are built only once it passes.
     The sampled triples push the nonzero columns of the operators of
     the sample vectors through each other, each identity over one
     denominator.  A defect Matrix is formed only for a violation.

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in it, and every
-function, class, method or property it defines is used somewhere.
+"""Every name a module of the package imports is used in it, every
+function, class, method or property it defines is used somewhere, and
+every private name its docstrings, comments and README cite exists.
 
 Deleting a code path tends to leave its imports and helpers behind; no
 linter is part of the test run, so these checks read syntax trees with
@@ -8,7 +9,10 @@ package's re-exports.
 """
 
 import ast
+import io
 import os
+import re
+import tokenize
 from collections import Counter
 
 import pytest
@@ -161,3 +165,62 @@ def test_no_operator_powers(module):
     lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
              and isinstance(n.func, ast.Attribute) and n.func.attr == "power"]
     assert not lines, f"{module} calls .power( on lines {lines}"
+
+
+def cited_private_names(text: str) -> set[str]:
+    """The private names (_name, not dunders) a text cites, bare or
+    after a dot."""
+    return set(re.findall(r"\b_[A-Za-z]\w*", text))
+
+
+def docstrings_and_comments(path: str) -> str:
+    """The docstrings and comments of a module, one after another."""
+    texts = []
+    with open(path, encoding="utf-8") as fh:
+        source = fh.read()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            texts.append(ast.get_docstring(node) or "")
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    texts += [t.string for t in tokens if t.type == tokenize.COMMENT]
+    return "\n".join(texts)
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """Every name the module binds: functions, classes, arguments,
+    assigned names and attributes, and the entries of __slots__."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__slots__" for t in node.targets
+        ):
+            names.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return names
+
+
+def test_cited_private_names_are_defined():
+    """Every _name that a docstring or comment of the package, or the
+    README, cites is a name the package defines or one of its modules:
+    a helper deleted by a change leaves no stale reference behind."""
+    files = sorted(os.listdir(PACKAGE))
+    modules = [f for f in files if f.endswith(".py")]
+    defined = {m[:-3] for m in modules}
+    cited = {}
+    for m in modules:
+        path = os.path.join(PACKAGE, m)
+        defined |= defined_names(parse(path))
+        for name in cited_private_names(docstrings_and_comments(path)):
+            cited.setdefault(name, m)
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        for name in cited_private_names(fh.read()):
+            cited.setdefault(name, "README.md")
+    stale = sorted(f"{name} ({where})" for name, where in cited.items() if name not in defined)
+    assert not stale, f"cited private names the package does not define: {', '.join(stale)}"

@@ -286,11 +286,11 @@ class TestLemma14:
     def test_gate_failure_builds_no_column_tables(self, monkeypatch):
         """The gate sums its commutators without the tables of columns
         that the basis identities compare: a product that fails it never
-        reaches lr._column, and one that passes builds each column k
+        reaches lr._lemma_violations, and one that passes reaches it
         once."""
         calls = []
-        real = lr._column
-        monkeypatch.setattr(lr, "_column", lambda p, k: calls.append(k) or real(p, k))
+        real = lr._lemma_violations
+        monkeypatch.setattr(lr, "_lemma_violations", lambda p: calls.append(p) or real(p))
         _, good = known_lr("heisenberg-half")
         rows = [list(map(list, row)) for row in good.table]
         rows[2][0][0] = F(1)
@@ -298,7 +298,7 @@ class TestLemma14:
             assert check_lemma14(p)
         assert calls == []
         assert check_lemma14(good) == []
-        assert calls == [0, 1, 2]
+        assert calls == [good]
 
     def test_dimension_zero(self):
         assert check_lemma14(Product.zero(0)) == []

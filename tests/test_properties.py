@@ -1199,13 +1199,10 @@ def lr_pairs_of_dims_5_to_9():
     return pairs
 
 
-@pytest.mark.parametrize("case", range(8))
-def test_lr_certificates_match_dense_operator_checks_in_dims_5_to_9(case):
-    """check_lr's violations, in order and defect, must be the dense
-    commutator columns and compatibility defects on LR pairs of dims 5-9
-    after a seeded rational change of basis, where they hold, and on the
-    same products with one constant moved by a seeded amount, where they
-    mostly fail."""
+def changed_and_moved_lr_pair(case):
+    """Pair number case of lr_pairs_of_dims_5_to_9 after a seeded
+    rational change of basis: the algebra, the product's table, and
+    that table with one constant moved by a seeded amount."""
     g, p = lr_pairs_of_dims_5_to_9()[case]
     n = p.dim
     rng = random.Random(case)
@@ -1215,6 +1212,17 @@ def test_lr_certificates_match_dense_operator_checks_in_dims_5_to_9(case):
     moved = [[list(v) for v in row] for row in table]
     i, j, k = (rng.randrange(n) for _ in range(3))
     moved[i][j][k] += Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
+    return g, table, moved
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_lr_certificates_match_dense_operator_checks_in_dims_5_to_9(case):
+    """check_lr's violations, in order and defect, must be the dense
+    commutator columns and compatibility defects on LR pairs of dims 5-9
+    after a seeded rational change of basis, where they hold, and on the
+    same products with one constant moved by a seeded amount, where they
+    mostly fail."""
+    g, table, moved = changed_and_moved_lr_pair(case)
     for t in (table, moved):
         q = Product(t)
         dense = dense_lr_violations(q)
@@ -1222,6 +1230,19 @@ def test_lr_certificates_match_dense_operator_checks_in_dims_5_to_9(case):
         assert triples(rep.violations) == dense + fraction_compatibility(g, q)
         assert rep.is_lr == (not dense)
     assert not dense_lr_violations(Product(table))
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_lemma_violations_match_dense_operator_checks_in_dims_5_to_9(case):
+    """The basis identities of Lemma 14, in order and defect, must be
+    the dense operator identities on the LR products of dims 5-9 after
+    a seeded rational change of basis, where they hold, and on the same
+    products with one constant moved, where they mostly fail."""
+    _, table, moved = changed_and_moved_lr_pair(case)
+    for t in (table, moved):
+        q = Product(t)
+        assert triples(lr._lemma_violations(q)) == dense_lemma_violations(q)
+    assert not lr._lemma_violations(Product(table))
 
 
 def operator_lemma_defects(p, x, y, z):
@@ -1423,6 +1444,45 @@ def test_jacobi_from_nonzero_pairs_matches_triple_loop(g):
     assert lie._validate_lie(g) == loop_validate_lie(g)
 
 
+JACOBI_DIMS_6_TO_12 = [
+    filiform(6),
+    filiform(9),
+    filiform(12),
+    free_two_step(3),
+    free_two_step(4),
+    diag_solvable([2, -1, 3, 1, -2]),
+    diag_solvable([1, -2, 3, 5, -1, 2, 4, -3, 1, 2, -4]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(JACOBI_DIMS_6_TO_12)))
+def test_validate_lie_matches_triple_loop_in_dims_6_to_12(case):
+    """validate_lie's report, in order and defect, must be the loop over
+    every triple on catalog algebras of dims 6-12 after a seeded
+    rational change of basis, where every Jacobi sum that receives
+    terms cancels, and with one constant c[i][j][k] moved by a seeded
+    amount: alone, and with c[j][i][k] moved against it, so that the
+    tensor stays antisymmetric and the Jacobi sums through that slot
+    stop cancelling."""
+    g = JACOBI_DIMS_6_TO_12[case]
+    n = g.dim
+    rng = random.Random(case)
+    m, minv = seeded_change_matrix(n, rng)
+    table = change_basis(g.brackets, m, minv)
+    i, j = rng.sample(range(n), 2)
+    k = rng.randrange(n)
+    d = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
+    one = [[list(v) for v in row] for row in table]
+    one[i][j][k] += d
+    both = [[list(v) for v in row] for row in one]
+    both[j][i][k] -= d
+    for t in (table, one, both):
+        h = LieAlgebra(t)
+        assert lie._validate_lie(h) == loop_validate_lie(h)
+    assert lie._validate_lie(LieAlgebra(table)) == (True, ())
+    assert {v.identity for v in lie._validate_lie(LieAlgebra(both))[1]} <= {"jacobi"}
+
+
 def brute_force_jacobi_terms(g):
     """The triples i < j < k with a cyclic shift (a, b, c) for which
     some m has nonzero slots (b, c) at m and (a, m), by looping over
@@ -1445,36 +1505,20 @@ def brute_force_jacobi_terms(g):
 @example(g=LieAlgebra([[[Fraction(1)] * 5 for _ in range(5)] for _ in range(5)]))
 def test_jacobi_terms_are_the_triples_with_a_nonzero_term(g):
     """validate_lie sums exactly the triples that receive a nonzero
-    term, in (i, j, k) order, each once: on a dense tensor that is
-    every triple."""
-    summed = []
-    real = lie._jacobi_terms
-
-    def recorded(n, inz):
-        terms = real(n, inz)
-        summed.append(terms)
-        return terms
-
-    lie._jacobi_terms = recorded
-    try:
-        lie._validate_lie(g)
-    finally:
-        lie._jacobi_terms = real
-    assert summed == [brute_force_jacobi_terms(g)]
+    term: on a dense tensor that is every triple."""
+    sums = lie._jacobi_sums(g.dim, g._inz)
+    assert set(sums) == brute_force_jacobi_terms(g)
     if all(g._inz):
-        assert summed[0] == set(itertools.combinations(range(g.dim), 3))
+        assert set(sums) == set(itertools.combinations(range(g.dim), 3))
 
 
 @pytest.mark.parametrize("g", [filiform(128), free_two_step(15)], ids=["filiform128", "free15"])
-def test_validate_lie_sums_no_triple_without_a_nonzero_term(g, monkeypatch):
+def test_validate_lie_sums_no_triple_without_a_nonzero_term(g):
     """No [e_a, [e_b, e_c]] has a nonzero product of constants here
     (filiform: [e_1, e_i] = e_(i+1) only meets e_1 again; free two-step:
     every bracket is central), so no Jacobi sum is taken."""
-    summed = []
-    real = lie._jacobi_terms
-    monkeypatch.setattr(lie, "_jacobi_terms", lambda *a: summed.append(real(*a)) or summed[-1])
     assert lie._validate_lie(g) == (True, ())
-    assert summed == [set()]
+    assert lie._jacobi_sums(g.dim, g._inz) == {}
 
 
 def operator_escape(b, s, both_sides):
