@@ -42,11 +42,11 @@ from .linalg import (
     FittingSplit,
     Matrix,
     Subspace,
+    _column_map,
     _fitting_split_commuting,
     _nonzero,
     _push,
     _scale_fractions,
-    _sparse_rows,
     vector,
 )
 from .lr import (
@@ -134,8 +134,7 @@ def _transport(p: Bilinear, first: Matrix, second: Matrix, out: Matrix) -> tuple
     first argument whose products all vanish gives n empty rows at once.
     """
     n = p.dim
-    firsts, seconds, outs = (_sparse_rows(m.transpose()) for m in (first, second, out))
-    outs = dict(enumerate(outs))
+    firsts, seconds, outs = (_column_map(m) for m in (first, second, out))
     rows = []
     for i in range(n):
         half = p._times_basis(firsts[i], False)  # half[b] = p(first e_i, e_b)
@@ -171,7 +170,7 @@ def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
     else:
         fit = _fitting_split_commuting(n, [dict(p._by(False)[u]) for u in range(n)])
         proj = fit.proj_n
-        rows = [p._times_basis(x, False) for x in _sparse_rows(proj.transpose())]
+        rows = [p._times_basis(x, False) for x in _column_map(proj).values()]
         inz = [r.get(j, ()) for r in rows for j in range(n)]
         completed = Product._from_int(n, inz, p._den * proj._den)
     return _completion(g, p, completed, fit, "complete_nilpotent")

@@ -28,7 +28,7 @@ from .linalg import (
     Vector,
     _int_row,
     _memoized,
-    _nonzero,
+    _push,
     _ratios,
     _solve_rows,
     _sparse_rows,
@@ -208,26 +208,27 @@ def ad(g: LieAlgebra, x) -> Matrix:
 def bracket_of_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     """Span of all [u, v] with u in a, v in b.
 
-    The integer rows of both bases are multiplied through the integer
-    constants g._inz; each product is a positive multiple of [u, v],
-    which leaves the span unchanged.  A pair is multiplied only when a
-    nonzero constant links the support of u to that of v; [u, v] is
-    exactly 0 on every other pair.
+    The nonzero columns {j: [u, e_j]} of ad u are read once per integer
+    row u of a (Bilinear._times_basis) and each integer row v of b is
+    pushed through them (_push): a positive multiple of [u, v], which
+    leaves the span unchanged.  Only a v whose support meets those
+    columns is pushed; [u, v] is exactly 0 for every other one.
     """
     if a.ambient_dim != g.dim or b.ambient_dim != g.dim:
         raise DimensionMismatchError("subspace ambient dimension differs from algebra")
-    by = g._by(False)
+    n = g.dim
     supports = [{j for j, _ in v} for v in b._rows]
     products = []
     for u in a._rows:
-        reach = {j for i, _ in u for j, _ in by[i]}
-        if reach:
+        cols = g._times_basis(u, False)
+        if cols:
+            reach = cols.keys()
             products += [
-                _nonzero(g._int_apply(u, v))
+                _push(cols, v, n)
                 for v, support in zip(b._rows, supports)
                 if not reach.isdisjoint(support)
             ]
-    return Subspace._from_sparse(g.dim, products)
+    return Subspace._from_sparse(n, products)
 
 
 @dataclass(frozen=True)
@@ -413,8 +414,9 @@ def _phi_matrix(g: LieAlgebra, ws, ginf: Subspace) -> Matrix:
     """Matrix of x -> [w, x] on ginf in its RREF coordinates, for w given
     by its nonzero (index, integer) pairs ws: column t is [w, b_t] for
     b_t the t-th RREF row of ginf, which must not leave ginf."""
-    cols = [g._int_apply(ws, b) for b in ginf._rows]
-    phi = ginf._image_coordinates(cols, g._den * ginf._den)
+    n, cols = g.dim, g._times_basis(ws, False)
+    images = [_int_row(_push(cols, b, n), n) for b in ginf._rows]
+    phi = ginf._image_coordinates(images, g._den * ginf._den)
     if phi is None:
         raise InternalConsistencyError("bracket left the stabilized term")
     return phi
@@ -435,11 +437,13 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     complement_algebra's constants, each block of the system is scaled
     to integers and its sparse rows are solved by the reader that solve
     uses (linalg._solve_rows, free variables 0), and closure is checked
-    exactly against those constants.  The correction tau_j lies in
-    g_infinity, which is abelian, so [w_j + tau_j, b] = [w_j, b] for b
-    in g_infinity: phi of the unit vectors, computed once each, is phi
-    of the complement.  Closure gives [row a, row b] = sum_c beta[a][b][c]
-    row c, so phi is a homomorphism iff [phi_a, phi_b] = phi_of(beta[a][b]).
+    exactly against those constants, each later row pushed through the
+    columns of ad(row a) (linalg._push), skipping a pair where both
+    sides are empty.  The correction tau_j lies in g_infinity, which is
+    abelian, so [w_j + tau_j, b] = [w_j, b] for b in g_infinity: phi of
+    the unit vectors, computed once each, is phi of the complement.
+    Closure gives [row a, row b] = sum_c beta[a][b][c] row c, so phi is
+    a homomorphism iff [phi_a, phi_b] = phi_of(beta[a][b]).
     """
     rep = series(g)
     if not rep.two_step_solvable:
@@ -490,19 +494,22 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
         comp = comp + Matrix._raw(q, k, *sol) * ginf.rows
 
     # [row a, row b] over cden**2 * gden against sum_c beta[a][b][c] row c
-    # over bden * cden.
+    # over bden * cden, the constants pushed through the rows as columns;
+    # a pair where both are empty is exactly 0 = 0.
     cden = comp._den
     sparse = _sparse_rows(comp)
     if Subspace._from_sparse(n, sparse).dim != q:
         raise InternalConsistencyError("corrected complement lost dimension")
-    for a, b in pairs:
-        br = g._int_apply(sparse[a], sparse[b])
-        want = [0] * n
-        for c, x in beta[a * q + b]:
-            for i, y in sparse[c]:
-                want[i] += x * y
-        if any(x * bden != y * cden * gden for x, y in zip(br, want)):
-            raise InternalConsistencyError("corrected complement is not a subalgebra")
+    rows = dict(enumerate(sparse))
+    for a in range(q):
+        cols = g._times_basis(sparse[a], False)
+        for b in range(a + 1, q):
+            br, terms = _push(cols, sparse[b], n), beta[a * q + b]
+            if not (br or terms):
+                continue
+            want = _push(rows, terms, n)
+            if [(i, x * bden) for i, x in br] != [(i, y * cden * gden) for i, y in want]:
+                raise InternalConsistencyError("corrected complement is not a subalgebra")
 
     split = SplitDecomposition(
         algebra=g, series=rep, complement=comp, phi=phi, complement_algebra=n_alg

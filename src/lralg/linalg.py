@@ -32,12 +32,13 @@ Structure tensors (Bilinear) store only their nonzero constants, as
 integer numerators over one common denominator; products, operators,
 quotients, spans of products and identity checks run on those integers,
 and the Fraction tensor is a view built on first read; the span of all
-products is reduced on first use and kept.  Every "x times each basis
-vector" loop reads one index of those constants by row and by column,
-built on first use, through one reader of the nonzero columns, which
-operator writes into its Matrix and the two-generator construction,
-the Lemma 14 identities and the Fitting chains push their vectors
-through with one helper, _push.  Files are read into and written from
+products is reduced on first use and kept.  Inside the package an
+operator is its nonzero columns {j: column}: every product x . y and
+"x times each basis vector" loop reads them off one index of the
+constants by row and by column, built on first use, through one
+reader, _times_basis, and pushes y through them with one helper,
+_push; one writer, _columns_matrix, makes them a Matrix where one is
+returned.  Files are read into and written from
 those integers (lralg.io) without Fractions.  Fractions appear only at
 the edge of the library API: vectors passed in and returned are tuples
 of fractions.Fraction, and so are Subspace.basis, the tensor views and
@@ -732,10 +733,11 @@ class Bilinear:
     The operator of x, y -> x . y or y -> y . x, is read from _index,
     the nonzero constants by row and by column (_by), built on first
     use, by one reader: _times_basis returns its nonzero columns, sparse,
-    which operator writes into its Matrix and the Lemma 14 identities,
-    the completeness chains, escape, changes of basis and the
-    completion's table read as they are; the LR identity check sums the
-    constants of _by itself.
+    which operator writes into its Matrix (_columns_matrix), apply, the
+    brackets of subspaces, phi and the split's closure push vectors
+    through (_push), and the Lemma 14 identities, the completeness
+    chains, escape, changes of basis and the completion's table read as
+    they are; the LR identity check sums the constants of _by itself.
     The span of all products (_product_span) is kept in _span the same way.
     """
 
@@ -826,33 +828,18 @@ class Bilinear:
         return f"{type(self).__name__}(dim={self.dim})"
 
     def apply(self, x, y) -> Vector:
-        """x . y"""
-        xnum, xden = _scaled(x, self.dim, self._kind)
-        ynum, yden = _scaled(y, self.dim, self._kind)
-        return _to_vector(self._int_apply(_nonzero(xnum), _nonzero(ynum)), xden * yden * self._den)
-
-    def _int_apply(self, xs, ys) -> list[int]:
-        """Numerators over _den of x . y, for x and y given by their
-        nonzero (index, integer) pairs."""
-        n, inz = self.dim, self._inz
-        out = [0] * n
-        for i, x in xs:
-            base = i * n
-            for j, y in ys:
-                s = x * y
-                for k, c in inz[base + j]:
-                    out[k] += s * c
-        return out
+        """x . y: y pushed through the nonzero columns of operator(x)."""
+        n = self.dim
+        xnum, xden = _scaled(x, n, self._kind)
+        ynum, yden = _scaled(y, n, self._kind)
+        xy = _push(self._times_basis(_nonzero(xnum), False), _nonzero(ynum), n)
+        return _to_vector(_int_row(xy, n), xden * yden * self._den)
 
     def operator(self, x, right: bool = False) -> Matrix:
         """Matrix of y -> x . y, or of y -> y . x when right is set."""
         n = self.dim
         xnum, xden = _scaled(x, n, self._kind)
-        num = [0] * (n * n)
-        for j, col in self._times_basis(_nonzero(xnum), right).items():
-            for k, c in col:
-                num[k * n + j] = c
-        return Matrix._raw(n, n, num, xden * self._den)
+        return _columns_matrix(self._times_basis(_nonzero(xnum), right), n, xden * self._den)
 
     def _by(self, right: bool) -> list[list]:
         """The nonzero constants by row, or by column when right is set:
@@ -942,6 +929,16 @@ class Bilinear:
                     w = [(t, r[f]) for t, f in enumerate(free) if r[f]]
                 out.append(w)
         return len(free), out, self._den * s._den
+
+
+def _columns_matrix(cols: dict, n: int, den: int) -> Matrix:
+    """The n x n Matrix over den with nonzero columns cols, {j: column}
+    in _push's form."""
+    num = [0] * (n * n)
+    for j, col in cols.items():
+        for k, c in col:
+            num[k * n + j] = c
+    return Matrix._raw(n, n, num, den)
 
 
 def _push(cols: dict, v, n: int) -> tuple:

@@ -68,6 +68,7 @@ from .linalg import (
     Subspace,
     Vector,
     _chain_end,
+    _columns_matrix,
     _memoized,
     _nonzero,
     _push,
@@ -308,21 +309,10 @@ def _lemma_defects(p: Product, x, y, z) -> list[tuple[str, Matrix]]:
     ]
     dens = (dx * dy * d ** 2,) * 2 + (dx * dy * dz * d ** 3,) * 4
     return [
-        (name, _columns_difference(a, b, n, den))
+        (name, _columns_matrix(a, n, den) - _columns_matrix(b, n, den))
         for name, (a, b), den in zip(LEMMA_IDENTITIES, checks, dens)
         if a != b
     ]
-
-
-def _columns_difference(a: dict, b: dict, n: int, den: int) -> Matrix:
-    """(A - B) / den for two n x n operators given by their nonzero
-    columns {l: sorted nonzero (k, numerator) pairs}."""
-    num = [0] * (n * n)
-    for cols, sign in ((a, 1), (b, -1)):
-        for l, v in cols.items():
-            for k, x in v:
-                num[k * n + l] += sign * x
-    return Matrix._raw(n, n, num, den)
 
 
 def _transpose(cols: dict) -> dict:
@@ -366,7 +356,7 @@ def _lemma_violations(p: Product) -> list[Violation]:
 
     def check(which: int, where: tuple[int, ...], a: dict, b: dict, den: int) -> None:
         if a != b:
-            defect = _columns_difference(a, b, n, den)
+            defect = _columns_matrix(a, n, den) - _columns_matrix(b, n, den)
             violations.append(Violation(LEMMA_IDENTITIES[which], where, defect))
 
     den2, den3 = p._den ** 2, p._den ** 3

@@ -1,7 +1,8 @@
 """Prints a one-line verdict per acceptance criterion at the end of any
 run that touched tests/test_acceptance.py, empties the report memo
-before every test, and counts dense matrix products for the tests that
-ask for mat_mul_calls.
+before every test, counts dense matrix products for the tests that
+ask for mat_mul_calls, and holds reference_product, the oracle product
+that test modules import from here.
 
 The suite writes no bytecode: pytest loads this file before any test
 module imports lralg, and the subprocess tests copy os.environ.  Caches
@@ -44,6 +45,20 @@ def mat_mul_calls(monkeypatch):
 
     monkeypatch.setattr(_kernels, "mat_mul", counted)
     return calls
+
+
+def reference_product(b, xs, ys) -> list[int]:
+    """Numerators over b._den of x . y for the structure tensor b, with x
+    and y given by their nonzero (index, integer) pairs: the triple loop
+    over every slot b._inz[i * dim + j] of the two supports, read
+    without the package's index of the constants."""
+    n = b.dim
+    out = [0] * n
+    for i, x in xs:
+        for j, y in ys:
+            for k, c in b._inz[i * n + j]:
+                out[k] += x * y * c
+    return out
 
 
 _results: dict[int, tuple[str, str]] = {}

@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from conftest import reference_product
 
 from lralg.catalog import abelian, diag_solvable, filiform, free_two_step, heisenberg, r2
 from lralg.errors import (
@@ -27,9 +28,8 @@ from lralg.lie import (
     subalgebra_generated,
     validate_lie,
 )
-from lralg import _kernels
+from lralg import _kernels, lie
 from lralg.linalg import (
-    Bilinear,
     Matrix,
     Subspace,
     _int_row,
@@ -352,12 +352,13 @@ def test_split_system_is_sparse_and_only_formed_when_needed(monkeypatch, g, form
 
 def test_bracket_of_subspaces_multiplies_only_linked_pairs(monkeypatch):
     """[g, g] of a free two-step nilpotent algebra is central: no
-    constant links two of its basis rows, so no pair is multiplied."""
+    constant links two of its basis rows, so no pair is multiplied (no
+    row is pushed through the columns of another)."""
     g = free_two_step(6)
     g2 = series(g).lower_central[1]
     calls = []
-    real = Bilinear._int_apply
-    monkeypatch.setattr(Bilinear, "_int_apply", lambda *args: calls.append(1) or real(*args))
+    real = lie._push
+    monkeypatch.setattr(lie, "_push", lambda *args: calls.append(1) or real(*args))
     assert bracket_of_subspaces(g, g2, g2).dim == 0
     assert calls == []
 
@@ -375,6 +376,6 @@ def test_bracket_of_subspaces_matches_all_pairs(g):
     spaces += list(rep.lower_central if rep else ())
     for a in spaces:
         for b in spaces:
-            rows = [g._int_apply(_nonzero(u), _nonzero(v))
+            rows = [reference_product(g, _nonzero(u), _nonzero(v))
                     for u in a.rows._int_rows() for v in b.rows._int_rows()]
             assert bracket_of_subspaces(g, a, b) == Subspace._from_int_rows(n, rows)

@@ -51,6 +51,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from conftest import reference_product
 
 from lralg import _kernels, construct, lie, linalg, lr
 from lralg.catalog import (
@@ -640,6 +641,32 @@ def test_split_rejects_a_correction_that_does_not_close(monkeypatch):
         split_metabelian(g)
 
 
+@pytest.mark.parametrize("make", [lambda: LieAlgebra.from_brackets(*HEISENBERG_ON_A_LINE),
+                                  lambda: free_two_step(4)], ids=["heisenberg-line", "free4"])
+@pytest.mark.parametrize("mutation", ["add", "drop"])
+def test_split_closure_compares_every_pair_with_a_nonzero_side(monkeypatch, make, mutation):
+    """The closure check skips a pair of complement rows only when both
+    their bracket and its beta slot are 0.  With one constant added to
+    the complement algebra at the first pair whose rows bracket to 0
+    ("add": the bracket side is empty, beta is not), or the constants
+    of the first pair with a nonzero bracket dropped ("drop": beta is
+    empty, the bracket is not), the split raises."""
+    g = make()
+    split_metabelian(g)  # passes unmutated
+    real = Bilinear._quotient
+
+    def mutated(self, s):
+        q, beta, den = real(self, s)
+        pairs = [(a, b) for a in range(q) for b in range(a + 1, q)]
+        a, b = next((a, b) for a, b in pairs if bool(beta[a * q + b]) == (mutation == "drop"))
+        beta[a * q + b] = [] if mutation == "drop" else [(0, 1)]
+        return q, beta, den
+
+    monkeypatch.setattr(Bilinear, "_quotient", mutated)
+    with pytest.raises(InternalConsistencyError, match="corrected complement is not a subalgebra"):
+        split_metabelian(g)
+
+
 def test_split_rejects_a_phi_that_is_not_a_homomorphism(monkeypatch):
     """On Heisenberg-on-a-line [x, y] = z, and phi of the unit z is 0;
     with phi of the vector z made 1 wherever it is computed, [phi_x,
@@ -796,6 +823,33 @@ def fraction_escape(t, basis, both_sides):
             if both_sides and outside(fraction_product(t, b, e[i])):
                 return "right", i
     return None
+
+
+@pytest.mark.parametrize("kind", ["zero", "unit", "scaled", "dense"])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_apply_is_the_fraction_contraction(kind, data):
+    """Bilinear.apply(x, y) is sum x_i y_j tensor[i][j] on arbitrary
+    constants of dims 1-8, for x = 0, a single term with coefficient 1
+    or with a numerator other than 1 (both paths of _times_basis for one
+    term: the constants of one row as they are, or scaled) and x with
+    every entry nonzero (its dense accumulators)."""
+    n = data.draw(st.integers(1, 8))
+    t = data.draw(mixed_tensor(n))
+    x = [Fraction(0)] * n
+    if kind == "unit":
+        x[data.draw(st.integers(0, n - 1))] = Fraction(1)
+    elif kind == "scaled":
+        c = data.draw(mixed_rational.filter(lambda c: c.numerator not in (0, 1)))
+        x[data.draw(st.integers(0, n - 1))] = c
+    elif kind == "dense":
+        x = data.draw(st.lists(mixed_rational.filter(bool), min_size=n, max_size=n))
+    y = data.draw(st.lists(sparse_rational, min_size=n, max_size=n))
+    expected = tuple(
+        sum((x[i] * y[j] * t[i][j][k] for i in range(n) for j in range(n)), Fraction(0))
+        for k in range(n)
+    )
+    assert Bilinear(t).apply(x, y) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -1317,14 +1371,15 @@ def dense_operator(b, xs, right):
 
 def apply_lemma_defects(p, x, y, z):
     """The sampled identities as computed before the products were read
-    from the operators: each of the 8 products by Bilinear._int_apply on
-    the two vectors, the rest as in lr._lemma_defects."""
+    from the operators: each of the 8 products by the triple loop
+    reference_product on the two vectors, the rest as in
+    lr._lemma_defects."""
     n, d = p.dim, p._den
     (xn, dx), (yn, dy), (zn, dz) = (_scaled(v, n, p._kind) for v in (x, y, z))
     xs, ys, zs = _nonzero(xn), _nonzero(yn), _nonzero(zn)
 
     def times(a, b):
-        return _nonzero(p._int_apply(a, b))
+        return _nonzero(reference_product(p, a, b))
 
     def left(a):
         return dense_operator(p, a, False)
@@ -1358,23 +1413,14 @@ def apply_lemma_defects(p, x, y, z):
 def test_sampled_lemma_products_read_from_the_operators(data):
     """Products read as operator-vector products give the (name, defect)
     list, in order, of the products taken pair by pair, on arbitrary
-    constants and on LR products; _int_apply is not called."""
+    constants and on LR products."""
     if data.draw(st.booleans()):
         p = Product(data.draw(mixed_tensor(data.draw(st.integers(1, 4)))))
     else:
         p = data.draw(algebra_and_product())[1]
     vec = st.lists(sparse_rational, min_size=p.dim, max_size=p.dim).map(tuple)
     x, y, z = data.draw(vec), data.draw(vec), data.draw(vec)
-    expected = apply_lemma_defects(p, x, y, z)
-    calls = []
-    real = Bilinear._int_apply
-    Bilinear._int_apply = lambda *args: calls.append(args) or real(*args)
-    try:
-        got = lr._lemma_defects(p, x, y, z)
-    finally:
-        Bilinear._int_apply = real
-    assert got == expected
-    assert calls == []
+    assert lr._lemma_defects(p, x, y, z) == apply_lemma_defects(p, x, y, z)
 
 
 def loop_validate_lie(g):
