@@ -4,9 +4,10 @@ The pipeline for a two-step solvable algebra g runs: split g over its
 stabilized lower central term, push the product to the nilpotent
 quotient, make it complete there by projecting onto the joint Fitting
 component of the left multiplications, then lift back along the
-splitting.  Every fact the construction relies on is re-checked on the
-way; a failure of a step that the theory guarantees raises
-InternalConsistencyError rather than producing an unverified product.
+splitting, reading the lifted product from g's own bracket.  Every
+fact the construction relies on is re-checked on the way; a failure of
+a step that the theory guarantees raises InternalConsistencyError
+rather than producing an unverified product.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .lie import (
     is_two_step_solvable,
 )
 from .linalg import (
-    Bilinear,
     FittingSplit,
     Matrix,
     Subspace,
@@ -47,6 +47,7 @@ from .linalg import (
     _nonzero,
     _push,
     _scale_fractions,
+    _sparse_rows,
     vector,
 )
 from .lr import (
@@ -122,31 +123,6 @@ def _completion(
     return CompletionCertificate(p, completed, fit, witness)
 
 
-def _transport(p: Bilinear, first: Matrix, second: Matrix, out: Matrix) -> tuple[list, int]:
-    """Integer constants of (x, y) -> out p(first x, second y).
-
-    Returns the constants, in _inz's layout with nonzero numerators
-    only, and the factor first._den * second._den * out._den by which
-    their denominator exceeds p's.  The first argument is contracted
-    for all pairs at once, then the second, then the output, so a dense
-    change of basis costs O(n^4) products of integers.  Each contraction
-    pushes only nonzero entries through nonzero columns (_push), and a
-    first argument whose products all vanish gives n empty rows at once.
-    """
-    n = p.dim
-    firsts, seconds, outs = (_column_map(m) for m in (first, second, out))
-    rows = []
-    for i in range(n):
-        half = p._times_basis(firsts[i], False)  # half[b] = p(first e_i, e_b)
-        if not half:
-            rows.extend([()] * n)
-            continue
-        for j in range(n):
-            mid = _push(half, seconds[j], n)  # p(first e_i, second e_j)
-            rows.append(_push(outs, mid, n) if mid else ())
-    return rows, first._den * second._den * out._den
-
-
 def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
     """Turn an LR-structure on a nilpotent algebra into a complete one.
 
@@ -180,18 +156,28 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
     """Extend a product on the complement to the whole algebra.
 
     In the adapted basis (g_infinity first) the product is
-    (a, x) . (b, y) = (phi(x) b, x . y); the result is transported back
-    to the original coordinates: the table C p_ad(C^-1 e_i, C^-1 e_j),
-    for C the change of basis, is contracted on integers from the
-    constants of q and the numerators of phi.  When g_infinity = 0, C
-    is the identity and the adapted table that of q, so q itself,
-    certified on the algebra, is the lift.  Requires phi
-    to vanish on all products of q; when q is complete the lift is
-    checked to be complete as well.
+    (a, x) . (b, y) = (phi(x) b, x . y), and phi(x) b = [iota(x), b]
+    for iota(x) = sum_a x_a c_a, c_a the complement rows.  The lift is
+    read in the original coordinates from g's own bracket: column j of
+    C^-1, C the change of basis, holds the g_infinity part rest_j and
+    the complement coordinates gamma_j of e_j, and g_infinity is
+    abelian, so e_i . e_j = [e_i, rest_j] + iota(q(gamma_i, gamma_j)).
+    That is M_i C^-1 e_j, where column t of M_i is [e_i, b_t], b_t the
+    t-th RREF row of g_infinity, and column k + a is
+    iota(q(gamma_i, e_a)), summed on integers over one denominator; row
+    i is empty when gamma_i = 0.  C^-1 is one dense Matrix.inverse, the
+    only source of rest_j and gamma_j here (gamma_j could be read from
+    the remainder of e_j against g_infinity, as Bilinear._quotient
+    reads it).  When g_infinity = 0, C is the identity, so q itself,
+    certified on the algebra, is the lift.
+
+    Requires phi to vanish on all products of q; phi is linear, so that
+    holds iff [iota(z), b_t] = 0 for every row z of the span of q's
+    products and every t.  When q is complete the lift is checked to be
+    complete as well.
     """
-    g = split.algebra
-    k = split.g_infinity.dim
-    m = split.complement.rows
+    g, ginf, comp = split.algebra, split.g_infinity, split.complement
+    k, m = ginf.dim, comp.rows
     n = k + m
     if q.dim != m:
         raise DimensionMismatchError("product dimension differs from the complement")
@@ -202,32 +188,39 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
     rep = _lr_input(n_alg, q, "product on the complement is not an LR-structure: ")
     if not k:  # the adapted basis is the standard one, and q is the lift
         return _certified(g, q, rep.is_complete, "lift_product")
-    # den is a common denominator of q and every phi_a; phis[a] holds the
-    # numerators of phi_a over den.  phi is linear, so it vanishes on a
-    # product iff the numerators of that product, summed against phis, do.
-    den = lcm(q._den, *(pa._den for pa in split.phi))
-    phis = [[x * (den // pa._den) for x in pa._num] for pa in split.phi]
-    for w in q._inz:
-        acc = [0] * (k * k)
-        for a, c in w:
-            for t, x in enumerate(phis[a]):
-                acc[t] += c * x
-        if any(acc):
+    # right[t] = {i: [e_i, b_t]} over g._den * ginf._den; iota's columns
+    # are the complement rows over comp._den.
+    right = [g._times_basis(b, True) for b in ginf._rows]
+    iota = dict(enumerate(_sparse_rows(comp)))
+    for z in q._product_span()._rows:
+        iz = _push(iota, z, n)
+        if any(_push(r, iz, n) for r in right):
             raise PhiNotZeroError("the action does not vanish on a product of complement elements")
 
-    # The adapted product: e_{k+a} e_t = phi_a e_t for t < k, and
-    # e_{k+a} e_{k+b} = q(e_a, e_b) shifted past g_infinity.
-    adapted: list = [()] * (n * n)
-    s = den // q._den
-    for a in range(m):
-        for t in range(k):
-            adapted[(k + a) * n + t] = _nonzero(phis[a][t::k])
-        for b in range(m):
-            adapted[(k + a) * n + k + b] = [(k + c, v * s) for c, v in q._inz[a * m + b]]
-    change = split.change_of_basis
-    inv = change.inverse()
-    rows, scale = _transport(Bilinear._from_int(n, adapted, 1), inv, inv, change)
-    return _certified(g, Product._from_int(n, rows, den * scale), rep.is_complete, "lift_product")
+    inv = split.change_of_basis.inverse()
+    cols = _column_map(inv)  # cols[j] = (alpha_j, gamma_j) over inv._den
+    # Column t of M_i over g._den * ginf._den, column k + a over
+    # q._den * comp._den * inv._den; both scaled to their lcm, den.
+    d1, d2 = g._den * ginf._den, q._den * comp._den * inv._den
+    den = lcm(d1, d2)
+    s1, s2 = den // d1, den // d2
+    rows = []
+    for i in range(n):
+        gamma = [(r - k, x) for r, x in cols[i] if r >= k]
+        if not gamma:
+            rows.extend([()] * n)
+            continue
+        mi = {t: [(c, x * s1) for c, x in rt[i]] for t, rt in enumerate(right) if i in rt}
+        for a, w in q._times_basis(gamma, False).items():
+            mi[k + a] = [(c, x * s2) for c, x in _push(iota, w, n)]
+        for j in range(n):
+            acc: dict[int, int] = {}
+            for r, y in cols[j]:
+                for c, x in mi.get(r, ()):
+                    acc[c] = acc.get(c, 0) + x * y
+            rows.append([(c, x) for c, x in acc.items() if x])
+    lifted = Product._from_int(n, rows, den * inv._den)
+    return _certified(g, lifted, rep.is_complete, "lift_product")
 
 
 def complete_any(g: LieAlgebra, p: Product) -> CompletionCertificate:

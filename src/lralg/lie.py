@@ -362,9 +362,10 @@ class SplitDecomposition:
     complement_algebra (g / g_infinity on its canonical basis).  phi[j]
     is the matrix of x -> [row j, x] on g_infinity in its RREF
     coordinates, read from the brackets of the unit vector with
-    g_infinity's basis rows (the correction brackets to zero there).
-    change_of_basis has the adapted basis (g_infinity first, then the
-    complement) as columns.
+    g_infinity's basis rows (the correction brackets to zero there); the
+    split checks with it that phi is a homomorphism, while lift_product
+    reads the bracket of g instead.  change_of_basis has the adapted
+    basis (g_infinity first, then the complement) as columns.
     """
 
     algebra: "LieAlgebra"

@@ -734,9 +734,9 @@ class Bilinear:
     the nonzero constants by row and by column (_by), built on first
     use, by one reader: _times_basis returns its nonzero columns, sparse,
     which operator writes into its Matrix (_columns_matrix), apply, the
-    brackets of subspaces, phi and the split's closure push vectors
-    through (_push), and the Lemma 14 identities, the completeness
-    chains, escape, changes of basis and the completion's table read as
+    brackets of subspaces, phi, the split's closure and the lift push
+    vectors through (_push), and the Lemma 14 identities, the
+    completeness chains, escape and the completion's table read as
     they are; the LR identity check sums the constants of _by itself.
     The span of all products (_product_span) is kept in _span the same way.
     """

@@ -1,8 +1,9 @@
 """Prints a one-line verdict per acceptance criterion at the end of any
 run that touched tests/test_acceptance.py, empties the report memo
 before every test, counts dense matrix products for the tests that
-ask for mat_mul_calls, and holds reference_product, the oracle product
-that test modules import from here.
+ask for mat_mul_calls, and holds what test modules import from here:
+reference_product, the oracle product, and torus, the abelian-by-abelian
+family.
 
 The suite writes no bytecode: pytest loads this file before any test
 module imports lralg, and the subprocess tests copy os.environ.  Caches
@@ -11,8 +12,10 @@ measures on the checkout.
 """
 
 import os
+import random
 import re
 import sys
+from collections import Counter
 
 import pytest
 
@@ -59,6 +62,25 @@ def reference_product(b, xs, ys) -> list[int]:
             for k, c in b._inz[i * n + j]:
                 out[k] += x * y * c
     return out
+
+
+def torus(q: int, k: int, sheared: bool = False) -> "LieAlgebra":
+    """a = Q^q acting on V = Q^k by [a_i, v_t] = w_it v_t, with fixed
+    weights in 1..5; g_infinity = V.  sheared takes a_i + v_(i mod k) as
+    the complement basis, which makes [a_i, a_j] a nonzero element of V,
+    so the split's correction system gets nonzero right-hand sides."""
+    from lralg.lie import LieAlgebra
+
+    rng = random.Random(f"torus:{q}:{k}")
+    w = [[rng.randint(1, 5) for _ in range(k)] for _ in range(q)]
+    brackets = {(i, q + t): {q + t: w[i][t]} for i in range(q) for t in range(k)}
+    if sheared:
+        for i in range(q):
+            for j in range(i + 1, q):
+                v = Counter({q + j % k: w[i][j % k]})
+                v[q + i % k] -= w[j][i % k]
+                brackets[i, j] = {c: x for c, x in v.items() if x}
+    return LieAlgebra.from_brackets(q + k, brackets)
 
 
 _results: dict[int, tuple[str, str]] = {}

@@ -234,6 +234,29 @@ class TestLiftProduct:
         with pytest.raises(PhiNotZeroError):
             lift_product(split_metabelian(r2()), q)
 
+    # r2 + Q: [x, y] = y with z central, so g_infinity = <y>, the
+    # complement is <x, z> (coordinates 0 and 1) and phi_z = 0.
+    R2_PLUS_Q = (3, {(0, 1): {1: 1}})
+
+    def test_lifts_a_product_that_phi_annihilates(self):
+        g = LieAlgebra.from_brackets(*self.R2_PLUS_Q)
+        q = Product.from_entries(2, {(1, 1): {1: 1}})  # z . z = z
+        lifted = lift_product(split_metabelian(g), q)
+        rep = check_lr(g, lifted)
+        assert rep.is_lr and rep.is_compatible and not rep.is_complete
+        assert lifted.evaluate((0, 0, 1), (0, 0, 1)) == (0, 0, 1)
+
+    @pytest.mark.parametrize(
+        "g",
+        [LieAlgebra.from_brackets(*R2_PLUS_Q), diag_solvable([1, 2])],
+        ids=["r2-plus-Q", "diag-1-2"],
+    )
+    def test_rejects_a_product_that_phi_moves(self, g):
+        # x . x = x, and phi_x is invertible on g_infinity.
+        q = Product.from_entries(g.dim - split_metabelian(g).g_infinity.dim, {(0, 0): {0: 1}})
+        with pytest.raises(PhiNotZeroError):
+            lift_product(split_metabelian(g), q)
+
 
 class TestTwoGenerator:
     def test_r2_frozen(self):
@@ -540,31 +563,35 @@ def test_series_facts_are_computed_once(monkeypatch, tmp_path, capsys):
     assert counts("_series") == 1
 
 
-def count_power_and_transport(monkeypatch):
-    """Calls of Matrix.power and of construct._transport, by name."""
+def count_dense_calls(monkeypatch, inside=None):
+    """Calls of Matrix.power, Matrix.inverse and _kernels.mat_mul, by
+    name; with inside, only those made while inside is nonempty."""
     calls = []
-    for owner, name in ((Matrix, "power"), (construct, "_transport")):
+    for owner, name in ((Matrix, "power"), (Matrix, "inverse"), (_kernels, "mat_mul")):
         original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original):
-            calls.append(_name)
+            if inside is None or inside:
+                calls.append(_name)
             return _original(*args)
 
         monkeypatch.setattr(owner, name, counted)
     return calls
 
 
-def test_complete_on_nilpotent_input_takes_no_power_or_transport(monkeypatch, tmp_path, capsys):
+def test_complete_on_nilpotent_input_takes_no_power_inverse_or_mat_mul(
+    monkeypatch, tmp_path, capsys
+):
     """`lralg complete` on the filiform(12) shift fixture: g_infinity = 0,
-    so the lift keeps the adapted table, and the left chain reaches 0,
-    so the completion is the input, with no operator power."""
+    so the lift is the completed product itself, with no change of
+    basis, and the left chain reaches 0, so the completion is the input,
+    with no operator power."""
     fixture, out = str(tmp_path / "in.json"), str(tmp_path / "out.json")
     assert cli.main(["catalog", "filiform12-shift", "-o", fixture]) == 0
-    calls = count_power_and_transport(monkeypatch)
+    calls = count_dense_calls(monkeypatch)
     assert cli.main(["complete", fixture, "-o", out]) == 0
     capsys.readouterr()
-    assert calls.count("power") == 0
-    assert calls.count("_transport") == 0
+    assert calls == []
 
 
 def test_complete_on_zero_g_infinity_reduces_one_product_span(monkeypatch):
@@ -589,11 +616,29 @@ def test_complete_on_zero_g_infinity_reduces_one_product_span(monkeypatch):
     assert [b for b in reduced if isinstance(b, Product)] == [p]
 
 
-def test_complete_with_nonzero_g_infinity_transports(monkeypatch):
-    """On diag-solvable input g_infinity is not 0, so the lift changes
-    basis."""
+def test_lift_with_nonzero_g_infinity_inverts_once(monkeypatch):
+    """Where g_infinity is not 0 the lift inverts its change of basis
+    once, its only source of coordinates, and forms no dense product:
+    on the completion of a diag-solvable product and on lr_for_g3 of r2,
+    diag-solvable [1, 2] and the Heisenberg algebra acting on a line."""
+    inside, lifts = [], []
+    real = construct.lift_product
+
+    def flagged(*args):
+        inside.append(True)
+        lifts.append(True)
+        try:
+            return real(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(construct, "lift_product", flagged)
+    calls = count_dense_calls(monkeypatch, inside)
     g = diag_solvable([1, 2, 3])
     p = two_generator_lr(g, (1, 0, 0, 0), (0, 1, 1, 1))
-    calls = count_power_and_transport(monkeypatch)
     assert_complete_lr(g, complete_any(g, p).completed)
-    assert calls.count("_transport") >= 1
+    heisenberg_on_a_line = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}, (0, 3): {3: 1}})
+    for g in (r2(), diag_solvable([1, 2]), heisenberg_on_a_line):
+        assert_complete_lr(g, lr_for_g3(g))
+    assert len(lifts) == 4
+    assert calls == ["inverse"] * 4

@@ -1,14 +1,12 @@
 """Lie algebras from structure constants: validation, series, quotients,
 and the metabelian splitting."""
 
-import random
 import sys
-from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from conftest import reference_product
+from conftest import reference_product, torus
 
 from lralg.catalog import abelian, diag_solvable, filiform, free_two_step, heisenberg, r2
 from lralg.errors import (
@@ -259,23 +257,6 @@ class TestSplitMetabelian:
         for coords in ((1, 2, 3, 4, 5), (), (1, 0)):
             with pytest.raises(DimensionMismatchError):
                 sp.phi_of(coords)
-
-
-def torus(q: int, k: int, sheared: bool = False) -> LieAlgebra:
-    """a = Q^q acting on V = Q^k by [a_i, v_t] = w_it v_t, with fixed
-    weights in 1..5; g_infinity = V.  sheared takes a_i + v_(i mod k) as
-    the complement basis, which makes [a_i, a_j] a nonzero element of V,
-    so the split's correction system gets nonzero right-hand sides."""
-    rng = random.Random(f"torus:{q}:{k}")
-    w = [[rng.randint(1, 5) for _ in range(k)] for _ in range(q)]
-    brackets = {(i, q + t): {q + t: w[i][t]} for i in range(q) for t in range(k)}
-    if sheared:
-        for i in range(q):
-            for j in range(i + 1, q):
-                v = Counter({q + j % k: w[i][j % k]})
-                v[q + i % k] -= w[j][i % k]
-                brackets[i, j] = {c: x for c, x in v.items() if x}
-    return LieAlgebra.from_brackets(q + k, brackets)
 
 
 def dense_complement(g: LieAlgebra) -> Matrix:

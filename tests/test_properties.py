@@ -21,9 +21,9 @@ inverse that it replaced, on polynomials in one matrix and on the left
 multiplications of recipe products.  The completion's Fitting split,
 read off the left chain when that reaches 0, must equal that power
 split of the left multiplications on both branches, and its table,
-on a dim-24 idempotent product, the dense contraction of the old
-transport; is_nilpotent_operator, running the chain of images, must
-agree with m**n == 0.  The series, taken
+on a dim-24 idempotent product, the dense contraction p(proj_n x, y);
+is_nilpotent_operator, running the chain of images, must agree with
+m**n == 0.  The series, taken
 from [g, g] and, for two-step solvable g, by bracketing with a
 complement of [g, g] only, must equal the loop that brackets every
 term with all of g.  The memoized certificate reports must equal a
@@ -31,8 +31,9 @@ fresh computation.  The two-generator construction, which scans its
 candidates lazily and pushes its table through sparse columns, must
 match the eager Fraction algorithm it replaced, and, reading the inverse
 of its basis off the tagged rows of its scan, the scan followed by
-Matrix.inverse; the change of basis of the lift, skipping empty first
-arguments, the dense loop it replaced.  The sample vectors, drawn as
+Matrix.inverse.  The lift, read from the bracket of g, must match the
+table in the adapted basis contracted by the dense loop it replaced,
+and raise where that one's phi check does.  The sample vectors, drawn as
 integer pairs, must be the Fraction draws.  Every builder of
 Bilinear must store the same canonical constants.  Jacobi, summed on
 the triples that receive a nonzero term, must give the report of the
@@ -51,7 +52,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from conftest import reference_product
+from conftest import reference_product, torus
 
 from lralg import _kernels, construct, lie, linalg, lr
 from lralg.catalog import (
@@ -67,10 +68,17 @@ from lralg.construct import (
     _scan_order,
     complete_any,
     complete_nilpotent,
+    half_bracket,
+    lift_product,
     lr_for_g3,
     two_generator_lr,
 )
-from lralg.errors import InternalConsistencyError, NotGeneratedError, PreconditionError
+from lralg.errors import (
+    InternalConsistencyError,
+    NotGeneratedError,
+    PhiNotZeroError,
+    PreconditionError,
+)
 from lralg.lie import (
     LieAlgebra,
     SeriesReport,
@@ -550,7 +558,7 @@ def test_completion_makes_no_dense_operator_power_or_inverse(monkeypatch):
 def test_completion_of_idempotent_product_matches_power_core_and_dense_transport():
     """On the dim-24 idempotent product the split equals the power core
     and the completed table the old contraction p(proj_n x, y) through
-    the dense loop of _transport."""
+    dense_transport."""
     g, p = idempotent_product(24, seed=5)
     cert = complete_nilpotent(g, p)
     fit = power_core_fitting(lefts(p))
@@ -1815,8 +1823,10 @@ def inverse_two_generator_lr(g, x, y):
 
 
 def dense_transport(p, first, second, out):
-    """construct._transport as first computed: two dense accumulators
-    of length n for every pair (i, j), empty first rows included."""
+    """The constants of (x, y) -> out p(first x, second y), and the
+    factor first._den * second._den * out._den by which their
+    denominator exceeds p's, as the package first computed them: two
+    dense accumulators of length n for every pair (i, j)."""
     n = p.dim
     firsts, seconds, outs = (
         [_nonzero(r) for r in m.transpose()._int_rows()] for m in (first, second, out)
@@ -1896,32 +1906,111 @@ def test_non_generating_pair_still_raises():
                 build(g, x, y)
 
 
-def test_completion_matches_dense_transport(monkeypatch):
-    """complete_any changes basis through _transport in the lift; with
-    the dense loop in its place it gives the same completed products on
-    the two-generator products of the cases above."""
+def adapted_lift(split, q):
+    """lift_product as first computed: phi checked on the numerators of
+    split.phi, the n x n table of the product in the adapted basis, and
+    that table contracted to C p(C^-1 x, C^-1 y), for C the change of
+    basis, by dense_transport."""
+    k, m = split.g_infinity.dim, q.dim
+    n = k + m
+    den = math.lcm(q._den, *(pa._den for pa in split.phi))
+    phis = [[x * (den // pa._den) for x in pa._num] for pa in split.phi]
+    for w in q._inz:
+        if any(sum(c * phis[a][t] for a, c in w) for t in range(k * k)):
+            raise PhiNotZeroError("the action does not vanish on a product of complement elements")
+    adapted = [()] * (n * n)
+    s = den // q._den
+    for a in range(m):
+        for t in range(k):
+            adapted[(k + a) * n + t] = _nonzero(phis[a][t::k])
+        for b in range(m):
+            adapted[(k + a) * n + k + b] = [(k + c, v * s) for c, v in q._inz[a * m + b]]
+    change = split.change_of_basis
+    inv = change.inverse()
+    rows, scale = dense_transport(Bilinear._from_int(n, adapted, 1), inv, inv, change)
+    return Product._from_int(n, rows, den * scale)
+
+
+def test_completion_matches_adapted_table_lift(monkeypatch):
+    """complete_any lifts from the bracket of g; with the adapted-table
+    lift in its place it gives the same completed products on the
+    two-generator products of the cases above."""
     cases = [c for c in two_generator_cases() if c[0].dim <= 17]
     products = [(g, two_generator_lr(g, x, y)) for g, x, y in cases]
     got = [complete_any(g, p).completed for g, p in products]
-    monkeypatch.setattr(construct, "_transport", dense_transport)
+    monkeypatch.setattr(construct, "lift_product", adapted_lift)
     assert got == [complete_any(g, p).completed for g, p in products]
 
 
-@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_transport_matches_dense_loop(data):
-    """_transport, skipping first arguments whose products vanish and
-    pushing only nonzero entries, gives the constants and scale of the
-    dense loop, on arbitrary constants and matrices, singular or not,
-    whose zero columns leave rows of the first argument empty."""
-    n = data.draw(st.integers(1, 5))
-    p = Product(data.draw(mixed_tensor(n)))
-    square = st.lists(st.lists(sparse_rational, min_size=n, max_size=n), min_size=n, max_size=n)
-    first, second, out = (Matrix(data.draw(square)) for _ in range(3))
-    rows, scale = construct._transport(p, first, second, out)
-    expected, expected_scale = dense_transport(p, first, second, out)
-    assert scale == expected_scale
-    assert [sorted(r) for r in rows] == [sorted(r) for r in expected]
+def kernel_products(split):
+    """Products on the abelian complement algebra of split: for v the
+    first RREF row of the kernel of phi and of a complement of that
+    kernel, where nonzero, and f a functional with f(v) = 0, the
+    complete product x . y = f(x) f(y) v, which phi annihilates exactly
+    when v lies in its kernel; none when the complement is a line."""
+    m, k = split.complement.rows, split.g_infinity.dim
+    flat = Matrix([[split.phi[a][s, t] for a in range(m)] for s in range(k) for t in range(k)])
+    out = []
+    for space in (kernel(flat), complement(kernel(flat))):
+        if not space.dim or m < 2:
+            continue
+        v = space.basis[0]
+        a = next(i for i, x in enumerate(v) if x)
+        b = (a + 1) % m
+        f = {a: -v[b], b: v[a]}
+        entries = {(i, j): {c: x * f[i] * f[j] for c, x in enumerate(v) if x}
+                   for i in f for j in f if f[i] and f[j]}
+        out.append(Product.from_entries(m, entries))
+    return out
+
+
+def lift_cases():
+    """(split, q): diag-solvable, the torus family, r2 + Q and the
+    Heisenberg algebra acting on a line, native and after seeded
+    changes of basis, with q the half bracket where the complement
+    algebra is not abelian (there it is the Heisenberg algebra), the
+    zero product and products that phi does or does not annihilate where
+    it is, and the completions of the quotients of two-generator
+    products."""
+    algebras = [diag_solvable(w) for w in ([1], [1, 2], [2, -1, 3], list(range(1, 9)))]
+    algebras += [torus(2, 3), torus(3, 3), torus(5, 3), torus(4, 2, True), torus(5, 3, True)]
+    algebras += [LieAlgebra.from_brackets(3, {(0, 1): {1: 1}}),
+                 LieAlgebra.from_brackets(*HEISENBERG_ON_A_LINE)]
+    for seed, g in enumerate(list(algebras)):
+        basis = seeded_change_matrix(g.dim, random.Random(seed))
+        algebras.append(LieAlgebra(change_basis(g.brackets, *basis)))
+    cases = []
+    for g in algebras:
+        split = split_metabelian(g)
+        n_alg = split.complement_algebra
+        if any(n_alg._inz):
+            qs = [half_bracket(n_alg)]
+        else:
+            qs = [Product.zero(n_alg.dim), *kernel_products(split)]
+        cases += [(split, q) for q in qs]
+    for g, x, y in two_generator_cases():
+        if g.dim <= 9:
+            split = split_metabelian(g)
+            q0 = quotient_product(g, two_generator_lr(g, x, y), split.g_infinity)
+            cases.append((split, complete_nilpotent(split.complement_algebra, q0).completed))
+    return cases
+
+
+def test_lift_matches_adapted_table_lift():
+    """lift_product, read from the bracket of g, gives the product of the
+    adapted-table lift, or raises PhiNotZeroError where it does; cases
+    of both kinds occur."""
+    raised = 0
+    for split, q in lift_cases():
+        try:
+            expected = adapted_lift(split, q)
+        except PhiNotZeroError:
+            raised += 1
+            with pytest.raises(PhiNotZeroError):
+                lift_product(split, q)
+            continue
+        assert lift_product(split, q) == expected
+    assert 0 < raised
 
 
 def assert_builders_agree(n, inz, den, factor=1):
