@@ -43,6 +43,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _column_map,
+    _combine,
     _fitting_split_commuting,
     _nonzero,
     _push,
@@ -162,14 +163,15 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
     C^-1, C the change of basis, holds the g_infinity part rest_j and
     the complement coordinates gamma_j of e_j, and g_infinity is
     abelian, so e_i . e_j = [e_i, rest_j] + iota(q(gamma_i, gamma_j)).
-    That is M_i C^-1 e_j, where column t of M_i is [e_i, b_t], b_t the
-    t-th RREF row of g_infinity, and column k + a is
-    iota(q(gamma_i, e_a)), summed on integers over one denominator; row
-    i is empty when gamma_i = 0.  C^-1 is one dense Matrix.inverse, the
-    only source of rest_j and gamma_j here (gamma_j could be read from
-    the remainder of e_j against g_infinity, as Bilinear._quotient
-    reads it).  When g_infinity = 0, C is the identity, so q itself,
-    certified on the algebra, is the lift.
+    That is column j of C^-1 pushed through the columns of M_i
+    (linalg._push), on integers over one denominator, where column t of
+    M_i is [e_i, b_t], b_t the t-th RREF row of g_infinity, and column
+    k + a is iota(q(gamma_i, e_a)); row i is empty when gamma_i = 0.
+    C^-1 is one dense Matrix.inverse, the only source of rest_j and
+    gamma_j here (gamma_j could be read from the remainder of e_j
+    against g_infinity, as Bilinear._quotient reads it).  When
+    g_infinity = 0, C is the identity, so q itself, certified on the
+    algebra, is the lift.
 
     Requires phi to vanish on all products of q; phi is linear, so that
     holds iff [iota(z), b_t] = 0 for every row z of the span of q's
@@ -213,12 +215,7 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
         mi = {t: [(c, x * s1) for c, x in rt[i]] for t, rt in enumerate(right) if i in rt}
         for a, w in q._times_basis(gamma, False).items():
             mi[k + a] = [(c, x * s2) for c, x in _push(iota, w, n)]
-        for j in range(n):
-            acc: dict[int, int] = {}
-            for r, y in cols[j]:
-                for c, x in mi.get(r, ()):
-                    acc[c] = acc.get(c, 0) + x * y
-            rows.append([(c, x) for c, x in acc.items() if x])
+        rows.extend(_push(mi, cols[j], n) for j in range(n))
     lifted = Product._from_int(n, rows, den * inv._den)
     return _certified(g, lifted, rep.is_complete, "lift_product")
 
@@ -321,9 +318,9 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     candidates are recorded as 0 without a bracket or a reduction.  No
     operator matrix is formed: column j of L(v) for a kept
     v = ad(y)^k ad(x)^l y is ad(y)^k ad(x)^l [y, e_j], pushed along the
-    same chains from the columns of ad(y), and row i of the table is
-    summed on integers from the nonzero tags of row i against the
-    nonzero columns of those operators.
+    same chains from the columns of ad(y), and row i of the table, the
+    columns of L(e_i), is the sum of those operators weighted by the
+    nonzero tags of row i, taken on integers by linalg._combine.
     """
     if not is_two_step_solvable(g):
         raise NotTwoStepSolvableError("second derived algebra does not vanish")
@@ -409,19 +406,9 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     reduced, rden, _ = K.canonical(kept)
     terms = [(n + s, d, op(kl)) for s, (d, kl) in enumerate(selected) if kl is not None]
     den = lcm(*(oden for _, _, (_, oden) in terms))
-    weights = {c: (d * (den // oden), cols) for c, d, (cols, oden) in terms}
+    weights = {c: (d * (den // oden), cols.items()) for c, d, (cols, oden) in terms}
     rows = []
     for row in reduced:
-        acc: dict[int, dict[int, int]] = {}  # acc[j][k]: e_k in e_i e_j
-        for c, a in row:
-            if c in weights:
-                w, cols = weights[c]
-                w *= a
-                for j, col in cols.items():
-                    accj = acc.setdefault(j, {})
-                    for k, v in col:
-                        accj[k] = accj.get(k, 0) + w * v
-        for j in range(n):
-            accj = acc.get(j)
-            rows.append([(k, v) for k, v in accj.items() if v] if accj else ())
+        left = _combine([(a * weights[c][0], weights[c][1]) for c, a in row if c in weights], n)
+        rows.extend(left.get(j, ()) for j in range(n))
     return _certified(g, Product._from_int(n, rows, rden * den), False, "two_generator_lr")

@@ -340,13 +340,13 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix, Matrix
     bad = g.escape(ideal)
     if bad is not None:
         raise NotAnIdealError(f"[{g.name(bad[1])}, ideal basis vector] leaves the subspace")
-    comp = complement(ideal)
-    u = comp.rows  # unit rows at the free coordinates; complement(comp) at the pivots
-    projection = u - u * ideal.rows.transpose() * complement(comp).rows
+    n, comp = g.dim, complement(ideal)
+    rems = [ideal._remainder(_int_row(((j, 1),), n)) for j in range(n)]
+    projection = Matrix._raw(comp.dim, n, [r[f] for f in comp.pivots for r in rems], ideal._den)
     names = None
     if g.basis_names is not None:
         names = tuple(g.basis_names[f] for f in comp.pivots)
-    return LieAlgebra._from_int(*g._quotient(ideal), names), projection, u.transpose()
+    return LieAlgebra._from_int(*g._quotient(ideal), names), projection, comp.rows.transpose()
 
 
 @dataclass(frozen=True)

@@ -37,12 +37,13 @@ operator is its nonzero columns {j: column}: every product x . y and
 "x times each basis vector" loop reads them off one index of the
 constants by row and by column, built on first use, through one
 reader, _times_basis, and pushes y through them with one helper,
-_push; one writer, _columns_matrix, makes them a Matrix where one is
-returned.  Files are read into and written from
-those integers (lralg.io) without Fractions.  Fractions appear only at
-the edge of the library API: vectors passed in and returned are tuples
-of fractions.Fraction, and so are Subspace.basis, the tensor views and
-the defects of failed identities.
+_push; one loop, _combine, sums integer multiples of them, and one
+writer, _columns_matrix, makes them a Matrix where one is returned.
+Files are read into and written from those integers (lralg.io)
+without Fractions.  Fractions appear only at the edge of the library
+API: vectors passed in and returned are tuples of fractions.Fraction,
+and so are Subspace.basis, the tensor views and the defects of failed
+identities.
 """
 
 from __future__ import annotations
@@ -189,12 +190,12 @@ class Matrix:
     @classmethod
     def from_columns(cls, columns) -> "Matrix":
         cols = [list(c) for c in columns]
-        if not cols:
-            return cls.zeros(0, 0)
-        n = len(cols[0])
+        n = len(cols[0]) if cols else 0
         for c in cols:
             if len(c) != n:
                 raise DimensionMismatchError("ragged columns")
+        if not n:
+            return cls.zeros(0, len(cols))
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(n)])
 
     @property
@@ -732,12 +733,13 @@ class Bilinear:
 
     The operator of x, y -> x . y or y -> y . x, is read from _index,
     the nonzero constants by row and by column (_by), built on first
-    use, by one reader: _times_basis returns its nonzero columns, sparse,
-    which operator writes into its Matrix (_columns_matrix), apply, the
-    brackets of subspaces, phi, the split's closure and the lift push
-    vectors through (_push), and the Lemma 14 identities, the
-    completeness chains, escape and the completion's table read as
-    they are; the LR identity check sums the constants of _by itself.
+    use, by one reader: _times_basis returns its nonzero columns, sparse
+    (summed by _combine), which operator writes into its Matrix
+    (_columns_matrix), apply, the brackets of subspaces, phi, the
+    split's closure and the lift push vectors through (_push), and the
+    Lemma 14 identities, the completeness chains, escape and the
+    completion's table read as they are; the LR identity check sums
+    the constants of _by itself.
     The span of all products (_product_span) is kept in _span the same way.
     """
 
@@ -869,24 +871,14 @@ class Bilinear:
         when right is set, each a vector in _inz's form, sorted nonzero
         (k, numerator) pairs, so == on two columns is equality of the
         vectors.  For a single term x_m e_m these are the constants of
-        row or column m, scaled by x_m."""
-        n = self.dim
+        row or column m, scaled by x_m; _combine sums more terms."""
         by = self._by(right)
         if len(xs) == 1:
             (m, x), = xs
             if x == 1:
                 return dict(by[m])
             return {j: tuple([(k, x * c) for k, c in w]) for j, w in by[m]}
-        out: dict[int, list[int]] = {}
-        for m, x in xs:
-            for j, w in by[m]:
-                acc = out.get(j)
-                if acc is None:
-                    acc = out[j] = [0] * n
-                for k, c in w:
-                    acc[k] += x * c
-        nonzero = ((j, _nonzero(acc)) for j, acc in out.items())
-        return {j: tuple(v) for j, v in nonzero if v}
+        return _combine([(x, by[m]) for m, x in xs], self.dim)
 
     def escape(self, s: Subspace, both_sides: bool = False) -> tuple[str, int] | None:
         """First place where s fails to absorb the map, or None.
@@ -939,6 +931,23 @@ def _columns_matrix(cols: dict, n: int, den: int) -> Matrix:
         for k, c in col:
             num[k * n + j] = c
     return Matrix._raw(n, n, num, den)
+
+
+def _combine(terms, n: int) -> dict[int, tuple]:
+    """The sum of x M over the terms (x, M), x an integer and M an
+    operator on Q^n given by its nonzero (j, column) pairs, in _push's
+    form: {j: column}, each column sorted nonzero (k, numerator) pairs;
+    columns that cancel are left out."""
+    out: dict[int, list[int]] = {}
+    for x, cols in terms:
+        for j, w in cols:
+            acc = out.get(j)
+            if acc is None:
+                acc = out[j] = [0] * n
+            for k, c in w:
+                acc[k] += x * c
+    nonzero = ((j, _nonzero(acc)) for j, acc in out.items())
+    return {j: tuple(v) for j, v in nonzero if v}
 
 
 def _push(cols: dict, v, n: int) -> tuple:

@@ -170,6 +170,29 @@ def test_no_operator_powers(module):
     assert not lines, f"{module} calls .power( on lines {lines}"
 
 
+def accumulations(tree: ast.Module) -> list[int]:
+    """The lines that add into an entry of a container: an augmented
+    assignment to a subscript, or d[k] = d.get(k, ...) + ..."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp)
+              and any(isinstance(t, ast.Subscript) for t in node.targets)
+              and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+                      and c.func.attr == "get" for c in ast.walk(node.value))):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_construct_holds_no_accumulator():
+    """The constructions sum operator columns through linalg's one
+    column-sum loop (_combine, _push), so construct adds into no
+    container entry of its own."""
+    lines = accumulations(parse(os.path.join(PACKAGE, "construct.py")))
+    assert not lines, f"construct.py accumulates on lines {lines}"
+
+
 def cited_private_names(text: str) -> set[str]:
     """The private names (_name, not dunders) a text cites, bare or
     after a dot."""

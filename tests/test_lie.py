@@ -195,6 +195,26 @@ class TestQuotient:
         with pytest.raises(NotAnIdealError):
             quotient(g, line)
 
+    def test_projection_reads_remainders_with_no_dense_product(self, mat_mul_calls):
+        """Column j of the projection is the remainder of e_j against
+        the ideal at the non-pivot coordinates, read with no Matrix
+        product; checked on the zero and the full ideal, coordinate
+        ideals and subspaces of an abelian algebra off the coordinates."""
+        cases = [(heisenberg(), Subspace.from_vectors(3, [(0, 0, 1)]))]
+        cases += [(filiform(6), ideal) for ideal in series(filiform(6)).lower_central]
+        cases += [(abelian(4), Subspace.from_vectors(4, vs)) for vs in (
+            [], [(1, 2, 0, Fraction(1, 3))], [(1, 2, 0, Fraction(1, 3)), (0, 3, -1, 0)],
+            standard_basis(4))]
+        mat_mul_calls.clear()
+        quotients = [quotient(g, ideal) for g, ideal in cases]
+        assert mat_mul_calls == []
+        for (g, ideal), (q, proj, sect) in zip(cases, quotients):
+            free = complement(ideal).pivots
+            assert proj.shape == (q.dim, g.dim) and sect.shape == (g.dim, q.dim)
+            for j, e in enumerate(standard_basis(g.dim)):
+                assert proj.column(j) == tuple(ideal.reduce(e)[f] for f in free)
+            assert proj * sect == Matrix.identity(q.dim)
+
     def test_projection_is_homomorphism(self):
         g = filiform(5)
         rep = series(g)

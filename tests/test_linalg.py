@@ -60,6 +60,13 @@ class TestMatrixBasics:
     def test_ragged_rejected(self):
         with pytest.raises(DimensionMismatchError):
             Matrix([[1, 2], [3]])
+        with pytest.raises(DimensionMismatchError):
+            Matrix.from_columns([(1, 2), (3,)])
+
+    def test_from_columns_keeps_the_column_count(self):
+        assert Matrix.from_columns([(1, 2), (3, 4)]) == Matrix([[1, 3], [2, 4]])
+        assert Matrix.from_columns([]).shape == (0, 0)
+        assert Matrix.from_columns([(), ()]).shape == (0, 2)
 
     def test_arithmetic(self):
         a = Matrix([[1, 2], [3, 4]])

@@ -41,7 +41,8 @@ loop over every triple, and the sampled Lemma 14 identities, compared
 as sparse operator columns, the defects of the Fraction operator
 products and of the products taken pair by pair.  escape, reducing
 only the nonzero operator columns, must name the place that the loop
-over every dense column names.
+over every dense column names.  _combine, the one loop that sums
+integer multiples of operator columns, must give their Matrix sum.
 """
 
 import itertools
@@ -97,6 +98,8 @@ from lralg.linalg import (
     FittingSplit,
     Matrix,
     Subspace,
+    _columns_matrix,
+    _combine,
     _int_row,
     _nonzero,
     _push,
@@ -858,6 +861,49 @@ def test_apply_is_the_fraction_contraction(kind, data):
         for k in range(n)
     )
     assert Bilinear(t).apply(x, y) == expected
+
+
+@st.composite
+def column_map(draw, n):
+    """A random integer operator on Q^n by its nonzero columns, in
+    _push's form {j: sorted nonzero (k, numerator) pairs}."""
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    cols = {j: tuple(_nonzero(draw(st.lists(entry, min_size=n, max_size=n))))
+            for j in range(n)}
+    return {j: col for j, col in cols.items() if col}
+
+
+@pytest.mark.parametrize("kind", ["none", "single", "zero", "many", "cancel"])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_combine_is_the_matrix_sum(kind, data):
+    """_combine(terms, n) is sum x M over the terms (x, M) as Matrix
+    arithmetic on dims 1-8 computes it, for no terms, one term, terms
+    with zero coefficients, several terms, and two terms whose sum
+    cancels one column to 0, which is then left out; every kept
+    column is nonempty, with its pairs sorted and nonzero."""
+    n = data.draw(st.integers(1, 8))
+    coeff = st.integers(-5, 5)
+    count = {"none": 0, "single": 1}.get(kind, data.draw(st.integers(2, 4)))
+    terms = [(data.draw(coeff), data.draw(column_map(n))) for _ in range(count)]
+    if kind == "zero":
+        terms[0] = (0, terms[0][1])
+    cancelled = None
+    if kind == "cancel":
+        x, m = data.draw(coeff.filter(bool)), data.draw(column_map(n))
+        assume(m)
+        cancelled = data.draw(st.sampled_from(sorted(m)))
+        other = data.draw(column_map(n))
+        other[cancelled] = tuple((k, -c) for k, c in m[cancelled])
+        terms = [(x, m), (x, other)]
+    out = _combine([(x, m.items()) for x, m in terms], n)
+    expected = Matrix.zeros(n, n)
+    for x, m in terms:
+        expected = expected + x * _columns_matrix(m, n, 1)
+    assert _columns_matrix(out, n, 1) == expected
+    assert cancelled not in out
+    for col in out.values():
+        assert col and list(col) == sorted(col) and all(c for _, c in col)
 
 
 @settings(max_examples=60, deadline=None)
