@@ -7,7 +7,7 @@ each fixture and say exactly which checks should pass or fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import FileFormatError, PreconditionError, UnknownFixtureError
 from .io import MAX_DIM, _parse_rational, _show
@@ -72,20 +72,17 @@ def _filiform_shift(n: int) -> tuple[LieAlgebra, Product]:
     return g, p
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(
+    namedtuple("Fixture", "name is_lr is_compatible is_complete failing description")
+):
     """A named (algebra, product) pair with its documented expectations.
 
-    failing lists the identities expected to be violated; empty for the
-    positive fixtures.
+    name and description are strs and is_lr, is_compatible and
+    is_complete bools.  failing is the tuple of the identities expected
+    to be violated; empty for the positive fixtures.
     """
 
-    name: str
-    is_lr: bool
-    is_compatible: bool
-    is_complete: bool
-    failing: tuple[str, ...]
-    description: str
+    __slots__ = ()
 
 
 def _fx_heisenberg_half():

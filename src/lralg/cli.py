@@ -80,8 +80,9 @@ _LABELS = {
 
 
 def _report(args, fields: dict, text: dict | None = None) -> None:
-    """Print a command's result: fields as JSON under --json, otherwise
-    one `label: value` line per field in the same order.
+    """Print a command's result: fields as JSON under --json, with each
+    violation as an object (_violation_json), otherwise one
+    `label: value` line per field in the same order.
 
     text replaces the values of some fields in the text form only; a
     field it maps to None prints no line.  Bools print as yes/no, lists
@@ -89,7 +90,9 @@ def _report(args, fields: dict, text: dict | None = None) -> None:
     indented line each.
     """
     if args.json:
-        print(json.dumps(fields, indent=2, default=_violation_json))
+        if "violations" in fields:
+            fields = {**fields, "violations": [_violation_json(v) for v in fields["violations"]]}
+        print(json.dumps(fields, indent=2))
         return
     for key, value in {**fields, **(text or {})}.items():
         if value is None:

@@ -12,7 +12,7 @@ rather than producing an unverified product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from math import gcd, lcm
 
@@ -61,23 +61,23 @@ from .lr import (
 )
 
 
-@dataclass(frozen=True)
-class ContainmentWitness:
-    """Spans of the new and old products; holds means new inside old."""
+class ContainmentWitness(
+    namedtuple("ContainmentWitness", "new_products_span old_products_span holds")
+):
+    """Spans of the new and old products, as Subspaces; the bool holds
+    means new inside old."""
 
-    new_products_span: Subspace
-    old_products_span: Subspace
-    holds: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CompletionCertificate:
-    """Outcome of a completion, with the data needed to re-verify it."""
+class CompletionCertificate(
+    namedtuple("CompletionCertificate", "original completed fitting containment_witness")
+):
+    """Outcome of a completion, with the data needed to re-verify it:
+    the original and completed Products, the FittingSplit the
+    completion came from and its ContainmentWitness."""
 
-    original: Product
-    completed: Product
-    fitting: FittingSplit
-    containment_witness: ContainmentWitness
+    __slots__ = ()
 
 
 def _lr_input(g: LieAlgebra, p: Product, prefix: str) -> LrReport:

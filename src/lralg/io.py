@@ -22,7 +22,6 @@ import os
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Any
 
 from .errors import FileFormatError
 from .lie import LieAlgebra
@@ -55,7 +54,7 @@ def _clip(text: str) -> str:
     return text if len(text) <= 20 else f"{text[:10]}...({len(text)} chars)"
 
 
-def _show(value: Any) -> str:
+def _show(value: object) -> str:
     """repr of an input value for a diagnostic, clipped.
 
     Python refuses to print an int of more than 4300 digits, which a
@@ -67,7 +66,7 @@ def _show(value: Any) -> str:
         return "a value too long to print"
 
 
-def _parse_ratio(text: Any, path: str, key: str | None = None, pos: int = 0) -> tuple[int, int]:
+def _parse_ratio(text: object, path: str, key: str | None = None, pos: int = 0) -> tuple[int, int]:
     """(numerator, denominator) of a rational string, as written: "2/4"
     gives (2, 4).  A diagnostic names path or, for the member key of the
     v object of entry pos of the list at path, path[pos].v.key, a name
@@ -84,11 +83,11 @@ def _parse_ratio(text: Any, path: str, key: str | None = None, pos: int = 0) -> 
     _fail(path if key is None else f"{path}[{pos}].v.{_clip(key)}", message)
 
 
-def _parse_rational(text: Any, path: str) -> Fraction:
+def _parse_rational(text: object, path: str) -> Fraction:
     return Fraction(*_parse_ratio(text, path))
 
 
-def _parse_index(value: Any, dim: int, path: str) -> int:
+def _parse_index(value: object, dim: int, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         _fail(path, f"expected an integer, got {_show(value)}")
     if not 1 <= value <= dim:
@@ -96,7 +95,7 @@ def _parse_index(value: Any, dim: int, path: str) -> int:
     return value - 1
 
 
-def _parse_values(obj: Any, dim: int, path: str, pos: int) -> dict[int, tuple[int, int]]:
+def _parse_values(obj: object, dim: int, path: str, pos: int) -> dict[int, tuple[int, int]]:
     """The v object of entry pos of the list at path, whose path,
     path[pos].v, is formed only for a diagnostic."""
     if not isinstance(obj, dict):
@@ -117,7 +116,7 @@ def _parse_values(obj: Any, dim: int, path: str, pos: int) -> dict[int, tuple[in
 
 
 def _parse_entries(
-    obj: Any, dim: int, path: str, require_ordered: bool
+    obj: object, dim: int, path: str, require_ordered: bool
 ) -> dict[tuple[int, int], dict[int, tuple[int, int]]]:
     """The entries of the list at path.  A well-formed entry costs no
     path string or key set; those are formed only for a diagnostic,
@@ -148,7 +147,7 @@ def _parse_entries(
     return out
 
 
-def parse_data(obj: Any, source: str = "input") -> tuple[LieAlgebra, Product | None]:
+def parse_data(obj: object, source: str = "input") -> tuple[LieAlgebra, Product | None]:
     """Build an algebra (and product, when present) from decoded JSON."""
     if not isinstance(obj, dict):
         _fail(source, "top level must be an object")
@@ -185,8 +184,8 @@ def parse_data(obj: Any, source: str = "input") -> tuple[LieAlgebra, Product | N
     return algebra, product
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    obj: dict[str, Any] = {}
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    obj: dict[str, object] = {}
     for key, value in pairs:
         if key in obj:
             raise ValueError(f"duplicate key {_clip(repr(key))}")

@@ -11,7 +11,7 @@ equal algebra built anew is not checked again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
 from .errors import (
@@ -39,14 +39,12 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One failed identity: which identity, at which basis indices, and
-    the exact defect (a vector or a matrix, never approximate)."""
+class Violation(namedtuple("Violation", "identity indices defect")):
+    """One failed identity: which identity (a str), at which basis
+    indices (a tuple of ints), and the exact defect (a vector or a
+    matrix, never approximate)."""
 
-    identity: str
-    indices: tuple[int, ...]
-    defect: object
+    __slots__ = ()
 
     def __str__(self) -> str:
         where = ", ".join(str(i + 1) for i in self.indices)
@@ -231,20 +229,19 @@ def bracket_of_subspaces(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
     return Subspace._from_sparse(n, products)
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(
+    namedtuple("SeriesReport", "lower_central g_infinity derived nilpotent solvable_class")
+):
     """Lower central and derived series, with the standard flags.
 
-    Both series are listed from the whole algebra down to their first
-    stabilized term; g_infinity is the stabilized lower central term.
-    solvable_class is None when the derived series does not reach zero.
+    Both series are tuples of Subspaces, listed from the whole algebra
+    down to their first stabilized term; g_infinity is the stabilized
+    lower central term and nilpotent a bool.  solvable_class, an int, is
+    the number of steps the derived series takes to reach zero, or None
+    when it does not reach zero.
     """
 
-    lower_central: tuple[Subspace, ...]
-    g_infinity: Subspace
-    derived: tuple[Subspace, ...]
-    nilpotent: bool
-    solvable_class: int | None
+    __slots__ = ()
 
     @property
     def solvable(self) -> bool:
@@ -349,30 +346,28 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix, Matrix
     return LieAlgebra._from_int(*g._quotient(ideal), names), projection, comp.rows.transpose()
 
 
-@dataclass(frozen=True)
-class SplitDecomposition:
+class SplitDecomposition(
+    namedtuple("SplitDecomposition", "algebra series complement phi complement_algebra")
+):
     """Splitting g = g_infinity + complement of a two-step solvable
     algebra over its stabilized lower central term.
 
-    series is the SeriesReport of g the split was taken from, and
-    g_infinity its stabilized lower central term.  Row j of the q x n
-    Matrix complement is the unit vector at the j-th non-pivot
-    coordinate of g_infinity plus a correction inside it; the rows span
-    a subalgebra whose bracket in their coordinates is
-    complement_algebra (g / g_infinity on its canonical basis).  phi[j]
-    is the matrix of x -> [row j, x] on g_infinity in its RREF
-    coordinates, read from the brackets of the unit vector with
-    g_infinity's basis rows (the correction brackets to zero there); the
-    split checks with it that phi is a homomorphism, while lift_product
-    reads the bracket of g instead.  change_of_basis has the adapted
-    basis (g_infinity first, then the complement) as columns.
+    algebra is the LieAlgebra g, series the SeriesReport of g the split
+    was taken from, and g_infinity its stabilized lower central term.
+    Row j of the q x n Matrix complement is the unit vector at the j-th
+    non-pivot coordinate of g_infinity plus a correction inside it; the
+    rows span a subalgebra whose bracket in their coordinates is the
+    LieAlgebra complement_algebra (g / g_infinity on its canonical
+    basis).  phi is a tuple of Matrices: phi[j] is the matrix of
+    x -> [row j, x] on g_infinity in its RREF coordinates, read from the
+    brackets of the unit vector with g_infinity's basis rows (the
+    correction brackets to zero there); the split checks with it that
+    phi is a homomorphism, while lift_product reads the bracket of g
+    instead.  change_of_basis has the adapted basis (g_infinity first,
+    then the complement) as columns.
     """
 
-    algebra: "LieAlgebra"
-    series: SeriesReport
-    complement: Matrix
-    phi: tuple[Matrix, ...]
-    complement_algebra: "LieAlgebra"
+    __slots__ = ()
 
     @property
     def g_infinity(self) -> Subspace:

@@ -48,7 +48,7 @@ identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -647,15 +647,13 @@ def is_nilpotent_operator(m: Matrix) -> bool:
     return not _stable_image(m.rows, [_column_map(m)]).dim
 
 
-@dataclass(frozen=True)
-class FittingSplit:
+class FittingSplit(namedtuple("FittingSplit", "v_n v_0 proj_n")):
     """Decomposition into the invariant parts v_n, the Fitting null
     component, where the operators act nilpotently, and v_0, the one
-    component; proj_n is the projection onto v_n along v_0."""
+    component (both Subspaces); proj_n, a Matrix, is the projection onto
+    v_n along v_0."""
 
-    v_n: Subspace
-    v_0: Subspace
-    proj_n: Matrix
+    __slots__ = ()
 
 
 def fitting_split_single(m: Matrix) -> FittingSplit:

@@ -51,8 +51,8 @@ rows of the term before to one Gauss-Jordan insertion step
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import lcm
 
 from .errors import (
@@ -195,12 +195,12 @@ def _compatibility_violations(g: LieAlgebra, p: Product) -> list[Violation]:
     return out
 
 
-@dataclass(frozen=True)
-class LrReport:
-    is_lr: bool
-    is_compatible: bool
-    is_complete: bool
-    violations: tuple[Violation, ...]
+class LrReport(namedtuple("LrReport", "is_lr is_compatible is_complete violations")):
+    """The verdict of check_lr: three bools, whether the product is LR,
+    compatible with the bracket and complete, and the tuple of the
+    Violations found."""
+
+    __slots__ = ()
 
 
 def check_lr(g: LieAlgebra, p: Product) -> LrReport:
@@ -449,19 +449,18 @@ def sample_triples(dim: int, count: int, seed: int) -> list[tuple[Vector, Vector
     ]
 
 
-@dataclass(frozen=True)
-class TwoOfThree:
-    """The three nilpotency statements and their mutual consistency.
+class TwoOfThree(
+    namedtuple("TwoOfThree", "left_nilpotent right_nilpotent algebra_nilpotent consistent")
+):
+    """The three nilpotency statements and their mutual consistency, as
+    four bools.
 
     Any two of {all left multiplications nilpotent, all right
     multiplications nilpotent, the algebra nilpotent} force the third,
     so observing exactly one failure among the three is inconsistent.
     """
 
-    left_nilpotent: bool
-    right_nilpotent: bool
-    algebra_nilpotent: bool
-    consistent: bool
+    __slots__ = ()
 
 
 def two_of_three(g: LieAlgebra, p: Product) -> TwoOfThree:

@@ -1,7 +1,6 @@
 """Constructions: completion on nilpotent algebras, the splitting
 pipeline, the half bracket, and the two-generator structure."""
 
-import dataclasses
 import sys
 from fractions import Fraction
 
@@ -429,7 +428,7 @@ class TestCertificateGate:
             while frame.f_code.co_name not in self.CONSTRUCTIONS:
                 frame = frame.f_back
             if certifying and frame.f_code.co_name == target:
-                return dataclasses.replace(rep, is_lr=False, is_compatible=False, is_complete=False)
+                return rep._replace(is_lr=False, is_compatible=False, is_complete=False)
             return rep
 
         monkeypatch.setattr(construct, "check_lr", check)

@@ -5,15 +5,18 @@ every private name its docstrings, comments and README cite exists.
 Deleting a code path tends to leave its imports and helpers behind; no
 linter is part of the test run, so these checks read syntax trees with
 the standard library.  __init__.py is skipped: its imports are the
-package's re-exports.
+package's re-exports.  One more check imports the package in a fresh
+interpreter and looks for standard modules it should not load.
 """
 
 import ast
 import io
 import os
 import re
+import subprocess
+import sys
 import tokenize
-from collections import Counter
+from collections import Counter, namedtuple
 
 import pytest
 
@@ -185,6 +188,25 @@ def accumulations(tree: ast.Module) -> list[int]:
     return lines
 
 
+def test_import_graph_holds_no_dataclasses_or_typing():
+    """import lralg and lralg.cli load neither dataclasses nor typing,
+    nor the inspect and ast that dataclasses pulls in: every lralg
+    process would pay for them before its first answer.  The fresh
+    interpreter runs with -S and without PYTHONPATH, so site start-up
+    imports nothing on the package's behalf."""
+    heavy = ("dataclasses", "typing", "inspect", "ast")
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import lralg, lralg.cli; "
+        f"print(*[m for m in {heavy!r} if m in sys.modules])"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, os.path.join(ROOT, "src")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == [], f"import lralg loads {out.stdout.strip()}"
+
+
 def test_construct_holds_no_accumulator():
     """The constructions sum operator columns through linalg's one
     column-sum loop (_combine, _push), so construct adds into no
@@ -214,7 +236,8 @@ def docstrings_and_comments(path: str) -> str:
 
 def defined_names(tree: ast.Module) -> set[str]:
     """Every name the module binds: functions, classes, arguments,
-    assigned names and attributes, and the entries of __slots__."""
+    assigned names and attributes, the entries of __slots__, and the
+    _name API (_replace, _fields, ...) of the named tuples it makes."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -229,6 +252,8 @@ def defined_names(tree: ast.Module) -> set[str]:
             getattr(t, "id", None) == "__slots__" for t in node.targets
         ):
             names.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "namedtuple":
+            names.update(cited_private_names(" ".join(dir(namedtuple("Record", "")))))
     return names
 
 
