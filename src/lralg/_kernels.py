@@ -5,8 +5,10 @@ matrices held as flat lists of Python ints, and row reduction.  There
 is one Gauss-Jordan insertion step, remainders then keep, on a dict of
 kept rows that canonical reads out; echelon loops over it for every
 span, kernel, inverse and solve, rref gives its result for a flat
-matrix, and the two-generator scan calls the step itself.  A rational
-matrix is represented one level up as (numerators, common
+matrix, the two-generator scan and the chains of images call the step
+themselves, and a subspace reduces a vector (membership, quotients,
+restrictions) with remainders alone, its basis rows as kept rows.  A
+rational matrix is represented one level up as (numerators, common
 denominator), so the kernels never see fractions.  Row reduction is
 insensitive to a global scalar factor, which is why working on the
 numerators alone is enough.

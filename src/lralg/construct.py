@@ -31,7 +31,6 @@ from .errors import (
 from .lie import (
     LieAlgebra,
     SplitDecomposition,
-    _derived_algebra,
     bracket_of_subspaces,
     series,
     split_metabelian,
@@ -252,7 +251,7 @@ def complete_any(g: LieAlgebra, p: Product) -> CompletionCertificate:
 def half_bracket(g: LieAlgebra) -> Product:
     """The product x * y = [x, y] / 2 on a two-step nilpotent algebra."""
     g.ensure_valid()
-    if bracket_of_subspaces(g, Subspace.full(g.dim), _derived_algebra(g)).dim != 0:
+    if bracket_of_subspaces(g, Subspace.full(g.dim), g._product_span()).dim != 0:
         raise NotTwoStepNilpotentError("the third lower central term does not vanish")
     return _certified(g, Product._from_int(g.dim, g._inz, 2 * g._den), True, "half_bracket")
 

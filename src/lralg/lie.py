@@ -30,6 +30,7 @@ from .linalg import (
     _memoized,
     _push,
     _ratios,
+    _restricted,
     _solve_rows,
     _sparse_rows,
     _to_vector,
@@ -145,17 +146,15 @@ def validate_lie(g: LieAlgebra) -> tuple[bool, list[Violation]]:
 def _validate_lie(g: LieAlgebra) -> tuple[bool, tuple[Violation, ...]]:
     n, inz, den = g.dim, g._inz, g._den
     violations: list[Violation] = []
-    # Identities whose bracket slices all vanish hold trivially.
-    for i in range(n):
-        for j in range(i, n):
-            ij, ji = inz[i * n + j], inz[j * n + i]
-            if not (ij or ji):
-                continue
-            out = [0] * n
-            for k, c in ij + ji:
-                out[k] += c
-            if any(out):
-                violations.append(Violation("antisymmetry", (i, j), _to_vector(out, den)))
+    # Identities whose bracket slices all vanish hold trivially, so only
+    # the pairs i <= j with a nonzero slot, read in one pass, are summed.
+    slots = (divmod(ij, n) for ij, w in enumerate(inz) if w)
+    for i, j in sorted({(i, j) if i <= j else (j, i) for i, j in slots}):
+        out = [0] * n
+        for k, c in inz[i * n + j] + inz[j * n + i]:
+            out[k] += c
+        if any(out):
+            violations.append(Violation("antisymmetry", (i, j), _to_vector(out, den)))
     for ijk, out in sorted(_jacobi_sums(n, inz).items()):
         if any(out):
             violations.append(Violation("jacobi", ijk, _to_vector(out, den * den)))
@@ -260,13 +259,6 @@ def series(g: LieAlgebra) -> SeriesReport:
     return _memoized(("series", g._content), _series, g)
 
 
-def _derived_algebra(g: LieAlgebra) -> Subspace:
-    """[g, g] of a validated g: the span of all nonzero constants, which
-    g keeps once computed; [e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0
-    add nothing to the span of the constants [e_i, e_j] with i < j."""
-    return g._product_span()
-
-
 def _series(g: LieAlgebra) -> SeriesReport:
     """Both series from [g, g], read off the constants, and
     [[g, g], [g, g]], computed once.
@@ -277,7 +269,9 @@ def _series(g: LieAlgebra) -> SeriesReport:
     When g = [g, g] both series stop at g.
     """
     full = Subspace.full(g.dim)
-    g2 = _derived_algebra(g)
+    # [g, g] is the span of the constants [e_i, e_j] with i < j, and the
+    # others add nothing: [e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0.
+    g2 = g._product_span()
     g3 = g2 if g2 == full else bracket_of_subspaces(g, g2, g2)
     gens = complement(g2) if g3.dim == 0 else full
 
@@ -308,7 +302,7 @@ def _series(g: LieAlgebra) -> SeriesReport:
 def is_two_step_solvable(g: LieAlgebra) -> bool:
     """True iff the second derived algebra [[g,g],[g,g]] vanishes."""
     g.ensure_valid()
-    g2 = _derived_algebra(g)
+    g2 = g._product_span()
     return bracket_of_subspaces(g, g2, g2).dim == 0
 
 
@@ -338,8 +332,9 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> tuple[LieAlgebra, Matrix, Matrix
     if bad is not None:
         raise NotAnIdealError(f"[{g.name(bad[1])}, ideal basis vector] leaves the subspace")
     n, comp = g.dim, complement(ideal)
-    rems = [ideal._remainder(_int_row(((j, 1),), n)) for j in range(n)]
-    projection = Matrix._raw(comp.dim, n, [r[f] for f in comp.pivots for r in rems], ideal._den)
+    rems = [ideal._remainder(((j, 1),)) for j in range(n)]
+    num = [r.get(f, 0) for f in comp.pivots for r in rems]
+    projection = Matrix._raw(comp.dim, n, num, ideal._den)
     names = None
     if g.basis_names is not None:
         names = tuple(g.basis_names[f] for f in comp.pivots)
@@ -410,9 +405,7 @@ def _phi_matrix(g: LieAlgebra, ws, ginf: Subspace) -> Matrix:
     """Matrix of x -> [w, x] on ginf in its RREF coordinates, for w given
     by its nonzero (index, integer) pairs ws: column t is [w, b_t] for
     b_t the t-th RREF row of ginf, which must not leave ginf."""
-    n, cols = g.dim, g._times_basis(ws, False)
-    images = [_int_row(_push(cols, b, n), n) for b in ginf._rows]
-    phi = ginf._image_coordinates(images, g._den * ginf._den)
+    phi = _restricted(g._times_basis(ws, False), ginf, g._den)
     if phi is None:
         raise InternalConsistencyError("bracket left the stabilized term")
     return phi

@@ -16,9 +16,10 @@ over that step, echelon.  Spans pass echelon their rows as they come
 Matrix.rref and inverse reach it through _kernels.rref, its dense
 format; kernel, solve and the metabelian split pass it sparse rows,
 the last two those of [A | b] through one reader.  Membership,
-quotients, the brackets of subspaces and the restriction of an
-operator read the sparse rows; an intersection and a Fitting split's
-projection are read from one echelon of the rows [b | b] and [b | 0].
+coordinates, quotients and restrictions reduce a sparse vector with
+the step's first half, remainders, against the basis rows as kept
+rows; an intersection and a Fitting split's projection are read from
+one echelon of the rows [b | b] and [b | 0].
 A span grown one vector at a time, where the next vector depends on
 which earlier ones were independent (the two-generator construction),
 holds the kernel's kept rows and calls the insertion step itself,
@@ -360,7 +361,7 @@ class Subspace:
     Bilinear.tensor is; basis gives the rows as Fraction tuples.
     """
 
-    __slots__ = ("ambient_dim", "pivots", "_rows", "_den", "_matrix")
+    __slots__ = ("ambient_dim", "pivots", "_rows", "_den", "_matrix", "_kept")
 
     def __init__(self, ambient_dim: int, rows: tuple, den: int, pivots: tuple[int, ...]):
         self.ambient_dim = ambient_dim
@@ -368,6 +369,7 @@ class Subspace:
         self._rows = rows
         self._den = den
         self._matrix = None
+        self._kept = None
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors_) -> "Subspace":
@@ -430,26 +432,16 @@ class Subspace:
     def basis_matrix(self) -> Matrix:
         return self.rows
 
-    def _remainder(self, vnum: list[int]) -> list[int]:
-        """_den times the remainder of the integer vector vnum; row t is
-        taken vnum[pivots[t]] times, since the other rows vanish there."""
-        den = self._den
-        out = list(vnum) if den == 1 else [x * den for x in vnum]
-        for p, row in zip(self.pivots, self._rows):
-            c = vnum[p]
-            if c:
-                for j, a in row:
-                    out[j] -= c * a
-        return out
-
-    def _image_coordinates(self, images, den: int) -> Matrix | None:
-        """The dim x dim Matrix whose column t is the RREF coordinates of
-        images[t] / den, one integer vector per basis row, which are its
-        values at the pivots; None if one of them lies outside."""
-        if any(any(self._remainder(v)) for v in images):
-            return None
-        k = self.dim
-        return Matrix._raw(k, k, [v[p] for p in self.pivots for v in images], den)
+    def _remainder(self, v) -> dict[int, int]:
+        """_den times the remainder of the integer vector with nonzero
+        (index, numerator) pairs v, as its nonzero {index: numerator} map:
+        _kernels.remainders of _den v against the basis rows, kept as
+        dicts on first use; each holds _den at its pivot, so none rescales."""
+        if self._kept is None:
+            self._kept = {p: dict(r) for p, r in zip(self.pivots, self._rows)}
+        if self._den != 1:
+            v = [(k, x * self._den) for k, x in v]
+        return next(K.remainders(self._kept, (v,)))
 
     def reduce(self, vec) -> Vector:
         """Remainder of vec after eliminating all pivot coordinates.
@@ -458,10 +450,11 @@ class Subspace:
         zeros at every pivot position.
         """
         vnum, vden = _scaled(vec, self.ambient_dim, "ambient")
-        return _to_vector(self._remainder(vnum), vden * self._den)
+        r = self._remainder(_nonzero(vnum)).items()
+        return _to_vector(_int_row(r, self.ambient_dim), vden * self._den)
 
     def contains(self, vec) -> bool:
-        return not any(self._remainder(_scaled(vec, self.ambient_dim, "ambient")[0]))
+        return not self._remainder(_nonzero(_scaled(vec, self.ambient_dim, "ambient")[0]))
 
     def coordinates(self, vec) -> Vector | None:
         """Coefficients of vec in the RREF basis, or None if outside."""
@@ -471,10 +464,9 @@ class Subspace:
         return tuple(v[p] for p in self.pivots)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        n = self.ambient_dim
-        if n != other.ambient_dim:
+        if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatchError("ambient dimensions differ")
-        return not any(any(self._remainder(_int_row(r, n))) for r in other._rows)
+        return not any(self._remainder(r) for r in other._rows)
 
     def from_coordinates(self, coords) -> Vector:
         """Ambient vector with the given coefficients in the RREF basis."""
@@ -586,12 +578,22 @@ def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
     """
     if not m.is_square or m.rows != s.ambient_dim:
         raise DimensionMismatchError("operator does not act on the ambient space")
-    n, cols = s.ambient_dim, _column_map(m)
-    images = [_int_row(_push(cols, b, n), n) for b in s._rows]
-    coords = s._image_coordinates(images, m._den * s._den)
+    coords = _restricted(_column_map(m), s, m._den)
     if coords is None:
         raise PreconditionError("subspace is not invariant under the operator")
     return coords
+
+
+def _restricted(cols: dict, s: Subspace, den: int) -> Matrix | None:
+    """The matrix in the RREF basis of s of the operator over den with
+    nonzero columns cols (_push's form): column t is the image of the
+    t-th basis row read at the pivots, its RREF coordinates; None if
+    one of those images leaves s."""
+    images = [_push(cols, b, s.ambient_dim) for b in s._rows]
+    if any(s._remainder(v) for v in images):
+        return None
+    at = [dict(v) for v in images]
+    return Matrix._raw(s.dim, s.dim, [v.get(p, 0) for p in s.pivots for v in at], den * s._den)
 
 
 def _chain_end(first: Subspace, images) -> Subspace:
@@ -602,8 +604,9 @@ def _chain_end(first: Subspace, images) -> Subspace:
     Each term past the first is held as the kept rows of the insertion
     step of _kernels, each a multiple of an RREF row, so a step reduces
     the images of the rows of the RREF basis up to a scale per row; only
-    the term returned is read out canonically.  No step runs when first
-    is 0 or the whole space, and first itself is returned."""
+    the term returned is read out canonically.  A step ends once its
+    rank is the dimension of the term before, which holds it.  No step
+    runs when first is 0 or the whole space: first is returned."""
     n, above, rows = first.ambient_dim, first.dim, first._rows
     if not 0 < above < n:
         return first
@@ -612,6 +615,8 @@ def _chain_end(first: Subspace, images) -> Subspace:
         for v in K.remainders(kept, (w for b in rows for w in images(b))):
             if v:
                 K.keep(kept, v)
+                if len(kept) == above:
+                    break
         if not kept:
             return Subspace.zero(n)
         if len(kept) == above:
@@ -887,14 +892,13 @@ class Bilinear:
         and of the left operator of b, read from the integer rows of s;
         only the nonzero columns are reduced, in increasing i.
         """
-        n = self.dim
         for b in s._rows:
             left = self._times_basis(b, True)
             right = self._times_basis(b, False) if both_sides else {}
             for i in sorted(left.keys() | right.keys()):
-                if i in left and any(s._remainder(_int_row(left[i], n))):
+                if i in left and s._remainder(left[i]):
                     return "left", i
-                if i in right and any(s._remainder(_int_row(right[i], n))):
+                if i in right and s._remainder(right[i]):
                     return "right", i
         return None
 
@@ -910,13 +914,13 @@ class Bilinear:
         n, inz = self.dim, self._inz
         pivots = set(s.pivots)
         free = [c for c in range(n) if c not in pivots]
+        at = {f: t for t, f in enumerate(free)}
         out = []
         for a in free:
             for b in free:
                 w = inz[a * n + b]
                 if w:
-                    r = s._remainder(_int_row(w, n))
-                    w = [(t, r[f]) for t, f in enumerate(free) if r[f]]
+                    w = [(at[f], x) for f, x in s._remainder(w).items()]
                 out.append(w)
         return len(free), out, self._den * s._den
 

@@ -215,6 +215,29 @@ def test_construct_holds_no_accumulator():
     assert not lines, f"construct.py accumulates on lines {lines}"
 
 
+def callee(node: ast.Call) -> str | None:
+    """The name a call calls: f of f(...) or of obj.f(...)."""
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_remainders_take_sparse_vectors(module):
+    """Subspace._remainder reduces a vector's nonzero pairs through
+    _kernels.remainders, so no call expands one with _int_row to pass it,
+    and the one reader of images at the pivots is linalg._restricted: no
+    _image_coordinates is defined beside it."""
+    bad = []
+    for node in ast.walk(parse(os.path.join(PACKAGE, module))):
+        if isinstance(node, ast.Call) and callee(node) == "_remainder":
+            if any(isinstance(c, ast.Call) and callee(c) == "_int_row"
+                   for a in node.args + [k.value for k in node.keywords] for c in ast.walk(a)):
+                bad.append(f"line {node.lineno} passes _int_row( to _remainder(")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == "_image_coordinates":
+                bad.append(f"line {node.lineno} defines _image_coordinates")
+    assert not bad, f"{module}: {'; '.join(bad)}"
+
+
 def cited_private_names(text: str) -> set[str]:
     """The private names (_name, not dunders) a text cites, bare or
     after a dot."""

@@ -42,7 +42,7 @@ from lralg.linalg import (
     _fitting_split_commuting,
     _int_row,
 )
-from lralg.lr import _chain_reaches_zero, check_lr, product_span
+from lralg.lr import Product, _chain_reaches_zero, check_lr, product_span, quotient_product
 from test_kernels import dense_rref_rows
 from test_properties import fraction_rref
 
@@ -527,6 +527,68 @@ def test_random_spans_match_dense_form(data):
     assert t == s and hash(t) == hash(s)
     u = Subspace._from_int_rows(n, data.draw(st.lists(ints, max_size=n)))
     assert (u == s) == (u.rows == s.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_remainder_is_den_times_reduce(data):
+    """Subspace._remainder of a sparse vector, its nonzero pairs in any
+    order, is _den times the remainder that reduce returns, which is
+    the vector minus its pivot entries times the Fraction basis rows: a
+    {index: numerator} map with no zero value and no pivot key."""
+    n = data.draw(st.integers(1, 6))
+    ints = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    s = Subspace._from_int_rows(n, data.draw(st.lists(ints, max_size=n + 1)))
+    dense = data.draw(ints)
+    pairs = data.draw(st.permutations([(k, x) for k, x in enumerate(dense) if x]))
+    want = [F(x) for x in dense]
+    for p, b in zip(s.pivots, s.basis):
+        want = [w - want[p] * x for w, x in zip(want, b)]
+    r = s._remainder(pairs)
+    assert r == {k: s._den * w for k, w in enumerate(want) if w}
+    assert all(r.values()) and not set(r) & set(s.pivots)
+    assert s.reduce(dense) == tuple(want)
+    assert s.contains(dense) == (not r)
+
+
+def test_membership_quotients_and_restrictions_reduce_with_remainders(monkeypatch):
+    """contains, escape, quotient_product and restrict_operator reduce
+    their vectors through _kernels.remainders, one row per vector: two
+    vectors against the line through (1, 1); r2's one nonzero column
+    [e_1, e_2] = e_2 against the line of e_2, and the completed product's
+    one nonzero column of e_1, e_1 e_2 = e_2, which leaves the line of
+    e_1 on the right; the quotient by the line of e_2 of a product whose
+    only constant is e_1 e_1 = e_1 + e_2 (escape reduces nothing, the
+    quotient that constant); a Jordan block's images of its invariant
+    plane."""
+    reduced = []
+    real = _kernels.remainders
+
+    def counted(kept, rows):
+        for v in real(kept, rows):
+            reduced.append(v)
+            yield v
+
+    monkeypatch.setattr(_kernels, "remainders", counted)
+    line = Subspace.from_vectors(2, [(1, 1)])
+    g, p = known_lr("r2-completed")
+    e1, e2 = (Subspace.from_vectors(2, [v]) for v in standard_basis(2))
+    q = Product.from_entries(2, {(0, 0): {0: 1, 1: 1}})
+    jordan = Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    plane = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
+    cases = [
+        (lambda: (line.contains((1, 0)), line.contains((2, 2))), (False, True), 2),
+        (lambda: g.escape(e2), None, 1),
+        (lambda: p.escape(e1, both_sides=True), ("right", 1), 1),
+        (lambda: quotient_product(g, q, e2), Product.from_entries(1, {(0, 0): {0: 1}}), 1),
+        (lambda: restrict_operator(jordan, plane), Matrix([[1, 1], [0, 1]]), 2),
+    ]
+    counts = []
+    for call, want, _ in cases:
+        reduced.clear()
+        assert call() == want
+        counts.append(len(reduced))
+    assert counts == [c for _, _, c in cases]
 
 
 def test_product_span_is_reduced_once(monkeypatch):

@@ -231,6 +231,41 @@ class TestCompleteness:
         }
 
 
+    def test_chain_step_ends_at_the_rank_of_the_term_before(self, monkeypatch):
+        """On Q e_0 + Q e_1, orthogonal idempotents, plus t Q[t]/(t^3),
+        t = e_2 and t^2 = e_3, after a unitriangular change of basis C,
+        both chains run A = <e_0, e_1, t^2>, then <e_0, e_1>, and stop
+        there.  The last step keeps 2 rows from the first images of its
+        first row and reduces no more: 18 rows reduced in all, where
+        reducing the step's 2 dependent images to the end made 20."""
+        counts = {"reduced": 0, "kept": 0}
+        remainders, keep = _kernels.remainders, _kernels.keep
+
+        def counted_remainders(kept, rows):
+            for v in remainders(kept, rows):
+                counts["reduced"] += 1
+                yield v
+
+        def counted_keep(*a):
+            counts["kept"] += 1
+            return keep(*a)
+
+        base = Product.from_entries(4, {(0, 0): {0: 1}, (1, 1): {1: 1}, (2, 2): {3: 1}})
+        c = Matrix([[1, 1, 2, 1], [0, 1, -1, 3], [0, 0, 1, 1], [0, 0, 0, 1]])
+        cinv, cols = c.inverse(), [c.column(j) for j in range(4)]
+        p = Product([[cinv.apply(base.evaluate(x, y)) for y in cols] for x in cols])
+        idempotents = Subspace.from_vectors(4, [cinv.column(0), cinv.column(1)])
+        span = p._product_span()
+        assert span.dim == 3
+        monkeypatch.setattr(_kernels, "remainders", counted_remainders)
+        monkeypatch.setattr(_kernels, "keep", counted_keep)
+        for right in (False, True):
+            counts.update(reduced=0, kept=0)
+            end = linalg._chain_end(span, lambda b: p._times_basis(b, right).values())
+            assert end == idempotents
+            assert (counts["reduced"], counts["kept"]) == (18, 4)
+
+
 class TestOpposite:
     def test_involution(self):
         _, p = known_lr("r2-twogen")

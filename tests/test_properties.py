@@ -1623,15 +1623,16 @@ def test_validate_lie_sums_no_triple_without_a_nonzero_term(g):
 
 def operator_escape(b, s, both_sides):
     """Bilinear.escape as first computed: the dense left and right
-    operators of each basis row of s, every column reduced in turn."""
+    operators of each basis row of s, every column reduced in turn, as
+    its nonzero pairs."""
     n = b.dim
     for row in s._rows:
         left = dense_operator(b, row, True)
         right = dense_operator(b, row, False) if both_sides else None
         for i in range(n):
-            if any(s._remainder(left[i::n])):
+            if s._remainder(_nonzero(left[i::n])):
                 return "left", i
-            if both_sides and any(s._remainder(right[i::n])):
+            if both_sides and s._remainder(_nonzero(right[i::n])):
                 return "right", i
     return None
 
