@@ -166,7 +166,9 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
     (linalg._push), on integers over one denominator, where column t of
     M_i is [e_i, b_t], b_t the t-th RREF row of g_infinity, and column
     k + a is iota(q(gamma_i, e_a)); row i is empty when gamma_i = 0.
-    C^-1 is one dense Matrix.inverse, the only source of rest_j and
+    A column of C^-1 that reaches one column of M_i, such as a column
+    with one nonzero entry, gives that column scaled, with no length-n
+    accumulator (_push's one-term path).  C^-1 is one dense Matrix.inverse, the only source of rest_j and
     gamma_j here (gamma_j could be read from the remainder of e_j
     against g_infinity, as Bilinear._quotient reads it).  When
     g_infinity = 0, C is the identity, so q itself, certified on the

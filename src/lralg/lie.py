@@ -12,6 +12,7 @@ equal algebra built anew is not checked again.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress
 from math import lcm
 
 from .errors import (
@@ -148,7 +149,7 @@ def _validate_lie(g: LieAlgebra) -> tuple[bool, tuple[Violation, ...]]:
     violations: list[Violation] = []
     # Identities whose bracket slices all vanish hold trivially, so only
     # the pairs i <= j with a nonzero slot, read in one pass, are summed.
-    slots = (divmod(ij, n) for ij, w in enumerate(inz) if w)
+    slots = (divmod(ij, n) for ij in compress(range(n * n), inz))
     for i, j in sorted({(i, j) if i <= j else (j, i) for i, j in slots}):
         out = [0] * n
         for k, c in inz[i * n + j] + inz[j * n + i]:
@@ -167,18 +168,16 @@ def _jacobi_sums(n: int, inz) -> dict[tuple[int, int, int], list[int]]:
     constants: only there can a sum be nonzero.  For each term x e_m
     of a nonzero slot (b, c) and each nonzero slot (a, m), x [e_a, e_m]
     is added into the sum of the triple of which (a, b, c) is a cyclic
-    shift, if any.  The column lookup of the nonzero slots (a, m) is
-    built here, not in the algebra's index.
+    shift, if any.  The nonzero slots are found in one pass over inz,
+    which serves both the column lookup of the slots (a, m), built here,
+    not in the algebra's index, and the loop over the slots (b, c).
     """
+    slots = [(divmod(ij, n), inz[ij]) for ij in compress(range(n * n), inz)]
     by_column: list[list] = [[] for _ in range(n)]
-    for am, w in enumerate(inz):
-        if w:
-            by_column[am % n].append((am // n, w))
+    for (a, m), u in slots:
+        by_column[m].append((a, u))
     sums: dict[tuple[int, int, int], list[int]] = {}
-    for bc, w in enumerate(inz):
-        if not w:
-            continue
-        b, c = divmod(bc, n)
+    for (b, c), w in slots:
         for m, x in w:
             for a, u in by_column[m]:
                 if a < b < c:

@@ -737,7 +737,9 @@ class Bilinear:
     The operator of x, y -> x . y or y -> y . x, is read from _index,
     the nonzero constants by row and by column (_by), built on first
     use, by one reader: _times_basis returns its nonzero columns, sparse
-    (summed by _combine), which operator writes into its Matrix
+    (the constants of one row or column for a single-term x, summed by
+    _combine for more terms, which makes an accumulator only for a
+    column that two terms reach), which operator writes into its Matrix
     (_columns_matrix), apply, the brackets of subspaces, phi, the
     split's closure and the lift push vectors through (_push), and the
     Lemma 14 identities, the completeness chains, escape and the
@@ -874,7 +876,10 @@ class Bilinear:
         when right is set, each a vector in _inz's form, sorted nonzero
         (k, numerator) pairs, so == on two columns is equality of the
         vectors.  For a single term x_m e_m these are the constants of
-        row or column m, scaled by x_m; _combine sums more terms."""
+        row or column m, scaled by x_m, read here: _combine would give
+        the same columns, one term per column, but on the pipebench
+        workloads that route costs more than this loop.  _combine sums
+        more terms."""
         by = self._by(right)
         if len(xs) == 1:
             (m, x), = xs
@@ -939,31 +944,73 @@ def _combine(terms, n: int) -> dict[int, tuple]:
     """The sum of x M over the terms (x, M), x an integer and M an
     operator on Q^n given by its nonzero (j, column) pairs, in _push's
     form: {j: column}, each column sorted nonzero (k, numerator) pairs;
-    columns that cancel are left out."""
-    out: dict[int, list[int]] = {}
+    columns that cancel are left out, and so are terms with x = 0.
+
+    The first term that reaches column j is held as its (x, column)
+    pair; a length-n accumulator is made only when a second one does,
+    and only such a column is scanned for its nonzero entries.  A
+    column reached once is that column times x, or the column itself
+    when x = 1."""
+    out: dict = {}
     for x, cols in terms:
+        if not x:
+            continue
         for j, w in cols:
             acc = out.get(j)
             if acc is None:
+                out[j] = x, w
+                continue
+            if type(acc) is tuple:
+                y, u = acc
                 acc = out[j] = [0] * n
+                for k, c in u:
+                    acc[k] = y * c
             for k, c in w:
                 acc[k] += x * c
-    nonzero = ((j, _nonzero(acc)) for j, acc in out.items())
-    return {j: tuple(v) for j, v in nonzero if v}
+    sums = {}
+    for j, acc in out.items():
+        if type(acc) is tuple:
+            x, w = acc
+            sums[j] = tuple(w) if x == 1 else tuple([(k, x * c) for k, c in w])
+        elif v := _nonzero(acc):
+            sums[j] = tuple(v)
+    return sums
 
 
 def _push(cols: dict, v, n: int) -> tuple:
     """The operator with nonzero columns cols, {j: column} as
     Bilinear._times_basis gives them, applied to v, a vector given by its
     nonzero (index, integer) pairs, in the columns' form: sorted nonzero
-    (k, numerator) pairs."""
-    acc = [0] * n
+    (k, numerator) pairs.
+
+    As in _combine, the first term of v with a nonzero column is held
+    as its (coefficient, column) pair, and a length-n accumulator is
+    made and scanned only when a second such term comes; a result that
+    one term makes is its column times the coefficient, or the column
+    itself when the coefficient is 1."""
+    first = acc = None
     for j, c in v:
         col = cols.get(j)
-        if col:
+        if not col:
+            continue
+        if acc is not None:
             for k, a in col:
                 acc[k] += a * c
-    return tuple(_nonzero(acc))
+        elif first is None:
+            first = c, col
+        else:
+            x, w = first
+            acc = [0] * n
+            for k, a in w:
+                acc[k] = a * x
+            for k, a in col:
+                acc[k] += a * c
+    if acc is not None:
+        return tuple(_nonzero(acc))
+    if first is None:
+        return ()
+    x, w = first
+    return tuple(w) if x == 1 else tuple([(k, x * a) for k, a in w])
 
 
 # The reports of check_lr, validate_lie and series on the last _MEMO_SIZE

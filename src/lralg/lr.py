@@ -298,14 +298,14 @@ def _lemma_defects(p: Product, x, y, z) -> list[tuple[str, Matrix]]:
 
     lx, rx, ly = left(xs), right(xs), left(ys)
     xy, yx, yz, xz = _push(lx, ys, n), _push(rx, ys, n), _push(ly, zs, n), _push(lx, zs, n)
-    lyx = left(yx)
+    lyx, lyz, ryz = left(yx), left(yz), right(yz)
     checks = [
         (mul(lx, right(ys)), right(xy)),
         (mul(rx, ly), lyx),
-        (mul(lx, right(yz)), right(_push(lx, yz, n))),
-        (mul(rx, left(yz)), left(_push(rx, yz, n))),
-        (mul(lx, left(yz)), left(_push(ly, xz, n))),
-        (mul(rx, right(yz)), right(_push(lyx, zs, n))),
+        (mul(lx, ryz), right(_push(lx, yz, n))),
+        (mul(rx, lyz), left(_push(rx, yz, n))),
+        (mul(lx, lyz), left(_push(ly, xz, n))),
+        (mul(rx, ryz), right(_push(lyx, zs, n))),
     ]
     dens = (dx * dy * d ** 2,) * 2 + (dx * dy * dz * d ** 3,) * 4
     return [
@@ -341,10 +341,12 @@ def _lemma_violations(p: Product) -> list[Violation]:
     are read off each nonzero slot w = e_j e_k of the product's index
     (Bilinear._by), as {i: e_i w} and {i: w e_i}, and transposed once
     for the tables by their other index; per nonzero w, the products
-    with e_l w and w e_l are taken once and transposed.  An identity is
-    compared at every (i, j) and at every (i, j, k) with w != 0 (for
-    w = 0 both sides vanish), in that order, and the defect Matrix is
-    built only for a failing one.
+    with e_l w and w e_l are taken once and transposed.  Identities 0-1
+    are compared at the pairs (i, j) where one of l1[j], l2[j], r1[j]
+    and r2[j] holds i, and 2-5 at the triples (i, j, k) with w != 0
+    where one of the eight maps of (j, k) holds i: everywhere else both
+    sides are empty.  The pairs and triples are visited in sorted
+    order, and the defect Matrix is built only for a failing one.
     """
     n = p.dim
     # l1[k][i][j] = l2[k][j][i] = e_i (e_j e_k), r1[k][i][j] = r2[k][j][i] = (e_k e_j) e_i
@@ -360,10 +362,11 @@ def _lemma_violations(p: Product) -> list[Violation]:
             violations.append(Violation(LEMMA_IDENTITIES[which], where, defect))
 
     den2, den3 = p._den ** 2, p._den ** 3
-    for i in range(n):
-        for j in range(n):
-            check(0, (i, j), l1[j].get(i, none), l2[j].get(i, none), den2)
-            check(1, (i, j), r1[j].get(i, none), r2[j].get(i, none), den2)
+    held = ((i, j) for j in range(n)
+            for i in l1[j].keys() | l2[j].keys() | r1[j].keys() | r2[j].keys())
+    for i, j in sorted(held):
+        check(0, (i, j), l1[j].get(i, none), l2[j].get(i, none), den2)
+        check(1, (i, j), r1[j].get(i, none), r2[j].get(i, none), den2)
 
     def times_basis(cols: dict, right: bool) -> dict:
         return {l: p._times_basis(v, right) for l, v in cols.items()}
@@ -379,7 +382,8 @@ def _lemma_violations(p: Product) -> list[Violation]:
             e_u_t, r_e_t, e_r_t, u_e_t = map(_transpose, (e_u, r_e, e_r, u_e))
             t = l1[k].get(j, none)  # {i: e_j (e_i e_k)}
             s = r1[j].get(k, none)  # {i: (e_j e_i) e_k}
-            for i in range(n):
+            for i in sorted(e_u_t.keys() | e_u.keys() | r_e_t.keys() | r_e.keys()
+                            | e_r_t.keys() | t.keys() | u_e_t.keys() | s.keys()):
                 where = (i, j, k)
                 t_e = p._times_basis(t[i], False) if i in t else none  # (e_j (e_i e_k)) e_l
                 e_s = p._times_basis(s[i], True) if i in s else none  # e_l ((e_j e_i) e_k)

@@ -26,7 +26,7 @@ from lralg.lie import (
     subalgebra_generated,
     validate_lie,
 )
-from lralg import _kernels, lie
+from lralg import _kernels, lie, linalg
 from lralg.linalg import (
     Matrix,
     Subspace,
@@ -361,6 +361,20 @@ def test_bracket_of_subspaces_multiplies_only_linked_pairs(monkeypatch):
     real = lie._push
     monkeypatch.setattr(lie, "_push", lambda *args: calls.append(1) or real(*args))
     assert bracket_of_subspaces(g, g2, g2).dim == 0
+    assert calls == []
+
+
+def test_bracket_of_subspaces_scans_no_accumulator_on_one_term_columns(monkeypatch):
+    """[g, g] of filiform(64) pushes each basis row through the columns
+    of ad e_i, and every such product reaches one column from one term:
+    it is that column as it is, so no length-n accumulator is made and
+    scanned (_nonzero)."""
+    g = filiform(64)
+    full = Subspace.full(g.dim)
+    calls = []
+    real = linalg._nonzero
+    monkeypatch.setattr(linalg, "_nonzero", lambda *args: calls.append(1) or real(*args))
+    assert bracket_of_subspaces(g, full, full).dim == 62
     assert calls == []
 
 

@@ -42,7 +42,8 @@ as sparse operator columns, the defects of the Fraction operator
 products and of the products taken pair by pair.  escape, reducing
 only the nonzero operator columns, must name the place that the loop
 over every dense column names.  _combine, the one loop that sums
-integer multiples of operator columns, must give their Matrix sum.
+integer multiples of operator columns, must give their Matrix sum, and
+_push, which applies such columns to a vector, the Matrix product.
 """
 
 import itertools
@@ -904,6 +905,47 @@ def test_combine_is_the_matrix_sum(kind, data):
     assert cancelled not in out
     for col in out.values():
         assert col and list(col) == sorted(col) and all(c for _, c in col)
+
+
+@pytest.mark.parametrize("kind", ["none", "one", "scaled", "many", "cancel"])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_push_is_the_matrix_vector_product(kind, data):
+    """_push(cols, v, n) is the Matrix of cols applied to v on dims 1-8,
+    for a v that reaches no nonzero column, one column with coefficient
+    1, one with another coefficient, several columns, and two columns
+    whose terms cancel to (); v's other terms fall on zero columns.
+    The result is a tuple of sorted nonzero pairs, and a column reached
+    once comes back as it is, or scaled."""
+    n = data.draw(st.integers(2 if kind == "cancel" else 1, 8))
+    cols = data.draw(column_map(n))
+    coeff = st.integers(-5, 5).filter(bool)
+    reached = sorted(cols)
+    v = {j: data.draw(coeff) for j in range(n) if j not in cols and data.draw(st.booleans())}
+    if kind in ("one", "scaled"):
+        assume(reached)
+        j = data.draw(st.sampled_from(reached))
+        v[j] = 1 if kind == "one" else data.draw(coeff.filter(lambda x: x != 1))
+    elif kind == "many":
+        assume(len(reached) > 1)
+        hit = data.draw(st.lists(st.sampled_from(reached), min_size=2, unique=True))
+        v.update((j, data.draw(coeff)) for j in hit)
+    elif kind == "cancel":
+        assume(reached)
+        a = data.draw(st.sampled_from(reached))
+        b = data.draw(st.sampled_from([j for j in range(n) if j != a]))
+        cols[b] = tuple((k, -c) for k, c in cols[a])
+        x = data.draw(coeff)
+        v = {a: x, b: x}
+    v = sorted(v.items())
+    out = _push(cols, v, n)
+    expected = _columns_matrix(cols, n, 1).apply(_to_vector(_int_row(v, n), 1))
+    assert type(out) is tuple and _to_vector(_int_row(out, n), 1) == expected
+    assert list(out) == sorted(out) and all(c for _, c in out)
+    if kind == "one":
+        assert out == cols[j]
+    if kind in ("none", "cancel"):
+        assert out == ()
 
 
 @settings(max_examples=60, deadline=None)
