@@ -272,7 +272,9 @@ def named_algebra(name: str, arg: str | None = None) -> LieAlgebra:
                 raise ValueError(arg)
             n = int(arg)
         except ValueError:
-            raise PreconditionError(f"{name} needs an integer parameter, got {_show(arg)}") from None
+            raise PreconditionError(
+                f"{name} needs an integer parameter, got {_show(arg)}"
+            ) from None
         bounded(dim_of(n))
         return n
 

@@ -168,11 +168,11 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
     k + a is iota(q(gamma_i, e_a)); row i is empty when gamma_i = 0.
     A column of C^-1 that reaches one column of M_i, such as a column
     with one nonzero entry, gives that column scaled, with no length-n
-    accumulator (_push's one-term path).  C^-1 is one dense Matrix.inverse, the only source of rest_j and
-    gamma_j here (gamma_j could be read from the remainder of e_j
-    against g_infinity, as Bilinear._quotient reads it).  When
-    g_infinity = 0, C is the identity, so q itself, certified on the
-    algebra, is the lift.
+    accumulator (_push's one-term path).  C^-1 is one dense
+    Matrix.inverse, the only source of rest_j and gamma_j here (gamma_j
+    could be read from the remainder of e_j against g_infinity, as
+    Bilinear._quotient reads it).  When g_infinity = 0, C is the
+    identity, so q itself, certified on the algebra, is the lift.
 
     Requires phi to vanish on all products of q; phi is linear, so that
     holds iff [iota(z), b_t] = 0 for every row z of the span of q's
@@ -300,28 +300,33 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     the result.  Completeness is NOT asserted; chain with complete_any
     when a complete structure is required.
 
-    The scan is lazy: each candidate is one integer bracket of the one
-    before it in its chain, pushed through the sparse columns of ad(x)
-    or ad(y) when the scan reaches it.  The kept vectors u_s are held
-    as the kept rows [u_s | e_s] of the _kernels insertion step, in 2n
-    coordinates, each tagged by its place s.  A candidate, tagged with
-    the next place, is reduced against them once and kept when its
-    remainder leads in the first n coordinates; a dependent one leaves
-    the kept rows as they were.  The scan stops at n vectors.  The one
-    elimination that selects the basis thereby also inverts it: the
-    canonical form of the n kept rows, read once after the scan, is
-    [D I | D (U^-1)^T], U the matrix of columns u_s, so row i holds the
-    coefficients of e_i in the kept vectors at its nonzero tags.  Those
-    n vectors are independent brackets of x and y, which proves that x
-    and y generate g; only a scan that falls short computes the
-    generated subalgebra, to tell a non-generating pair from an
-    internal failure.  A chain that reaches 0 stays 0, so its later
-    candidates are recorded as 0 without a bracket or a reduction.  No
-    operator matrix is formed: column j of L(v) for a kept
-    v = ad(y)^k ad(x)^l y is ad(y)^k ad(x)^l [y, e_j], pushed along the
-    same chains from the columns of ad(y), and row i of the table, the
-    columns of L(e_i), is the sum of those operators weighted by the
-    nonzero tags of row i, taken on integers by linalg._combine.
+    The scan is lazy and follows one chain per pair (k, l): the entry
+    of a candidate v = ad(y)^k ad(x)^l y is an integer multiple u = c v
+    and the nonzero columns of c g._den L(v) = g._den L(u), the same
+    c, since L(v) = ad(y)^k ad(x)^l ad(y) is the same chain applied to
+    the columns of ad(y).  When the scan reaches a candidate, the entry
+    before it in its chain is pushed through the sparse integer
+    columns of ad(x) or ad(y), vector and columns alike
+    (linalg._push), and divided by the gcd of all its numerators; a
+    chain that reaches u = 0 stays 0, so its later candidates are
+    recorded as 0 without a bracket or a reduction.  The kept vectors
+    u_s are held as the kept rows [u_s | e_s] of the _kernels
+    insertion step, in 2n coordinates, each tagged by its place s.  A
+    candidate, tagged with the next place, is reduced against them
+    once and kept when its remainder leads in the first n coordinates;
+    a dependent one leaves the kept rows as they were.  The scan stops
+    at n vectors.  The one elimination that selects the basis thereby
+    also inverts it: the canonical form of the n kept rows, read once
+    after the scan, is [D I | D (U^-1)^T], U the matrix of columns
+    u_s, so row i holds D times the coefficients of e_i in the u_s at
+    its nonzero tags.  Those n vectors are independent brackets of x
+    and y, which proves that x and y generate g; only a scan that
+    falls short computes the generated subalgebra, to tell a
+    non-generating pair from an internal failure.  No operator matrix
+    is formed and no denominator is kept per vector: row i of the
+    table, the columns of L(e_i), is the sum of the kept columns
+    weighted by the nonzero tags of row i, taken on integers by
+    linalg._combine, over D g._den.
     """
     if not is_two_step_solvable(g):
         raise NotTwoStepSolvableError("second derived algebra does not vanish")
@@ -330,86 +335,59 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     if len(xv) != n or len(yv) != n:
         raise DimensionMismatchError("generator length differs from algebra dimension")
 
-    def sparse(v):
-        num, den = _scale_fractions(v)
-        return _nonzero(num), den
+    # chains[(k, l)] = (u, cols): u = c ad(y)^k ad(x)^l y for an integer
+    # c, by its nonzero (i, numerator) pairs, and cols the nonzero
+    # columns {j: column} of c g._den ad(y)^k ad(x)^l ad(y); None once u
+    # is 0, and so is every later entry of its chain.  chains[None] is x,
+    # with no columns, as L(x) = 0.  ad_x and ad_y are the nonzero
+    # columns of integer multiples of ad(x) and ad(y).
+    xu, yu = (_nonzero(_scale_fractions(v)[0]) for v in (xv, yv))
+    ad_x, ad_y = g._times_basis(xu, False), g._times_basis(yu, False)
+    chains = {None: (xu, {}), (0, 0): (yu, ad_y)}
 
-    # vectors[(k, l)] = (u, d): ad(y)^k ad(x)^l y = u / d in lowest terms,
-    # u by its nonzero (i, numerator) pairs, or None once it is 0, and so
-    # is every later vector of its chain; vectors[None] is x.  ad_x and
-    # ad_y are the nonzero columns {j: [v, e_j]} of ad(v), over their
-    # denominator.
-    vectors = {None: sparse(xv), (0, 0): sparse(yv)}
-    ad_x, ad_y = ((g._times_basis(u, False), d * g._den) for u, d in vectors.values())
+    def advance(entry: tuple, ad: dict) -> tuple | None:
+        """entry pushed through ad and divided by the gcd of all its
+        numerators, or None when its vector goes to 0."""
+        u, cols = entry
+        u = _push(ad, u, n)
+        if not u:
+            return None
+        cols = {j: w for j, c in cols.items() if (w := _push(ad, c, n))}
+        h = gcd(*(a for _, a in u), *(a for c in cols.values() for _, a in c))
+        if h > 1:
+            u = [(i, a // h) for i, a in u]
+            cols = {j: [(i, a // h) for i, a in c] for j, c in cols.items()}
+        return u, cols
 
-    def step(kl: tuple[int, int]) -> tuple[tuple[int, int], tuple[list, int]]:
-        """The pair before kl in its chain, and the operator leading from
-        it to kl: ad(y) from (k - 1, l), ad(x) from (0, l - 1)."""
-        k, l = kl
-        return ((k - 1, l), ad_y) if k else ((0, l - 1), ad_x)
-
-    # selected holds (d, key) per kept vector; kept holds the _kernels
-    # kept rows [u_s | e_s] of the kept vectors u_s, tagged by s.
-    selected = []
+    # kept holds the _kernels kept rows [u_s | e_s] of the kept vectors
+    # u_s, tagged by s, and tagged[s] the columns of u_s's entry.
+    tagged = []
     kept = {}
     for kl in chain([None], _scan_order(n)):
         if len(kept) == n:
             break
-        if kl not in vectors:
-            before, (cols, cden) = step(kl)
-            vectors[kl] = None
-            if vectors[before] is None:
-                continue
-            pu, pd = vectors[before]
-            u = _push(cols, pu, n)
-            if not u:
-                continue
-            d = pd * cden
-            h = gcd(d, *(a for _, a in u))
-            vectors[kl] = ([(i, a // h) for i, a in u], d // h) if h > 1 else (u, d)
-        u, d = vectors[kl]
-        r = next(K.remainders(kept, [[*u, (n + len(selected), 1)]]))
+        if kl not in chains:
+            k, l = kl
+            before, ad = ((k - 1, l), ad_y) if k else ((0, l - 1), ad_x)
+            chains[kl] = chains[before] and advance(chains[before], ad)
+        if chains[kl] is None:
+            continue
+        u, cols = chains[kl]
+        r = next(K.remainders(kept, [[*u, (n + len(tagged), 1)]]))
         if min(r) < n:
             K.keep(kept, r)
-            selected.append((d, kl))
+            tagged.append(cols.items())
     if len(kept) != n:
         if subalgebra_generated(g, [xv, yv]).dim != n:
             raise NotGeneratedError("the two elements do not generate the algebra")
         raise InternalConsistencyError("candidate vectors do not span the algebra")
 
-    # ops[(k, l)] = (columns, den): the nonzero column j of
-    # ad(y)^k ad(x)^l ad(y) is columns[j] over den, pushed along the same
-    # chains.
-    ops = {(0, 0): ad_y}
-
-    def op(kl: tuple[int, int]) -> tuple[dict, int]:
-        path = []
-        while kl not in ops:
-            path.append(kl)
-            kl = step(kl)[0]
-        cols, den = ops[kl]
-        for kl in reversed(path):
-            scols, sden = step(kl)[1]
-            pushed = {j: w for j, c in cols.items() if (w := _push(scols, c, n))}
-            den *= sden
-            h = gcd(den, *(a for c in pushed.values() for _, a in c))
-            if h > 1:
-                pushed = {j: [(i, a // h) for i, a in c] for j, c in pushed.items()}
-                den //= h
-            cols = pushed
-            ops[kl] = cols, den
-        return cols, den
-
-    # With B = U diag(1/d_s) the basis (U the integer columns u_s),
-    # e_i e_j = L(e_i) e_j = sum_s d_s (U^-1)[s, i] op_s e_j.  The reduced
-    # rows [U^T | I] are [D I | D (U^-1)^T], so row i of their canonical
-    # form holds D (U^-1)[s, i] at column n + s.
+    # With U the matrix of columns u_s and tagged[s] = g._den L(u_s),
+    # e_i e_j = L(e_i) e_j = sum_s (U^-1)[s, i] tagged[s][j] / g._den, and
+    # row i of the canonical form holds D (U^-1)[s, i] at column n + s.
     reduced, rden, _ = K.canonical(kept)
-    terms = [(n + s, d, op(kl)) for s, (d, kl) in enumerate(selected) if kl is not None]
-    den = lcm(*(oden for _, _, (_, oden) in terms))
-    weights = {c: (d * (den // oden), cols.items()) for c, d, (cols, oden) in terms}
     rows = []
     for row in reduced:
-        left = _combine([(a * weights[c][0], weights[c][1]) for c, a in row if c in weights], n)
+        left = _combine([(a, tagged[c - n]) for c, a in row if c >= n], n)
         rows.extend(left.get(j, ()) for j in range(n))
-    return _certified(g, Product._from_int(n, rows, rden * den), False, "two_generator_lr")
+    return _certified(g, Product._from_int(n, rows, rden * g._den), False, "two_generator_lr")

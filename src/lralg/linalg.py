@@ -987,7 +987,11 @@ def _push(cols: dict, v, n: int) -> tuple:
     as its (coefficient, column) pair, and a length-n accumulator is
     made and scanned only when a second such term comes; a result that
     one term makes is its column times the coefficient, or the column
-    itself when the coefficient is 1."""
+    itself when the coefficient is 1.  The loop is kept apart from
+    _combine's, which could take v as one term per entry: a merge of the
+    two through one shared core raised the pipebench verify workload's
+    job_tail_s from 3.34 to 3.63 ms over 3 alternating pairs of runs on
+    a 2-core Xeon host."""
     first = acc = None
     for j, c in v:
         col = cols.get(j)

@@ -1964,7 +1964,9 @@ def seeded_change_matrix(n, rng):
 
 def two_generator_cases():
     """(g, x, y): filiform(n) for n <= 24, diag-solvable algebras,
-    Heisenberg, and a seeded rational change of basis of some of each."""
+    Heisenberg, a seeded rational change of basis of some of each, and
+    the generators of filiform(24), of the weights 1..16 and of the
+    changed filiform(9) times -2/3 and 5/7."""
     cases = [(filiform(n), *standard_basis(n)[:2]) for n in range(3, 25)]
     for weights in [[1], [2, -1], [1, 2, 3], [-3, 1, 2, 5], list(range(1, 17))]:
         g = diag_solvable(weights)
@@ -1972,6 +1974,13 @@ def two_generator_cases():
     cases.append((heisenberg(), (1, 0, 0), (0, 1, 0)))
     changed = [c for c in cases if c[0].dim in (3, 4, 5, 9, 16)]
     cases += [seeded_basis_change(*c, seed) for seed, c in enumerate(changed)]
+    # The scan holds each candidate at one integer scale with its
+    # columns; non-unit rational generators make that scale nontrivial.
+    # cases[21], [26] and [31] are filiform(24), the weights 1..16 and
+    # the changed filiform(9).
+    for g, x, y in (cases[21], cases[26], cases[31]):
+        x, y = (tuple(c * a for a in v) for c, v in ((Fraction(-2, 3), x), (Fraction(5, 7), y)))
+        cases.append((g, x, y))
     return cases
 
 
