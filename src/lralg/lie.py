@@ -27,7 +27,9 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    _int_row,
+    _columns_matrix,
+    _combine,
+    _compose,
     _memoized,
     _push,
     _ratios,
@@ -149,30 +151,29 @@ def _validate_lie(g: LieAlgebra) -> tuple[bool, tuple[Violation, ...]]:
     violations: list[Violation] = []
     # Identities whose bracket slices all vanish hold trivially, so only
     # the pairs i <= j with a nonzero slot, read in one pass, are summed.
-    slots = (divmod(ij, n) for ij in compress(range(n * n), inz))
-    for i, j in sorted({(i, j) if i <= j else (j, i) for i, j in slots}):
+    slots = [(divmod(ij, n), inz[ij]) for ij in compress(range(n * n), inz)]
+    for i, j in sorted({(i, j) if i <= j else (j, i) for (i, j), _ in slots}):
         out = [0] * n
         for k, c in inz[i * n + j] + inz[j * n + i]:
             out[k] += c
         if any(out):
             violations.append(Violation("antisymmetry", (i, j), _to_vector(out, den)))
-    for ijk, out in sorted(_jacobi_sums(n, inz).items()):
+    for ijk, out in sorted(_jacobi_sums(n, slots).items()):
         if any(out):
             violations.append(Violation("jacobi", ijk, _to_vector(out, den * den)))
     return not violations, tuple(violations)
 
 
-def _jacobi_sums(n: int, inz) -> dict[tuple[int, int, int], list[int]]:
+def _jacobi_sums(n: int, slots) -> dict[tuple[int, int, int], list[int]]:
     """The Jacobi sums, times den**2, of the triples i < j < k that
     receive a term [e_a, [e_b, e_c]] with a nonzero product of
     constants: only there can a sum be nonzero.  For each term x e_m
     of a nonzero slot (b, c) and each nonzero slot (a, m), x [e_a, e_m]
     is added into the sum of the triple of which (a, b, c) is a cyclic
-    shift, if any.  The nonzero slots are found in one pass over inz,
-    which serves both the column lookup of the slots (a, m), built here,
-    not in the algebra's index, and the loop over the slots (b, c).
+    shift, if any.  slots, the ((i, j), constants) pairs of the nonzero
+    slots that _validate_lie reads in one pass, serves both the column
+    lookup of the slots (a, m), built here, and the loop over (b, c).
     """
-    slots = [(divmod(ij, n), inz[ij]) for ij in compress(range(n * n), inz)]
     by_column: list[list] = [[] for _ in range(n)]
     for (a, m), u in slots:
         by_column[m].append((a, u))
@@ -355,10 +356,10 @@ class SplitDecomposition(
     basis).  phi is a tuple of Matrices: phi[j] is the matrix of
     x -> [row j, x] on g_infinity in its RREF coordinates, read from the
     brackets of the unit vector with g_infinity's basis rows (the
-    correction brackets to zero there); the split checks with it that
-    phi is a homomorphism, while lift_product reads the bracket of g
-    instead.  change_of_basis has the adapted basis (g_infinity first,
-    then the complement) as columns.
+    correction brackets to zero there), written once from the integer
+    columns on which the split checks that phi is a homomorphism;
+    lift_product reads the bracket of g instead.  change_of_basis has
+    the adapted basis (g_infinity first, then the complement) as columns.
     """
 
     __slots__ = ()
@@ -400,16 +401,6 @@ class SplitDecomposition(
         return acc
 
 
-def _phi_matrix(g: LieAlgebra, ws, ginf: Subspace) -> Matrix:
-    """Matrix of x -> [w, x] on ginf in its RREF coordinates, for w given
-    by its nonzero (index, integer) pairs ws: column t is [w, b_t] for
-    b_t the t-th RREF row of ginf, which must not leave ginf."""
-    phi = _restricted(g._times_basis(ws, False), ginf, g._den)
-    if phi is None:
-        raise InternalConsistencyError("bracket left the stabilized term")
-    return phi
-
-
 def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     """Split g as a semidirect sum of g_infinity and a complement
     subalgebra.
@@ -422,16 +413,19 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     guaranteed in this setting, so failure raises
     InternalConsistencyError.  All of it runs on integer numerators: the
     remainders of the [w_a, w_b] against g_infinity are
-    complement_algebra's constants, each block of the system is scaled
-    to integers and its sparse rows are solved by the reader that solve
+    complement_algebra's constants, the system is scaled to integers at
+    one scale and its sparse rows are solved by the reader that solve
     uses (linalg._solve_rows, free variables 0), and closure is checked
     exactly against those constants, each later row pushed through the
     columns of ad(row a) (linalg._push), skipping a pair where both
     sides are empty.  The correction tau_j lies in g_infinity, which is
     abelian, so [w_j + tau_j, b] = [w_j, b] for b in g_infinity: phi of
-    the unit vectors, computed once each, is phi of the complement.
-    Closure gives [row a, row b] = sum_c beta[a][b][c] row c, so phi is
-    a homomorphism iff [phi_a, phi_b] = phi_of(beta[a][b]).
+    the unit vectors, computed once each as integer columns over
+    pden = g._den * g_infinity._den (linalg._restricted), is phi of the
+    complement.  Closure gives [row a, row b] = sum_c beta[a][b][c] row c,
+    so phi is a homomorphism iff bden [phi_a, phi_b] = pden sum_c
+    beta[a][b][c] phi_c on those integers, compared as sums of columns
+    (linalg._combine) of products (linalg._compose).
     """
     rep = series(g)
     if not rep.two_step_solvable:
@@ -444,8 +438,10 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
 
     units = complement(ginf)
     free = units.pivots
-    q, k = len(free), ginf.dim
-    phi = tuple(_phi_matrix(g, u, ginf) for u in units._rows)
+    q, k, pden = len(free), ginf.dim, gden * ginf._den
+    pcols = [_restricted(g._times_basis(u, False), ginf) for u in units._rows]
+    if None in pcols:
+        raise InternalConsistencyError("bracket left the stabilized term")
     n_alg = LieAlgebra._from_int(*g._quotient(ginf))
     beta, bden = n_alg._inz, n_alg._den
 
@@ -458,21 +454,20 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     pairs = [(a, b) for a in range(q) for b in range(a + 1, q)]
     pivot_of = {p: s for s, p in enumerate(ginf.pivots)}
     if any(c in pivot_of for a, b in pairs for c, _ in inz[free[a] * n + free[b]]):
-        nvars = q * k
-        prows = [_sparse_rows(pa) for pa in phi]
+        nvars, den = q * k, lcm(pden, bden)
+        sp, sm = den // pden, den // bden
         eqs = []
         for a, b in pairs:
-            den = lcm(phi[a]._den, phi[b]._den, bden, gden)
-            sa, sb, sm = den // phi[a]._den, den // phi[b]._den, den // bden
             block = [{} for _ in range(k)]
             for c, x in inz[free[a] * n + free[b]]:
                 if c in pivot_of:
                     block[pivot_of[c]][nvars] = -x * (den // gden)
+            # Row s holds (phi_a)[s][t] T[b][t] - (phi_b)[s][t] T[a][t].
+            for m, y, cols in ((b, sp, pcols[a]), (a, -sp, pcols[b])):
+                for t, col in cols.items():
+                    for s, x in col:
+                        block[s][m * k + t] = block[s].get(m * k + t, 0) + x * y
             for s, row in enumerate(block):
-                for t, x in prows[a][s]:
-                    row[b * k + t] = row.get(b * k + t, 0) + x * sa
-                for t, x in prows[b][s]:
-                    row[a * k + t] = row.get(a * k + t, 0) - x * sb
                 for m, x in beta[a * q + b]:
                     row[m * k + s] = row.get(m * k + s, 0) - x * sm
                 eqs.append([(c, x) for c, x in row.items() if x])
@@ -499,11 +494,11 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
             if [(i, x * bden) for i, x in br] != [(i, y * cden * gden) for i, y in want]:
                 raise InternalConsistencyError("corrected complement is not a subalgebra")
 
-    split = SplitDecomposition(
-        algebra=g, series=rep, complement=comp, phi=phi, complement_algebra=n_alg
-    )
     for a, b in pairs if k else ():  # with g_infinity = 0 every phi is 0 x 0
-        lhs = phi[a] * phi[b] - phi[b] * phi[a]
-        if lhs != split.phi_of(_to_vector(_int_row(beta[a * q + b], q), bden)):
+        pa, pb = pcols[a], pcols[b]
+        lhs = [(bden, _compose(pa, pb, k).items()), (-bden, _compose(pb, pa, k).items())]
+        rhs = [(pden * x, pcols[c].items()) for c, x in beta[a * q + b]]
+        if _combine(lhs, k) != _combine(rhs, k):
             raise InternalConsistencyError("phi is not a homomorphism")
-    return split
+    phi = tuple(_columns_matrix(cols, k, pden) for cols in pcols)
+    return SplitDecomposition(g, rep, comp, phi, n_alg)

@@ -38,13 +38,14 @@ operator is its nonzero columns {j: column}: every product x . y and
 "x times each basis vector" loop reads them off one index of the
 constants by row and by column, built on first use, through one
 reader, _times_basis, and pushes y through them with one helper,
-_push; one loop, _combine, sums integer multiples of them, and one
-writer, _columns_matrix, makes them a Matrix where one is returned.
-Files are read into and written from those integers (lralg.io)
-without Fractions.  Fractions appear only at the edge of the library
-API: vectors passed in and returned are tuples of fractions.Fraction,
-and so are Subspace.basis, the tensor views and the defects of failed
-identities.
+_push; _compose multiplies two, _combine sums integer multiples of
+them, _restricted reads one on an invariant subspace (the split's phi
+is held so and checked with these two), and one writer,
+_columns_matrix, makes them a Matrix where one is returned.  Files
+are read into and written from those integers (lralg.io) without
+Fractions; they appear only at the edge of the library API: vectors
+passed in and returned, Subspace.basis, the tensor views and the
+defects of failed identities are tuples of fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -578,22 +579,22 @@ def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
     """
     if not m.is_square or m.rows != s.ambient_dim:
         raise DimensionMismatchError("operator does not act on the ambient space")
-    coords = _restricted(_column_map(m), s, m._den)
+    coords = _restricted(_column_map(m), s)
     if coords is None:
         raise PreconditionError("subspace is not invariant under the operator")
-    return coords
+    return _columns_matrix(coords, s.dim, m._den * s._den)
 
 
-def _restricted(cols: dict, s: Subspace, den: int) -> Matrix | None:
-    """The matrix in the RREF basis of s of the operator over den with
-    nonzero columns cols (_push's form): column t is the image of the
-    t-th basis row read at the pivots, its RREF coordinates; None if
-    one of those images leaves s."""
-    images = [_push(cols, b, s.ambient_dim) for b in s._rows]
-    if any(s._remainder(v) for v in images):
+def _restricted(cols: dict, s: Subspace) -> dict | None:
+    """The nonzero columns, in _push's form over s._den times the
+    denominator of cols, of the operator with columns cols on s in its
+    RREF basis: column t is the image of the t-th basis row read at the
+    pivots; None if one of those images leaves s."""
+    images = [dict(_push(cols, b, s.ambient_dim)) for b in s._rows]
+    if any(s._remainder(v.items()) for v in images):
         return None
-    at = [dict(v) for v in images]
-    return Matrix._raw(s.dim, s.dim, [v.get(p, 0) for p in s.pivots for v in at], den * s._den)
+    return {t: tuple([(r, v[p]) for r, p in enumerate(s.pivots) if p in v])
+            for t, v in enumerate(images) if v}
 
 
 def _chain_end(first: Subspace, images) -> Subspace:
@@ -675,20 +676,22 @@ def fitting_split_family(ms) -> FittingSplit:
     """Joint Fitting decomposition of a pairwise commuting family.
 
     Checks that the operators are square of one size and that the two
-    products of each pair are equal (NonCommutingFamilyError names the
-    first pair where they differ), then runs _fitting_split_commuting,
-    the unchecked core for callers that know the family commutes.
+    products of each pair, composed on the integer columns (_compose),
+    are equal (NonCommutingFamilyError names the first pair where they
+    differ), then runs _fitting_split_commuting on those columns, the
+    unchecked core for callers that know the family commutes.
     """
     mats = list(ms)
     n = mats[0].rows if mats else 0
     for m in mats:
         if not m.is_square or m.rows != n:
             raise DimensionMismatchError("family members must be square of equal size")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if mats[i] * mats[j] != mats[j] * mats[i]:
+    family = [_column_map(m) for m in mats]
+    for i, a in enumerate(family):
+        for j in range(i + 1, len(family)):
+            if _compose(a, family[j], n) != _compose(family[j], a, n):
                 raise NonCommutingFamilyError(f"operators {i} and {j} do not commute")
-    return _fitting_split_commuting(n, [_column_map(m) for m in mats])
+    return _fitting_split_commuting(n, family)
 
 
 def _fitting_split_commuting(n: int, family: list[dict]) -> FittingSplit:
@@ -975,6 +978,13 @@ def _combine(terms, n: int) -> dict[int, tuple]:
         elif v := _nonzero(acc):
             sums[j] = tuple(v)
     return sums
+
+
+def _compose(a: dict, b: dict, n: int) -> dict:
+    """The product a b of the operators on Q^n with nonzero columns a
+    and b (_push's form), in that form: each column of b pushed through
+    a, the columns that vanish left out."""
+    return {j: w for j, col in b.items() if (w := _push(a, col, n))}
 
 
 def _push(cols: dict, v, n: int) -> tuple:

@@ -69,6 +69,7 @@ from .linalg import (
     Vector,
     _chain_end,
     _columns_matrix,
+    _compose,
     _memoized,
     _nonzero,
     _push,
@@ -275,7 +276,7 @@ def _lemma_defects(p: Product, x, y, z) -> list[tuple[str, Matrix]]:
     R(v).  Every product of vectors is L(x), R(x), L(y) or the L(yx)
     that identity 1 forms applied to a vector, and an operator product
     pushes each column of its right factor through the columns of its
-    left one (_push).  Each identity is homogeneous, so both of its
+    left one (_compose).  Each identity is homogeneous, so both of its
     sides share one denominator, dx dy D^2 for identities 0-1 and
     dx dy dz D^3 for 2-5 (D = p._den), and they are compared as maps
     {l: column}; a defect Matrix is formed only for an identity that
@@ -292,20 +293,16 @@ def _lemma_defects(p: Product, x, y, z) -> list[tuple[str, Matrix]]:
     def right(v):
         return p._times_basis(v, True)
 
-    def mul(a, b):
-        products = {l: _push(a, col, n) for l, col in b.items()}
-        return {l: w for l, w in products.items() if w}
-
     lx, rx, ly = left(xs), right(xs), left(ys)
     xy, yx, yz, xz = _push(lx, ys, n), _push(rx, ys, n), _push(ly, zs, n), _push(lx, zs, n)
     lyx, lyz, ryz = left(yx), left(yz), right(yz)
     checks = [
-        (mul(lx, right(ys)), right(xy)),
-        (mul(rx, ly), lyx),
-        (mul(lx, ryz), right(_push(lx, yz, n))),
-        (mul(rx, lyz), left(_push(rx, yz, n))),
-        (mul(lx, lyz), left(_push(ly, xz, n))),
-        (mul(rx, ryz), right(_push(lyx, zs, n))),
+        (_compose(lx, right(ys), n), right(xy)),
+        (_compose(rx, ly, n), lyx),
+        (_compose(lx, ryz, n), right(_push(lx, yz, n))),
+        (_compose(rx, lyz, n), left(_push(rx, yz, n))),
+        (_compose(lx, lyz, n), left(_push(ly, xz, n))),
+        (_compose(rx, ryz, n), right(_push(lyx, zs, n))),
     ]
     dens = (dx * dy * d ** 2,) * 2 + (dx * dy * dz * d ** 3,) * 4
     return [

@@ -298,3 +298,12 @@ def test_cited_private_names_are_defined():
             cited.setdefault(name, "README.md")
     stale = sorted(f"{name} ({where})" for name, where in cited.items() if name not in defined)
     assert not stale, f"cited private names the package does not define: {', '.join(stale)}"
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_lines_fit_in_100_columns(module):
+    """No line of the package is longer than 100 characters, the width
+    its code and docstrings are wrapped to."""
+    with open(os.path.join(PACKAGE, module), encoding="utf-8") as fh:
+        long = [i for i, line in enumerate(fh, 1) if len(line.rstrip("\n")) > 100]
+    assert not long, f"{module}: lines longer than 100 characters: {long}"

@@ -17,6 +17,7 @@ from lralg.errors import (
 )
 from lralg.lie import (
     LieAlgebra,
+    SplitDecomposition,
     ad,
     bracket_of_subspaces,
     is_two_step_solvable,
@@ -34,6 +35,7 @@ from lralg.linalg import (
     _nonzero,
     _scale_fractions,
     complement,
+    restrict_operator,
     solve,
     standard_basis,
 )
@@ -321,7 +323,29 @@ SPLIT_CASES = [
 
 @pytest.mark.parametrize("g, forms_system", SPLIT_CASES)
 def test_split_complement_matches_dense_system(g, forms_system):
-    assert split_metabelian(g).complement == dense_complement(g)
+    """The complement matches the dense system's, and phi, held by the
+    split as integer columns, is the dense restriction of ad of each
+    complement row to g_infinity."""
+    split = split_metabelian(g)
+    assert split.complement == dense_complement(g)
+    assert split.phi == tuple(
+        restrict_operator(g.operator(r), split.g_infinity) for r in split.complement_basis
+    )
+
+
+@pytest.mark.parametrize("g, forms_system", SPLIT_CASES)
+def test_split_forms_no_dense_product_but_the_correction(monkeypatch, g, forms_system):
+    """phi is composed and compared on its integer columns: the split
+    multiplies Matrices only for the correction, once, when it forms a
+    system, and never calls phi_of."""
+    products, phi_of = [], []
+    real, real_of = _kernels.mat_mul, SplitDecomposition.phi_of
+    monkeypatch.setattr(_kernels, "mat_mul", lambda *args: products.append(1) or real(*args))
+    monkeypatch.setattr(SplitDecomposition, "phi_of",
+                        lambda *args: phi_of.append(1) or real_of(*args))
+    split_metabelian(g)
+    assert len(products) == int(forms_system)
+    assert phi_of == []
 
 
 @pytest.mark.parametrize("g, forms_system", SPLIT_CASES)

@@ -84,7 +84,6 @@ from lralg.errors import (
 from lralg.lie import (
     LieAlgebra,
     SeriesReport,
-    SplitDecomposition,
     ad,
     bracket_of_subspaces,
     is_two_step_solvable,
@@ -617,22 +616,21 @@ def test_split_correction_over_a_nonabelian_quotient():
 
 def test_split_compares_phi_only_when_g_infinity_is_nonzero(monkeypatch):
     """The split computes phi once per complement row, q times, and
-    compares it on pairs through phi_of on the complement's constants.
-    With g_infinity = 0 every phi is 0 x 0 and no pair is compared; the
-    Heisenberg-on-a-line algebra, whose g_infinity is a line, compares
-    each of its 3 pairs once."""
-    calls, compared = [], []
-    real, real_of = lie._phi_matrix, SplitDecomposition.phi_of
-    monkeypatch.setattr(lie, "_phi_matrix", lambda *args: calls.append(1) or real(*args))
-    monkeypatch.setattr(SplitDecomposition, "phi_of",
-                        lambda *args: compared.append(1) or real_of(*args))
+    compares it on pairs through the two products phi_a phi_b and
+    phi_b phi_a (_compose).  With g_infinity = 0 every phi is 0 x 0 and
+    no pair is compared; the Heisenberg-on-a-line algebra, whose
+    g_infinity is a line, compares each of its 3 pairs once."""
+    calls, composed = [], []
+    real, real_compose = lie._restricted, lie._compose
+    monkeypatch.setattr(lie, "_restricted", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(lie, "_compose", lambda *args: composed.append(1) or real_compose(*args))
     split = split_metabelian(filiform(12))
     assert split.g_infinity.dim == 0 and len(calls) == split.complement.rows == 12
-    assert compared == []
+    assert composed == []
     calls.clear()
     split = split_metabelian(LieAlgebra.from_brackets(*HEISENBERG_ON_A_LINE))
     assert split.g_infinity.dim == 1 and len(calls) == split.complement.rows == 3
-    assert len(compared) == 3
+    assert len(composed) == 2 * 3
 
 
 def test_split_rejects_a_correction_that_does_not_close(monkeypatch):
@@ -681,15 +679,20 @@ def test_split_closure_compares_every_pair_with_a_nonzero_side(monkeypatch, make
 
 def test_split_rejects_a_phi_that_is_not_a_homomorphism(monkeypatch):
     """On Heisenberg-on-a-line [x, y] = z, and phi of the unit z is 0;
-    with phi of the vector z made 1 wherever it is computed, [phi_x,
-    phi_y] = 0 differs from it and the homomorphism check raises."""
-    real = lie._phi_matrix
+    with phi of z, the third of the units x, y, z, made 1 where it is
+    computed, [phi_x, phi_y] = 0 differs from it and the homomorphism
+    check raises."""
+    real, calls = lie._restricted, []
 
-    def wrong(g, ws, *rest):
-        m = real(g, ws, *rest)
-        return m + Matrix.identity(m.rows) if list(ws) == [(2, 1)] else m
+    def wrong(cols, s):
+        calls.append(1)
+        phi = real(cols, s)
+        if len(calls) == 3:
+            assert phi == {} and s.dim == 1 and s._den == 1
+            return {0: ((0, 1),)}
+        return phi
 
-    monkeypatch.setattr(lie, "_phi_matrix", wrong)
+    monkeypatch.setattr(lie, "_restricted", wrong)
     g = LieAlgebra.from_brackets(*HEISENBERG_ON_A_LINE)
     with pytest.raises(InternalConsistencyError, match="phi is not a homomorphism"):
         split_metabelian(g)
@@ -1641,6 +1644,12 @@ def brute_force_jacobi_terms(g):
     }
 
 
+def nonzero_slots(g):
+    """The ((i, j), constants) pairs of g's nonzero slots, the form
+    _validate_lie hands _jacobi_sums."""
+    return [(divmod(ij, g.dim), w) for ij, w in enumerate(g._inz) if w]
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(g=jacobi_input())
 @example(g=filiform(9))
@@ -1648,7 +1657,7 @@ def brute_force_jacobi_terms(g):
 def test_jacobi_terms_are_the_triples_with_a_nonzero_term(g):
     """validate_lie sums exactly the triples that receive a nonzero
     term: on a dense tensor that is every triple."""
-    sums = lie._jacobi_sums(g.dim, g._inz)
+    sums = lie._jacobi_sums(g.dim, nonzero_slots(g))
     assert set(sums) == brute_force_jacobi_terms(g)
     if all(g._inz):
         assert set(sums) == set(itertools.combinations(range(g.dim), 3))
@@ -1660,7 +1669,7 @@ def test_validate_lie_sums_no_triple_without_a_nonzero_term(g):
     (filiform: [e_1, e_i] = e_(i+1) only meets e_1 again; free two-step:
     every bracket is central), so no Jacobi sum is taken."""
     assert lie._validate_lie(g) == (True, ())
-    assert lie._jacobi_sums(g.dim, g._inz) == {}
+    assert lie._jacobi_sums(g.dim, nonzero_slots(g)) == {}
 
 
 def operator_escape(b, s, both_sides):
