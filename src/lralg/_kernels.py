@@ -3,21 +3,21 @@
 These are the hot inner loops of the library: multiplication of
 matrices held as flat lists of Python ints, and row reduction.  There
 is one Gauss-Jordan insertion step, remainders then keep, on a dict of
-kept rows that canonical reads out; echelon loops over it for every
-span, kernel, inverse and solve, rref gives its result for a flat
-matrix, the two-generator scan and the chains of images call the step
-themselves, and a subspace reduces a vector (membership, quotients,
-restrictions) with remainders alone, its basis rows as kept rows.  A
+kept rows that canonical reads out, and one loop over it, insert, that
+stops at a cap on the rank: echelon runs it for every span, kernel,
+inverse and solve, rref gives its result for a flat matrix, and a
+chain of images runs it per step, capped at the dimension before.  The
+two-generator scan calls the step itself, and a subspace reduces a
+vector (membership, quotients, restrictions) with remainders alone.  A
 rational matrix is represented one level up as (numerators, common
-denominator), so the kernels never see fractions.  Row reduction is
-insensitive to a global scalar factor, which is why working on the
-numerators alone is enough.
+denominator), so the kernels never see fractions; row reduction is
+insensitive to a global scalar factor, so the numerators are enough.
 
 The other modules call them as attributes of this module (K.mat_mul
 and so on), never through a copied binding, so a tracer that replaces
-the module attributes sees every call.  rref calls echelon, and
-echelon its step, the same way, so a tracer that wrapped both would
-nest the inner spans in the outer one.
+the module attributes sees every call.  rref calls echelon, echelon
+insert, and insert its step, the same way, so a tracer that wrapped
+more than one would nest the inner spans in the outer one.
 """
 
 from math import gcd, lcm
@@ -82,17 +82,20 @@ def echelon(rows, cols):
     Returns (out, den, pivots) without zero rows: out[t] is the t-th
     RREF row times den as sorted nonzero pairs, and den > 0 is the
     least common denominator, the canonical form of linalg.Matrix.
-    Gauss-Jordan, one row at a time: a row's nonzero remainder against
-    the kept rows is kept, and the kept rows are read out once at the
-    end.  Stops once the rank reaches cols.
+    Gauss-Jordan, one row at a time (insert), read out once at the end.
     """
-    kept = {}
+    return canonical(insert({}, rows, cols))
+
+
+def insert(kept, rows, cap):
+    """kept, each sparse row's nonzero remainder against it kept in turn
+    (remainders, keep) until it holds cap rows, the rest left unread."""
     for v in remainders(kept, rows):
         if v:
             keep(kept, v)
-            if len(kept) == cols:
+            if len(kept) == cap:
                 break
-    return canonical(kept)
+    return kept
 
 
 def remainders(kept, rows):

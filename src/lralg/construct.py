@@ -168,11 +168,11 @@ def lift_product(split: SplitDecomposition, q: Product) -> Product:
     k + a is iota(q(gamma_i, e_a)); row i is empty when gamma_i = 0.
     A column of C^-1 that reaches one column of M_i, such as a column
     with one nonzero entry, gives that column scaled, with no length-n
-    accumulator (_push's one-term path).  C^-1 is one dense
-    Matrix.inverse, the only source of rest_j and gamma_j here (gamma_j
-    could be read from the remainder of e_j against g_infinity, as
-    Bilinear._quotient reads it).  When g_infinity = 0, C is the
-    identity, so q itself, certified on the algebra, is the lift.
+    accumulator (_push's one-term path).  C, written by its columns, is
+    inverted by one dense Matrix.inverse, the pipeline's only dense step,
+    and C^-1's columns are read by stride (_column_map), not transposed.
+    When g_infinity = 0, C is the identity, so q itself, certified on
+    the algebra, is the lift.
 
     Requires phi to vanish on all products of q; phi is linear, so that
     holds iff [iota(z), b_t] = 0 for every row z of the span of q's

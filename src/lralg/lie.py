@@ -30,7 +30,9 @@ from .linalg import (
     _columns_matrix,
     _combine,
     _compose,
+    _int_row,
     _memoized,
+    _nonzero,
     _push,
     _ratios,
     _restricted,
@@ -348,18 +350,18 @@ class SplitDecomposition(
     algebra over its stabilized lower central term.
 
     algebra is the LieAlgebra g, series the SeriesReport of g the split
-    was taken from, and g_infinity its stabilized lower central term.
-    Row j of the q x n Matrix complement is the unit vector at the j-th
-    non-pivot coordinate of g_infinity plus a correction inside it; the
-    rows span a subalgebra whose bracket in their coordinates is the
-    LieAlgebra complement_algebra (g / g_infinity on its canonical
-    basis).  phi is a tuple of Matrices: phi[j] is the matrix of
-    x -> [row j, x] on g_infinity in its RREF coordinates, read from the
-    brackets of the unit vector with g_infinity's basis rows (the
+    was taken from, and g_infinity its stabilized lower central term.  Row
+    j of the q x n Matrix complement, written from sparse rows, is the
+    unit vector at the j-th non-pivot coordinate of g_infinity plus a
+    correction inside it; the rows span a subalgebra whose bracket in
+    their coordinates is the LieAlgebra complement_algebra (g / g_infinity
+    on its canonical basis).  phi is a tuple of Matrices: phi[j] is the
+    matrix of x -> [row j, x] on g_infinity in its RREF coordinates, read
+    from the brackets of the unit vector with g_infinity's basis rows (the
     correction brackets to zero there), written once from the integer
     columns on which the split checks that phi is a homomorphism;
-    lift_product reads the bracket of g instead.  change_of_basis has
-    the adapted basis (g_infinity first, then the complement) as columns.
+    lift_product reads the bracket of g instead.  change_of_basis has the
+    adapted basis (g_infinity first, then the complement) as columns.
     """
 
     __slots__ = ()
@@ -378,11 +380,11 @@ class SplitDecomposition(
 
     @property
     def change_of_basis(self) -> Matrix:
-        top, bottom, n = self.g_infinity.rows, self.complement, self.ambient_dim
+        top, bottom = self.g_infinity, self.complement
         den = lcm(top._den, bottom._den)
-        num = [x * (den // top._den) for x in top._num]
-        num += [x * (den // bottom._den) for x in bottom._num]
-        return Matrix._raw(n, n, num, den).transpose()
+        cols = [[(c, x * (den // top._den)) for c, x in r] for r in top._rows]
+        cols += [[(c, x * (den // bottom._den)) for c, x in r] for r in _sparse_rows(bottom)]
+        return _columns_matrix(dict(enumerate(cols)), self.ambient_dim, den)
 
     @property
     def ambient_dim(self) -> int:
@@ -411,21 +413,22 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     coordinates of g_infinity and is corrected by a linear solve so that
     it closes under the bracket; solvability of that system is
     guaranteed in this setting, so failure raises
-    InternalConsistencyError.  All of it runs on integer numerators: the
+    InternalConsistencyError.  All of it runs on sparse integer rows: the
     remainders of the [w_a, w_b] against g_infinity are
-    complement_algebra's constants, the system is scaled to integers at
-    one scale and its sparse rows are solved by the reader that solve
-    uses (linalg._solve_rows, free variables 0), and closure is checked
-    exactly against those constants, each later row pushed through the
-    columns of ad(row a) (linalg._push), skipping a pair where both
-    sides are empty.  The correction tau_j lies in g_infinity, which is
-    abelian, so [w_j + tau_j, b] = [w_j, b] for b in g_infinity: phi of
-    the unit vectors, computed once each as integer columns over
-    pden = g._den * g_infinity._den (linalg._restricted), is phi of the
-    complement.  Closure gives [row a, row b] = sum_c beta[a][b][c] row c,
-    so phi is a homomorphism iff bden [phi_a, phi_b] = pden sum_c
-    beta[a][b][c] phi_c on those integers, compared as sums of columns
-    (linalg._combine) of products (linalg._compose).
+    complement_algebra's constants, the system, at one scale, is solved
+    by solve's reader (linalg._solve_rows, free variables 0), and row j
+    of the complement, over sden * g_infinity._den, is w_j plus tau_j,
+    its coefficients pushed through g_infinity's rows (linalg._push).
+    Closure is checked on those rows against the constants, each later
+    row pushed through the columns of ad(row a), skipping a pair where
+    both sides are empty; the Matrix complement is only written.  As
+    tau_j lies in the abelian g_infinity, phi of w_j, the integer
+    columns over pden = g._den * g_infinity._den (linalg._restricted),
+    is phi of row j.  Closure gives [row a, row b] = sum_c beta[a][b][c]
+    row c, so phi is a homomorphism iff bden phi_a phi_b = bden phi_b
+    phi_a + pden sum_c beta[a][b][c] phi_c, compared as sums of columns
+    (linalg._combine) of products (linalg._compose); with beta = 0 each
+    side has one term per column, and no accumulator is made.
     """
     rep = series(g)
     if not rep.two_step_solvable:
@@ -450,7 +453,7 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     # in tau(w_j); one block of k equations per unordered pair, each a
     # sparse row with its right-hand side in column q * k.  When every
     # right-hand side is 0 the solution with free variables 0 is 0.
-    comp = units.rows
+    rows, cden = dict(enumerate(units._rows)), 1
     pairs = [(a, b) for a in range(q) for b in range(a + 1, q)]
     pivot_of = {p: s for s, p in enumerate(ginf.pivots)}
     if any(c in pivot_of for a, b in pairs for c, _ in inz[free[a] * n + free[b]]):
@@ -474,20 +477,20 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
         sol = _solve_rows(eqs, nvars)
         if sol is None:
             raise InternalConsistencyError("complement correction system is unsolvable")
-        comp = comp + Matrix._raw(q, k, *sol) * ginf.rows
+        tau, sden = sol
+        cden, basis = sden * ginf._den, dict(enumerate(ginf._rows + units._rows))
+        rows = {j: _push(basis, _nonzero(tau[j * k:j * k + k]) + [(k + j, cden)], n)
+                for j in range(q)}
 
     # [row a, row b] over cden**2 * gden against sum_c beta[a][b][c] row c
     # over bden * cden, the constants pushed through the rows as columns;
     # a pair where both are empty is exactly 0 = 0.
-    cden = comp._den
-    sparse = _sparse_rows(comp)
-    if Subspace._from_sparse(n, sparse).dim != q:
+    if Subspace._from_sparse(n, rows.values()).dim != q:
         raise InternalConsistencyError("corrected complement lost dimension")
-    rows = dict(enumerate(sparse))
     for a in range(q):
-        cols = g._times_basis(sparse[a], False)
+        cols = g._times_basis(rows[a], False)
         for b in range(a + 1, q):
-            br, terms = _push(cols, sparse[b], n), beta[a * q + b]
+            br, terms = _push(cols, rows[b], n), beta[a * q + b]
             if not (br or terms):
                 continue
             want = _push(rows, terms, n)
@@ -496,9 +499,10 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
 
     for a, b in pairs if k else ():  # with g_infinity = 0 every phi is 0 x 0
         pa, pb = pcols[a], pcols[b]
-        lhs = [(bden, _compose(pa, pb, k).items()), (-bden, _compose(pb, pa, k).items())]
-        rhs = [(pden * x, pcols[c].items()) for c, x in beta[a * q + b]]
-        if _combine(lhs, k) != _combine(rhs, k):
+        rhs = [(bden, _compose(pb, pa, k).items())]
+        rhs += [(pden * x, pcols[c].items()) for c, x in beta[a * q + b]]
+        if _combine([(bden, _compose(pa, pb, k).items())], k) != _combine(rhs, k):
             raise InternalConsistencyError("phi is not a homomorphism")
     phi = tuple(_columns_matrix(cols, k, pden) for cols in pcols)
+    comp = Matrix._raw(q, n, [x for r in rows.values() for x in _int_row(r, n)], cden)
     return SplitDecomposition(g, rep, comp, phi, n_alg)

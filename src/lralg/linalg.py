@@ -10,24 +10,24 @@ A Subspace holds its reduced row echelon basis as sparse integer rows
 over one denominator, the canonical form of that Matrix, which again
 makes equality structural: two subspaces are equal iff their bases are
 identical.  Every row reduction runs in the one sparse Gauss-Jordan
-insertion step of _kernels, nearly all of it through the kernel's loop
-over that step, echelon.  Spans pass echelon their rows as they come
-(nonzero constants, products, brackets) with no dense round trip;
-Matrix.rref and inverse reach it through _kernels.rref, its dense
-format; kernel, solve and the metabelian split pass it sparse rows,
-the last two those of [A | b] through one reader.  Membership,
-coordinates, quotients and restrictions reduce a sparse vector with
-the step's first half, remainders, against the basis rows as kept
-rows; an intersection and a Fitting split's projection are read from
-one echelon of the rows [b | b] and [b | 0].
-A span grown one vector at a time, where the next vector depends on
-which earlier ones were independent (the two-generator construction),
-holds the kernel's kept rows and calls the insertion step itself,
-reading the canonical basis once at the end.  Every nilpotency test
-and Fitting split runs one chain of spans, each the images of the one
-before, to its end (_chain_end), with no operator power; the chain too
-calls the insertion step itself, holds each term as its kept rows and
-reads out only the last one.
+insertion step of _kernels, nearly all of it through the kernel's one
+loop over that step, insert.  Spans pass echelon, that loop from no
+rows, their rows as they come (nonzero constants, products, brackets)
+with no dense round trip; Matrix.rref and inverse reach it through
+_kernels.rref, its dense format; kernel, solve and the metabelian split
+pass it sparse rows, the last two those of [A | b] through one reader.
+Membership, coordinates, quotients and restrictions reduce a sparse
+vector with the step's first half, remainders, against the basis rows
+as kept rows; an intersection and a Fitting split's projection are
+read from one echelon of the rows [b | b] and [b | 0], the projection
+written by its columns.  A span grown one vector at a time, where the
+next vector depends on which earlier ones were independent (the
+two-generator construction), holds the kernel's kept rows and calls
+the step itself, reading the canonical basis once at the end.  Every
+nilpotency test and Fitting split runs one chain of spans, each the
+images of the one before, to its end (_chain_end), with no operator
+power: each term is the loop's kept rows, capped at the dimension of
+the term before, and only the last one is read out.
 
 Structure tensors (Bilinear) store only their nonzero constants, as
 integer numerators over one common denominator; products, operators,
@@ -603,21 +603,16 @@ def _chain_end(first: Subspace, images) -> Subspace:
     that keeps the dimension, the stable image, as the chain decreases.
 
     Each term past the first is held as the kept rows of the insertion
-    step of _kernels, each a multiple of an RREF row, so a step reduces
+    loop of _kernels, each a multiple of an RREF row, so a step reduces
     the images of the rows of the RREF basis up to a scale per row; only
-    the term returned is read out canonically.  A step ends once its
-    rank is the dimension of the term before, which holds it.  No step
-    runs when first is 0 or the whole space: first is returned."""
+    the term returned is read out canonically.  A step stops at the
+    dimension of the term before, the loop's cap, which holds it.  No
+    step runs when first is 0 or the whole space: first is returned."""
     n, above, rows = first.ambient_dim, first.dim, first._rows
     if not 0 < above < n:
         return first
     while True:
-        kept: dict = {}
-        for v in K.remainders(kept, (w for b in rows for w in images(b))):
-            if v:
-                K.keep(kept, v)
-                if len(kept) == above:
-                    break
+        kept = K.insert({}, (w for b in rows for w in images(b)), above)
         if not kept:
             return Subspace.zero(n)
         if len(kept) == above:
@@ -633,8 +628,9 @@ def _stable_image(n: int, family: list[dict]) -> Subspace:
 
 
 def _column_map(m: Matrix) -> dict[int, list]:
-    """The columns of m's numerators as {j: nonzero (k, x) pairs}."""
-    return dict(enumerate(_sparse_rows(m.transpose())))
+    """The columns of m's numerators as {j: nonzero (k, x) pairs}, read
+    off the flat numerators by stride, with no transpose."""
+    return {j: _nonzero(m._num[j::m.cols]) for j in range(m.cols)}
 
 
 def _transposed(cols: dict) -> dict[int, list]:
@@ -702,7 +698,8 @@ def _fitting_split_commuting(n: int, family: list[dict]) -> FittingSplit:
     stable image, and v_n, their common kernel, the annihilator of the
     transposed family's (de Graaf, Lie Algebras: Theory and Algorithms,
     2000).  The rows [b | b], b in v_n, and [b | 0], b in v_0, span the
-    graph of proj_n: row i of their echelon form is [e_i | proj_n e_i].
+    graph of proj_n: row i of their echelon form is [e_i | proj_n e_i],
+    whose right half is written as column i (_columns_matrix).
     """
     if not family:
         raise DimensionMismatchError("empty operator family")
@@ -711,8 +708,8 @@ def _fitting_split_commuting(n: int, family: list[dict]) -> FittingSplit:
     rows, den, pivots = _graph_echelon(n, v_n._rows, v_0._rows)
     if pivots != tuple(range(n)):
         raise PreconditionError("subspaces do not decompose the ambient space")
-    num = [x for row in rows for x in _int_row(((c - n, x) for c, x in row[1:]), n)]
-    return FittingSplit(v_n, v_0, Matrix._raw(n, n, num, den).transpose())
+    cols = {i: [(c - n, x) for c, x in row[1:]] for i, row in enumerate(rows)}
+    return FittingSplit(v_n, v_0, _columns_matrix(cols, n, den))
 
 
 class Bilinear:

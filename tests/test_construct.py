@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from conftest import torus
 
 from lralg import _kernels, cli, construct, io, lie, linalg, lr
 from lralg.catalog import (
@@ -641,3 +642,51 @@ def test_lift_with_nonzero_g_infinity_inverts_once(monkeypatch):
         assert_complete_lr(g, lr_for_g3(g))
     assert len(lifts) == 4
     assert calls == ["inverse"] * 4
+
+
+def test_pipeline_hands_on_sparse_data(monkeypatch):
+    """complete_any after two_generator_lr, complete_any on a fixture and
+    lr_for_g3 on the sheared torus, whose split solves its correction
+    system, do no Matrix arithmetic: no _kernels.mat_mul, Matrix +, -, *
+    or transpose.  The one dense step left is the lift's inverse of its
+    change of basis: one Matrix.inverse and one _kernels.rref in each
+    lift_product with g_infinity != 0, none with g_infinity = 0 and none
+    outside the lift."""
+    calls, per_lift, solved = [], [], []
+    for owner, name in (
+        (_kernels, "mat_mul"), (_kernels, "rref"), (Matrix, "__add__"), (Matrix, "__sub__"),
+        (Matrix, "__mul__"), (Matrix, "transpose"), (Matrix, "inverse"),
+    ):
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    lift, solve_rows = construct.lift_product, lie._solve_rows
+
+    def lift_counted(split, q):
+        before = len(calls)
+        out = lift(split, q)
+        per_lift.append((split.g_infinity.dim > 0, calls[before:]))
+        del calls[before:]
+        return out
+
+    monkeypatch.setattr(construct, "lift_product", lift_counted)
+    monkeypatch.setattr(lie, "_solve_rows", lambda *a: solved.append(1) or solve_rows(*a))
+    e = standard_basis(12)
+    fil, diag = filiform(12), diag_solvable([1, 2, 3, 5])
+    cases = [
+        (fil, two_generator_lr(fil, e[0], e[1])),
+        (diag, two_generator_lr(diag, (1, 0, 0, 0, 0), (0, 1, 1, 1, 1))),
+        known_lr("free2step3-half"),
+    ]
+    for g, p in cases:
+        assert_complete_lr(g, complete_any(g, p).completed)
+    assert solved == []
+    sheared = torus(4, 3, True)
+    assert_complete_lr(sheared, lr_for_g3(sheared))
+    assert solved == [1]
+    assert calls == []
+    assert [ginf for ginf, _ in per_lift] == [False, True, False, True]
+    for ginf, inside in per_lift:
+        assert sorted(inside) == (["inverse", "rref"] if ginf else [])

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lralg import _kernels
@@ -39,8 +39,10 @@ from lralg.linalg import (
     subspace_sum,
     to_fraction,
     vector,
+    _column_map,
     _fitting_split_commuting,
     _int_row,
+    _sparse_rows,
 )
 from lralg.lr import Product, _chain_reaches_zero, check_lr, product_span, quotient_product
 from test_kernels import dense_rref_rows
@@ -549,6 +551,24 @@ def test_remainder_is_den_times_reduce(data):
     assert all(r.values()) and not set(r) & set(s.pivots)
     assert s.reduce(dense) == tuple(want)
     assert s.contains(dense) == (not r)
+
+
+@st.composite
+def rectangular_matrix(draw):
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    num = draw(st.lists(st.integers(-9, 9), min_size=r * c, max_size=r * c))
+    return Matrix._raw(r, c, num, draw(st.integers(1, 7)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rectangular_matrix())
+@example(Matrix._raw(0, 3, [], 1))
+@example(Matrix._raw(3, 0, [], 1))
+def test_column_map_is_the_rows_of_the_transpose(m):
+    """_column_map reads each column off the flat numerators by stride,
+    with no transpose, and gets what the rows of the transpose hold, on
+    rectangular matrices, with no rows or no columns too."""
+    assert _column_map(m) == dict(enumerate(_sparse_rows(m.transpose())))
 
 
 def test_membership_quotients_and_restrictions_reduce_with_remainders(monkeypatch):
