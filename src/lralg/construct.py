@@ -42,7 +42,6 @@ from .linalg import (
     Matrix,
     Subspace,
     _column_map,
-    _combine,
     _fitting_split_commuting,
     _nonzero,
     _push,
@@ -300,33 +299,34 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     the result.  Completeness is NOT asserted; chain with complete_any
     when a complete structure is required.
 
-    The scan is lazy and follows one chain per pair (k, l): the entry
-    of a candidate v = ad(y)^k ad(x)^l y is an integer multiple u = c v
-    and the nonzero columns of c g._den L(v) = g._den L(u), the same
-    c, since L(v) = ad(y)^k ad(x)^l ad(y) is the same chain applied to
-    the columns of ad(y).  When the scan reaches a candidate, the entry
-    before it in its chain is pushed through the sparse integer
-    columns of ad(x) or ad(y), vector and columns alike
-    (linalg._push), and divided by the gcd of all its numerators; a
-    chain that reaches u = 0 stays 0, so its later candidates are
-    recorded as 0 without a bracket or a reduction.  The kept vectors
-    u_s are held as the kept rows [u_s | e_s] of the _kernels
-    insertion step, in 2n coordinates, each tagged by its place s.  A
-    candidate, tagged with the next place, is reduced against them
-    once and kept when its remainder leads in the first n coordinates;
-    a dependent one leaves the kept rows as they were.  The scan stops
-    at n vectors.  The one elimination that selects the basis thereby
-    also inverts it: the canonical form of the n kept rows, read once
-    after the scan, is [D I | D (U^-1)^T], U the matrix of columns
-    u_s, so row i holds D times the coefficients of e_i in the u_s at
-    its nonzero tags.  Those n vectors are independent brackets of x
-    and y, which proves that x and y generate g; only a scan that
+    The scan is lazy and follows one chain per pair (k, l).  With b_t
+    the integer RREF rows of the image of ad(y) and A = ad(y)^k ad(x)^l,
+    the entry of a candidate v = A y is an integer multiple u = c v
+    together with the vectors c A b_t, the same c: L(v) = A ad(y), and
+    each column of ad(y) is the sum of the b_t weighted by its entries
+    at their pivots, over their common denominator.  When the
+    scan reaches a candidate, the entry before it in its chain is
+    pushed through the sparse integer columns of ad(x) or ad(y), its
+    1 + rank ad(y) vectors alike (linalg._push), and divided by the gcd
+    of all their numerators; a chain that reaches u = 0 stays 0, so its
+    later candidates are recorded as 0 without a bracket or a
+    reduction.  The kept vectors u_s are held as the kept rows
+    [u_s | c A b_0 | c A b_1 | ...] of the _kernels insertion step, the
+    block of b_t at columns n + t n.  A candidate is reduced against
+    them once and kept when its remainder leads in the first n
+    coordinates; a dependent one leaves the kept rows as they were.
+    The scan stops at n vectors.  The one elimination that selects the
+    basis thereby also solves for the table: row i of the canonical
+    form of the n kept rows, read once after the scan, is D e_i
+    followed by the blocks sum_s D (U^-1)[s, i] c_s A_s b_t, U the
+    matrix of columns u_s.  Those n vectors are independent brackets of
+    x and y, which proves that x and y generate g; only a scan that
     falls short computes the generated subalgebra, to tell a
     non-generating pair from an internal failure.  No operator matrix
-    is formed and no denominator is kept per vector: row i of the
-    table, the columns of L(e_i), is the sum of the kept columns
-    weighted by the nonzero tags of row i, taken on integers by
-    linalg._combine, over D g._den.
+    is formed and no denominator is kept per vector: e_i e_j is row i's
+    blocks pushed through the pivot entries of column j of ad(y)
+    (linalg._push), on integers over D times the denominators of the
+    b_t and of g.
     """
     if not is_two_step_solvable(g):
         raise NotTwoStepSolvableError("second derived algebra does not vanish")
@@ -335,33 +335,35 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     if len(xv) != n or len(yv) != n:
         raise DimensionMismatchError("generator length differs from algebra dimension")
 
-    # chains[(k, l)] = (u, cols): u = c ad(y)^k ad(x)^l y for an integer
-    # c, by its nonzero (i, numerator) pairs, and cols the nonzero
-    # columns {j: column} of c g._den ad(y)^k ad(x)^l ad(y); None once u
-    # is 0, and so is every later entry of its chain.  chains[None] is x,
-    # with no columns, as L(x) = 0.  ad_x and ad_y are the nonzero
-    # columns of integer multiples of ad(x) and ad(y).
+    # chains[(k, l)] = (u, vs): u = c ad(y)^k ad(x)^l y for an integer c,
+    # by its nonzero (i, numerator) pairs, and vs = {t: c ad(y)^k ad(x)^l
+    # b_t} where that is nonzero, b_t the t-th integer row of im, the
+    # image of ad(y); None once u is 0, and so is every later entry of
+    # its chain.  chains[None] is x, with no vectors, as L(x) = 0.  ad_x
+    # and ad_y are the nonzero columns of integer multiples of ad(x) and
+    # ad(y): ad_y[j] is g._den times ad(y) e_j for the integer multiple
+    # of y that starts its chain.
     xu, yu = (_nonzero(_scale_fractions(v)[0]) for v in (xv, yv))
     ad_x, ad_y = g._times_basis(xu, False), g._times_basis(yu, False)
-    chains = {None: (xu, {}), (0, 0): (yu, ad_y)}
+    im = Subspace._from_sparse(n, ad_y.values())
+    chains = {None: (xu, {}), (0, 0): (yu, dict(enumerate(im._rows)))}
 
     def advance(entry: tuple, ad: dict) -> tuple | None:
         """entry pushed through ad and divided by the gcd of all its
         numerators, or None when its vector goes to 0."""
-        u, cols = entry
+        u, vs = entry
         u = _push(ad, u, n)
         if not u:
             return None
-        cols = {j: w for j, c in cols.items() if (w := _push(ad, c, n))}
-        h = gcd(*(a for _, a in u), *(a for c in cols.values() for _, a in c))
+        vs = {t: w for t, v in vs.items() if (w := _push(ad, v, n))}
+        h = gcd(*(a for _, a in u), *(a for v in vs.values() for _, a in v))
         if h > 1:
             u = [(i, a // h) for i, a in u]
-            cols = {j: [(i, a // h) for i, a in c] for j, c in cols.items()}
-        return u, cols
+            vs = {t: [(i, a // h) for i, a in v] for t, v in vs.items()}
+        return u, vs
 
-    # kept holds the _kernels kept rows [u_s | e_s] of the kept vectors
-    # u_s, tagged by s, and tagged[s] the columns of u_s's entry.
-    tagged = []
+    # kept holds the _kernels kept rows [u_s | vs_s[0] | vs_s[1] | ...]
+    # of the kept vectors u_s.
     kept = {}
     for kl in chain([None], _scan_order(n)):
         if len(kept) == n:
@@ -372,22 +374,28 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
             chains[kl] = chains[before] and advance(chains[before], ad)
         if chains[kl] is None:
             continue
-        u, cols = chains[kl]
-        r = next(K.remainders(kept, [[*u, (n + len(tagged), 1)]]))
-        if min(r) < n:
+        u, vs = chains[kl]
+        row = [*u, *((n + t * n + i, a) for t, v in vs.items() for i, a in v)]
+        r = next(K.remainders(kept, [row]))
+        if r and min(r) < n:
             K.keep(kept, r)
-            tagged.append(cols.items())
     if len(kept) != n:
         if subalgebra_generated(g, [xv, yv]).dim != n:
             raise NotGeneratedError("the two elements do not generate the algebra")
         raise InternalConsistencyError("candidate vectors do not span the algebra")
 
-    # With U the matrix of columns u_s and tagged[s] = g._den L(u_s),
-    # e_i e_j = L(e_i) e_j = sum_s (U^-1)[s, i] tagged[s][j] / g._den, and
-    # row i of the canonical form holds D (U^-1)[s, i] at column n + s.
+    # ad_y[j] = sum_t ad_y[j][p_t] b_t / im._den, p_t the pivot of b_t, so
+    # g._den L(u_s) e_j = sum_t ad_y[j][p_t] vs_s[t] / im._den, and block t
+    # of canonical row i is sum_s rden (U^-1)[s, i] vs_s[t].
     reduced, rden, _ = K.canonical(kept)
+    at = {p: t for t, p in enumerate(im.pivots)}
+    coords = {j: [(at[k], a) for k, a in col if k in at] for j, col in ad_y.items()}
     rows = []
     for row in reduced:
-        left = _combine([(a, tagged[c - n]) for c, a in row if c >= n], n)
-        rows.extend(left.get(j, ()) for j in range(n))
-    return _certified(g, Product._from_int(n, rows, rden * g._den), False, "two_generator_lr")
+        blocks = {}
+        for c, a in row[1:]:  # row[0] is (i, rden)
+            t, i = divmod(c - n, n)
+            blocks.setdefault(t, []).append((i, a))
+        rows.extend(_push(blocks, coords[j], n) if j in coords else () for j in range(n))
+    den = rden * im._den * g._den
+    return _certified(g, Product._from_int(n, rows, den), False, "two_generator_lr")

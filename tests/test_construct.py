@@ -1,11 +1,16 @@
 """Constructions: completion on nilpotent algebras, the splitting
 pipeline, the half bracket, and the two-generator structure."""
 
+import random
 import sys
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 from conftest import torus
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lralg import _kernels, cli, construct, io, lie, linalg, lr
 from lralg.catalog import (
@@ -35,8 +40,19 @@ from lralg.errors import (
     PhiNotZeroError,
     PreconditionError,
 )
-from lralg.lie import LieAlgebra, split_metabelian
-from lralg.linalg import Bilinear, Matrix, Subspace, standard_basis
+from lralg.lie import LieAlgebra, ad, is_two_step_solvable, split_metabelian, subalgebra_generated
+from lralg.linalg import (
+    Bilinear,
+    Matrix,
+    Subspace,
+    _combine,
+    _nonzero,
+    _push,
+    _scale_fractions,
+    image,
+    standard_basis,
+    vector,
+)
 from lralg.lr import Product, check_complete, check_lr, two_of_three
 
 F = Fraction
@@ -406,6 +422,212 @@ class TestTwoGeneratorWork:
         monkeypatch.setattr(_kernels, "remainders", counted)
         two_generator_lr(filiform(24), e[0], e[1])
         assert 0 < len(calls) <= 24
+
+    def test_changed_filiform_pushes_the_image_of_ad_y(self, monkeypatch):
+        # In this basis every basis vector has an e1 part, so ad(e2) has
+        # rank 1 and no zero column: a chain that carried the columns of
+        # L(u) pushed 1 + 10 vectors per step and summed the table with
+        # linalg._combine.  Each (nested) frame of the chain's step counts
+        # its pushes.
+        g, x, y = seeded_filiform10()
+        ad_y = ad(g, y)
+        assert image(ad_y).dim == 1
+        assert all(any(ad_y.column(j)) for j in range(10))
+
+        combined = []
+        real_combine = linalg._combine
+
+        def counted_combine(*args):
+            if sys._getframe(1).f_code.co_name == "two_generator_lr":
+                combined.append(args)
+            return real_combine(*args)
+
+        monkeypatch.setattr(linalg, "_combine", counted_combine)
+        monkeypatch.setattr(construct, "_combine", counted_combine, raising=False)
+        frames, pushes = [], []
+        real_push = construct._push
+
+        def counted_push(cols, v, n):
+            f = sys._getframe(1)
+            while f.f_code.co_name.startswith("<"):  # a comprehension's frame
+                f = f.f_back
+            if f.f_code.co_name == "advance":
+                if not frames or frames[-1] is not f:
+                    frames.append(f)
+                    pushes.append(0)
+                pushes[-1] += 1
+            return real_push(cols, v, n)
+
+        monkeypatch.setattr(construct, "_push", counted_push)
+        assert two_generator_lr(g, x, y) == tagged_two_generator_lr(g, x, y)
+        assert combined == []
+        assert len(pushes) >= 8 and max(pushes) == 2
+
+
+def seeded_filiform10():
+    """filiform(10) and its generators e1, e2 in the basis b_i = sum_a
+    m[a][i] e_a, m the identity plus seeded rationals k/d (|k| <= 2,
+    d in {1, 2, 3}) in the whole first row and at ten places above the
+    diagonal, so every b_i with i > 0 has an e1 part."""
+    n = 10
+    rng = random.Random(10)
+    m = [[F(int(a == i)) for i in range(n)] for a in range(n)]
+    places = [(0, i) for i in range(1, n)] + [
+        tuple(sorted(rng.sample(range(1, n), 2))) for _ in range(10)
+    ]
+    for a, i in places:
+        m[a][i] = F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
+    e = standard_basis(n)
+    return in_basis(filiform(n), m, e[0], e[1])
+
+
+def in_basis(g, m, *vectors):
+    """g in the basis b_i = sum_a m[a][i] e_a, m an invertible matrix
+    given by its rows, and the coordinates of the vectors in it."""
+    n = g.dim
+    mat = Matrix(m)
+    inv = mat.inverse()
+    b = [mat.column(i) for i in range(n)]
+    pairs = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = inv.apply(g.apply(b[i], b[j]))
+            if any(w):
+                pairs[(i, j)] = {k: c for k, c in enumerate(w) if c}
+    return (LieAlgebra.from_brackets(n, pairs), *(inv.apply(v) for v in vectors))
+
+
+def tagged_two_generator_lr(g, x, y):
+    """two_generator_lr as computed when each chain entry held u and the
+    nonzero columns of g._den L(u): each candidate's row [u | e_s] is
+    tagged by its place s, row i of the canonical form then holds
+    D (U^-1)[s, i] at column n + s, and row i of the table sums the
+    kept columns weighted by those tags (linalg._combine).  Returns the
+    uncertified Product, or raises as two_generator_lr does."""
+    if not is_two_step_solvable(g):
+        raise NotTwoStepSolvableError("second derived algebra does not vanish")
+    xv, yv = vector(x), vector(y)
+    n = g.dim
+    xu, yu = (_nonzero(_scale_fractions(v)[0]) for v in (xv, yv))
+    ad_x, ad_y = g._times_basis(xu, False), g._times_basis(yu, False)
+    chains = {None: (xu, {}), (0, 0): (yu, ad_y)}
+
+    def advance(entry, ad):
+        u, cols = entry
+        u = _push(ad, u, n)
+        if not u:
+            return None
+        cols = {j: w for j, c in cols.items() if (w := _push(ad, c, n))}
+        h = gcd(*(a for _, a in u), *(a for c in cols.values() for _, a in c))
+        if h > 1:
+            u = [(i, a // h) for i, a in u]
+            cols = {j: [(i, a // h) for i, a in c] for j, c in cols.items()}
+        return u, cols
+
+    tagged = []
+    kept = {}
+    for kl in chain([None], construct._scan_order(n)):
+        if len(kept) == n:
+            break
+        if kl not in chains:
+            k, l = kl
+            before, step = ((k - 1, l), ad_y) if k else ((0, l - 1), ad_x)
+            chains[kl] = chains[before] and advance(chains[before], step)
+        if chains[kl] is None:
+            continue
+        u, cols = chains[kl]
+        r = next(_kernels.remainders(kept, [[*u, (n + len(tagged), 1)]]))
+        if min(r) < n:
+            _kernels.keep(kept, r)
+            tagged.append(cols.items())
+    if len(kept) != n:
+        if subalgebra_generated(g, [xv, yv]).dim != n:
+            raise NotGeneratedError("the two elements do not generate the algebra")
+        raise InternalConsistencyError("candidate vectors do not span the algebra")
+    reduced, rden, _ = _kernels.canonical(kept)
+    rows = []
+    for row in reduced:
+        left = _combine([(a, tagged[c - n]) for c, a in row if c >= n], n)
+        rows.extend(left.get(j, ()) for j in range(n))
+    return Product._from_int(n, rows, rden * g._den)
+
+
+def two_generator_outcome(build, g, x, y):
+    """build(g, x, y), or the type and message of the NotGeneratedError
+    or InternalConsistencyError it raises."""
+    try:
+        return build(g, x, y)
+    except (NotGeneratedError, InternalConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def catalog_generator_pairs():
+    """(id, g, x, y): filiform(n) with (e1, e2) and (e2, e1), where ad(y)
+    has rank n - 2, diag-solvable algebras with (x, sum of the y_i) either
+    way round, Heisenberg, r2, and abelian(1) with a zero generator; the
+    equal weights, Heisenberg's (e1, e3) and free_two_step(3)'s (x1, x2)
+    do not generate."""
+    out = []
+    for n in range(3, 13):
+        e = standard_basis(n)
+        out += [(f"filiform{n}", filiform(n), e[0], e[1]),
+                (f"filiform{n}-swapped", filiform(n), e[1], e[0])]
+    for weights in ([1], [1, 2], [2, -1, 3], [1, 1], list(range(1, 17))):
+        g = diag_solvable(weights)
+        x, y = standard_basis(g.dim)[0], (0,) + (1,) * len(weights)
+        name = "diag" + ",".join(map(str, weights))
+        out += [(name, g, x, y), (name + "-swapped", g, y, x)]
+    out += [
+        ("heisenberg", heisenberg(), (1, 0, 0), (0, 1, 0)),
+        ("heisenberg-e1e3", heisenberg(), (1, 0, 0), (0, 0, 1)),
+        ("r2", r2(), (1, 0), (0, 1)),
+        ("abelian1-x0", abelian(1), (0,), (1,)),
+        ("abelian1-y0", abelian(1), (1,), (0,)),
+        ("free3", free_two_step(3), *standard_basis(6)[:2]),
+    ]
+    return out
+
+
+@pytest.mark.parametrize(
+    "g, x, y", [c[1:] for c in catalog_generator_pairs()], ids=[c[0] for c in catalog_generator_pairs()]
+)
+def test_two_generator_matches_tagged_scan_on_catalog(g, x, y):
+    """The scan whose rows carry the image of ad(y) gives the Product, or
+    the error, of the place-tagged scan and its _combine table."""
+    expected = two_generator_outcome(tagged_two_generator_lr, g, x, y)
+    assert two_generator_outcome(two_generator_lr, g, x, y) == expected
+
+
+GENERATOR_ALGEBRAS = [filiform(n) for n in range(3, 9)] + [
+    diag_solvable(w) for w in ([1, 2], [1, -2, 3], [2, -1, 3, 1], [1, 1])
+] + [heisenberg(), r2(), abelian(1), abelian(2), free_two_step(3)]
+
+
+@st.composite
+def integer_generator_pair(draw):
+    """A catalog algebra and two integer vectors: two distinct basis
+    vectors in either order, or entries in -2..2, many of which do not
+    generate."""
+    g = draw(st.sampled_from(GENERATOR_ALGEBRAS))
+    n = g.dim
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        e = standard_basis(n)
+        return g, e[i], e[j]
+    entries = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
+    return g, draw(entries), draw(entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=integer_generator_pair())
+@example(case=(filiform(6), standard_basis(6)[1], standard_basis(6)[0]))
+@example(case=(abelian(1), (0,), (1,)))
+@example(case=(abelian(1), (1,), (0,)))
+@example(case=(heisenberg(), (1, 0, 0), (0, 0, 1)))
+def test_two_generator_matches_tagged_scan_on_integer_pairs(case):
+    g, x, y = case
+    expected = two_generator_outcome(tagged_two_generator_lr, g, x, y)
+    assert two_generator_outcome(two_generator_lr, g, x, y) == expected
 
 
 class TestCertificateGate:
