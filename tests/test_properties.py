@@ -1983,8 +1983,8 @@ def two_generator_cases():
     cases.append((heisenberg(), (1, 0, 0), (0, 1, 0)))
     changed = [c for c in cases if c[0].dim in (3, 4, 5, 9, 16)]
     cases += [seeded_basis_change(*c, seed) for seed, c in enumerate(changed)]
-    # The scan holds each candidate at one integer scale with its
-    # columns; non-unit rational generators make that scale nontrivial.
+    # The scan holds each candidate at one integer scale with its image
+    # vectors; non-unit rational generators make that scale nontrivial.
     # cases[21], [26] and [31] are filiform(24), the weights 1..16 and
     # the changed filiform(9).
     for g, x, y in (cases[21], cases[26], cases[31]):
@@ -1994,10 +1994,10 @@ def two_generator_cases():
 
 
 def test_two_generator_matches_inverse_table():
-    """The tagged scan, whose one elimination also inverts the kept
-    vectors, gives the products of the scan followed by Matrix.inverse
-    and the dense column probe, in the native bases and after a seeded
-    rational change of basis."""
+    """The scan, whose one elimination also solves for the table, gives
+    the products of the scan followed by Matrix.inverse and the dense
+    column probe, in the native bases and after a seeded rational
+    change of basis."""
     for g, x, y in two_generator_cases():
         assert two_generator_lr(g, x, y) == inverse_two_generator_lr(g, x, y)
 
