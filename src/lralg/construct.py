@@ -13,7 +13,6 @@ rather than producing an unverified product.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain
 from math import gcd, lcm
 
 from . import _kernels as K
@@ -129,9 +128,11 @@ def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
     they all act nilpotently and premultiply: the completed product is
     (proj x) * y.  check_lr has just certified the left identity, so
     the left multiplications are taken as commuting without testing
-    them again.  The left chain A, A*A, A*(A*A), ... is read first:
-    when it reaches 0, v_n is the whole space and p is returned
-    unchanged.  Otherwise the split is read from the nonzero columns of
+    them again.  The left chain A, A*A, A*(A*A), ... is read first, as
+    two_of_three reads it (its first step, then the images of a
+    complement of A, which reach 0 and sum to A exactly when the chain
+    reaches 0): when it reaches 0, v_n is the whole space and p is
+    returned unchanged.  Otherwise the split is read from the nonzero columns of
     the left multiplications, and row i of the table is the sparse left
     operator of proj_n e_i.
     """
@@ -278,11 +279,26 @@ def lr_for_g3(g: LieAlgebra) -> Product:
 
 def _scan_order(n: int):
     """(0, 0), then the pairs (k, l) with 0 <= k <= n and 1 <= l <= n
-    in order of (k + l, l, k)."""
-    yield 0, 0
+    in order of (k + l, l, k), leaving out the pairs on chains already
+    at 0.  Entry (k, l) of two_generator_lr is pushed from (k - 1, l),
+    or from (0, l - 1) when k = 0, so a consumer that sends True back
+    for a pair whose entry is 0 gets no later k of that l, nor, after a
+    zero (0, l) or (0, 0), any later l; the live l are held in a list,
+    so a skipped pair is never looked at.  Plain iteration sends None
+    and gets every pair."""
+    top = not (yield 0, 0)  # (0, total) can still be nonzero
+    live = []  # the l whose entry (total - 1 - l, l) is nonzero, ascending
     for total in range(1, 2 * n + 1):
-        for l in range(max(1, total - n), min(total, n) + 1):
-            yield total - l, l
+        after = []
+        for l in live:
+            if total - l <= n and not (yield total - l, l):
+                after.append(l)
+        if top and total <= n:
+            if (yield 0, total):
+                top = False
+            else:
+                after.append(total)
+        live = after
 
 
 def two_generator_lr(g: LieAlgebra, x, y) -> Product:
@@ -308,13 +324,14 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     scan reaches a candidate, the entry before it in its chain is
     pushed through the sparse integer columns of ad(x) or ad(y), its
     1 + rank ad(y) vectors alike (linalg._push), and divided by the gcd
-    of all their numerators; a chain that reaches u = 0 stays 0, so its
-    later candidates are recorded as 0 without a bracket or a
-    reduction.  The kept vectors u_s are held as the kept rows
-    [u_s | c A b_0 | c A b_1 | ...] of the _kernels insertion step, the
-    block of b_t at columns n + t n.  A candidate is reduced against
-    them once and kept when its remainder leads in the first n
-    coordinates; a dependent one leaves the kept rows as they were.
+    of all their numerators; a chain that reaches u = 0 stays 0, and so
+    does every chain after a zero (0, l), so the scan (_scan_order),
+    told of each 0, never visits their later candidates.  The kept
+    vectors u_s are held as the kept rows [u_s | c A b_0 | c A b_1 | ...]
+    of the _kernels insertion step, the block of b_t at columns n + t n.
+    A candidate is reduced against them once and kept when its
+    remainder leads in the first n coordinates; a dependent one leaves
+    the kept rows as they were.
     The scan stops at n vectors.  The one elimination that selects the
     basis thereby also solves for the table: row i of the canonical
     form of the n kept rows, read once after the scan, is D e_i
@@ -338,8 +355,7 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     # chains[(k, l)] = (u, vs): u = c ad(y)^k ad(x)^l y for an integer c,
     # by its nonzero (i, numerator) pairs, and vs = {t: c ad(y)^k ad(x)^l
     # b_t} where that is nonzero, b_t the t-th integer row of im, the
-    # image of ad(y); None once u is 0, and so is every later entry of
-    # its chain.  chains[None] is x, with no vectors, as L(x) = 0.  ad_x
+    # image of ad(y); None once u is 0.  chains[None] is x, with no vectors, as L(x) = 0.  ad_x
     # and ad_y are the nonzero columns of integer multiples of ad(x) and
     # ad(y): ad_y[j] is g._den times ad(y) e_j for the integer multiple
     # of y that starts its chain.
@@ -363,22 +379,29 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
         return u, vs
 
     # kept holds the _kernels kept rows [u_s | vs_s[0] | vs_s[1] | ...]
-    # of the kept vectors u_s.
+    # of the kept vectors u_s.  The scan is told which entries are 0, so
+    # the entry before each pair it gives is nonzero.
     kept = {}
-    for kl in chain([None], _scan_order(n)):
+    order, entry, zero = _scan_order(n), chains[None], None
+    while True:
+        if entry is not None:
+            u, vs = entry
+            row = [*u, *((n + t * n + i, a) for t, v in vs.items() for i, a in v)]
+            r = next(K.remainders(kept, [row]))
+            if r and min(r) < n:
+                K.keep(kept, r)
         if len(kept) == n:
+            break
+        try:
+            kl = order.send(zero)
+        except StopIteration:
             break
         if kl not in chains:
             k, l = kl
             before, ad = ((k - 1, l), ad_y) if k else ((0, l - 1), ad_x)
-            chains[kl] = chains[before] and advance(chains[before], ad)
-        if chains[kl] is None:
-            continue
-        u, vs = chains[kl]
-        row = [*u, *((n + t * n + i, a) for t, v in vs.items() for i, a in v)]
-        r = next(K.remainders(kept, [row]))
-        if r and min(r) < n:
-            K.keep(kept, r)
+            chains[kl] = advance(chains[before], ad)
+        entry = chains[kl]
+        zero = entry is None
     if len(kept) != n:
         if subalgebra_generated(g, [xv, yv]).dim != n:
             raise NotGeneratedError("the two elements do not generate the algebra")

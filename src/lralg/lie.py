@@ -100,6 +100,18 @@ class LieAlgebra(Bilinear):
             full[(j, i)] = {k: (-x, d) for k, (x, d) in comps.items()}
         return cls._from_sparse(dim, full, basis_names)
 
+    def _product_span(self) -> Subspace:
+        """[g, g], the span of the constants [e_i, e_j] with i < j, read
+        off the slots of each row i from column i + 1 on; the others add
+        nothing on a valid algebra, as [e_j, e_i] = -[e_i, e_j] and
+        [e_i, e_i] = 0.  Every caller runs ensure_valid first.  Kept in
+        _span, as Bilinear._product_span is."""
+        if self._span is None:
+            n, inz = self.dim, self._inz
+            rows = [w for i in range(n) for w in inz[i * n + i + 1:(i + 1) * n] if w]
+            self._span = Subspace._from_sparse(n, rows)
+        return self._span
+
     def name(self, i: int) -> str:
         if self.basis_names is not None:
             return self.basis_names[i]
@@ -271,8 +283,6 @@ def _series(g: LieAlgebra) -> SeriesReport:
     When g = [g, g] both series stop at g.
     """
     full = Subspace.full(g.dim)
-    # [g, g] is the span of the constants [e_i, e_j] with i < j, and the
-    # others add nothing: [e_j, e_i] = -[e_i, e_j] and [e_i, e_i] = 0.
     g2 = g._product_span()
     g3 = g2 if g2 == full else bracket_of_subspaces(g, g2, g2)
     gens = complement(g2) if g3.dim == 0 else full

@@ -24,10 +24,14 @@ written by its columns.  A span grown one vector at a time, where the
 next vector depends on which earlier ones were independent (the
 two-generator construction), holds the kernel's kept rows and calls
 the step itself, reading the canonical basis once at the end.  Every
-nilpotency test and Fitting split runs one chain of spans, each the
-images of the one before, to its end (_chain_end), with no operator
-power: each term is the loop's kept rows, capped at the dimension of
-the term before, and only the last one is read out.
+nilpotency test of an operator and Fitting split runs one chain of
+spans, each the images of the one before, to its end (_chain_end),
+with no operator power: each term is the loop's kept rows, capped at
+the dimension of the term before, and only the last one is read out.
+Whether a chain from the image of the whole space reaches 0, the
+completeness of a product, is decided without running it
+(_chain_vanishes): from its first step, then from the images of the
+unit vectors off the first term's pivots and their images in turn.
 
 Structure tensors (Bilinear) store only their nonzero constants, as
 integer numerators over one common denominator; products, operators,
@@ -618,6 +622,45 @@ def _chain_end(first: Subspace, images) -> Subspace:
         if len(kept) == above:
             return Subspace(n, *K.canonical(kept))
         above, rows = len(kept), [kept[q].items() for q in sorted(kept)]
+
+
+def _chain_vanishes(first: Subspace, images) -> bool:
+    """True iff the chain of _chain_end from first reaches 0, for first
+    = M(Q^n), M(S) the span of images(b) over the rows b of S.
+
+    With C the unit vectors at the non-pivot coordinates of first,
+    U_1 = M(C) and U_s+1 = M(U_s), first = U_1 + ... + U_L + M^L(first)
+    for every L, since Q^n = first + C and M is linear.  So the chain
+    reaches 0 exactly when the U_s reach 0, within one step more than
+    the chain could take, and their sum is first; U_s lies in the s-th
+    term of the chain, so no U-step pushes more rows than the chain's.
+    The chain's first step, W_2 = M(first), runs first: 0 gives True,
+    and first itself (a stable chain) False.  Otherwise the U_s run,
+    each as kept rows of the insertion loop, capped at dim W_2 from U_2
+    on, with their running sum capped at dim first.  They stop at 0,
+    giving whether the sum is first; at a U_s+1 equal to a nonzero
+    U_s, or past dim W_2 + 1 steps, giving False.  The kept rows are
+    primitive RREF rows with positive pivots, so == on two sets of them
+    compares the spans."""
+    n, dim = first.ambient_dim, first.dim
+    if not 0 < dim < n:
+        return not dim
+    cap = len(K.insert({}, (w for b in first._rows for w in images(b)), dim))
+    if cap in (0, dim):
+        return not cap
+    pivots = set(first.pivots)
+    u = K.insert({}, (w for f in range(n) if f not in pivots for w in images(((f, 1),))), dim)
+    total: dict = {}
+    for _ in range(cap + 1):
+        if len(total) < dim:
+            K.insert(total, (b.items() for b in u.values()), dim)
+        after = K.insert({}, (w for b in u.values() for w in images(b.items())), cap)
+        if not after:
+            return len(total) == dim
+        if after == u:
+            return False
+        u = after
+    return False
 
 
 def _stable_image(n: int, family: list[dict]) -> Subspace:

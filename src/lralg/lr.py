@@ -38,14 +38,25 @@ its nonzero columns, and an operator product pushes the columns of
 one factor through those of the other.  A defect becomes a Matrix
 only when an identity fails.
 
-Completeness is read off the chain A, A*A, (A*A)*A, ..., whose t-th
+Completeness is the chain A, A*A, (A*A)*A, ... reaching 0; its t-th
 term is spanned by the words R(e_i1)...R(e_it) applied to A.  If the
 chain reaches 0, every R(e_i) is nilpotent.  Conversely, commuting
 nilpotent operators generate a nilpotent associative algebra, so once
 the right identity holds, the chain reaches 0 iff every right
-multiplication is nilpotent.  Each step feeds the images of the kept
-rows of the term before to one Gauss-Jordan insertion step
-(linalg._chain_end), instead of a matrix power per basis operator.
+multiplication is nilpotent.  The chain is not run term by term
+(linalg._chain_vanishes).  With M(S) the span of the products s e_j,
+s in S, A = M(V); with C the unit vectors at the non-pivot coordinates
+of A, U_1 = M(C) and U_s+1 = M(U_s), A = U_1 + ... + U_L + M^L(A) for
+every L.  So the chain reaches 0 iff the U_s reach 0 within
+dim A + 1 steps and sum to A, and U_s lies in the s-th term, so a
+U-step pushes no more rows than the chain's step.  The exits: A = 0
+(True) or A = V (False); the chain's first step M(A), 0 (True) or A
+itself (False); then U_s = 0 (True iff the sum of the U before is A),
+a U_s+1 equal to a nonzero U_s (False), or too many steps (False).
+Each step feeds the images of kept rows to the Gauss-Jordan insertion
+step of _kernels, with no matrix power per basis operator.  The
+left chain A, A*A, A*(A*A), ... is decided the same way from the
+products e_j s.
 """
 
 from __future__ import annotations
@@ -67,7 +78,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    _chain_end,
+    _chain_vanishes,
     _columns_matrix,
     _compose,
     _memoized,
@@ -165,9 +176,11 @@ def _chain_reaches_zero(p: Product, right: bool) -> bool:
     """True iff the chain V_0 = Q^n, V_t+1 = span of the products b e_i,
     or of e_i b when right is set, over the rows b of V_t reaches 0:
     A, A*A, (A*A)*A, ... or A, A*A, A*(A*A), ...  Both chains have
-    V_1 = A, the span of all products, which p keeps once computed;
-    linalg._chain_end runs them."""
-    return not _chain_end(p._product_span(), lambda b: p._times_basis(b, right).values()).dim
+    V_1 = A, the span of all products, which p keeps once computed.
+    linalg._chain_vanishes decides it from the chain's first step and
+    the images of the unit vectors at A's non-pivot coordinates (module
+    docstring), without running the chain."""
+    return _chain_vanishes(p._product_span(), lambda b: p._times_basis(b, right).values())
 
 
 def _compatibility_violations(g: LieAlgebra, p: Product) -> list[Violation]:
@@ -216,7 +229,11 @@ def check_lr(g: LieAlgebra, p: Product) -> LrReport:
     chain A, A*A, (A*A)*A, ... reaching 0, which equals nilpotency of
     every right multiplication once those commute; it is reported as
     False whenever they do not, since the notion only makes sense past
-    that point.
+    that point.  The chain's answer is read from its first step and
+    then from U_1, the products e_f e_j of the unit vectors e_f at A's
+    non-pivot coordinates, and U_s+1, the products of U_s with the
+    basis: the chain reaches 0 iff the U_s reach 0 and sum to A
+    (module docstring).
 
     Inputs with the _content of a pair checked recently get that report
     from the memo; the validity and dimension checks run first.
@@ -243,7 +260,10 @@ def check_complete(p: Product) -> bool:
 
     Requires the right identity, tested on S as in check_lr; then the
     right multiplications commute and the chain A, A*A, (A*A)*A, ...
-    reaches 0 exactly when they are all nilpotent.
+    reaches 0 exactly when they are all nilpotent.  As in check_lr,
+    that is decided from the chain's first step and the U_s, the
+    images of a complement of A and their images in turn: it reaches 0
+    iff they reach 0 and sum to A.
     """
     if _lr_violations(p)[1]:
         raise PreconditionError("right multiplications do not commute")
@@ -469,7 +489,11 @@ def two_of_three(g: LieAlgebra, p: Product) -> TwoOfThree:
 
     With both identities certified, the left multiplications commute as
     well, so they are all nilpotent iff the chain A, A*A, A*(A*A), ...
-    reaches 0; the right flag is check_lr's completeness.
+    reaches 0, decided as check_lr decides the right chain: from its
+    first step, then from the products e_j e_f of the basis with the
+    unit vectors e_f at A's non-pivot coordinates and their products
+    in turn, which reach 0 and sum to A exactly when the chain reaches
+    0.  The right flag is check_lr's completeness.
     """
     report = check_lr(g, p)
     if not (report.is_lr and report.is_compatible):

@@ -5,6 +5,12 @@ ask for mat_mul_calls, and holds what test modules import from here:
 reference_product, the oracle product, and torus, the abelian-by-abelian
 family.
 
+It also registers the Hypothesis profile "deep": 2,000 examples and no
+deadline for every property test that does not fix its own number of
+examples, such as the completeness certificate's oracle test in
+tests/test_properties.py.  Select it with --hypothesis-profile=deep;
+without the option the default profile applies.
+
 The suite writes no bytecode: pytest loads this file before any test
 module imports lralg, and the subprocess tests copy os.environ.  Caches
 left in src/ would change the start-up time the pipeline benchmark
@@ -18,9 +24,12 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import settings
 
 sys.dont_write_bytecode = True
 os.environ.setdefault("PYTHONDONTWRITEBYTECODE", "1")
+
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(autouse=True)

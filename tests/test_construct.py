@@ -423,6 +423,46 @@ class TestTwoGeneratorWork:
         two_generator_lr(filiform(24), e[0], e[1])
         assert 0 < len(calls) <= 24
 
+    def test_filiform128_scan_visits_no_pair_after_a_zero(self, monkeypatch):
+        # (k, l) is ad(e2)^k ad(e1)^l e2: (0, l) = e_(l+2) is nonzero up
+        # to l = 126, and every (1, l) is 0.  The scan gives (0, 0), the
+        # 126 pairs (0, l) and the 125 pairs (1, l) met before the 128th
+        # kept vector, each after a nonzero entry; visiting every pair
+        # of the order up to there took 8,003 visits.
+        visits, real = [], construct._scan_order
+
+        def counted(n):
+            order, zero = real(n), None
+            while True:
+                try:
+                    kl = order.send(zero)
+                except StopIteration:
+                    return
+                visits.append(kl)
+                zero = yield kl
+
+        monkeypatch.setattr(construct, "_scan_order", counted)
+        e = standard_basis(128)
+        two_generator_lr(filiform(128), e[0], e[1])
+        assert len(visits) == 252
+        assert visits[0] == (0, 0)
+        assert sorted(visits[1:]) == sorted([(0, l) for l in range(1, 127)]
+                                            + [(1, l) for l in range(1, 126)])
+
+    def test_scan_order_leaves_out_the_pairs_after_a_zero(self):
+        # n = 4, entry 0 at (1, 1) and at (0, 3): no (k, 1) with k > 1 and
+        # no (k, l) with l >= 3 follows; the chain of l = 2 runs to k = 4.
+        order = construct._scan_order(4)
+        seen, zero = [], None
+        while True:
+            try:
+                kl = order.send(zero)
+            except StopIteration:
+                break
+            seen.append(kl)
+            zero = kl in ((1, 1), (0, 3))
+        assert seen == [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (2, 2), (3, 2), (4, 2)]
+
     def test_changed_filiform_pushes_the_image_of_ad_y(self, monkeypatch):
         # In this basis every basis vector has an e1 part, so ad(e2) has
         # rank 1 and no zero column: a chain that carried the columns of

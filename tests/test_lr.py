@@ -185,14 +185,11 @@ class TestCompleteness:
         g, p = known_lr("r2-right-broken")
         assert check_lr(g, p).is_complete is False
 
-    def test_completeness_chain_reductions_per_fixture(self, monkeypatch):
-        """check_lr runs the chain A, A*A, (A*A)*A, ... through the shared
-        loop linalg._chain_end, which feeds each term's images to the
-        insertion step of _kernels itself: it reduces and keeps the rows
-        that the loop of one _kernels.echelon per step did, on every
-        fixture (rows reduced, rows kept), and makes one echelon, for
-        the span of the products, or none when the right identity
-        fails."""
+    @staticmethod
+    def count_reductions(monkeypatch):
+        """{"reduced", "kept", "echelon"}: the rows _kernels.remainders
+        reduces, the rows _kernels.keep keeps and the _kernels.echelon
+        calls, counted from here on."""
         counts = {"reduced": 0, "kept": 0, "echelon": 0}
         echelon, remainders, keep = _kernels.echelon, _kernels.remainders, _kernels.keep
 
@@ -212,6 +209,19 @@ class TestCompleteness:
         monkeypatch.setattr(_kernels, "echelon", counted_echelon)
         monkeypatch.setattr(_kernels, "remainders", counted_remainders)
         monkeypatch.setattr(_kernels, "keep", counted_keep)
+        return counts
+
+    def test_completeness_chain_reductions_per_fixture(self, monkeypatch):
+        """check_lr decides whether the chain A, A*A, (A*A)*A, ... reaches
+        0 with linalg._chain_vanishes: the chain's first step, then the
+        images of the unit vectors at A's non-pivot coordinates and of
+        their images in turn, with their running sum.  It feeds the
+        insertion step of _kernels itself (rows reduced, rows kept) and
+        makes one echelon, for the span of the products, or none when
+        the right identity fails.  Only filiform12-shift, whose chain
+        shrinks by one dimension per step, takes the steps past the
+        first: 39 rows where the chain reduced 55."""
+        counts = self.count_reductions(monkeypatch)
         seen = {}
         for name in known_lr_names():
             g, p = known_lr(name)
@@ -226,9 +236,27 @@ class TestCompleteness:
             "heisenberg-fullbracket": (2, 1, 1), "abelian1-idempotent": (1, 1, 1),
             "abelian2-idempotent-line": (2, 2, 1), "r2-twogen": (2, 2, 1),
             "r2-completed": (1, 1, 1), "diag11-twogen": (4, 4, 1),
-            "free2step3-half": (6, 3, 1), "filiform12-shift": (55, 55, 1),
+            "free2step3-half": (6, 3, 1), "filiform12-shift": (39, 39, 1),
             "r2-right-broken": (0, 0, 0), "r2-left-broken": (2, 2, 1),
         }
+
+    def test_two_generator_chain_reductions_on_filiform24(self, monkeypatch):
+        """The two-generator product of filiform(24) on (e1, e2): A has
+        dimension 22 and the chain A, A*A, (A*A)*A, ... shrinks by one
+        per step, so reducing every term's images took 253 rows, the
+        22 of the span included.  The span, the first step (21 rows),
+        then one row per U-step and one per step of their running sum
+        (22 each) make 87, all kept.  The left chain stops at its first
+        step, whose images are all 0, with no row."""
+        e = standard_basis(24)
+        p = two_generator_lr(filiform(24), e[0], e[1])
+        fresh = Product._from_int(p.dim, p._inz, p._den)
+        counts = self.count_reductions(monkeypatch)
+        assert lr._chain_reaches_zero(fresh, False)
+        assert (counts["reduced"], counts["kept"], counts["echelon"]) == (87, 87, 1)
+        counts.update(reduced=0, kept=0, echelon=0)
+        assert lr._chain_reaches_zero(fresh, True)
+        assert (counts["reduced"], counts["kept"], counts["echelon"]) == (0, 0, 0)
 
 
     def test_chain_step_ends_at_the_rank_of_the_term_before(self, monkeypatch):

@@ -1242,6 +1242,112 @@ def test_completeness_chains_match_echelon_per_step(right):
         )
 
 
+def chain_end_reaches_zero(p, right):
+    """The completeness chain as lr._chain_reaches_zero ran it before it
+    read the images of a complement of A: the chain A, A*A, ... (or
+    A*(A*A) when right is set) of linalg._chain_end, every term's
+    images reduced, to its end."""
+    return not linalg._chain_end(p._product_span(), lambda b: p._times_basis(b, right).values()).dim
+
+
+@st.composite
+def chain_products(draw):
+    """Products whose chains take the exits of linalg._chain_vanishes:
+    sparse random constants; strictly triangular ones (e_i e_j a
+    combination of the e_k with k > max(i, j)), whose chains reach 0;
+    h orthogonal idempotents beside a strictly triangular block, whose
+    U-steps reach 0 short of A in this basis; and the shift product
+    two_generator_lr(filiform(m), e_1, e_2).  The shift product always
+    comes after a dense rational change of basis, the triangular and
+    idempotent ones in some draws."""
+    kind = draw(st.sampled_from(["random", "triangular", "idempotent", "shift"]))
+    if kind == "shift":
+        e = standard_basis(draw(st.integers(3, 6)))
+        p = two_generator_lr(filiform(len(e)), e[0], e[1])
+    else:
+        n = draw(st.integers(1, 6))
+        h = draw(st.integers(1, n)) if kind == "idempotent" else 0
+        entries = {(a, a): {a: 1} for a in range(h)}
+        for _ in range(draw(st.integers(0, 3 * n)) if h < n else 0):
+            i, j = draw(st.integers(h, n - 1)), draw(st.integers(h, n - 1))
+            low = 0 if kind == "random" else max(i, j) + 1
+            if low < n:
+                k = draw(st.integers(low, n - 1))
+                entries.setdefault((i, j), {})[k] = draw(st.sampled_from([-2, -1, 1, 2]))
+        p = Product.from_entries(n, entries)
+    if kind == "shift" or kind != "random" and draw(st.booleans()):
+        m, minv = draw(invertible(p.dim))
+        p = Product(change_basis(p.table, m, minv))
+    return p
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(p=chain_products())
+def test_chain_reaches_zero_matches_the_chain(p):
+    """lr._chain_reaches_zero, deciding from the chain's first step and
+    the images of the unit vectors at A's non-pivot coordinates, must
+    give the chain's answer on both sides.  The number of examples is
+    the profile's: 100 by default, 2,000 under the "deep" profile of
+    tests/conftest.py."""
+    for right in (False, True):
+        assert lr._chain_reaches_zero(p, right) == chain_end_reaches_zero(p, right)
+
+
+# One product per exit of linalg._chain_vanishes on the chain A, A*A,
+# (A*A)*A, ...; the chain A, A*A, A*(A*A), ... of each is checked too.
+CHAIN_EXITS = {
+    "A = 0": Product.zero(3),
+    "A = V": known_lr("abelian1-idempotent")[1],
+    "W_2 = 0": known_lr("heisenberg-half")[1],
+    # e_0 e_0 = e_0: A = W_2 = <e_0>.
+    "W_2 = A": Product.from_entries(2, {(0, 0): {0: 1}}),
+    # A = <e_0, e_2>, W_2 = <e_0>; U_1 = <e_1 e_1> = <e_2>, U_2 = 0.
+    "U reaches 0, the sum short of A": Product.from_entries(
+        3, {(0, 0): {0: 1}, (1, 1): {2: 1}}),
+    # U_1 = <e_0, e_2> = A, then U_2 = U_3 = <e_0>.
+    "U repeats": Product.from_entries(3, {(0, 0): {0: 1}, (1, 0): {0: 1}, (1, 1): {2: 1}}),
+    # W_2 = <e_1, e_2>; U_1 = <e_1, e_3>, then <e_2>, <e_1>, <e_2>, ...
+    "U past dim W_2 + 1 steps": Product.from_entries(
+        4, {(0, 0): {3: 1}, (0, 1): {1: 1}, (1, 0): {2: 1}, (2, 0): {1: 1}}),
+    "U reaches 0, the sum A": known_lr("filiform12-shift")[1],
+}
+
+
+@pytest.mark.parametrize("name", list(CHAIN_EXITS))
+def test_chain_reaches_zero_at_each_exit(name):
+    p = CHAIN_EXITS[name]
+    expected = name in ("A = 0", "W_2 = 0", "U reaches 0, the sum A")
+    assert lr._chain_reaches_zero(p, False) == chain_end_reaches_zero(p, False) == expected
+    assert lr._chain_reaches_zero(p, True) == chain_end_reaches_zero(p, True)
+
+
+def all_slot_span(g):
+    """The span of every constant slot of g, (j, i) and (i, i) included."""
+    return Subspace._from_sparse(g.dim, [w for w in g._inz if w])
+
+
+@pytest.mark.parametrize("g", [
+    abelian(3), heisenberg(), filiform(9), free_two_step(4), diag_solvable([1, -2, "1/3"]),
+    torus(3, 2, True),
+])
+def test_derived_algebra_from_half_the_slots_on_the_catalog(g):
+    """LieAlgebra._product_span reads [g, g] off the slots i < j only."""
+    g.ensure_valid()
+    assert g._product_span() == all_slot_span(g)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_derived_algebra_from_half_the_slots(data):
+    """The same on valid algebras after a rational change of basis,
+    where no slot is left empty by the basis."""
+    g, _ = data.draw(algebra_and_product())
+    m, minv = data.draw(invertible(g.dim))
+    g = LieAlgebra(change_basis(g.brackets, m, minv))
+    g.ensure_valid()
+    assert g._product_span() == all_slot_span(g)
+
+
 def dense_lr_violations(p):
     """The dense check: basis operator matrices, their pairwise
     commutators, and each nonzero column k of the commutator of i < j."""
