@@ -132,9 +132,9 @@ def complete_nilpotent(g: LieAlgebra, p: Product) -> CompletionCertificate:
     two_of_three reads it (its first step, then the images of a
     complement of A, which reach 0 and sum to A exactly when the chain
     reaches 0): when it reaches 0, v_n is the whole space and p is
-    returned unchanged.  Otherwise the split is read from the nonzero columns of
-    the left multiplications, and row i of the table is the sparse left
-    operator of proj_n e_i.
+    returned unchanged.  Otherwise the split is read from the nonzero
+    columns of the left multiplications, and row i of the table is the
+    sparse left operator of proj_n e_i.
     """
     if not series(g).nilpotent:
         raise NotNilpotentError("completion on the nilpotent part requires a nilpotent algebra")
@@ -355,10 +355,10 @@ def two_generator_lr(g: LieAlgebra, x, y) -> Product:
     # chains[(k, l)] = (u, vs): u = c ad(y)^k ad(x)^l y for an integer c,
     # by its nonzero (i, numerator) pairs, and vs = {t: c ad(y)^k ad(x)^l
     # b_t} where that is nonzero, b_t the t-th integer row of im, the
-    # image of ad(y); None once u is 0.  chains[None] is x, with no vectors, as L(x) = 0.  ad_x
-    # and ad_y are the nonzero columns of integer multiples of ad(x) and
-    # ad(y): ad_y[j] is g._den times ad(y) e_j for the integer multiple
-    # of y that starts its chain.
+    # image of ad(y); None once u is 0.  chains[None] is x, with no
+    # vectors, as L(x) = 0.  ad_x and ad_y are the nonzero columns of
+    # integer multiples of ad(x) and ad(y): ad_y[j] is g._den times
+    # ad(y) e_j for the integer multiple of y that starts its chain.
     xu, yu = (_nonzero(_scale_fractions(v)[0]) for v in (xv, yv))
     ad_x, ad_y = g._times_basis(xu, False), g._times_basis(yu, False)
     im = Subspace._from_sparse(n, ad_y.values())

@@ -23,7 +23,10 @@ read off the left chain when that reaches 0, must equal that power
 split of the left multiplications on both branches, and its table,
 on a dim-24 idempotent product, the dense contraction p(proj_n x, y);
 is_nilpotent_operator, running the chain of images, must agree with
-m**n == 0.  The series, taken
+m**n == 0.  The completeness certificate, read from the chain's first
+step and the images of a complement of A, must give the answer of the
+chain it replaced, and [g, g], read from the slots i < j, the span of
+every slot.  The series, taken
 from [g, g] and, for two-step solvable g, by bracketing with a
 complement of [g, g] only, must equal the loop that brackets every
 term with all of g.  The memoized certificate reports must equal a
@@ -1339,8 +1342,7 @@ def test_derived_algebra_from_half_the_slots_on_the_catalog(g):
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_derived_algebra_from_half_the_slots(data):
-    """The same on valid algebras after a rational change of basis,
-    where no slot is left empty by the basis."""
+    """The same on valid algebras after a rational change of basis."""
     g, _ = data.draw(algebra_and_product())
     m, minv = data.draw(invertible(g.dim))
     g = LieAlgebra(change_basis(g.brackets, m, minv))
