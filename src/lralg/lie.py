@@ -30,6 +30,7 @@ from .linalg import (
     _columns_matrix,
     _combine,
     _compose,
+    _fitting_split_commuting,
     _int_row,
     _memoized,
     _nonzero,
@@ -359,13 +360,13 @@ class SplitDecomposition(
     """Splitting g = g_infinity + complement of a two-step solvable
     algebra over its stabilized lower central term.
 
-    algebra is the LieAlgebra g, series the SeriesReport of g the split
-    was taken from, and g_infinity its stabilized lower central term.  Row
-    j of the q x n Matrix complement, written from sparse rows, is the
-    unit vector at the j-th non-pivot coordinate of g_infinity plus a
-    correction inside it; the rows span a subalgebra whose bracket in
-    their coordinates is the LieAlgebra complement_algebra (g / g_infinity
-    on its canonical basis).  phi is a tuple of Matrices: phi[j] is the
+    algebra is the LieAlgebra g, series the SeriesReport of g the split was
+    taken from, and g_infinity its stabilized lower central term.  Row j of
+    the q x n Matrix complement is the unit vector at the j-th non-pivot
+    coordinate of g_infinity plus a correction inside it; the rows span a
+    subalgebra (a Fitting null component moved by an exp(ad v), v in
+    g_infinity) whose bracket in their coordinates is complement_algebra
+    (g/g_infinity on its basis).  phi is a tuple of Matrices: phi[j] is the
     matrix of x -> [row j, x] on g_infinity in its RREF coordinates, read
     from the brackets of the unit vector with g_infinity's basis rows (the
     correction brackets to zero there), written once from the integer
@@ -417,28 +418,33 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     """Split g as a semidirect sum of g_infinity and a complement
     subalgebra.
 
-    Works for two-step solvable algebras; one series(g) call gives both
-    that test and g_infinity, and the report is kept on the result.
-    The complement starts from the unit vectors w_j at the non-pivot
-    coordinates of g_infinity and is corrected by a linear solve so that
-    it closes under the bracket; solvability of that system is
-    guaranteed in this setting, so failure raises
-    InternalConsistencyError.  All of it runs on sparse integer rows: the
-    remainders of the [w_a, w_b] against g_infinity are
-    complement_algebra's constants, the system, at one scale, is solved
-    by solve's reader (linalg._solve_rows, free variables 0), and row j
-    of the complement, over sden * g_infinity._den, is w_j plus tau_j,
-    its coefficients pushed through g_infinity's rows (linalg._push).
-    Closure is checked on those rows against the constants, each later
-    row pushed through the columns of ad(row a), skipping a pair where
-    both sides are empty; the Matrix complement is only written.  As
-    tau_j lies in the abelian g_infinity, phi of w_j, the integer
-    columns over pden = g._den * g_infinity._den (linalg._restricted),
-    is phi of row j.  Closure gives [row a, row b] = sum_c beta[a][b][c]
-    row c, so phi is a homomorphism iff bden phi_a phi_b = bden phi_b
-    phi_a + pden sum_c beta[a][b][c] phi_c, compared as sums of columns
-    (linalg._combine) of products (linalg._compose); with beta = 0 each
-    side has one term per column, and no accumulator is made.
+    Works for two-step solvable algebras; one series(g) call gives both that
+    test and g_infinity, and the report is kept on the result.  All of it
+    runs on sparse integer rows.  The complement starts from the unit
+    vectors w_j at the non-pivot coordinates of g_infinity, whose brackets
+    reduced against g_infinity are complement_algebra's constants, and is
+    moved only when a [w_a, w_b] has a component in g_infinity.  Then the
+    Fitting null component of ad x, for the first x = sum_a t^a w_a with
+    t = 0, 1, ... and phi_x invertible, is a complement subalgebra with
+    rows w_j + tau0_j (de Graaf, Lie Algebras: Theory and Algorithms, 2000).
+    g_infinity has no zero weight, so det phi_x is a nonzero polynomial of
+    degree <= k(q - 1) in t (running out of t raises
+    InternalConsistencyError), and the complements are the rows
+    w_j + tau0_j - phi_j v, v in g_infinity (Dixmier, 1957).  The one
+    returned is 0 at F, the last nonzero places of the k tuples of the phi_j
+    e_t, read by one echelon over reversed columns; v is one k x k solve
+    (linalg._solve_rows).  Row j of the complement, over
+    sden * g_infinity._den, is w_j plus tau_j, its coefficients pushed
+    through g_infinity's rows (linalg._push).  Closure is checked on those
+    rows against the constants, each later row pushed through the columns of
+    ad(row a), skipping a pair where both sides are empty; the Matrix
+    complement is only written.  As tau_j lies in the abelian g_infinity,
+    phi of w_j, the integer columns over pden = g._den * g_infinity._den
+    (linalg._restricted), is phi of row j.  Closure gives [row a, row b] =
+    sum_c beta[a][b][c] row c, so phi is a homomorphism iff bden phi_a phi_b
+    = bden phi_b phi_a + pden sum_c beta[a][b][c] phi_c, compared as sums of
+    columns (linalg._combine) of products (linalg._compose); with beta = 0
+    each side has one term per column, and no accumulator is made.
     """
     rep = series(g)
     if not rep.two_step_solvable:
@@ -458,36 +464,29 @@ def split_metabelian(g: LieAlgebra) -> SplitDecomposition:
     n_alg = LieAlgebra._from_int(*g._quotient(ginf))
     beta, bden = n_alg._inz, n_alg._den
 
-    # Correction tau: W -> g_infinity making {w + tau(w)} bracket-closed.
-    # Unknown T[j][t] = coefficient of the t-th g_infinity basis vector
-    # in tau(w_j); one block of k equations per unordered pair, each a
-    # sparse row with its right-hand side in column q * k.  When every
-    # right-hand side is 0 the solution with free variables 0 is 0.
     rows, cden = dict(enumerate(units._rows)), 1
     pairs = [(a, b) for a in range(q) for b in range(a + 1, q)]
-    pivot_of = {p: s for s, p in enumerate(ginf.pivots)}
-    if any(c in pivot_of for a, b in pairs for c, _ in inz[free[a] * n + free[b]]):
-        nvars, den = q * k, lcm(pden, bden)
-        sp, sm = den // pden, den // bden
-        eqs = []
-        for a, b in pairs:
-            block = [{} for _ in range(k)]
-            for c, x in inz[free[a] * n + free[b]]:
-                if c in pivot_of:
-                    block[pivot_of[c]][nvars] = -x * (den // gden)
-            # Row s holds (phi_a)[s][t] T[b][t] - (phi_b)[s][t] T[a][t].
-            for m, y, cols in ((b, sp, pcols[a]), (a, -sp, pcols[b])):
-                for t, col in cols.items():
-                    for s, x in col:
-                        block[s][m * k + t] = block[s].get(m * k + t, 0) + x * y
-            for s, row in enumerate(block):
-                for m, x in beta[a * q + b]:
-                    row[m * k + s] = row.get(m * k + s, 0) - x * sm
-                eqs.append([(c, x) for c, x in row.items() if x])
-        sol = _solve_rows(eqs, nvars)
-        if sol is None:
-            raise InternalConsistencyError("complement correction system is unsolvable")
-        tau, sden = sol
+    pivots = set(ginf.pivots)
+    if any(c in pivots for a, b in pairs for c, _ in inz[free[a] * n + free[b]]):
+        for t in range(k * (q - 1) + 1):
+            x = [(f, t**a) for a, f in enumerate(free) if t**a]
+            fit = _fitting_split_commuting(n, [g._times_basis(x, False)])
+            if fit.v_n.dim == q:
+                break
+        else:
+            raise InternalConsistencyError("no complement element acts invertibly")
+        # At j * k + s: tau0 over hden * pden, phi e_t over pden (orbit[t]).
+        top, hden = q * k - 1, fit.proj_n._den
+        tau = [fit.proj_n._num[p * n + f] * pden for f in free for p in ginf.pivots]
+        orbit = [{m * k + s: y for m in range(q) for s, y in pcols[m].get(t, ())} for t in range(k)]
+        rev = Subspace._from_sparse(top + 1, ([(top - c, y) for c, y in o.items()] for o in orbit))
+        eqs = [[(t, o[f] * hden) for t, o in enumerate(orbit) if f in o]
+               + ([(k, tau[f])] if tau[f] else []) for f in (top - c for c in rev.pivots)]
+        v, vden = _solve_rows(eqs, k)
+        tau, sden = [y * vden for y in tau], hden * pden * vden
+        for t, o in enumerate(orbit):
+            for c, y in o.items():
+                tau[c] -= hden * y * v[t]
         cden, basis = sden * ginf._den, dict(enumerate(ginf._rows + units._rows))
         rows = {j: _push(basis, _nonzero(tau[j * k:j * k + k]) + [(k + j, cden)], n)
                 for j in range(q)}

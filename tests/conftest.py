@@ -77,7 +77,7 @@ def torus(q: int, k: int, sheared: bool = False) -> "LieAlgebra":
     """a = Q^q acting on V = Q^k by [a_i, v_t] = w_it v_t, with fixed
     weights in 1..5; g_infinity = V.  sheared takes a_i + v_(i mod k) as
     the complement basis, which makes [a_i, a_j] a nonzero element of V,
-    so the split's correction system gets nonzero right-hand sides."""
+    so the split moves its complement inside V."""
     from lralg.lie import LieAlgebra
 
     rng = random.Random(f"torus:{q}:{k}")

@@ -1,7 +1,6 @@
 """Lie algebras from structure constants: validation, series, quotients,
 and the metabelian splitting."""
 
-import sys
 from fractions import Fraction
 from math import lcm
 
@@ -282,8 +281,9 @@ class TestSplitMetabelian:
 
 
 def dense_complement(g: LieAlgebra) -> Matrix:
-    """The complement as the split formed it with one dense row per
-    equation of the correction system and linalg.solve: the oracle."""
+    """The complement from the linear system of closure, one dense row
+    per equation, solved by linalg.solve with free variables 0: the
+    oracle."""
     sp = split_metabelian(g)
     ginf, phi, n_alg = sp.g_infinity, sp.phi, sp.complement_algebra
     units = complement(ginf)
@@ -337,7 +337,7 @@ def test_split_complement_matches_dense_system(g, forms_system):
 def test_split_forms_no_dense_product(monkeypatch, g, forms_system):
     """phi is composed and compared on its integer columns, and the
     corrected complement is built on sparse rows: the split multiplies
-    no Matrices, with or without a correction system, and never calls
+    no Matrices, whether or not it moves the complement, and never calls
     phi_of."""
     products, phi_of = [], []
     real, real_of = _kernels.mat_mul, SplitDecomposition.phi_of
@@ -351,29 +351,26 @@ def test_split_forms_no_dense_product(monkeypatch, g, forms_system):
 
 @pytest.mark.parametrize("g, forms_system", SPLIT_CASES)
 def test_split_system_is_sparse_and_only_formed_when_needed(monkeypatch, g, forms_system):
-    """The correction system is formed only when a right-hand side is
-    nonzero, then as sparse rows of at most 2k + q + 1 entries, reduced
-    by one echelon call of width q k + 1 on split_metabelian's list
-    eqs; the dense-format adapter _kernels.rref is never called."""
-    k = series(g).g_infinity.dim  # memoized: the series reduces its own spans
-    q = g.dim - k
-    systems, dense = [], []
-    real = _kernels.echelon
-
-    def echelon(rows, cols):
-        if rows is sys._getframe(2).f_locals.get("eqs"):
-            assert cols == q * k + 1
-            systems.append(rows)
-        return real(rows, cols)
-
-    monkeypatch.setattr(_kernels, "echelon", echelon)
+    """The complement is moved only when a [w_a, w_b] has a component in
+    g_infinity, then by one Fitting split, of ad w_0, which acts
+    invertibly on g_infinity in every case here, and one solve of k
+    sparse rows in k unknowns; the dense-format adapter _kernels.rref is
+    never called."""
+    k = series(g).g_infinity.dim
+    fits, systems, dense = [], [], []
+    real_fit, real_solve = lie._fitting_split_commuting, lie._solve_rows
+    monkeypatch.setattr(lie, "_fitting_split_commuting",
+                        lambda *args: fits.append(1) or real_fit(*args))
+    monkeypatch.setattr(lie, "_solve_rows",
+                        lambda eqs, nvars: systems.append((eqs, nvars)) or real_solve(eqs, nvars))
     monkeypatch.setattr(_kernels, "rref", lambda *args: dense.append(args))
     split_metabelian(g)
     assert dense == []
-    assert len(systems) == int(forms_system)
-    for rows in systems:
-        assert len(rows) == k * q * (q - 1) // 2
-        assert all(len(r) <= 2 * k + q + 1 for r in rows)
+    assert fits == [1] * forms_system
+    assert [nvars for _, nvars in systems] == [k] * forms_system
+    for eqs, _ in systems:
+        assert len(eqs) == k
+        assert all(x for row in eqs for _, x in row)
 
 
 def test_bracket_of_subspaces_multiplies_only_linked_pairs(monkeypatch):

@@ -12,9 +12,10 @@ computation on Fractions.  The LR
 certificates, which the library reads from products of products of
 structure constants, must match the dense operator-matrix checks they replaced,
 and the quotients, read from integer remainders, the Fraction table
-they replaced.  The metabelian split, solved and checked on integers,
-must match the Fraction split it replaced, also where the complement
-algebra is not abelian, and the joint Fitting split, read from the
+they replaced.  The metabelian split, found from one Fitting split and
+checked on integers, must match the Fraction split, also where the
+complement algebra is not abelian and phi not semisimple (module
+extensions n + V), and the joint Fitting split, read from the
 stable images of the family and of its transpose, both the
 restrict-and-embed split and the split by operator powers and a dense
 inverse that it replaced, on polynomials in one matrix and on the left
@@ -140,8 +141,9 @@ from lralg.lr import (
 FIXTURES = [f for f in map(known_lr, known_lr_names()) if f[0].dim <= 6]
 
 # g_infinity is the span of the last coordinates and the complement has
-# two vectors, so the split's correction system runs (no other kind has
-# both a nonzero g_infinity and a bracket between complement vectors).
+# two vectors, so the split moves its complement inside g_infinity (no
+# other kind has both a nonzero g_infinity and a bracket between
+# complement vectors).
 CORRECTED = [
     (3, {(0, 1): {2: 1}, (0, 2): {2: 1}}),
     (4, {(0, 1): {2: 1, 3: 1}, (0, 2): {2: 1}, (0, 3): {3: 2}}),
@@ -577,8 +579,8 @@ def test_completion_of_idempotent_product_matches_power_core_and_dense_transport
 
 # The Heisenberg algebra <x, y, z>, [x, y] = z, acting on the line <v>
 # by [x, v] = v: g_infinity = <v> = g^3, and the complement algebra
-# g / g_infinity is the Heisenberg algebra, so the correction system
-# carries its beta term.  In the basis x, y, z + v, v the unit
+# g / g_infinity is the Heisenberg algebra, so the split's closure and
+# homomorphism checks carry its beta term.  In the basis x, y, z + v, v the unit
 # complement brackets [x, y] = (z + v) - v, and the correction moves
 # z + v back to z.
 HEISENBERG_ON_A_LINE = (4, {(0, 1): {2: 1}, (0, 3): {3: 1}})
@@ -637,21 +639,131 @@ def test_split_compares_phi_only_when_g_infinity_is_nonzero(monkeypatch):
 
 
 def test_split_rejects_a_correction_that_does_not_close(monkeypatch):
-    """On [e1, e3] = e3, [e1, e2] = e3 the correction moves e2 to
-    e2 - e3; with the second row's correction shifted back to e2 the
-    rows bracket to e3, outside their span, and the closure check
-    raises.  (A shift of the first row, e1 + c e3, still closes.)"""
-    real = lie._solve_rows
+    """On [e1, e3] = e3, [e1, e2] = e3 the Fitting null component of
+    ad e1 is <e1, e2 - e3>; with proj_n e2 moved back to e2 the rows
+    bracket to e3, outside their span, and the closure check raises.
+    (Another v alone would not do: every v gives a conjugate of the
+    complement, which closes.)"""
+    real = lie._fitting_split_commuting
 
-    def shifted(eqs, nvars):
-        x, den = real(eqs, nvars)
-        x[1] += den  # T[1][0]: the coefficient of e3 in the second row
-        return x, den
+    def unmoved(n, family):
+        fit = real(n, family)
+        num = list(fit.proj_n._num)
+        assert num[2 * n + 1] == -fit.proj_n._den  # proj_n e2 = e2 - e3
+        num[2 * n + 1] = 0
+        return fit._replace(proj_n=Matrix._raw(n, n, num, fit.proj_n._den))
 
-    monkeypatch.setattr(lie, "_solve_rows", shifted)
+    monkeypatch.setattr(lie, "_fitting_split_commuting", unmoved)
     g = LieAlgebra.from_brackets(3, {(0, 2): {2: 1}, (0, 1): {2: 1}})
     with pytest.raises(InternalConsistencyError, match="corrected complement is not a subalgebra"):
         split_metabelian(g)
+
+
+def test_split_search_that_runs_out_raises(monkeypatch):
+    """With every Fitting null component one short of the complement's
+    dimension, the search tries x_t for t = 0, ..., k(q - 1) and then
+    raises."""
+    real, calls = lie._fitting_split_commuting, []
+
+    def short(n, family):
+        calls.append(1)
+        fit = real(n, family)
+        return fit._replace(v_n=Subspace._from_sparse(n, fit.v_n._rows[1:]))
+
+    monkeypatch.setattr(lie, "_fitting_split_commuting", short)
+    g = torus(3, 2, True)
+    with pytest.raises(InternalConsistencyError, match="acts invertibly"):
+        split_metabelian(g)
+    assert len(calls) == 2 * (3 - 1) + 1
+
+
+def module_extension(n, mat, coeffs, sheared):
+    """g = n + V, V = Q^k with k = len(mat), for n = heisenberg() or
+    free_two_step(d): the i-th generator x_i of n acts on V by p_i(M),
+    M the integer matrix mat, p_1(M) = M and p_i(M) = M + c2 M^2 + c0 I
+    for (c2, c0) = coeffs[i - 2], and [n, n] acts by 0.  These commute,
+    so g is a Lie algebra; when c0 >= 1, V has no zero weight and
+    g_infinity = V = g^3.  sheared takes e_a + v_(a mod k), a < dim n,
+    as the basis of n, which gives [e_a, e_b] a component in V."""
+    dn, k = n.dim, len(mat)
+    sq = [[sum(mat[i][j] * mat[j][t] for j in range(k)) for t in range(k)] for i in range(k)]
+    reps = [mat] + [[[mat[i][t] + c2 * sq[i][t] + c0 * (i == t) for t in range(k)]
+                     for i in range(k)] for c2, c0 in coeffs]
+    dim = dn + k
+    t = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for a in range(dn):
+        for b in range(dn):
+            t[a][b][:dn] = n.brackets[a][b]
+    for a, rho in enumerate(reps):
+        for s in range(k):
+            for u in range(k):
+                t[a][dn + u][dn + s] = Fraction(rho[s][u])
+                t[dn + u][a][dn + s] = -Fraction(rho[s][u])
+    if sheared:
+        shear = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        unshear = [list(row) for row in shear]
+        for a in range(dn):
+            shear[dn + a % k][a], unshear[dn + a % k][a] = 1, -1
+        t = change_basis(t, shear, unshear)
+    return LieAlgebra(t)
+
+
+@st.composite
+def module_extensions(draw):
+    """A module_extension and its k: n = heisenberg() or free_two_step(2 or 3),
+    k = 2..5, M upper triangular with a Jordan block at (j, j + 1) and
+    at most one diagonal value 0 (there phi of the first unit is
+    singular, so the split's search passes t = 0), c0 >= 1, and the
+    shear or not."""
+    n = draw(st.sampled_from([heisenberg(), free_two_step(2), free_two_step(3)]))
+    gens = 3 if n.dim == 6 else 2
+    k = draw(st.integers(2, 5))
+    diag = draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=k, max_size=k))
+    zero = draw(st.none() | st.integers(0, k - 1))
+    if zero is not None:
+        diag[zero] = 0
+    j = draw(st.integers(0, k - 2))
+    diag[j + 1] = diag[j]
+    mat = [[0] * k for _ in range(k)]
+    for r in range(k):
+        mat[r][r] = diag[r]
+        for c in range(r + 1, k):
+            mat[r][c] = 1 if (r, c) == (j, j + 1) else draw(st.integers(-2, 2))
+    coeffs = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 3)),
+                           min_size=gens - 1, max_size=gens - 1))
+    return module_extension(n, mat, coeffs, draw(st.booleans())), k
+
+
+def test_split_over_a_module_matches_the_fraction_split(monkeypatch):
+    """On module extensions, with a non-abelian quotient and a phi that
+    need not be semisimple, g is valid with g_infinity = V, every field
+    of the split matches the Fraction split, and lr_for_g3 is certified;
+    the split's search for an x with invertible phi_x goes past t = 0
+    somewhere.  The number of examples is the profile's."""
+    real, calls, searched = lie._fitting_split_commuting, [], []
+    monkeypatch.setattr(lie, "_fitting_split_commuting",
+                        lambda *args: calls.append(1) or real(*args))
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(drawn=module_extensions())
+    @example(drawn=(module_extension(heisenberg(), [[0, 1], [0, 0]], [(0, 1)], True), 2))
+    def check(drawn):
+        g, k = drawn
+        assert validate_lie(g)[0]
+        v = [((t, 1),) for t in range(g.dim - k, g.dim)]
+        assert series(g).g_infinity == Subspace._from_sparse(g.dim, v)
+        before = len(calls)
+        split = split_metabelian(g)
+        searched.append(len(calls) - before)
+        fields = (split.g_infinity_basis, split.complement_basis, split.phi,
+                  split.change_of_basis)
+        assert fields == fraction_split(g)
+        q = quotient(g, split.g_infinity)[0]
+        assert (split.complement_algebra._inz, split.complement_algebra._den) == (q._inz, q._den)
+        assert flags(g, lr_for_g3(g)) == (True, True, True)
+
+    check()
+    assert max(searched) > 1
 
 
 @pytest.mark.parametrize("make", [lambda: LieAlgebra.from_brackets(*HEISENBERG_ON_A_LINE),
