@@ -911,10 +911,11 @@ def test_pipeline_hands_on_sparse_data(monkeypatch):
     """complete_any after two_generator_lr, complete_any on a fixture and
     lr_for_g3 on the sheared torus, whose split moves its complement by
     one Fitting split and a k x k solve, do no Matrix arithmetic: no
-    _kernels.mat_mul, Matrix +, -, * or transpose.  The one dense step left is the lift's inverse of its
-    change of basis: one Matrix.inverse and one _kernels.rref in each
-    lift_product with g_infinity != 0, none with g_infinity = 0 and none
-    outside the lift."""
+    _kernels.mat_mul, Matrix +, -, * or transpose.  The one dense step
+    left is the lift's inverse of its change of basis: one
+    Matrix.inverse and one _kernels.rref in each lift_product with
+    g_infinity != 0, none with g_infinity = 0 and none outside the
+    lift."""
     calls, per_lift, solved = [], [], []
     for owner, name in (
         (_kernels, "mat_mul"), (_kernels, "rref"), (Matrix, "__add__"), (Matrix, "__sub__"),

@@ -580,9 +580,9 @@ def test_completion_of_idempotent_product_matches_power_core_and_dense_transport
 # The Heisenberg algebra <x, y, z>, [x, y] = z, acting on the line <v>
 # by [x, v] = v: g_infinity = <v> = g^3, and the complement algebra
 # g / g_infinity is the Heisenberg algebra, so the split's closure and
-# homomorphism checks carry its beta term.  In the basis x, y, z + v, v the unit
-# complement brackets [x, y] = (z + v) - v, and the correction moves
-# z + v back to z.
+# homomorphism checks carry its beta term.  In the basis x, y, z + v, v
+# the unit complement brackets [x, y] = (z + v) - v, and the correction
+# moves z + v back to z.
 HEISENBERG_ON_A_LINE = (4, {(0, 1): {2: 1}, (0, 3): {3: 1}})
 SHIFT_Z = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]
 
@@ -710,11 +710,11 @@ def module_extension(n, mat, coeffs, sheared):
 
 @st.composite
 def module_extensions(draw):
-    """A module_extension and its k: n = heisenberg() or free_two_step(2 or 3),
-    k = 2..5, M upper triangular with a Jordan block at (j, j + 1) and
-    at most one diagonal value 0 (there phi of the first unit is
-    singular, so the split's search passes t = 0), c0 >= 1, and the
-    shear or not."""
+    """A module_extension and its k: n = heisenberg() or
+    free_two_step(2 or 3), k = 2..5, M upper triangular with a Jordan
+    block at (j, j + 1) and at most one eigenvalue 0 (then phi of the
+    first unit is singular, so the split's search passes t = 0),
+    c0 >= 1, and the shear or not."""
     n = draw(st.sampled_from([heisenberg(), free_two_step(2), free_two_step(3)]))
     gens = 3 if n.dim == 6 else 2
     k = draw(st.integers(2, 5))
